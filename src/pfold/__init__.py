@@ -22,6 +22,7 @@ from .model import (
 from .ivp import (
     IntegrationError,
     IntegratorConfig,
+    PhaseStats,
     State,
     Trajectory,
     TruncatedTrajectoryError,

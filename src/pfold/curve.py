@@ -181,19 +181,6 @@ def _scan_grid(traj: _ivp.Trajectory, t_lo: float, t_hi: float) -> np.ndarray:
     return np.unique(np.concatenate([refine, nodes]))
 
 
-def _bisect(fn, a: float, b: float, fa: float) -> float:
-    """Plain bisection of a scalar function with a sign change on [a, b]."""
-    while (b - a) > ROOT_RTOL * max(abs(a), abs(b)):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if fn(mid) * fa > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
-
-
 def _guarded_sign_changes(values, guards):
     """Indices (i, j) of consecutive guard-clearing points with opposite signs."""
     significant = np.abs(values) > guards
@@ -266,7 +253,7 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
 
     out: list[TurningPoint] = []
     for i, j in _guarded_sign_changes(m, guards):
-        t_star = _bisect(m_at, float(grid[i]), float(grid[j]), float(m[i]))
+        t_star = _ivp._bisect(m_at, float(grid[i]), float(grid[j]), float(m[i]), ROOT_RTOL)
         wt, _ = traj.eval(t_star)
         lam, u0 = curve_values(problem, params, t_star, wt)
         direction = "right-to-left" if m[i] > 0.0 else "left-to-right"
@@ -306,7 +293,8 @@ def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
 
     times: list[float] = []
     for i, j in _guarded_sign_changes(p_vals, guards):
-        times.append(_bisect(p_at, float(grid[i]), float(grid[j]), float(p_vals[i])))
+        times.append(_ivp._bisect(p_at, float(grid[i]), float(grid[j]), float(p_vals[i]),
+                                    ROOT_RTOL))
 
     extrema_times: list[float] = []
     extrema_abs: list[float] = []
@@ -318,7 +306,8 @@ def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
         for k in range(len(sub) - 1):
             i, j = sub[k], sub[k + 1]
             if dp_vals[i] * dp_vals[j] < 0.0:
-                cand.append(_bisect(dp_at, float(grid[i]), float(grid[j]), float(dp_vals[i])))
+                cand.append(_ivp._bisect(dp_at, float(grid[i]), float(grid[j]),
+                                          float(dp_vals[i]), ROOT_RTOL))
         if not cand and np.any(inside):
             # fall back to the largest sampled deviation
             k = np.argmax(np.abs(p_vals[inside]))
@@ -479,21 +468,17 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
         r_start = max(r_start, 1e-30)
     else:
         r_start = 1e-6
-    y0 = [u0 - kappa * r_start**sigma, -g0 * r_start ** (n + alpha) / (n + alpha)]
+    u_start = u0 - kappa * r_start**sigma
+    v_start = -g0 * r_start ** (n + alpha) / (n + alpha)
 
-    def rhs(r, y):
-        u, v = y
+    def rhs(r, u, v):
         return (
             _ivp._phi_inv(v / r ** (n - 1.0), p),
             -lam * r ** (n + alpha - 1.0) * f(u),
         )
 
-    cfg = _ivp.IntegratorConfig(t_start=r_start, t_max=1.0, rel_tol=rel_tol,
-                                abs_tol=abs_tol, max_steps=200_000, log_time=False)
-    xs, ys, interps, _, _, completed = _ivp._run_segment(
-        rhs, r_start, y0, 1.0, cfg, cfg.max_steps, watch_zero=False
-    )
-    if not completed:
+    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, abs_tol, 200_000)
+    if run.status != "done":
         raise _ivp.IntegrationError("shooting integration exhausted max_steps",
-                                    (xs[-1], ys[-1][0], ys[-1][1]))
-    return abs(ys[-1][0])
+                                    (run.xs[-1], *run.states[-1]))
+    return abs(run.states[-1][0])

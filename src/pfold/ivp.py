@@ -22,19 +22,29 @@ slope there for p > 2), runs in ``t`` up to 1 with step growth capped so
 the power-law flux spans a bounded range per step (keeping dense output
 accurate relative to the local solution scale), and in ``s = ln t`` beyond
 1, since folds accumulate multiplicatively and uniform resolution in
-``ln t`` is the natural choice there.  The stepper is an adaptive
-high-order explicit Runge-Kutta pair with dense output.  For the ``jl``
-class, ``w`` may reach zero in finite time; the crossing is located by
-bisection on the dense output and the trajectory is truncated there.
+``ln t`` is the natural choice there.  For the ``jl`` class, ``w`` may
+reach zero in finite time; the crossing is located by bisection on the
+dense output and the trajectory is truncated there.
+
+The stepper is DOP853, the explicit Runge-Kutta pair of order 8 with
+embedded error estimators of orders 5 and 3 and a 7th-order dense output
+(Hairer, Norsett & Wanner, *Solving Ordinary Differential Equations I*,
+2nd ed., Springer 1993, Sections II.5-II.6), with Hairer's coefficients.
+It steps the two-component state in plain floats.  The step-size
+controller uses the initial step rule of Section II.4, a safety factor of
+0.9, step factors clamped to [0.2, 10], the error exponent -1/8, DOP853's
+combined err5/err3 error norm and a minimum step of 10 ulp.  The dense
+output of all steps is kept as one table of interpolation rows, so a
+vector of times is evaluated with one lookup and one polynomial pass.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import DOP853, OdeSolution
 
 from .model import (
     InvalidParamsError,
@@ -46,6 +56,7 @@ from .model import (
 __all__ = [
     "State",
     "IntegratorConfig",
+    "PhaseStats",
     "Trajectory",
     "IntegrationError",
     "TruncatedTrajectoryError",
@@ -115,6 +126,18 @@ class IntegratorConfig:
         return self
 
 
+@dataclass(frozen=True)
+class PhaseStats:
+    """Work of one integration phase: ``phase`` is ``"linear"`` (stepping
+    in ``t``) or ``"log"`` (stepping in ``ln t``); ``nfev`` counts
+    right-hand-side evaluations, dense-output stages included."""
+
+    phase: str
+    accepted: int
+    rejected: int
+    nfev: int
+
+
 def _phi(s: float, p: float) -> float:
     return math.copysign(abs(s) ** (p - 1.0), s) if s != 0.0 else 0.0
 
@@ -160,77 +183,280 @@ def startup_state(params: Params, problem: ProblemClass, t_start: float) -> Stat
     return State(t=t_start, w=w, v=v)
 
 
-def _bisect_dense(dense, a: float, b: float, component: int = 0) -> float:
-    """Bisection root of a dense-output component on [a, b] (sign change assumed)."""
-    fa = dense(a)[component]
-    for _ in range(200):
+def _bisect(fn, a: float, b: float, fa: float, rtol: float = 0.0) -> float:
+    """Bisection root of ``fn`` on ``[a, b]``, where ``fn(a) = fa`` and ``fn``
+    changes sign; stops once ``b - a <= rtol * max(|a|, |b|)`` or the
+    bracket cannot be split further (``rtol = 0``: to full precision)."""
+    while (b - a) > rtol * max(abs(a), abs(b)):
         mid = 0.5 * (a + b)
         if mid == a or mid == b:
             break
-        if dense(mid)[component] * fa > 0.0:
+        if fn(mid) * fa > 0.0:
             a = mid
         else:
             b = mid
     return 0.5 * (a + b)
 
 
+# DOP853 tableau: nodes c, and for each stage the nonzero coefficients
+# (j, a_sj) on the earlier stages.
+_C = (0.0, 0.526001519587677318785587544488e-01, 0.789002279381515978178381316732e-01,
+      0.118350341907227396726757197510, 0.281649658092772603273242802490,
+      0.333333333333333333333333333333, 0.25, 0.307692307692307692307692307692,
+      0.651282051282051282051282051282, 0.6, 0.857142857142857142857142857142, 1.0, 1.0,
+      0.1, 0.2, 0.777777777777777777777777777778)
+_A = (
+    (),
+    ((0, 5.26001519587677318785587544488e-2),),
+    ((0, 1.97250569845378994544595329183e-2), (1, 5.91751709536136983633785987549e-2)),
+    ((0, 2.95875854768068491816892993775e-2), (2, 8.87627564304205475450678981324e-2)),
+    ((0, 2.41365134159266685502369798665e-1), (2, -8.84549479328286085344864962717e-1),
+     (3, 9.24834003261792003115737966543e-1)),
+    ((0, 3.7037037037037037037037037037e-2), (3, 1.70828608729473871279604482173e-1),
+     (4, 1.25467687566822425016691814123e-1)),
+    ((0, 3.7109375e-2), (3, 1.70252211019544039314978060272e-1),
+     (4, 6.02165389804559606850219397283e-2), (5, -1.7578125e-2)),
+    ((0, 3.70920001185047927108779319836e-2), (3, 1.70383925712239993810214054705e-1),
+     (4, 1.07262030446373284651809199168e-1), (5, -1.53194377486244017527936158236e-2),
+     (6, 8.27378916381402288758473766002e-3)),
+    ((0, 6.24110958716075717114429577812e-1), (3, -3.36089262944694129406857109825),
+     (4, -8.68219346841726006818189891453e-1), (5, 2.75920996994467083049415600797e1),
+     (6, 2.01540675504778934086186788979e1), (7, -4.34898841810699588477366255144e1)),
+    ((0, 4.77662536438264365890433908527e-1), (3, -2.48811461997166764192642586468),
+     (4, -5.90290826836842996371446475743e-1), (5, 2.12300514481811942347288949897e1),
+     (6, 1.52792336328824235832596922938e1), (7, -3.32882109689848629194453265587e1),
+     (8, -2.03312017085086261358222928593e-2)),
+    ((0, -9.3714243008598732571704021658e-1), (3, 5.18637242884406370830023853209),
+     (4, 1.09143734899672957818500254654), (5, -8.14978701074692612513997267357),
+     (6, -1.85200656599969598641566180701e1), (7, 2.27394870993505042818970056734e1),
+     (8, 2.49360555267965238987089396762), (9, -3.0467644718982195003823669022)),
+    ((0, 2.27331014751653820792359768449), (3, -1.05344954667372501984066689879e1),
+     (4, -2.00087205822486249909675718444), (5, -1.79589318631187989172765950534e1),
+     (6, 2.79488845294199600508499808837e1), (7, -2.85899827713502369474065508674),
+     (8, -8.87285693353062954433549289258), (9, 1.23605671757943030647266201528e1),
+     (10, 6.43392746015763530355970484046e-1)),
+    # row 12: the 8th-order weights b
+    ((0, 5.42937341165687622380535766363e-2), (5, 4.45031289275240888144113950566),
+     (6, 1.89151789931450038304281599044), (7, -5.8012039600105847814672114227),
+     (8, 3.1116436695781989440891606237e-1), (9, -1.52160949662516078556178806805e-1),
+     (10, 2.01365400804030348374776537501e-1), (11, 4.47106157277725905176885569043e-2)),
+    # rows 13-15: the extra stages of the dense output
+    ((0, 5.61675022830479523392909219681e-2), (6, 2.53500210216624811088794765333e-1),
+     (7, -2.46239037470802489917441475441e-1), (8, -1.24191423263816360469010140626e-1),
+     (9, 1.5329179827876569731206322685e-1), (10, 8.20105229563468988491666602057e-3),
+     (11, 7.56789766054569976138603589584e-3), (12, -8.298e-3)),
+    ((0, 3.18346481635021405060768473261e-2), (5, 2.83009096723667755288322961402e-2),
+     (6, 5.35419883074385676223797384372e-2), (7, -5.49237485713909884646569340306e-2),
+     (10, -1.08347328697249322858509316994e-4), (11, 3.82571090835658412954920192323e-4),
+     (12, -3.40465008687404560802977114492e-4), (13, 1.41312443674632500278074618366e-1)),
+    ((0, -4.28896301583791923408573538692e-1), (5, -4.69762141536116384314449447206),
+     (6, 7.68342119606259904184240953878), (7, 4.06898981839711007970213554331),
+     (8, 3.56727187455281109270669543021e-1), (12, -1.39902416515901462129418009734e-3),
+     (13, 2.9475147891527723389556272149), (14, -9.15095847217987001081870187138)),
+)
+# dense-output rows F3..F6: F_i = h * sum_j d_ij k_j over all 16 stages
+_D = (
+    ((0, -0.84289382761090128651353491142e+1), (5, 0.56671495351937776962531783590),
+     (6, -0.30689499459498916912797304727e+1), (7, 0.23846676565120698287728149680e+1),
+     (8, 0.21170345824450282767155149946e+1), (9, -0.87139158377797299206789907490),
+     (10, 0.22404374302607882758541771650e+1), (11, 0.63157877876946881815570249290),
+     (12, -0.88990336451333310820698117400e-1), (13, 0.18148505520854727256656404962e+2),
+     (14, -0.91946323924783554000451984436e+1), (15, -0.44360363875948939664310572000e+1)),
+    ((0, 0.10427508642579134603413151009e+2), (5, 0.24228349177525818288430175319e+3),
+     (6, 0.16520045171727028198505394887e+3), (7, -0.37454675472269020279518312152e+3),
+     (8, -0.22113666853125306036270938578e+2), (9, 0.77334326684722638389603898808e+1),
+     (10, -0.30674084731089398182061213626e+2), (11, -0.93321305264302278729567221706e+1),
+     (12, 0.15697238121770843886131091075e+2), (13, -0.31139403219565177677282850411e+2),
+     (14, -0.93529243588444783865713862664e+1), (15, 0.35816841486394083752465898540e+2)),
+    ((0, 0.19985053242002433820987653617e+2), (5, -0.38703730874935176555105901742e+3),
+     (6, -0.18917813819516756882830838328e+3), (7, 0.52780815920542364900561016686e+3),
+     (8, -0.11573902539959630126141871134e+2), (9, 0.68812326946963000169666922661e+1),
+     (10, -0.10006050966910838403183860980e+1), (11, 0.77771377980534432092869265740),
+     (12, -0.27782057523535084065932004339e+1), (13, -0.60196695231264120758267380846e+2),
+     (14, 0.84320405506677161018159903784e+2), (15, 0.11992291136182789328035130030e+2)),
+    ((0, -0.25693933462703749003312586129e+2), (5, -0.15418974869023643374053993627e+3),
+     (6, -0.23152937917604549567536039109e+3), (7, 0.35763911791061412378285349910e+3),
+     (8, 0.93405324183624310003907691704e+2), (9, -0.37458323136451633156875139351e+2),
+     (10, 0.10409964950896230045147246184e+3), (11, 0.29840293426660503123344363579e+2),
+     (12, -0.43533456590011143754432175058e+2), (13, 0.96324553959188282948394950600e+2),
+     (14, -0.39177261675615439165231486172e+2), (15, -0.14972683625798562581422125276e+3)),
+)
+# Error estimators of orders 5 and 3, on the stages that carry a weight b.
+_E5 = (0.1312004499419488073250102996e-1, -0.1225156446376204440720569753e+1,
+       -0.4957589496572501915214079952, 0.1664377182454986536961530415e+1,
+       -0.3503288487499736816886487290, 0.3341791187130174790297318841,
+       0.8192320648511571246570742613e-1, -0.2235530786388629525884427845e-1)
+_E3_SHIFT = {0: 0.244094488188976377952755905512, 8: 0.733846688281611857341361741547,
+             11: 0.220588235294117647058823529412e-1}
+# (j, b_j, e5_j, e3_j), where e3 = b - shift
+_WEIGHTS = tuple((j, b, e5, b - _E3_SHIFT.get(j, 0.0)) for (j, b), e5 in zip(_A[12], _E5))
+_STEP_STAGES = tuple((s, _C[s], _A[s]) for s in range(1, 12))
+_DENSE_STAGES = tuple((s, _C[s], _A[s]) for s in range(13, 16))
+
+
 @dataclass
-class _Segment:
-    """One integration phase with its dense output, in ``x = t`` or ``x = ln t``."""
+class _Run:
+    """Result of one :func:`_dop853` run.
 
-    logspace: bool
-    t_lo: float
-    t_hi: float
-    sol: OdeSolution
-
-    def x_of(self, t):
-        return np.log(t) if self.logspace else t
-
-
-def _run_segment(rhs, x0, y0, x_end, cfg, steps_budget, watch_zero,
-                 step_ratio_cap: float | None = None):
-    """Drive one DOP853 phase; returns (xs, ys, interpolants, zero_x, steps, done).
-
-    ``step_ratio_cap`` bounds each step to ``(cap - 1) * x``: with power-law
-    growth of the flux this keeps the per-step dynamic range bounded, so the
-    dense interpolant stays accurate relative to the local solution scale.
+    ``xs`` and ``states`` hold the nodes (the start included) and ``(w, v)``
+    there; ``steps`` holds one dense row per accepted step,
+    ``(x0, h, w0, v0, F0w, F0v, ..., F6w, F6v)``.  ``status`` is ``"done"``
+    (``x_end`` reached), ``"zero"`` (stopped at a zero of ``w``, which is
+    then the last node) or ``"budget"`` (out of steps).
     """
-    max_step = (step_ratio_cap - 1.0) * x0 if step_ratio_cap else np.inf
-    solver = DOP853(rhs, x0, y0, x_end, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                    max_step=max_step)
-    xs = [x0]
-    ys = [tuple(y0)]
-    interps = []
-    steps = 0
-    zero_x = None
-    while solver.status == "running":
-        if steps >= steps_budget:
-            return xs, ys, interps, None, steps, False
-        if step_ratio_cap:
-            solver.max_step = (step_ratio_cap - 1.0) * solver.t
-        msg = solver.step()
-        steps += 1
-        if solver.status == "failed":
-            raise IntegrationError(
-                f"integration failed at t-coordinate {solver.t!r}: {msg}",
-                (xs[-1], ys[-1][0], ys[-1][1]),
-            )
-        if not np.all(np.isfinite(solver.y)):
-            raise IntegrationError(
-                f"non-finite state at t-coordinate {solver.t!r}",
-                (xs[-1], ys[-1][0], ys[-1][1]),
-            )
-        dense = solver.dense_output()
-        interps.append(dense)
-        if watch_zero and ys[-1][0] > 0.0 and solver.y[0] <= 0.0:
-            zero_x = _bisect_dense(dense, xs[-1], solver.t)
-            w_end, v_end = dense(zero_x)
-            xs.append(zero_x)
-            ys.append((float(w_end), float(v_end)))
-            return xs, ys, interps, zero_x, steps, True
-        xs.append(solver.t)
-        ys.append((float(solver.y[0]), float(solver.y[1])))
-    return xs, ys, interps, None, steps, True
+
+    xs: list
+    states: list
+    steps: list
+    rejected: int
+    nfev: int
+    status: str
+
+
+def _rms(a: float, b: float) -> float:
+    return math.sqrt(a * a + b * b) / math.sqrt(2.0)
+
+
+def _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol) -> float:
+    """Initial step of Hairer-Norsett-Wanner II.4, for an error estimator of order 7."""
+    interval = x_end - x
+    sw = atol + abs(w) * rtol
+    sv = atol + abs(v) * rtol
+    d0 = _rms(w / sw, v / sv)
+    d1 = _rms(fw / sw, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    gw, gv = rhs(x + h0, w + h0 * fw, v + h0 * fv)
+    d2 = _rms((gw - fw) / sw, (gv - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, interval, max_step)
+
+
+def _interp(step, x: float) -> tuple[float, float]:
+    """Dense ``(w, v)`` of one step at ``x``, with ``s = (x - x0)/h``:
+    ``y0 + s (F0 + (1-s) (F1 + s (F2 + (1-s) (F3 + ...))))``."""
+    x0, h, w0, v0, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = step
+    s = (x - x0) / h
+    u = 1.0 - s
+    return (w0 + s * (a0 + u * (a1 + s * (a2 + u * (a3 + s * (a4 + u * (a5 + s * a6)))))),
+            v0 + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6)))))))
+
+
+def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: float,
+            budget: int, ratio_cap: float | None = None, watch_zero: bool = False) -> _Run:
+    """Integrate ``(w, v)' = rhs(x, w, v)`` from ``x`` towards ``x_end > x``.
+
+    Accepts at most ``budget`` steps.  ``ratio_cap`` bounds each step to
+    ``(cap - 1) * x``: with power-law growth of the flux this keeps the
+    per-step dynamic range bounded, so the dense interpolant stays accurate
+    relative to the local solution scale.  With ``watch_zero`` the run stops
+    at the first zero of ``w``, located by bisection on the step's
+    interpolant.
+    """
+    xs = [x]
+    states = [(w, v)]
+    steps: list = []
+    kw = [0.0] * 16
+    kv = [0.0] * 16
+    fw, fv = rhs(x, w, v)
+    max_step = (ratio_cap - 1.0) * x if ratio_cap else math.inf
+    h_abs = _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol)
+    nfev = 2
+    rejected = 0
+    status = "done"
+    while x != x_end:
+        if len(steps) >= budget:
+            status = "budget"
+            break
+        if ratio_cap:
+            max_step = (ratio_cap - 1.0) * x
+        min_step = 10.0 * (math.nextafter(x, math.inf) - x)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        kw[0] = fw
+        kv[0] = fv
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise IntegrationError(
+                    f"integration failed at t-coordinate {x!r}: "
+                    "required step size is less than spacing between numbers",
+                    (x, w, v),
+                )
+            x_new = min(x + h_abs, x_end)
+            h = h_abs = x_new - x
+            for s, c, row in _STEP_STAGES:
+                dw = dv = 0.0
+                for j, a in row:
+                    dw += a * kw[j]
+                    dv += a * kv[j]
+                kw[s], kv[s] = rhs(x + c * h, w + dw * h, v + dv * h)
+            nfev += 11
+            bw = bv = e5w = e5v = e3w = e3v = 0.0
+            for j, b, e5, e3 in _WEIGHTS:
+                gw, gv = kw[j], kv[j]
+                bw += b * gw
+                bv += b * gv
+                e5w += e5 * gw
+                e5v += e5 * gv
+                e3w += e3 * gw
+                e3v += e3 * gv
+            w_new = w + h * bw
+            v_new = v + h * bv
+            sw = atol + max(abs(w), abs(w_new)) * rtol
+            sv = atol + max(abs(v), abs(v_new)) * rtol
+            e5w /= sw
+            e5v /= sv
+            e3w /= sw
+            e3v /= sv
+            n5 = e5w * e5w + e5v * e5v
+            n3 = e3w * e3w + e3v * e3v
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            step_rejected = True
+            rejected += 1
+        if not (math.isfinite(w_new) and math.isfinite(v_new)):
+            raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}", (x, w, v))
+        kw[12], kv[12] = fw_new, fv_new = rhs(x_new, w_new, v_new)
+        for s, c, row in _DENSE_STAGES:
+            dw = dv = 0.0
+            for j, a in row:
+                dw += a * kw[j]
+                dv += a * kv[j]
+            kw[s], kv[s] = rhs(x + c * h, w + dw * h, v + dv * h)
+        nfev += 4
+        delta_w = w_new - w
+        delta_v = v_new - v
+        step = [x, h, w, v, delta_w, delta_v, h * fw - delta_w, h * fv - delta_v,
+                2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv)]
+        for row in _D:
+            dw = dv = 0.0
+            for j, a in row:
+                dw += a * kw[j]
+                dv += a * kv[j]
+            step += (h * dw, h * dv)
+        steps.append(step)
+        if watch_zero and w > 0.0 and w_new <= 0.0:
+            x_zero = _bisect(lambda xx: _interp(step, xx)[0], x, x_new, w)
+            xs.append(x_zero)
+            states.append(_interp(step, x_zero))
+            status = "zero"
+            break
+        x, w, v, fw, fv = x_new, w_new, v_new, fw_new, fv_new
+        xs.append(x)
+        states.append((w, v))
+    return _Run(xs, states, steps, rejected, nfev, status)
 
 
 def integrate(params: Params, problem: ProblemClass,
@@ -254,16 +480,14 @@ def integrate(params: Params, problem: ProblemClass,
     sgn = _source_sign(problem)
     watch_zero = problem is ProblemClass.JOSEPH_LUNDGREN
 
-    def rhs_lin(t, y):
-        w, v = y
+    def rhs_lin(t, w, v):
         return (
             _phi_inv(v / t ** (n - 1.0), p),
             sgn * t ** (n + alpha - 1.0) * f(w),
         )
 
-    def rhs_log(s, y):
+    def rhs_log(s, w, v):
         t = math.exp(s)
-        w, v = y
         return (
             t * _phi_inv(v / t ** (n - 1.0), p),
             sgn * t ** (n + alpha) * f(w),
@@ -283,43 +507,38 @@ def integrate(params: Params, problem: ProblemClass,
     ratio_cap = max(100.0 ** (1.0 / (n + alpha)), 1.2)
 
     start = startup_state(params, problem, cfg.t_start)
-    y = [start.w, start.v]
-    budget = cfg.max_steps
-    segments: list[_Segment] = []
     t_nodes: list[float] = [cfg.t_start]
     states: list[tuple[float, float]] = [(start.w, start.v)]
+    steps: list = []
+    stats: list[PhaseStats] = []
+    n_lin = 0
     termination = "t_max"
-    completed = True
-
     for logspace, t_lo, t_hi in phases:
-        rhs = rhs_log if logspace else rhs_lin
-        x0 = math.log(t_lo) if logspace else t_lo
-        x1 = math.log(t_hi) if logspace else t_hi
-        xs, ys, interps, zero_x, used, completed = _run_segment(
-            rhs, x0, list(y), x1, cfg, budget, watch_zero,
-            step_ratio_cap=None if logspace else ratio_cap,
+        w, v = states[-1]
+        run = _dop853(
+            rhs_log if logspace else rhs_lin,
+            math.log(t_lo) if logspace else t_lo, w, v,
+            math.log(t_hi) if logspace else t_hi,
+            cfg.rel_tol, cfg.abs_tol, cfg.max_steps - len(steps),
+            ratio_cap=None if logspace else ratio_cap, watch_zero=watch_zero,
         )
-        budget -= used
-        if interps:
-            sol = OdeSolution(np.asarray(xs), interps)
-            reached_bound = completed and zero_x is None and xs[-1] == x1
-            t_hi_actual = t_hi if reached_bound else (math.exp(xs[-1]) if logspace else xs[-1])
-            segments.append(_Segment(logspace, t_lo, t_hi_actual, sol))
-            ts_new = [math.exp(x) for x in xs[1:]] if logspace else list(xs[1:])
-            if reached_bound:
-                ts_new[-1] = t_hi
-            t_nodes.extend(float(t) for t in ts_new)
-            states.extend(ys[1:])
-        y = list(ys[-1])
-        if zero_x is not None:
-            termination = "zero"
-            break
-        if not completed:
-            termination = "truncated"
+        stats.append(PhaseStats("log" if logspace else "linear", len(run.steps),
+                                run.rejected, run.nfev))
+        ts_new = [math.exp(x) for x in run.xs[1:]] if logspace else run.xs[1:]
+        if run.status == "done":
+            ts_new[-1] = t_hi
+        t_nodes.extend(ts_new)
+        states.extend(run.states[1:])
+        steps.extend(run.steps)
+        if not logspace:
+            n_lin = len(steps)
+        if run.status != "done":
+            termination = "zero" if run.status == "zero" else "truncated"
             break
 
-    traj = Trajectory._build(problem, params, cfg, segments, t_nodes, states, termination)
-    if not completed:
+    traj = Trajectory._build(problem, params, cfg, t_nodes, states, steps, n_lin,
+                             termination, tuple(stats))
+    if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
         )
@@ -334,6 +553,12 @@ class Trajectory:
     requested horizon was reached, ``"zero"`` when a ``jl`` run stopped at a
     zero of ``w`` (then ``t_end`` is the crossing time), and ``"truncated"``
     for partial data carried by :class:`TruncatedTrajectoryError`.
+    ``stats`` holds the work of each integration phase, in order.
+
+    Dense output: step ``k`` runs from node ``k`` in ``x = t`` when
+    ``k < _n_lin`` and in ``x = ln t`` otherwise; ``_steps`` holds its
+    interpolation row ``(x0, h, w0, v0, F0w, F0v, ..., F6w, F6v)`` as floats
+    for scalar lookups and ``_table`` the same rows as an ``(m, 18)`` array.
     """
 
     problem: ProblemClass
@@ -344,24 +569,33 @@ class Trajectory:
     wprimes: np.ndarray
     vs: np.ndarray
     termination: str
-    _segments: tuple[_Segment, ...]
+    stats: tuple[PhaseStats, ...]
+    _t_list: list = field(repr=False)
+    _states: list = field(repr=False)
+    _steps: list = field(repr=False)
+    _table: np.ndarray = field(repr=False)
+    _n_lin: int = field(repr=False)
 
     @classmethod
-    def _build(cls, problem, params, cfg, segments, t_nodes, states, termination):
-        ts = np.asarray(t_nodes, dtype=float)
-        wv = np.asarray(states, dtype=float)
+    def _build(cls, problem, params, cfg, t_nodes, states, steps, n_lin, termination, stats):
         p, n = params.p, params.n
-        wp = np.array([_phi_inv(v / t ** (n - 1.0), p) for t, v in zip(ts, wv[:, 1])])
+        wv = np.asarray(states, dtype=float)
+        wp = [_phi_inv(v / t ** (n - 1.0), p) for t, (_, v) in zip(t_nodes, states)]
         return cls(
             problem=problem,
             params=params,
             config=cfg,
-            ts=ts,
+            ts=np.asarray(t_nodes, dtype=float),
             ws=wv[:, 0],
-            wprimes=wp,
+            wprimes=np.asarray(wp, dtype=float),
             vs=wv[:, 1],
             termination=termination,
-            _segments=tuple(segments),
+            stats=stats,
+            _t_list=t_nodes,
+            _states=states,
+            _steps=steps,
+            _table=np.asarray(steps, dtype=float).reshape(len(steps), 18),
+            _n_lin=n_lin,
         )
 
     @property
@@ -376,65 +610,51 @@ class Trajectory:
     def zero_time(self) -> float | None:
         return self.t_end if self.termination == "zero" else None
 
-    def _check_range(self, t: np.ndarray) -> None:
-        lo, hi = self.t_start, self.t_end
-        slack = 1e-12 * hi
-        if np.any(t < lo - 1e-12 * lo) or np.any(t > hi + slack):
-            raise ValueError(
-                f"t outside trajectory range [{lo!r}, {hi!r}]"
-            )
-
     def eval_state(self, t: float) -> tuple[float, float]:
         """Dense ``(w, v)`` at a scalar ``t``; exact at stored nodes."""
-        tt = np.asarray(t, dtype=float)
-        self._check_range(tt)
-        idx = np.searchsorted(self.ts, tt)
-        if idx < len(self.ts) and self.ts[idx] == tt:
-            return float(self.ws[idx]), float(self.vs[idx])
-        for seg in self._segments:
-            if seg.t_lo <= tt <= seg.t_hi or seg is self._segments[-1]:
-                w, v = seg.sol(seg.x_of(tt))
-                return float(w), float(v)
-        raise ValueError(f"no segment covers t = {t!r}")
+        t = float(t)
+        nodes = self._t_list
+        lo, hi = nodes[0], nodes[-1]
+        if t < lo - 1e-12 * lo or t > hi + 1e-12 * hi:
+            raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
+        k = bisect_left(nodes, t)
+        if k < len(nodes) and nodes[k] == t:
+            return self._states[k]
+        k = min(max(k - 1, 0), len(self._steps) - 1)
+        return _interp(self._steps[k], math.log(t) if k >= self._n_lin else t)
 
     def eval(self, t: float) -> tuple[float, float]:
         """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes."""
-        tt = np.asarray(t, dtype=float)
-        self._check_range(tt)
-        idx = np.searchsorted(self.ts, tt)
-        if idx < len(self.ts) and self.ts[idx] == tt:
-            return float(self.ws[idx]), float(self.wprimes[idx])
-        w, v = self.eval_state(float(tt))
-        wp = _phi_inv(v / float(tt) ** (self.params.n - 1.0), self.params.p)
-        return w, wp
+        w, v = self.eval_state(t)
+        return w, _phi_inv(v / float(t) ** (self.params.n - 1.0), self.params.p)
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized dense ``(w, w')``; exact at stored nodes."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        self._check_range(ts)
-        w = np.empty_like(ts)
-        v = np.empty_like(ts)
-        done = np.zeros(ts.shape, dtype=bool)
-        for seg in self._segments:
-            mask = ~done & (ts >= seg.t_lo) & (ts <= seg.t_hi)
-            if np.any(mask):
-                vals = seg.sol(seg.x_of(ts[mask]))
-                w[mask], v[mask] = vals[0], vals[1]
-                done[mask] = True
-        if not np.all(done) and self._segments:
-            seg = self._segments[-1]
-            vals = seg.sol(seg.x_of(ts[~done]))
-            w[~done], v[~done] = vals[0], vals[1]
-        # stored nodes win bitwise over the interpolant
+        lo, hi = self._t_list[0], self._t_list[-1]
+        if np.any(ts < lo - 1e-12 * lo) or np.any(ts > hi + 1e-12 * hi):
+            raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)
-        idx = np.clip(idx, 0, len(self.ts) - 1)
-        exact = self.ts[idx] == ts
-        w[exact] = self.ws[idx[exact]]
-        v[exact] = self.vs[idx[exact]]
+        k = np.clip(idx - 1, 0, len(self._table) - 1)
+        rows = self._table[k]
+        x = np.where(k >= self._n_lin, np.log(ts), ts)
+        s = ((x - rows[:, 0]) / rows[:, 1])[:, None]
+        u = 1.0 - s
+        f = rows[:, 4:].reshape(-1, 7, 2)
+        acc = f[:, 6]
+        for i in range(5, -1, -1):
+            acc = f[:, i] + (s if i % 2 else u) * acc
+        y = rows[:, 2:4] + s * acc
+        # stored nodes win bitwise over the interpolant
+        node = np.minimum(idx, len(self.ts) - 1)
+        exact = self.ts[node] == ts
+        w, v = y.T.copy()
+        w[exact] = self.ws[node[exact]]
+        v[exact] = self.vs[node[exact]]
         n, p = self.params.n, self.params.p
         arg = v / ts ** (n - 1.0)
         wp = np.sign(arg) * np.abs(arg) ** (1.0 / (p - 1.0))
-        wp[exact] = self.wprimes[idx[exact]]
+        wp[exact] = self.wprimes[node[exact]]
         return w, wp
 
 

@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import DOP853, OdeSolution, quad
 
+import pfold
 from pfold import (
     IntegratorConfig,
     InvalidParamsError,
@@ -19,7 +24,7 @@ from pfold import (
     startup_state,
 )
 
-from conftest import GELFAND3, JL454, JL_ZERO, MEMS233
+from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233
 
 G, M, J = ProblemClass.GELFAND, ProblemClass.MEMS, ProblemClass.JOSEPH_LUNDGREN
 
@@ -163,6 +168,7 @@ class TestIntegrate:
         assert traj.termination == "truncated"
         assert traj.t_end < 1e4
         assert len(traj.ts) > 1
+        assert sum(s.accepted for s in traj.stats) == 12
 
     def test_invalid_config(self):
         with pytest.raises(InvalidParamsError):
@@ -176,6 +182,101 @@ class TestIntegrate:
         wa, _ = a.eval(100.0)
         wb, _ = b.eval(100.0)
         assert wa == pytest.approx(wb, rel=1e-8)
+        assert [s.phase for s in a.stats] == ["linear", "log"]
+        assert [s.phase for s in b.stats] == ["linear"]
+
+    def test_stats_count_the_work(self, gelfand3_traj, mems_traj, jl_zero_traj):
+        for traj in (gelfand3_traj, mems_traj, jl_zero_traj):
+            assert sum(s.accepted for s in traj.stats) == len(traj.ts) - 1
+            for s in traj.stats:
+                # 2 evaluations to start; 11 per attempt, plus 4 per accepted
+                # step for its end point and the 3 extra dense-output stages
+                assert s.nfev == 2 + 15 * s.accepted + 11 * s.rejected
+        assert sum(s.rejected for s in jl_zero_traj.stats) > 0
+
+
+def _scipy_dop853_reference(params, problem, cfg):
+    """The generating IVP stepped by scipy's DOP853 with the same startup,
+    phases and per-step ``max_step`` schedule as :func:`integrate`.
+
+    Returns the accepted steps per phase and a vectorized ``(w, w')``.
+    """
+    p, n, alpha, q = params.p, params.n, params.alpha, params.q
+    sgn = 1.0 if problem is M else -1.0
+    source = {G: math.exp, M: lambda w: w**-q, J: lambda w: max(w, 0.0) ** q}[problem]
+
+    def phiinv(s):
+        return math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s else 0.0
+
+    def rhs_lin(t, y):
+        return (phiinv(y[1] / t ** (n - 1.0)), sgn * t ** (n + alpha - 1.0) * source(y[0]))
+
+    def rhs_log(s, y):
+        t = math.exp(s)
+        return (t * phiinv(y[1] / t ** (n - 1.0)), sgn * t ** (n + alpha) * source(y[0]))
+
+    cap = max(100.0 ** (1.0 / (n + alpha)), 1.2)
+    st = startup_state(params, problem, cfg.t_start)
+    y = [st.w, st.v]
+    counts, phases = [], []
+    for logspace, t_lo, t_hi in ((False, cfg.t_start, 1.0), (True, 1.0, cfg.t_max)):
+        x0, x1 = (math.log(t_lo), math.log(t_hi)) if logspace else (t_lo, t_hi)
+        solver = DOP853(rhs_log if logspace else rhs_lin, x0, y, x1, rtol=cfg.rel_tol,
+                        atol=cfg.abs_tol, max_step=np.inf if logspace else (cap - 1.0) * x0)
+        xs, interps = [x0], []
+        while solver.status == "running":
+            if not logspace:
+                solver.max_step = (cap - 1.0) * solver.t
+            solver.step()
+            xs.append(solver.t)
+            interps.append(solver.dense_output())
+        assert solver.status == "finished"
+        counts.append(len(interps))
+        phases.append((logspace, t_hi, OdeSolution(np.array(xs), interps)))
+        y = solver.y
+
+    def dense(ts):
+        w, v = np.empty_like(ts), np.empty_like(ts)
+        lo = 0.0
+        for logspace, t_hi, sol in phases:
+            mask = (ts > lo) & (ts <= t_hi)
+            w[mask], v[mask] = sol(np.log(ts[mask]) if logspace else ts[mask])
+            lo = t_hi
+        arg = v / ts ** (n - 1.0)
+        return w, np.sign(arg) * np.abs(arg) ** (1.0 / (p - 1.0))
+
+    return counts, dense
+
+
+class TestAgainstScipyDop853:
+    """The in-repo stepper takes scipy's steps: same tableau, controller and
+    schedule, so only rounding in the error sums separates the two."""
+
+    @pytest.mark.parametrize("t_max", [1e4, 1e8])
+    @pytest.mark.parametrize("params,problem", [
+        (GELFAND3, G), (GELFAND10, G), (MEMS233, M), (JL454, J),
+        (Params(p=3, n=5, alpha=1), G),
+    ])
+    def test_same_steps_and_dense_values(self, params, problem, t_max):
+        cfg = IntegratorConfig(t_max=t_max)
+        traj = integrate(params, problem, cfg)
+        counts, dense = _scipy_dop853_reference(params, problem, cfg)
+        assert [s.accepted for s in traj.stats] == counts
+        grid = np.geomspace(cfg.t_start, t_max, 500)
+        w, wp = traj.eval_many(grid)
+        w_ref, wp_ref = dense(grid)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0.0)
+        np.testing.assert_allclose(wp, wp_ref, rtol=1e-11, atol=0.0)
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(pfold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, pfold; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestEval:
