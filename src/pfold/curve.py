@@ -377,7 +377,14 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    """Distance of the computed curve from its explicit singular limit."""
+    """Distance of the computed curve from its explicit singular limit.
+
+    ``char_root_real`` is ``Re r`` of the characteristic roots.  Both gaps
+    decay like ``t^(Re r - g)``, with ``g = 0`` for ``gelfand``, ``beta``
+    for ``mems`` and ``-beta`` for ``jl``: the shift of the log-phase
+    variables ``W = w t^-g`` (see :mod:`pfold.ivp`), whose fixed point has
+    the eigenvalues ``r - g``.
+    """
 
     lambda_inf: float
     t_eval: float
@@ -409,7 +416,8 @@ def convergence(curve: SolutionCurve, t_eval: float | None = None,
     ``profile_sup_gap`` is the sup-distance of the radial profile at
     ``t_eval`` from the explicit singular profile over 64 log-spaced radii
     in [0.1, 1].  The real part of the characteristic roots is included
-    since it sets the expected decay rate ``t^Re(r)`` of both gaps.
+    since it sets the expected decay rate ``t^(Re r - g)`` of both gaps
+    (``g`` as in :class:`ConvergenceReport`).
     """
     traj = curve.trajectory
     if traj.t_end < 1e3:
@@ -477,7 +485,8 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
             -lam * r ** (n + alpha - 1.0) * f(u),
         )
 
-    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, abs_tol, 200_000)
+    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, abs_tol, 200_000,
+                       dense=False)
     if run.status != "done":
         raise _ivp.IntegrationError("shooting integration exhausted max_steps",
                                     (run.xs[-1], *run.states[-1]))

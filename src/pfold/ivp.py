@@ -9,22 +9,47 @@ Each problem class is generated by one IVP that is singular at ``t = 0``:
 * ``jl``:       ``phi(w')' + ((n-1)/t) phi(w') + t^alpha w^q = 0``,
   ``w(0) = 1``, ``w'(0) = 0``,
 
-with ``phi(s) = s |s|^(p-2)``.  The equations are integrated in the flux
-variables ``(w, v)`` with ``v = t^(n-1) phi(w')``, so that the singular
-``(n-1)/t`` term is absorbed into an exact derivative and ``phi`` is never
-differentiated:
+with ``phi(s) = s |s|^(p-2)``.  Below ``t = 1`` the equations are integrated
+in the flux variables ``(w, v)`` with ``v = t^(n-1) phi(w')``, so that the
+singular ``(n-1)/t`` term is absorbed into an exact derivative and ``phi``
+is never differentiated:
 
     ``w' = phiinv(v / t^(n-1))``,  ``v' = -+ t^(n+alpha-1) f(w)``.
 
 Integration starts from a two-term series expansion at a small ``t_start``
 (the IVP itself cannot be started at 0 because ``phiinv`` has unbounded
-slope there for p > 2), runs in ``t`` up to 1 with step growth capped so
-the power-law flux spans a bounded range per step (keeping dense output
-accurate relative to the local solution scale), and in ``s = ln t`` beyond
-1, since folds accumulate multiplicatively and uniform resolution in
-``ln t`` is the natural choice there.  For the ``jl`` class, ``w`` may
-reach zero in finite time; the crossing is located by bisection on the
-dense output and the trajectory is truncated there.
+slope there for p > 2) and runs in ``t`` up to 1, with step growth capped
+so the power-law flux spans a bounded range per step (keeping dense output
+accurate relative to the local solution scale).
+
+Beyond ``t = 1`` it runs in ``s = ln t``, where folds accumulate uniformly,
+in the Emden-Fowler variables of Joseph & Lundgren (1973)
+
+    ``W = w t^-g``,  ``Z = v t^c = phi(t w') t^(-g(p-1))``,  ``c = p - n - g(p-1)``,
+
+with ``g = 0`` for ``gelfand``, ``g = beta`` for ``mems`` and ``g = -beta``
+for ``jl`` (:func:`~pfold.model.beta_exponent`):
+
+    ``W' = -g W + phiinv(Z)``,  ``Z' = c Z -+ f(W)``   (``mems``, ``jl``),
+    ``W' = phiinv(Z)``,  ``Z' = (p-n) Z - exp((alpha+p) s + W)``   (``gelfand``).
+
+Self-similarity makes the ``mems`` and ``jl`` systems autonomous, and the
+guiding solution is a fixed point of all three (for ``gelfand``, ``Z`` is
+fixed and ``W`` falls at the constant rate ``alpha + p``), so the stepper
+follows a state that settles instead of one that grows or decays like a
+power of ``t``.  The fixed point's linearization has the eigenvalues
+``r - g``, with ``r`` the characteristic roots, and the step is capped at
+``2 / max |r - g|`` (see :func:`_log_phase`).  A ``jl`` problem with
+``q <= p - 1`` has no such scaling and keeps ``g = 0``, with the source
+``t^(alpha+p) f(W)``.  ``(W, Z) = (w, v)`` at ``t = 1``, and ``W`` has the
+sign of ``w``.  Nodes hold ``(w, v)`` in both phases; only the dense rows
+of the log phase hold ``(W, Z)``.  The linear phase stays in ``(w, v)``:
+there the solution follows the startup series, not the fixed point, and
+stepping it in ``ln t`` as well breaks startup consistency (a relative
+difference of about 1e-5 at ``t = 2e-6`` between starts at ``1e-6`` and
+``2.5e-7`` for ``gelfand``, against about 4e-14).  For the ``jl`` class,
+``w`` may reach zero in finite time; the crossing is located by bisection
+on the dense output and the trajectory is truncated there.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of order 8 with
 embedded error estimators of orders 5 and 3 and a 7th-order dense output
@@ -50,6 +75,8 @@ from .model import (
     InvalidParamsError,
     Params,
     ProblemClass,
+    beta_exponent,
+    characteristic_quadratic,
     validate_params,
 )
 
@@ -104,7 +131,8 @@ class IntegratorConfig:
     accurate to the requested tolerances; the defaults leave orders of
     magnitude of headroom for moderate parameters (startup consistency can
     be checked by re-integrating from ``t_start/4``).  With ``log_time``
-    (the default) the stepper runs in ``s = ln t`` for ``t >= 1``.
+    (the default) the stepper runs in ``s = ln t`` for ``t >= 1``, in the
+    Emden-Fowler variables described in the module docstring.
     """
 
     t_start: float = 1e-6
@@ -159,6 +187,47 @@ def _make_f(problem: ProblemClass, q: float | None):
     # Clamp at zero: past a zero crossing the trajectory is discarded anyway,
     # and the clamp keeps the right-hand side finite for fractional q.
     return lambda w: max(w, 0.0) ** q
+
+
+def _log_phase(params: Params, problem: ProblemClass):
+    """Right-hand side ``(W, Z)' = rhs(s, W, Z)`` of the log phase, the
+    exponents ``(g, c)`` of ``W = w t^-g``, ``Z = v t^c``, and its step cap.
+
+    The linearization at the fixed point has the eigenvalues ``r - g``, with
+    ``r`` the characteristic roots.  Once the state has settled there, the
+    error estimate is rounding noise: the controller would grow the step
+    until the fastest mode turns unstable (``|h (r - g)| > 6.3`` for DOP853)
+    and let rounding errors grow tenfold per step.  The cap
+    ``2 / max |r - g|`` keeps each step well inside the stability region.
+    """
+    p, n, alpha, q = params.p, params.n, params.alpha, params.q
+    f = _make_f(problem, q)
+    sgn = _source_sign(problem)
+    k = alpha + p
+    if problem is ProblemClass.JOSEPH_LUNDGREN and not q - p + 1.0 > 0.0:
+        # no self-similar scaling, so no fixed point: step (w, t^(p-n) v)
+        c = p - n
+
+        def rhs(s, big_w, z):
+            return _phi_inv(z, p), c * z - math.exp(k * s) * f(big_w)
+
+        return rhs, 0.0, c, math.inf
+    if problem is ProblemClass.GELFAND:
+        g = 0.0
+        c = p - n
+
+        def rhs(s, big_w, z):
+            return _phi_inv(z, p), c * z - math.exp(k * s + big_w)
+    else:
+        # mems grows like t^beta, jl decays like t^-beta
+        g = sgn * beta_exponent(params, problem)
+        c = p - n - g * (p - 1.0)
+
+        def rhs(s, big_w, z):
+            return _phi_inv(z, p) - g * big_w, c * z + sgn * f(big_w)
+
+    rate = max(abs(r - g) for r in characteristic_quadratic(params, problem).roots)
+    return rhs, g, c, 2.0 / rate if rate > 0.0 else math.inf
 
 
 def startup_state(params: Params, problem: ProblemClass, t_start: float) -> State:
@@ -299,8 +368,8 @@ class _Run:
     """Result of one :func:`_dop853` run.
 
     ``xs`` and ``states`` hold the nodes (the start included) and ``(w, v)``
-    there; ``steps`` holds one dense row per accepted step,
-    ``(x0, h, w0, v0, F0w, F0v, ..., F6w, F6v)``.  ``status`` is ``"done"``
+    there; ``steps`` holds one dense row per accepted step (none without
+    dense output), ``(x0, h, w0, v0, F0w, F0v, ..., F6w, F6v)``.  ``status`` is ``"done"``
     (``x_end`` reached), ``"zero"`` (stopped at a zero of ``w``, which is
     then the last node) or ``"budget"`` (out of steps).
     """
@@ -346,15 +415,18 @@ def _interp(step, x: float) -> tuple[float, float]:
 
 
 def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: float,
-            budget: int, ratio_cap: float | None = None, watch_zero: bool = False) -> _Run:
+            budget: int, ratio_cap: float | None = None, watch_zero: bool = False,
+            dense: bool = True, max_step: float = math.inf) -> _Run:
     """Integrate ``(w, v)' = rhs(x, w, v)`` from ``x`` towards ``x_end > x``.
 
-    Accepts at most ``budget`` steps.  ``ratio_cap`` bounds each step to
-    ``(cap - 1) * x``: with power-law growth of the flux this keeps the
-    per-step dynamic range bounded, so the dense interpolant stays accurate
-    relative to the local solution scale.  With ``watch_zero`` the run stops
+    Accepts at most ``budget`` steps of at most ``max_step``.  ``ratio_cap``
+    bounds each step to ``(cap - 1) * x`` instead: with power-law growth of
+    the flux this keeps the per-step dynamic range bounded, so the dense
+    interpolant stays accurate relative to the local solution scale.  With ``watch_zero`` the run stops
     at the first zero of ``w``, located by bisection on the step's
-    interpolant.
+    interpolant.  Without ``dense`` the run skips the three dense-output
+    stages and keeps no interpolation rows (``steps`` stays empty), so it
+    cannot ``watch_zero``.
     """
     xs = [x]
     states = [(w, v)]
@@ -362,13 +434,14 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: 
     kw = [0.0] * 16
     kv = [0.0] * 16
     fw, fv = rhs(x, w, v)
-    max_step = (ratio_cap - 1.0) * x if ratio_cap else math.inf
+    if ratio_cap:
+        max_step = (ratio_cap - 1.0) * x
     h_abs = _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol)
     nfev = 2
     rejected = 0
     status = "done"
     while x != x_end:
-        if len(steps) >= budget:
+        if len(xs) > budget:
             status = "budget"
             break
         if ratio_cap:
@@ -429,30 +502,32 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: 
         if not (math.isfinite(w_new) and math.isfinite(v_new)):
             raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}", (x, w, v))
         kw[12], kv[12] = fw_new, fv_new = rhs(x_new, w_new, v_new)
-        for s, c, row in _DENSE_STAGES:
-            dw = dv = 0.0
-            for j, a in row:
-                dw += a * kw[j]
-                dv += a * kv[j]
-            kw[s], kv[s] = rhs(x + c * h, w + dw * h, v + dv * h)
-        nfev += 4
-        delta_w = w_new - w
-        delta_v = v_new - v
-        step = [x, h, w, v, delta_w, delta_v, h * fw - delta_w, h * fv - delta_v,
-                2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv)]
-        for row in _D:
-            dw = dv = 0.0
-            for j, a in row:
-                dw += a * kw[j]
-                dv += a * kv[j]
-            step += (h * dw, h * dv)
-        steps.append(step)
-        if watch_zero and w > 0.0 and w_new <= 0.0:
-            x_zero = _bisect(lambda xx: _interp(step, xx)[0], x, x_new, w)
-            xs.append(x_zero)
-            states.append(_interp(step, x_zero))
-            status = "zero"
-            break
+        nfev += 1
+        if dense:
+            for s, c, row in _DENSE_STAGES:
+                dw = dv = 0.0
+                for j, a in row:
+                    dw += a * kw[j]
+                    dv += a * kv[j]
+                kw[s], kv[s] = rhs(x + c * h, w + dw * h, v + dv * h)
+            nfev += 3
+            delta_w = w_new - w
+            delta_v = v_new - v
+            step = [x, h, w, v, delta_w, delta_v, h * fw - delta_w, h * fv - delta_v,
+                    2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv)]
+            for row in _D:
+                dw = dv = 0.0
+                for j, a in row:
+                    dw += a * kw[j]
+                    dv += a * kv[j]
+                step += (h * dw, h * dv)
+            steps.append(step)
+            if watch_zero and w > 0.0 and w_new <= 0.0:
+                x_zero = _bisect(lambda xx: _interp(step, xx)[0], x, x_new, w)
+                xs.append(x_zero)
+                states.append(_interp(step, x_zero))
+                status = "zero"
+                break
         x, w, v, fw, fv = x_new, w_new, v_new, fw_new, fv_new
         xs.append(x)
         states.append((w, v))
@@ -486,12 +561,7 @@ def integrate(params: Params, problem: ProblemClass,
             sgn * t ** (n + alpha - 1.0) * f(w),
         )
 
-    def rhs_log(s, w, v):
-        t = math.exp(s)
-        return (
-            t * _phi_inv(v / t ** (n - 1.0), p),
-            sgn * t ** (n + alpha) * f(w),
-        )
+    rhs_log, g, c, log_step = _log_phase(params, problem)
 
     # phase layout: linear in t below 1, logarithmic above (when enabled)
     phases: list[tuple[bool, float, float]] = []
@@ -515,12 +585,15 @@ def integrate(params: Params, problem: ProblemClass,
     termination = "t_max"
     for logspace, t_lo, t_hi in phases:
         w, v = states[-1]
+        if logspace:
+            w, v = w * t_lo**-g, v * t_lo**c
         run = _dop853(
             rhs_log if logspace else rhs_lin,
             math.log(t_lo) if logspace else t_lo, w, v,
             math.log(t_hi) if logspace else t_hi,
             cfg.rel_tol, cfg.abs_tol, cfg.max_steps - len(steps),
             ratio_cap=None if logspace else ratio_cap, watch_zero=watch_zero,
+            max_step=log_step if logspace else math.inf,
         )
         stats.append(PhaseStats("log" if logspace else "linear", len(run.steps),
                                 run.rejected, run.nfev))
@@ -528,7 +601,12 @@ def integrate(params: Params, problem: ProblemClass,
         if run.status == "done":
             ts_new[-1] = t_hi
         t_nodes.extend(ts_new)
-        states.extend(run.states[1:])
+        if logspace:
+            # nodes hold (w, v): undo the scaling of (W, Z)
+            states.extend((big_w * t**g, z * t**-c)
+                          for t, (big_w, z) in zip(ts_new, run.states[1:]))
+        else:
+            states.extend(run.states[1:])
         steps.extend(run.steps)
         if not logspace:
             n_lin = len(steps)
@@ -537,7 +615,7 @@ def integrate(params: Params, problem: ProblemClass,
             break
 
     traj = Trajectory._build(problem, params, cfg, t_nodes, states, steps, n_lin,
-                             termination, tuple(stats))
+                             (g, -c), termination, tuple(stats))
     if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
@@ -557,8 +635,10 @@ class Trajectory:
 
     Dense output: step ``k`` runs from node ``k`` in ``x = t`` when
     ``k < _n_lin`` and in ``x = ln t`` otherwise; ``_steps`` holds its
-    interpolation row ``(x0, h, w0, v0, F0w, F0v, ..., F6w, F6v)`` as floats
-    for scalar lookups and ``_table`` the same rows as an ``(m, 18)`` array.
+    interpolation row ``(x0, h, y0, F0, ..., F6)``, two floats for each
+    ``y0, F0..F6``, for scalar lookups and ``_table`` the same rows as an
+    ``(m, 18)`` array.  Linear rows interpolate ``(w, v)``, log rows the
+    scaled ``(W, Z) = (w t^-g, v t^-e)`` with ``_log_exps = (g, e)``.
     """
 
     problem: ProblemClass
@@ -575,9 +655,11 @@ class Trajectory:
     _steps: list = field(repr=False)
     _table: np.ndarray = field(repr=False)
     _n_lin: int = field(repr=False)
+    _log_exps: tuple[float, float] = field(repr=False)
 
     @classmethod
-    def _build(cls, problem, params, cfg, t_nodes, states, steps, n_lin, termination, stats):
+    def _build(cls, problem, params, cfg, t_nodes, states, steps, n_lin, log_exps,
+               termination, stats):
         p, n = params.p, params.n
         wv = np.asarray(states, dtype=float)
         wp = [_phi_inv(v / t ** (n - 1.0), p) for t, (_, v) in zip(t_nodes, states)]
@@ -596,6 +678,7 @@ class Trajectory:
             _steps=steps,
             _table=np.asarray(steps, dtype=float).reshape(len(steps), 18),
             _n_lin=n_lin,
+            _log_exps=log_exps,
         )
 
     @property
@@ -621,7 +704,11 @@ class Trajectory:
         if k < len(nodes) and nodes[k] == t:
             return self._states[k]
         k = min(max(k - 1, 0), len(self._steps) - 1)
-        return _interp(self._steps[k], math.log(t) if k >= self._n_lin else t)
+        if k < self._n_lin:
+            return _interp(self._steps[k], t)
+        big_w, z = _interp(self._steps[k], math.log(t))
+        g, e = self._log_exps
+        return big_w * t**g, z * t**e
 
     def eval(self, t: float) -> tuple[float, float]:
         """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes."""
@@ -637,7 +724,8 @@ class Trajectory:
         idx = np.searchsorted(self.ts, ts)
         k = np.clip(idx - 1, 0, len(self._table) - 1)
         rows = self._table[k]
-        x = np.where(k >= self._n_lin, np.log(ts), ts)
+        log_rows = k >= self._n_lin
+        x = np.where(log_rows, np.log(ts), ts)
         s = ((x - rows[:, 0]) / rows[:, 1])[:, None]
         u = 1.0 - s
         f = rows[:, 4:].reshape(-1, 7, 2)
@@ -645,6 +733,7 @@ class Trajectory:
         for i in range(5, -1, -1):
             acc = f[:, i] + (s if i % 2 else u) * acc
         y = rows[:, 2:4] + s * acc
+        y[log_rows] *= ts[log_rows, None] ** np.asarray(self._log_exps)
         # stored nodes win bitwise over the interpolant
         node = np.minimum(idx, len(self.ts) - 1)
         exact = self.ts[node] == ts

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
@@ -11,6 +12,7 @@ from pfold import (
     Params,
     ProblemClass,
     build_curve,
+    check_conditions,
     check_interlacing,
     closed_forms,
     convergence,
@@ -166,6 +168,28 @@ class TestTurningPoints:
             d = d[np.abs(d) > 1e-12 * np.abs(lam[inside][:-1])]
             assert len(d) > 0
             assert np.all(d > 0) or np.all(d < 0)
+
+
+class TestRealRootFolds:
+    """Outside the oscillation window the characteristic roots are real and
+    the curve is monotone, so no fold may be reported, out to t = 1e8."""
+
+    CONFIG = IntegratorConfig(t_max=1e8)
+
+    @pytest.mark.parametrize("p,n", [(2.5, 13.75), (3.0, 13.0), (3.0, 12.5)])
+    def test_pinned_cases(self, p, n):
+        traj = integrate(Params(p=p, n=n, alpha=0), G, self.CONFIG)
+        assert turning_points(traj) == []
+
+    @settings(max_examples=25, deadline=None)
+    @given(p=st.floats(1.5, 4.0), alpha=st.floats(0.0, 2.0), u=st.floats(0.0, 1.0))
+    def test_no_folds(self, p, alpha, u):
+        # n from the window's upper end (p^2 + 3p + 4 alpha)/(p - 1) up to p + 14
+        upper = (p * p + 3.0 * p + 4.0 * alpha) / (p - 1.0)
+        assume(upper < p + 14.0)
+        params = Params(p=p, n=upper + u * (p + 14.0 - upper), alpha=alpha)
+        assert not check_conditions(params, G).conditions["dimension_window"].holds
+        assert turning_points(integrate(params, G, self.CONFIG)) == []
 
 
 class TestIntersections:

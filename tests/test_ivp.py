@@ -9,12 +9,15 @@ import pytest
 from scipy.integrate import DOP853, OdeSolution, quad
 
 import pfold
+from pfold.ivp import _dop853, _log_phase
+from pfold.verify import RESIDUAL_SETS
 from pfold import (
     IntegratorConfig,
     InvalidParamsError,
     Params,
     ProblemClass,
     TruncatedTrajectoryError,
+    characteristic_quadratic,
     closed_forms,
     guiding_curvature,
     guiding_eval,
@@ -197,13 +200,16 @@ class TestIntegrate:
 
 def _scipy_dop853_reference(params, problem, cfg):
     """The generating IVP stepped by scipy's DOP853 with the same startup,
-    phases and per-step ``max_step`` schedule as :func:`integrate`.
+    phases and per-step ``max_step`` schedule as :func:`integrate`: the flux
+    system in ``t`` below 1, the Emden-Fowler system in ``ln t`` above.
 
     Returns the accepted steps per phase and a vectorized ``(w, w')``.
     """
     p, n, alpha, q = params.p, params.n, params.alpha, params.q
     sgn = 1.0 if problem is M else -1.0
     source = {G: math.exp, M: lambda w: w**-q, J: lambda w: max(w, 0.0) ** q}[problem]
+    g = 0.0 if problem is G else sgn * closed_forms(params, problem).beta
+    c = p - n - g * (p - 1.0)
 
     def phiinv(s):
         return math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s else 0.0
@@ -212,17 +218,21 @@ def _scipy_dop853_reference(params, problem, cfg):
         return (phiinv(y[1] / t ** (n - 1.0)), sgn * t ** (n + alpha - 1.0) * source(y[0]))
 
     def rhs_log(s, y):
-        t = math.exp(s)
-        return (t * phiinv(y[1] / t ** (n - 1.0)), sgn * t ** (n + alpha) * source(y[0]))
+        # W = w t^-g, Z = v t^c
+        if problem is G:
+            return (phiinv(y[1]), c * y[1] - math.exp((alpha + p) * s + y[0]))
+        return (-g * y[0] + phiinv(y[1]), c * y[1] + sgn * source(y[0]))
 
     cap = max(100.0 ** (1.0 / (n + alpha)), 1.2)
+    # the log phase resolves the fixed point's fastest mode: eigenvalues r - g
+    log_step = 2.0 / max(abs(r - g) for r in characteristic_quadratic(params, problem).roots)
     st = startup_state(params, problem, cfg.t_start)
     y = [st.w, st.v]
     counts, phases = [], []
     for logspace, t_lo, t_hi in ((False, cfg.t_start, 1.0), (True, 1.0, cfg.t_max)):
         x0, x1 = (math.log(t_lo), math.log(t_hi)) if logspace else (t_lo, t_hi)
         solver = DOP853(rhs_log if logspace else rhs_lin, x0, y, x1, rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol, max_step=np.inf if logspace else (cap - 1.0) * x0)
+                        atol=cfg.abs_tol, max_step=log_step if logspace else (cap - 1.0) * x0)
         xs, interps = [x0], []
         while solver.status == "running":
             if not logspace:
@@ -233,14 +243,18 @@ def _scipy_dop853_reference(params, problem, cfg):
         assert solver.status == "finished"
         counts.append(len(interps))
         phases.append((logspace, t_hi, OdeSolution(np.array(xs), interps)))
-        y = solver.y
+        y = solver.y  # (W, Z) = (w, v) at t = 1
 
     def dense(ts):
         w, v = np.empty_like(ts), np.empty_like(ts)
         lo = 0.0
         for logspace, t_hi, sol in phases:
             mask = (ts > lo) & (ts <= t_hi)
-            w[mask], v[mask] = sol(np.log(ts[mask]) if logspace else ts[mask])
+            if logspace:
+                big_w, z = sol(np.log(ts[mask]))
+                w[mask], v[mask] = big_w * ts[mask] ** g, z * ts[mask] ** -c
+            else:
+                w[mask], v[mask] = sol(ts[mask])
             lo = t_hi
         arg = v / ts ** (n - 1.0)
         return w, np.sign(arg) * np.abs(arg) ** (1.0 / (p - 1.0))
@@ -267,6 +281,83 @@ class TestAgainstScipyDop853:
         w_ref, wp_ref = dense(grid)
         np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(wp, wp_ref, rtol=1e-11, atol=0.0)
+
+
+def _guiding_log_state(params, problem, t):
+    """The guiding solution in the log-phase variables at ``t``:
+    ``W = w0 t^-g``, ``Z = phi(t w0') t^(-g(p-1))``, with the shift ``g``
+    read off the closed forms (0, +beta or -beta by the kind of guide)."""
+    cf = closed_forms(params, problem)
+    g = {"logarithmic": 0.0, "power-growth": cf.beta, "power-decay": -cf.beta}[cf.guiding_kind]
+    p = params.p
+    w0, w0p = guiding_eval(cf, t)
+    slope = t * w0p
+    return g, w0 * t**-g, math.copysign(abs(slope) ** (p - 1.0), slope) * t ** (-g * (p - 1.0))
+
+
+class TestLogPhase:
+    """The Emden-Fowler system of the log phase, against the closed forms."""
+
+    CASES = [(params, problem) for problem, sets in RESIDUAL_SETS.items() for params in sets]
+
+    @pytest.mark.parametrize("params,problem", CASES)
+    def test_guiding_solution_is_a_fixed_point(self, params, problem):
+        rhs, *_ = _log_phase(params, problem)
+        p, n, alpha = params.p, params.n, params.alpha
+        source = {G: math.exp, M: lambda w: w**-params.q, J: lambda w: w**params.q}[problem]
+        for t in (0.5, 1.0, 7.0, 1e3, 1e6):
+            g, big_w, z = _guiding_log_state(params, problem, t)
+            c = p - n - g * (p - 1.0)
+            dw, dz = rhs(math.log(t), big_w, z)
+            # scales: the terms of each component, evaluated on the guide
+            dw_scale = abs(g * big_w) + abs(z) ** (1.0 / (p - 1.0))
+            dz_scale = abs(c * z) + t ** (alpha + p - g * (p - 1.0)) * source(big_w * t**g)
+            # gelfand: W = w0 falls at the rate alpha + p; the others are at rest
+            dw_expected = -(alpha + p) if problem is G else 0.0
+            assert abs(dw - dw_expected) <= 1e-12 * dw_scale
+            assert abs(dz) <= 1e-12 * dz_scale
+
+    @pytest.mark.parametrize("params,problem", CASES)
+    def test_linearization_has_the_shifted_characteristic_roots(self, params, problem):
+        rhs, g, *_ = _log_phase(params, problem)
+        s = 0.7
+        _, big_w, z = _guiding_log_state(params, problem, math.exp(s))
+        jac = np.empty((2, 2))
+        for i, h in enumerate((1e-6 * abs(big_w), 1e-6 * abs(z))):
+            up = rhs(s, big_w + h * (i == 0), z + h * (i == 1))
+            down = rhs(s, big_w - h * (i == 0), z - h * (i == 1))
+            jac[:, i] = (np.array(up) - np.array(down)) / (2.0 * h)
+        eig = sorted(np.linalg.eigvals(jac), key=lambda r: (r.real, r.imag))
+        roots = sorted((r - g for r in characteristic_quadratic(params, problem).roots),
+                       key=lambda r: (r.real, r.imag))
+        scale = max(abs(r) for r in roots)
+        for a, b in zip(eig, roots):
+            assert abs(a - b) <= 1e-6 * scale
+
+    def test_jl_without_scaling_matches_linear_time(self):
+        # q <= p - 1 has no fixed point: the log phase keeps g = 0 and t^(alpha+p) f(W)
+        params = Params(p=3, n=5, alpha=0.5, q=1.5)
+        a = integrate(params, J, IntegratorConfig(t_max=100.0))
+        b = integrate(params, J, IntegratorConfig(t_max=100.0, log_time=False))
+        assert a.termination == b.termination == "zero"
+        assert [s.phase for s in a.stats] == ["linear", "log"]
+        assert a.zero_time == pytest.approx(b.zero_time, rel=1e-9)
+        ts = np.geomspace(1.0, 0.9 * a.zero_time, 20)
+        np.testing.assert_allclose(a.eval_many(ts)[0], b.eval_many(ts)[0], rtol=1e-8)
+
+
+def test_stepper_without_dense_output_takes_the_same_steps():
+    rhs, *_ = _log_phase(GELFAND3, G)
+    args = (rhs, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, 1e-12, 10_000)
+    full = _dop853(*args)
+    bare = _dop853(*args, dense=False)
+    assert bare.xs == full.xs and bare.states == full.states
+    assert bare.rejected == full.rejected > 0
+    assert bare.steps == [] and len(full.steps) == len(full.xs) - 1
+    accepted = len(bare.xs) - 1
+    # per accepted step the end point is still evaluated; the 3 dense stages are not
+    assert full.nfev == 2 + 15 * accepted + 11 * full.rejected
+    assert bare.nfev == 2 + 12 * accepted + 11 * bare.rejected
 
 
 def test_import_leaves_scipy_unloaded():
