@@ -9,18 +9,31 @@ Each problem class is generated by one IVP that is singular at ``t = 0``:
 * ``jl``:       ``phi(w')' + ((n-1)/t) phi(w') + t^alpha w^q = 0``,
   ``w(0) = 1``, ``w'(0) = 0``,
 
-with ``phi(s) = s |s|^(p-2)``.  Below ``t = 1`` the equations are integrated
-in the flux variables ``(w, v)`` with ``v = t^(n-1) phi(w')``, so that the
-singular ``(n-1)/t`` term is absorbed into an exact derivative and ``phi``
-is never differentiated:
+with ``phi(s) = s |s|^(p-2)``.  The equations are written in the flux
+variables ``(w, v)`` with ``v = t^(n-1) phi(w')``, so that the singular
+``(n-1)/t`` term is absorbed into an exact derivative and ``phi`` is never
+differentiated:
 
     ``w' = phiinv(v / t^(n-1))``,  ``v' = -+ t^(n+alpha-1) f(w)``.
 
-Integration starts from a two-term series expansion at a small ``t_start``
-(the IVP itself cannot be started at 0 because ``phiinv`` has unbounded
-slope there for p > 2) and runs in ``t`` up to 1, with step growth capped
-so the power-law flux spans a bounded range per step (keeping dense output
-accurate relative to the local solution scale).
+``t = 0`` is a regular singular point, where the regular solution is a
+convergent power series (Joseph & Lundgren 1973).  With
+``sigma = (alpha+p)/(p-1)``, ``tau = t^sigma`` and ``m = n + alpha``,
+
+    ``w = w(0) + tau U(tau)``,  ``v = t^m V(tau)``,
+
+and the coefficients of ``U`` and ``V`` follow one by one from recurrences
+(:func:`_series`).  The series covers ``[t_start, t1]``: ``t1`` is the
+largest ``t <= min(1, t_max)`` at which its last three terms stay below
+``1e-16`` of the leading ones, and for ``jl`` also lies before ``w`` falls
+to 1/2.  The trajectory keeps one node at ``t1`` for this segment, and its
+dense output evaluates the series there.  From ``t1`` up to 1 the flux
+system is stepped in ``t``, with step growth capped so the power-law flux
+spans a bounded range per step (keeping dense output accurate relative to
+the local solution scale).  For 90% of parameter sets drawn over ``p`` in
+[1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in [0, 2] the series
+reaches ``t = 0.34`` to 2.1, and past 1 for about half, so this phase
+takes a few steps or none.
 
 Beyond ``t = 1`` it runs in ``s = ln t``, where folds accumulate uniformly,
 in the Emden-Fowler variables of Joseph & Lundgren (1973)
@@ -42,14 +55,12 @@ power of ``t``.  The fixed point's linearization has the eigenvalues
 ``2 / max |r - g|`` (see :func:`_log_phase`).  A ``jl`` problem with
 ``q <= p - 1`` has no such scaling and keeps ``g = 0``, with the source
 ``t^(alpha+p) f(W)``.  ``(W, Z) = (w, v)`` at ``t = 1``, and ``W`` has the
-sign of ``w``.  Nodes hold ``(w, v)`` in both phases; only the dense rows
-of the log phase hold ``(W, Z)``.  The linear phase stays in ``(w, v)``:
-there the solution follows the startup series, not the fixed point, and
-stepping it in ``ln t`` as well breaks startup consistency (a relative
-difference of about 1e-5 at ``t = 2e-6`` between starts at ``1e-6`` and
-``2.5e-7`` for ``gelfand``, against about 4e-14).  For the ``jl`` class,
-``w`` may reach zero in finite time; the crossing is located by bisection
-on the dense output and the trajectory is truncated there.
+sign of ``w``.  Nodes hold ``(w, v)`` in every phase; only the dense rows
+of the log phase hold ``(W, Z)``.  Below ``t = 1`` the solution follows
+the startup series, not the fixed point, so the series and the linear
+phase cover it.  For the ``jl`` class, ``w`` may reach zero in finite
+time; the crossing is located by bisection on the dense output and the
+trajectory is truncated there.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of order 8 with
 embedded error estimators of orders 5 and 3 and a 7th-order dense output
@@ -127,10 +138,10 @@ class State:
 class IntegratorConfig:
     """Integration controls.
 
-    ``t_start`` must be small enough that the two-term startup series is
-    accurate to the requested tolerances; the defaults leave orders of
-    magnitude of headroom for moderate parameters (startup consistency can
-    be checked by re-integrating from ``t_start/4``).  With ``log_time``
+    The state at ``t_start`` comes from the startup series, so ``t_start``
+    may lie anywhere up to the series' reach (mostly between 0.3 and 2;
+    :func:`integrate` rejects a ``t_start`` beyond it), and the trajectory
+    past the series segment does not depend on it.  With ``log_time``
     (the default) the stepper runs in ``s = ln t`` for ``t >= 1``, in the
     Emden-Fowler variables described in the module docstring.
     """
@@ -156,9 +167,11 @@ class IntegratorConfig:
 
 @dataclass(frozen=True)
 class PhaseStats:
-    """Work of one integration phase: ``phase`` is ``"linear"`` (stepping
-    in ``t``) or ``"log"`` (stepping in ``ln t``); ``nfev`` counts
-    right-hand-side evaluations, dense-output stages included."""
+    """Work of one integration phase: ``phase`` is ``"series"`` (the
+    startup series, one accepted node at its reach and no right-hand-side
+    evaluation), ``"linear"`` (stepping in ``t``) or ``"log"`` (stepping in
+    ``ln t``); ``nfev`` counts right-hand-side evaluations, dense-output
+    stages included."""
 
     phase: str
     accepted: int
@@ -231,7 +244,8 @@ def _log_phase(params: Params, problem: ProblemClass):
 
 
 def startup_state(params: Params, problem: ProblemClass, t_start: float) -> State:
-    """Two-term series state at ``t_start``.
+    """Two-term series state at ``t_start``: the leading terms of the
+    startup series that :func:`integrate` starts from.
 
     With ``sigma = (alpha+p)/(p-1)`` and
     ``kappa = ((p-1)/(alpha+p)) (1/(n+alpha))^(1/(p-1))`` the solution near
@@ -250,6 +264,95 @@ def startup_state(params: Params, problem: ProblemClass, t_start: float) -> Stat
     w = w_center + sgn * kappa * t_start**sigma
     v = sgn * t_start ** (n + alpha) / (n + alpha)
     return State(t=t_start, w=w, v=v)
+
+
+# Terms kept of the startup series, and the size, relative to the leading
+# term, below which its last three terms must stay on the series segment.
+_SERIES_TERMS = 24
+_SERIES_TOL = 1e-16
+# jl: the series segment ends before w falls below this value, well above
+# the zero the stepper has to watch for.
+_JL_SERIES_FLOOR = 0.5
+
+
+def _horner(coeffs, x):
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _power_coeff(a: list, b: list, e: float, k: int) -> float:
+    """Coefficient ``k`` of ``B = A^e`` from ``A_0..A_k`` and ``B_0..B_(k-1)``
+    (J. C. P. Miller's recurrence, from ``A B' = e A' B``)."""
+    return sum(((e + 1.0) * j - k) * a[j] * b[k - j] for j in range(1, k + 1)) / (k * a[0])
+
+
+@dataclass(frozen=True)
+class _Series:
+    """Regular solution near the singular point ``t = 0``.
+
+    With ``tau = t^sigma``, ``sigma = (alpha+p)/(p-1)`` and ``m = n+alpha``,
+    ``w = w_c + tau U(tau)`` and ``v = t^m V(tau)``, where ``U`` and ``V``
+    are power series in ``tau`` with the coefficients ``u`` and ``v``.
+    """
+
+    sigma: float
+    m: float
+    w_center: float
+    u: tuple
+    v: tuple
+
+    def state(self, t):
+        """``(w, v)`` at ``t``: a float or an array of times."""
+        tau = t**self.sigma
+        return self.w_center + tau * _horner(self.u, tau), t**self.m * _horner(self.v, tau)
+
+    def reach(self) -> float:
+        """Largest ``t`` at which the last three terms of ``U`` and of ``V``
+        stay below ``_SERIES_TOL`` of the leading ones."""
+        tau = math.inf
+        for coeffs in (self.u, self.v):
+            for k in range(len(coeffs) - 3, len(coeffs)):
+                if coeffs[k] != 0.0:
+                    tau = min(tau, (_SERIES_TOL * abs(coeffs[0] / coeffs[k])) ** (1.0 / k))
+        return tau ** (1.0 / self.sigma)
+
+
+def _series(params: Params, problem: ProblemClass) -> _Series:
+    """The first ``_SERIES_TERMS`` coefficients of the startup series.
+
+    Substituting the series into ``w' = phiinv(v / t^(n-1))`` and
+    ``v' = -+ t^(m-1) f(w)`` gives ``sigma tau U' = -sigma U + phiinv(V)``
+    and ``sigma tau V' = -m V -+ f(w_c + tau U)``, so term by term
+    ``V_k = -+ F_k / (sigma k + m)`` and ``U_k = P_k / (sigma (k+1))``.
+    ``F = f(w_c + tau U)`` (``F_0 = 1``) needs only ``U_0..U_(k-1)``, and
+    ``P = phiinv(V)`` only ``V_0..V_k``; both follow from power-series
+    recurrences for ``exp``, ``w^-q``, ``w^q`` and ``|V|^(1/(p-1))``.
+    ``U_0`` and ``V_0`` are the two terms of :func:`startup_state`.
+    """
+    p, n, alpha, q = params.p, params.n, params.alpha, params.q
+    sigma = (alpha + p) / (p - 1.0)
+    m = n + alpha
+    sgn = _source_sign(problem)
+    gelfand = problem is ProblemClass.GELFAND
+    w_center = 0.0 if gelfand else 1.0
+    expo = 0.0 if gelfand else (-q if problem is ProblemClass.MEMS else q)
+    # a: coefficients of w = w_c + tau U; vs = -+V > 0 and ps = vs^(1/(p-1))
+    a, f, vs, ps, u = [w_center], [], [], [], []
+    for k in range(_SERIES_TERMS):
+        if k == 0:
+            f.append(1.0)
+        elif gelfand:
+            f.append(sum(j * a[j] * f[k - j] for j in range(1, k + 1)) / k)
+        else:
+            f.append(_power_coeff(a, f, expo, k))
+        vs.append(f[k] / (sigma * k + m))
+        ps.append(vs[0] ** (1.0 / (p - 1.0)) if k == 0 else
+                  _power_coeff(vs, ps, 1.0 / (p - 1.0), k))
+        u.append(sgn * ps[k] / (sigma * (k + 1.0)))
+        a.append(u[k])
+    return _Series(sigma, m, w_center, tuple(u), tuple(sgn * x for x in vs))
 
 
 def _bisect(fn, a: float, b: float, fa: float, rtol: float = 0.0) -> float:
@@ -536,13 +639,16 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: 
 
 def integrate(params: Params, problem: ProblemClass,
               config: IntegratorConfig | None = None) -> "Trajectory":
-    """Integrate the generating IVP from the series startup to ``t_max``.
+    """Integrate the generating IVP from the startup series to ``t_max``.
 
     For the ``jl`` class integration stops early if ``w`` reaches zero; the
     returned trajectory then has ``termination == "zero"``.
 
     Raises
     ------
+    InvalidParamsError
+        On invalid parameters or configuration, including a ``t_start``
+        beyond the reach of the startup series.
     IntegrationError
         On stepper failure (step-size underflow, non-finite state).
     TruncatedTrajectoryError
@@ -563,24 +669,39 @@ def integrate(params: Params, problem: ProblemClass,
 
     rhs_log, g, c, log_step = _log_phase(params, problem)
 
-    # phase layout: linear in t below 1, logarithmic above (when enabled)
+    # the series segment [t_start, t1]: one node at the series' reach
+    series = _series(params, problem)
+    reach = series.reach()
+    if cfg.t_start > reach:
+        raise InvalidParamsError(
+            f"t_start = {cfg.t_start!r} lies beyond the reach {reach:.6g} of the startup series"
+        )
+    t1 = min(reach, 1.0, cfg.t_max)
+    if watch_zero and t1 > cfg.t_start and series.state(t1)[0] < _JL_SERIES_FLOOR:
+        t1 = _bisect(lambda t: series.state(t)[0] - _JL_SERIES_FLOOR, cfg.t_start, t1,
+                     series.state(cfg.t_start)[0] - _JL_SERIES_FLOOR, 1e-12)
+    t_nodes: list[float] = [cfg.t_start]
+    states: list[tuple[float, float]] = [series.state(cfg.t_start)]
+    if t1 > cfg.t_start:
+        t_nodes.append(t1)
+        states.append(series.state(t1))
+    n_series = len(t_nodes) - 1
+
+    # then stepping: linear in t up to 1, logarithmic above (when enabled)
+    t_lo = t_nodes[-1]
+    t_log = 1.0 if cfg.log_time else math.inf
     phases: list[tuple[bool, float, float]] = []
-    if cfg.log_time and cfg.t_max > 1.0:
-        if cfg.t_start < 1.0:
-            phases.append((False, cfg.t_start, 1.0))
-        phases.append((True, max(cfg.t_start, 1.0), cfg.t_max))
-    else:
-        phases.append((False, cfg.t_start, cfg.t_max))
+    if t_lo < min(t_log, cfg.t_max):
+        phases.append((False, t_lo, min(t_log, cfg.t_max)))
+    if cfg.t_max > t_log:
+        phases.append((True, max(t_lo, t_log), cfg.t_max))
 
     # linear-phase growth cap: flux ~ t^(n+alpha), so a ratio cap of
     # 100^(1/(n+alpha)) bounds the flux range per step to a factor 100
     ratio_cap = max(100.0 ** (1.0 / (n + alpha)), 1.2)
 
-    start = startup_state(params, problem, cfg.t_start)
-    t_nodes: list[float] = [cfg.t_start]
-    states: list[tuple[float, float]] = [(start.w, start.v)]
     steps: list = []
-    stats: list[PhaseStats] = []
+    stats: list[PhaseStats] = [PhaseStats("series", n_series, 0, 0)]
     n_lin = 0
     termination = "t_max"
     for logspace, t_lo, t_hi in phases:
@@ -591,7 +712,7 @@ def integrate(params: Params, problem: ProblemClass,
             rhs_log if logspace else rhs_lin,
             math.log(t_lo) if logspace else t_lo, w, v,
             math.log(t_hi) if logspace else t_hi,
-            cfg.rel_tol, cfg.abs_tol, cfg.max_steps - len(steps),
+            cfg.rel_tol, cfg.abs_tol, cfg.max_steps - (len(t_nodes) - 1),
             ratio_cap=None if logspace else ratio_cap, watch_zero=watch_zero,
             max_step=log_step if logspace else math.inf,
         )
@@ -614,8 +735,8 @@ def integrate(params: Params, problem: ProblemClass,
             termination = "zero" if run.status == "zero" else "truncated"
             break
 
-    traj = Trajectory._build(problem, params, cfg, t_nodes, states, steps, n_lin,
-                             (g, -c), termination, tuple(stats))
+    traj = Trajectory._build(problem, params, cfg, t_nodes, states, series, n_series,
+                             steps, n_lin, (g, -c), termination, tuple(stats))
     if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
@@ -633,7 +754,9 @@ class Trajectory:
     for partial data carried by :class:`TruncatedTrajectoryError`.
     ``stats`` holds the work of each integration phase, in order.
 
-    Dense output: step ``k`` runs from node ``k`` in ``x = t`` when
+    Dense output: below ``_series_end`` (node ``_n_series``, or everywhere
+    when no step was taken) the startup series ``_series`` is evaluated.
+    Above it, step ``k`` runs from node ``k + _n_series`` in ``x = t`` when
     ``k < _n_lin`` and in ``x = ln t`` otherwise; ``_steps`` holds its
     interpolation row ``(x0, h, y0, F0, ..., F6)``, two floats for each
     ``y0, F0..F6``, for scalar lookups and ``_table`` the same rows as an
@@ -652,14 +775,17 @@ class Trajectory:
     stats: tuple[PhaseStats, ...]
     _t_list: list = field(repr=False)
     _states: list = field(repr=False)
+    _series: _Series = field(repr=False)
+    _n_series: int = field(repr=False)
+    _series_end: float = field(repr=False)
     _steps: list = field(repr=False)
     _table: np.ndarray = field(repr=False)
     _n_lin: int = field(repr=False)
     _log_exps: tuple[float, float] = field(repr=False)
 
     @classmethod
-    def _build(cls, problem, params, cfg, t_nodes, states, steps, n_lin, log_exps,
-               termination, stats):
+    def _build(cls, problem, params, cfg, t_nodes, states, series, n_series, steps, n_lin,
+               log_exps, termination, stats):
         p, n = params.p, params.n
         wv = np.asarray(states, dtype=float)
         wp = [_phi_inv(v / t ** (n - 1.0), p) for t, (_, v) in zip(t_nodes, states)]
@@ -675,6 +801,9 @@ class Trajectory:
             stats=stats,
             _t_list=t_nodes,
             _states=states,
+            _series=series,
+            _n_series=n_series,
+            _series_end=t_nodes[n_series] if steps else math.inf,
             _steps=steps,
             _table=np.asarray(steps, dtype=float).reshape(len(steps), 18),
             _n_lin=n_lin,
@@ -703,7 +832,9 @@ class Trajectory:
         k = bisect_left(nodes, t)
         if k < len(nodes) and nodes[k] == t:
             return self._states[k]
-        k = min(max(k - 1, 0), len(self._steps) - 1)
+        if t < self._series_end:
+            return self._series.state(t)
+        k = min(max(k - 1 - self._n_series, 0), len(self._steps) - 1)
         if k < self._n_lin:
             return _interp(self._steps[k], t)
         big_w, z = _interp(self._steps[k], math.log(t))
@@ -722,22 +853,29 @@ class Trajectory:
         if np.any(ts < lo - 1e-12 * lo) or np.any(ts > hi + 1e-12 * hi):
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)
-        k = np.clip(idx - 1, 0, len(self._table) - 1)
-        rows = self._table[k]
-        log_rows = k >= self._n_lin
-        x = np.where(log_rows, np.log(ts), ts)
-        s = ((x - rows[:, 0]) / rows[:, 1])[:, None]
-        u = 1.0 - s
-        f = rows[:, 4:].reshape(-1, 7, 2)
-        acc = f[:, 6]
-        for i in range(5, -1, -1):
-            acc = f[:, i] + (s if i % 2 else u) * acc
-        y = rows[:, 2:4] + s * acc
-        y[log_rows] *= ts[log_rows, None] ** np.asarray(self._log_exps)
+        w, v = np.empty_like(ts), np.empty_like(ts)
+        ser = ts < self._series_end
+        if ser.any():
+            w[ser], v[ser] = self._series.state(ts[ser])
+        if not ser.all():
+            rest = ~ser
+            td = ts[rest]
+            k = np.clip(idx[rest] - 1 - self._n_series, 0, len(self._table) - 1)
+            rows = self._table[k]
+            log_rows = k >= self._n_lin
+            x = np.where(log_rows, np.log(td), td)
+            s = ((x - rows[:, 0]) / rows[:, 1])[:, None]
+            u = 1.0 - s
+            f = rows[:, 4:].reshape(-1, 7, 2)
+            acc = f[:, 6]
+            for i in range(5, -1, -1):
+                acc = f[:, i] + (s if i % 2 else u) * acc
+            y = rows[:, 2:4] + s * acc
+            y[log_rows] *= td[log_rows, None] ** np.asarray(self._log_exps)
+            w[rest], v[rest] = y.T
         # stored nodes win bitwise over the interpolant
         node = np.minimum(idx, len(self.ts) - 1)
         exact = self.ts[node] == ts
-        w, v = y.T.copy()
         w[exact] = self.ws[node[exact]]
         v[exact] = self.vs[node[exact]]
         n, p = self.params.n, self.params.p

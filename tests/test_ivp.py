@@ -6,15 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import DOP853, OdeSolution, quad
 
 import pfold
-from pfold.ivp import _dop853, _log_phase
+from pfold import ivp
+from pfold.ivp import _dop853, _log_phase, _series
 from pfold.verify import RESIDUAL_SETS
 from pfold import (
     IntegratorConfig,
     InvalidParamsError,
     Params,
+    PhaseStats,
     ProblemClass,
     TruncatedTrajectoryError,
     characteristic_quadratic,
@@ -66,6 +69,109 @@ class TestStartup:
             startup_state(GELFAND3, G, 0.0)
         with pytest.raises(ValueError):
             startup_state(GELFAND3, G, -1e-3)
+
+
+def _source(params, problem):
+    return {G: math.exp, M: lambda w: w**-params.q, J: lambda w: w**params.q}[problem]
+
+
+def _series_derivatives(series, t):
+    """``(w, w', w'')`` of the startup series at ``t``: ``w' = t^e P(tau)``
+    with ``e = sigma - 1`` and ``P_k = sigma (k+1) U_k``."""
+    sigma, e = series.sigma, series.sigma - 1.0
+    tau = t**sigma
+    big_p = np.polynomial.Polynomial([sigma * (k + 1.0) * u for k, u in enumerate(series.u)])
+    w = series.w_center + tau * np.polynomial.Polynomial(series.u)(tau)
+    wp = t**e * big_p(tau)
+    wpp = e * t ** (e - 1.0) * big_p(tau) + sigma * t ** (e + sigma - 1.0) * big_p.deriv()(tau)
+    return w, wp, wpp
+
+
+def _check_startup_series(params, problem):
+    """The startup series against three oracles: the two-term startup, the
+    ODE residual on the series segment, and tight stepping to its end."""
+    p, n, alpha = params.p, params.n, params.alpha
+    series = _series(params, problem)
+    two_term = startup_state(params, problem, 1.0)  # where tau = 1
+    assert series.u[0] == pytest.approx(two_term.w - series.w_center, rel=1e-14)
+    assert series.v[0] == pytest.approx(two_term.v, rel=1e-14)
+
+    traj = integrate(params, problem, IntegratorConfig(t_max=2.0))
+    assert traj.stats[0] == PhaseStats("series", 1, 0, 0)
+    t1, w1, v1 = traj.ts[1], traj.ws[1], traj.vs[1]
+    assert t1 <= 1.0 and (w1, v1) == series.state(t1)
+    source = _source(params, problem)
+    for t in np.geomspace(traj.t_start, t1, 12):
+        w, wp, wpp = _series_derivatives(series, t)
+        assert w == pytest.approx(traj.eval(t)[0], rel=1e-14)
+        scale = ((p - 1.0) * abs(wp) ** (p - 2.0) * abs(wpp)
+                 + (n - 1.0) / t * abs(wp) ** (p - 1.0) + t**alpha * source(w))
+        # measured <= 5.3e-15 over 300 random sweep-range cases
+        assert abs(residual(params, problem, w, wp, wpp, t)) <= 1e-12 * scale
+
+    # the two-term start at 1e-8 stepped at a tight tolerance; measured
+    # <= 3.6e-12, and the difference shrinks as the reference is tightened
+    sgn = 1.0 if problem is M else -1.0
+
+    def rhs(t, w, v):
+        arg = v / t ** (n - 1.0)
+        return (math.copysign(abs(arg) ** (1.0 / (p - 1.0)), arg),
+                sgn * t ** (n + alpha - 1.0) * source(w))
+
+    start = startup_state(params, problem, 1e-8)
+    ref = _dop853(rhs, 1e-8, start.w, start.v, t1, 3e-14, 1e-300, 10**6, dense=False)
+    w_ref, v_ref = ref.states[-1]
+    assert abs(w1 - w_ref) <= 1e-10 * abs(w_ref - series.w_center)
+    assert abs(v1 - v_ref) <= 1e-10 * abs(v_ref)
+
+
+class TestStartupSeries:
+    """The high-order startup series that covers ``[t_start, t1]``."""
+
+    CASES = [(GELFAND3, G), (GELFAND10, G), (MEMS233, M), (JL454, J), (JL_ZERO, J)] + [
+        (params, problem) for problem, sets in RESIDUAL_SETS.items() for params in sets]
+
+    @pytest.mark.parametrize("params,problem", CASES)
+    def test_against_oracles(self, params, problem):
+        _check_startup_series(params, problem)
+
+    @settings(max_examples=25, deadline=None)
+    @given(problem=st.sampled_from([G, M, J]), p=st.floats(1.5, 4.0),
+           n_minus_p=st.floats(0.05, 12.0),
+           alpha=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), uq=st.floats(0.0, 1.0))
+    def test_against_oracles_over_the_sweep_ranges(self, problem, p, n_minus_p, alpha, uq):
+        q = {G: None, M: 0.5 + 7.5 * uq, J: max(1.0, p - 1.0) + 0.25 + 8.0 * uq}[problem]
+        _check_startup_series(Params(p=p, n=p + n_minus_p, alpha=alpha, q=q), problem)
+
+    # JL_ZERO and the zero-terminated cases of the benchmark's sweep (seed 0),
+    # with the zero time of a rel_tol = 1e-13 run from the two-term start
+    JL_ZEROS = [
+        (JL_ZERO, 9.922198432699327),
+        (Params(p=3.0255595455378574, n=4.8634037724436565, alpha=0.0, q=2.3357885001600427),
+         3.9064862732845076),
+        (Params(p=3.1393594840467434, n=12.231464743705589, alpha=0.624282093976559,
+                q=2.758741076581467), 7.606995813047185),
+        (Params(p=3.71213208603684, n=4.057841164708654, alpha=0.0, q=3.679337406544268),
+         3.4517677432505507),
+        (Params(p=1.9255672759729152, n=6.064783599703323, alpha=1.49484468122415,
+                q=2.3481829689147284), 6.355660355998098),
+        (Params(p=3.8210187927632977, n=5.178766268828344, alpha=0.0, q=4.529369989179859),
+         4.924802747610039),
+        (Params(p=3.5808549211048404, n=4.248973410863678, alpha=1.8316354792077951,
+                q=8.301021750367871), 6.018327557018307),
+        (Params(p=2.5515778467518326, n=4.778116834508401, alpha=0.0, q=4.202605025122394),
+         34.85932987184531),
+    ]
+
+    @pytest.mark.parametrize("floor", [ivp._JL_SERIES_FLOOR, 0.95])
+    @pytest.mark.parametrize("params,t_zero", JL_ZEROS)
+    def test_jl_zero_times(self, params, t_zero, floor, monkeypatch):
+        # at 0.95 the floor, not the series' reach, ends the series segment
+        monkeypatch.setattr(ivp, "_JL_SERIES_FLOOR", floor)
+        traj = integrate(params, J)
+        assert traj.termination == "zero"
+        assert traj.zero_time == pytest.approx(t_zero, rel=1e-9)
+        assert traj.ws[1] > floor or traj.ws[1] == pytest.approx(floor, rel=1e-9)
 
 
 def _rk4_log_time(params, problem, t_start, t_end, nsteps):
@@ -178,6 +284,9 @@ class TestIntegrate:
             integrate(GELFAND3, G, IntegratorConfig(t_start=1.0, t_max=0.5))
         with pytest.raises(InvalidParamsError):
             integrate(GELFAND3, G, IntegratorConfig(rel_tol=-1e-10))
+        # the startup series reaches t = 1.36 here
+        with pytest.raises(InvalidParamsError, match="reach"):
+            integrate(GELFAND3, G, IntegratorConfig(t_start=3.0))
 
     def test_log_time_off_matches_default(self):
         a = integrate(GELFAND3, G, IntegratorConfig(t_max=100.0))
@@ -185,25 +294,30 @@ class TestIntegrate:
         wa, _ = a.eval(100.0)
         wb, _ = b.eval(100.0)
         assert wa == pytest.approx(wb, rel=1e-8)
-        assert [s.phase for s in a.stats] == ["linear", "log"]
-        assert [s.phase for s in b.stats] == ["linear"]
+        # the series reaches t = 1 here, so only the log phase steps
+        assert [s.phase for s in a.stats] == ["series", "log"]
+        assert [s.phase for s in b.stats] == ["series", "linear"]
 
     def test_stats_count_the_work(self, gelfand3_traj, mems_traj, jl_zero_traj):
         for traj in (gelfand3_traj, mems_traj, jl_zero_traj):
             assert sum(s.accepted for s in traj.stats) == len(traj.ts) - 1
-            for s in traj.stats:
+            # the series segment is one node, and evaluates no right-hand side
+            assert traj.stats[0] == PhaseStats("series", 1, 0, 0)
+            for s in traj.stats[1:]:
                 # 2 evaluations to start; 11 per attempt, plus 4 per accepted
                 # step for its end point and the 3 extra dense-output stages
                 assert s.nfev == 2 + 15 * s.accepted + 11 * s.rejected
         assert sum(s.rejected for s in jl_zero_traj.stats) > 0
 
 
-def _scipy_dop853_reference(params, problem, cfg):
-    """The generating IVP stepped by scipy's DOP853 with the same startup,
-    phases and per-step ``max_step`` schedule as :func:`integrate`: the flux
-    system in ``t`` below 1, the Emden-Fowler system in ``ln t`` above.
+def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
+    """The generating IVP stepped by scipy's DOP853 from the state ``(w1, v1)``
+    at the end ``t1`` of the series segment, with the same phases and
+    per-step ``max_step`` schedule as :func:`integrate`: the flux system in
+    ``t`` up to 1, the Emden-Fowler system in ``ln t`` above.
 
-    Returns the accepted steps per phase and a vectorized ``(w, w')``.
+    Returns the accepted steps per stepped phase and a vectorized ``(w, w')``
+    on ``[t1, t_max]``.
     """
     p, n, alpha, q = params.p, params.n, params.alpha, params.q
     sgn = 1.0 if problem is M else -1.0
@@ -226,10 +340,11 @@ def _scipy_dop853_reference(params, problem, cfg):
     cap = max(100.0 ** (1.0 / (n + alpha)), 1.2)
     # the log phase resolves the fixed point's fastest mode: eigenvalues r - g
     log_step = 2.0 / max(abs(r - g) for r in characteristic_quadratic(params, problem).roots)
-    st = startup_state(params, problem, cfg.t_start)
-    y = [st.w, st.v]
+    y = [w1, v1]
     counts, phases = [], []
-    for logspace, t_lo, t_hi in ((False, cfg.t_start, 1.0), (True, 1.0, cfg.t_max)):
+    for logspace, t_lo, t_hi in ((False, t1, 1.0), (True, 1.0, cfg.t_max)):
+        if t_lo == t_hi:
+            continue
         x0, x1 = (math.log(t_lo), math.log(t_hi)) if logspace else (t_lo, t_hi)
         solver = DOP853(rhs_log if logspace else rhs_lin, x0, y, x1, rtol=cfg.rel_tol,
                         atol=cfg.abs_tol, max_step=log_step if logspace else (cap - 1.0) * x0)
@@ -274,9 +389,10 @@ class TestAgainstScipyDop853:
     def test_same_steps_and_dense_values(self, params, problem, t_max):
         cfg = IntegratorConfig(t_max=t_max)
         traj = integrate(params, problem, cfg)
-        counts, dense = _scipy_dop853_reference(params, problem, cfg)
-        assert [s.accepted for s in traj.stats] == counts
-        grid = np.geomspace(cfg.t_start, t_max, 500)
+        counts, dense = _scipy_dop853_reference(params, problem, cfg,
+                                                traj.ts[1], traj.ws[1], traj.vs[1])
+        assert [s.accepted for s in traj.stats if s.phase != "series"] == counts
+        grid = np.geomspace(traj.ts[1], t_max, 500)
         w, wp = traj.eval_many(grid)
         w_ref, wp_ref = dense(grid)
         np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0.0)
@@ -304,7 +420,7 @@ class TestLogPhase:
     def test_guiding_solution_is_a_fixed_point(self, params, problem):
         rhs, *_ = _log_phase(params, problem)
         p, n, alpha = params.p, params.n, params.alpha
-        source = {G: math.exp, M: lambda w: w**-params.q, J: lambda w: w**params.q}[problem]
+        source = _source(params, problem)
         for t in (0.5, 1.0, 7.0, 1e3, 1e6):
             g, big_w, z = _guiding_log_state(params, problem, t)
             c = p - n - g * (p - 1.0)
@@ -340,7 +456,7 @@ class TestLogPhase:
         a = integrate(params, J, IntegratorConfig(t_max=100.0))
         b = integrate(params, J, IntegratorConfig(t_max=100.0, log_time=False))
         assert a.termination == b.termination == "zero"
-        assert [s.phase for s in a.stats] == ["linear", "log"]
+        assert [s.phase for s in a.stats] == ["series", "log"]
         assert a.zero_time == pytest.approx(b.zero_time, rel=1e-9)
         ts = np.geomspace(1.0, 0.9 * a.zero_time, 20)
         np.testing.assert_allclose(a.eval_many(ts)[0], b.eval_many(ts)[0], rtol=1e-8)
