@@ -4,6 +4,7 @@ p-Laplace problems (Gelfand, MEMS, and Joseph-Lundgren type nonlinearities).
 
 from .model import (
     CharacteristicQuadratic,
+    ClassSpec,
     ClosedForms,
     ConditionResult,
     InvalidParamsError,
@@ -14,6 +15,7 @@ from .model import (
     beta_exponent,
     characteristic_quadratic,
     check_conditions,
+    class_spec,
     closed_forms,
     guiding_curvature,
     guiding_eval,

@@ -34,18 +34,15 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-_DEFAULTS = {
-    "alpha": 0.0,
-    "t_start": 1e-6,
-    "t_max": 1e4,
-    "rel_tol": 1e-10,
-    "abs_tol": 1e-12,
-    "max_steps": 100_000,
-    "format": "csv",
-    "samples_per_decade": 50,
-    "t": 1e3,
-    "r_min": 0.1,
-    "r_points": 64,
+# Every setting a flag or a config file can give: key -> (type, default),
+# where a default of None means "not set".
+_SETTINGS = {
+    "problem": (str, None), "p": (float, None), "q": (float, None),
+    "alpha": (float, 0.0), "n": (float, None), "t_start": (float, 1e-6),
+    "t_max": (float, 1e4), "rel_tol": (float, 1e-10), "abs_tol": (float, 1e-12),
+    "max_steps": (int, 100_000), "out": (str, None), "format": (str, "csv"),
+    "samples_per_decade": (int, 50), "t": (float, 1e3), "r_min": (float, 0.1),
+    "r_points": (int, 64),
 }
 
 
@@ -106,30 +103,19 @@ def _read_config(path: str) -> dict:
     return values
 
 
-_CONFIG_TYPES = {
-    "problem": str, "class": str, "p": float, "q": float, "alpha": float,
-    "n": float, "t_start": float, "t_max": float, "rel_tol": float,
-    "abs_tol": float, "max_steps": int, "out": str, "format": str,
-    "samples_per_decade": int,
-    "t": float, "r_min": float, "r_points": int,
-}
-
-
 def _effective(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (flags win)."""
-    settings = dict(_DEFAULTS)
+    settings = {key: default for key, (_, default) in _SETTINGS.items()}
     if getattr(args, "config", None):
         for key, raw in _read_config(args.config).items():
             key = "problem" if key == "class" else key
-            if key not in _CONFIG_TYPES:
+            if key not in _SETTINGS:
                 raise InvalidParamsError(f"unknown config key {key!r}")
             try:
-                settings[key] = _CONFIG_TYPES[key](raw)
+                settings[key] = _SETTINGS[key][0](raw)
             except ValueError as exc:
                 raise InvalidParamsError(f"bad config value for {key}: {raw!r}") from exc
-    for key in ("problem", "p", "q", "alpha", "n", "t_start", "t_max", "rel_tol",
-                "abs_tol", "max_steps", "out", "format", "samples_per_decade", "t",
-                "r_min", "r_points"):
+    for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value

@@ -30,10 +30,12 @@ import numpy as np
 
 from . import ivp as _ivp
 from .model import (
+    ClassSpec,
     ClosedForms,
     Params,
     ProblemClass,
     characteristic_quadratic,
+    class_spec,
     closed_forms,
     guiding_eval,
 )
@@ -63,52 +65,56 @@ ROOT_RTOL = 1e-10
 SCAN_PER_DECADE = 64
 
 
+def _u(spec: ClassSpec, w_r, w_t):
+    """Value ``u = -sgn (x - w_c)`` of the radial solution where the
+    generating solution is ``w_r``, on the curve point where it is ``w_t``:
+    ``x = w_r / w_t`` for a power source, ``w_r - w_t`` for ``exp``.
+    Adding 0.0 turns the ``-0.0`` at ``x = w_c`` into 0.0."""
+    x = w_r - w_t if spec.E is None else w_r / w_t
+    return -spec.sgn * (x - spec.w_center) + 0.0
+
+
+def _curve_values(spec: ClassSpec, t, w):
+    k, E = spec.k, spec.E
+    if E is None:
+        lam = t**k * np.exp(w)
+    elif spec.q_power < 0.0:
+        # mems keeps the quotient t^k / w^(p+q-1): t^k w^E rounds differently
+        lam = t**k / w**-E
+    else:
+        lam = t**k * w**E
+    return lam, _u(spec, spec.w_center, w)
+
+
 def curve_values(problem: ProblemClass, params: Params, t, w):
     """Map ``(t, w)`` to ``(lambda, u0)`` for the given class (vectorized)."""
-    p, alpha, q = params.p, params.alpha, params.q
-    t = np.asarray(t, dtype=float)
-    w = np.asarray(w, dtype=float)
-    if problem is ProblemClass.GELFAND:
-        lam = t ** (alpha + p) * np.exp(w)
-        u0 = -w
-    elif problem is ProblemClass.MEMS:
-        lam = t ** (alpha + p) / w ** (p + q - 1.0)
-        u0 = 1.0 - 1.0 / w
-    else:
-        lam = t ** (p + alpha) * w ** (q - p + 1.0)
-        u0 = 1.0 / w - 1.0
+    lam, u0 = _curve_values(class_spec(params, problem), np.asarray(t, dtype=float),
+                            np.asarray(w, dtype=float))
     if lam.ndim == 0:
         return float(lam), float(u0)
     return lam, u0
 
 
+def _monitor(spec: ClassSpec, t, w, wprime):
+    if spec.E is None:
+        return spec.k + t * wprime
+    return spec.k * w + spec.E * t * wprime
+
+
 def monitor(problem: ProblemClass, params: Params, t, w, wprime):
     """Monitor function ``M(t)`` whose sign equals the sign of ``lambda'(t)``:
+    ``(alpha + p) w + E t w'`` for a power source, ``(alpha + p) + t w'`` for
+    ``exp`` (see :class:`~pfold.model.ClassSpec`), that is
 
     * ``gelfand``: ``(alpha + p) + t w'``,
     * ``mems``:    ``(alpha + p) w - t (p + q - 1) w'``,
     * ``jl``:      ``(p + alpha) w + (q - p + 1) t w'``.
     """
-    p, alpha, q = params.p, params.alpha, params.q
-    if problem is ProblemClass.GELFAND:
-        return (alpha + p) + t * wprime
-    if problem is ProblemClass.MEMS:
-        return (alpha + p) * w - t * (p + q - 1.0) * wprime
-    return (p + alpha) * w + (q - p + 1.0) * t * wprime
+    return _monitor(class_spec(params, problem), t, w, wprime)
 
 
 #: Headroom factor of the sign-change guard over the estimated dense-output error.
 GUARD_FACTOR = 50.0
-
-
-def _monitor_coeff_sum(problem: ProblemClass, params: Params) -> float:
-    """Sum of the magnitudes of the monitor's coefficients on ``w`` and ``t w'``."""
-    p, alpha, q = params.p, params.alpha, params.q
-    if problem is ProblemClass.GELFAND:
-        return 1.0
-    if problem is ProblemClass.MEMS:
-        return (alpha + p) + (p + q - 1.0)
-    return (p + alpha) + (q - p + 1.0)
 
 
 def _error_guard(traj: _ivp.Trajectory, w, t_wprime, coeff_sum: float):
@@ -215,10 +221,12 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     w, wp = traj.eval_many(grid)
     keep = np.ones(len(grid), dtype=bool)
     truncated = traj.termination == "zero"
-    if traj.problem is not ProblemClass.GELFAND:
+    spec = cf.spec
+    if spec.E is not None:
+        # lambda = t^k w^E needs w > 0
         keep = w > 10.0 * traj.config.abs_tol
-    lam, u0 = curve_values(traj.problem, traj.params, grid[keep], w[keep])
-    mon = monitor(traj.problem, traj.params, grid[keep], w[keep], wp[keep])
+    lam, u0 = _curve_values(spec, grid[keep], w[keep])
+    mon = _monitor(spec, grid[keep], w[keep], wp[keep])
     points = tuple(
         CurvePoint(t=float(t), lam=float(lv), u0=float(u), monitor=float(m))
         for t, lv, u, m in zip(grid[keep], lam, u0, mon)
@@ -241,21 +249,23 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
 
     Directions alternate along the returned (time-ordered) sequence.
     """
-    problem, params = traj.problem, traj.params
+    spec = class_spec(traj.params, traj.problem)
     grid = _scan_grid(traj, traj.t_start, traj.t_end)
     w, wp = traj.eval_many(grid)
-    m = monitor(problem, params, grid, w, wp)
-    guards = _error_guard(traj, w, grid * wp, _monitor_coeff_sum(problem, params))
+    m = _monitor(spec, grid, w, wp)
+    # the magnitudes of the monitor's coefficients on w and t w'
+    coeff_sum = 1.0 if spec.E is None else spec.k + abs(spec.E)
+    guards = _error_guard(traj, w, grid * wp, coeff_sum)
 
     def m_at(t: float) -> float:
         wt, wpt = traj.eval(t)
-        return monitor(problem, params, t, wt, wpt)
+        return _monitor(spec, t, wt, wpt)
 
     out: list[TurningPoint] = []
     for i, j in _guarded_sign_changes(m, guards):
         t_star = _ivp._bisect(m_at, float(grid[i]), float(grid[j]), float(m[i]), ROOT_RTOL)
         wt, _ = traj.eval(t_star)
-        lam, u0 = curve_values(problem, params, t_star, wt)
+        lam, u0 = curve_values(traj.problem, traj.params, t_star, wt)
         direction = "right-to-left" if m[i] > 0.0 else "left-to-right"
         out.append(TurningPoint(t_star=t_star, lambda_star=lam, u0_star=u0,
                                 direction=direction))
@@ -337,21 +347,20 @@ def check_interlacing(crossing_times, turning_times) -> bool:
 
 
 def singular_profile(cf: ClosedForms, r):
-    """Explicit singular limit profile: ``-(p+alpha) ln r``, ``1 - r^beta``,
-    or ``r^-beta - 1`` depending on the class."""
-    r = np.asarray(r, dtype=float)
-    if cf.guiding_kind == "logarithmic":
-        u = -cf.beta * np.log(r)
-    elif cf.guiding_kind == "power-growth":
-        u = 1.0 - r**cf.beta
-    else:
-        u = r**-cf.beta - 1.0
-    return float(u) if u.ndim == 0 else u
+    """Explicit singular limit profile: the map of :func:`profile` applied to
+    the guiding solution, ``-(p+alpha) ln r``, ``1 - r^beta`` or
+    ``r^-beta - 1`` depending on the class."""
+    w0_r, _ = guiding_eval(cf, r)
+    w0_1, _ = guiding_eval(cf, 1.0)
+    u = _u(cf.spec, w0_r, w0_1)
+    return float(u) if np.ndim(u) == 0 else u
 
 
 def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.ndarray]:
     """Radial solution ``u(r)`` of the boundary value problem at curve
-    parameter ``t``, reconstructed by scaling:
+    parameter ``t``, reconstructed by scaling: ``u(r) = -sgn (x - w(0))``
+    with ``x = w(t r)/w(t)`` for a power source and ``w(t r) - w(t)`` for
+    ``exp``, that is
 
     * ``gelfand``: ``u(r) = w(t r) - w(t)``,
     * ``mems``:    ``u(r) = 1 - w(t r)/w(t)``,
@@ -366,13 +375,7 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
         raise ValueError("t * r_grid leaves the trajectory range")
     w_r, _ = traj.eval_many(np.minimum(t * r, traj.t_end))
     w_t, _ = traj.eval(min(t, traj.t_end))
-    if traj.problem is ProblemClass.GELFAND:
-        u = w_r - w_t
-    elif traj.problem is ProblemClass.MEMS:
-        u = 1.0 - w_r / w_t
-    else:
-        u = w_r / w_t - 1.0
-    return r, u
+    return r, _u(class_spec(traj.params, traj.problem), w_r, w_t)
 
 
 @dataclass(frozen=True)
@@ -444,21 +447,14 @@ def convergence(curve: SolutionCurve, t_eval: float | None = None,
     )
 
 
-def _bvp_source(problem: ProblemClass, q: float | None):
-    if problem is ProblemClass.GELFAND:
-        return math.exp
-    if problem is ProblemClass.MEMS:
-        return lambda u: (1.0 - u) ** -q
-    return lambda u: (1.0 + u) ** q
-
-
 def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
                    rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> float:
     """Independent validation of a curve point by shooting the radial BVP.
 
     Integrates the radial equation in ``r`` from a series startup near 0
-    with center value ``u(0) = point.u0`` at ``lambda = point.lam`` and
-    returns ``|u(1)|``, which vanishes exactly when the point lies on the
+    with center value ``u(0) = point.u0`` at ``lambda = point.lam``, with
+    the source ``f(w_c - sgn u)``: ``exp(u)``, ``(1-u)^-q`` or ``(1+u)^q``,
+    and returns ``|u(1)|``, which vanishes exactly when the point lies on the
     solution curve.  Tolerances are decoupled from the generating
     integration so the check is a genuine cross-validation.
     """
@@ -466,8 +462,9 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
     lam, u0 = point.lam, point.u0
     if problem is ProblemClass.MEMS and not u0 < 1.0:
         raise ValueError("mems center value must satisfy u0 < 1")
-    f = _bvp_source(problem, params.q)
-    g0 = lam * f(u0)
+    spec = class_spec(params, problem)
+    f, w_c, sgn = spec.f, spec.w_center, spec.sgn
+    g0 = lam * f(w_c - sgn * u0)
     sigma = (alpha + p) / (p - 1.0)
     kappa = (p - 1.0) / (alpha + p) * (g0 / (n + alpha)) ** (1.0 / (p - 1.0))
     # startup radius: keep the series correction below ~1e-10 of the scale
@@ -482,7 +479,7 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
     def rhs(r, u, v):
         return (
             _ivp._phi_inv(v / r ** (n - 1.0), p),
-            -lam * r ** (n + alpha - 1.0) * f(u),
+            -lam * r ** (n + alpha - 1.0) * f(w_c - sgn * u),
         )
 
     run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, abs_tol, 200_000,

@@ -86,8 +86,8 @@ from .model import (
     InvalidParamsError,
     Params,
     ProblemClass,
-    beta_exponent,
     characteristic_quadratic,
+    class_spec,
     validate_params,
 )
 
@@ -187,21 +187,6 @@ def _phi_inv(s: float, p: float) -> float:
     return math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s != 0.0 else 0.0
 
 
-def _source_sign(problem: ProblemClass) -> float:
-    # Sign of v' = sign * t^(n+alpha-1) f(w): the mems flux grows, the others decay.
-    return 1.0 if problem is ProblemClass.MEMS else -1.0
-
-
-def _make_f(problem: ProblemClass, q: float | None):
-    if problem is ProblemClass.GELFAND:
-        return math.exp
-    if problem is ProblemClass.MEMS:
-        return lambda w: w**-q
-    # Clamp at zero: past a zero crossing the trajectory is discarded anyway,
-    # and the clamp keeps the right-hand side finite for fractional q.
-    return lambda w: max(w, 0.0) ** q
-
-
 def _log_phase(params: Params, problem: ProblemClass):
     """Right-hand side ``(W, Z)' = rhs(s, W, Z)`` of the log phase, the
     exponents ``(g, c)`` of ``W = w t^-g``, ``Z = v t^c``, and its step cap.
@@ -213,29 +198,22 @@ def _log_phase(params: Params, problem: ProblemClass):
     and let rounding errors grow tenfold per step.  The cap
     ``2 / max |r - g|`` keeps each step well inside the stability region.
     """
-    p, n, alpha, q = params.p, params.n, params.alpha, params.q
-    f = _make_f(problem, q)
-    sgn = _source_sign(problem)
-    k = alpha + p
-    if problem is ProblemClass.JOSEPH_LUNDGREN and not q - p + 1.0 > 0.0:
+    p, n = params.p, params.n
+    spec = class_spec(params, problem)
+    f, sgn, k, g = spec.f, spec.sgn, spec.k, spec.g
+    if g is None:
         # no self-similar scaling, so no fixed point: step (w, t^(p-n) v)
         c = p - n
 
         def rhs(s, big_w, z):
-            return _phi_inv(z, p), c * z - math.exp(k * s) * f(big_w)
+            return _phi_inv(z, p), c * z + sgn * math.exp(k * s) * f(big_w)
 
         return rhs, 0.0, c, math.inf
-    if problem is ProblemClass.GELFAND:
-        g = 0.0
-        c = p - n
-
+    c = p - n - g * (p - 1.0)
+    if spec.E is None:
         def rhs(s, big_w, z):
-            return _phi_inv(z, p), c * z - math.exp(k * s + big_w)
+            return _phi_inv(z, p), c * z + sgn * math.exp(k * s + big_w)
     else:
-        # mems grows like t^beta, jl decays like t^-beta
-        g = sgn * beta_exponent(params, problem)
-        c = p - n - g * (p - 1.0)
-
         def rhs(s, big_w, z):
             return _phi_inv(z, p) - g * big_w, c * z + sgn * f(big_w)
 
@@ -259,10 +237,9 @@ def startup_state(params: Params, problem: ProblemClass, t_start: float) -> Stat
     p, n, alpha = params.p, params.n, params.alpha
     sigma = (alpha + p) / (p - 1.0)
     kappa = (p - 1.0) / (alpha + p) * (1.0 / (n + alpha)) ** (1.0 / (p - 1.0))
-    sgn = _source_sign(problem)
-    w_center = 0.0 if problem is ProblemClass.GELFAND else 1.0
-    w = w_center + sgn * kappa * t_start**sigma
-    v = sgn * t_start ** (n + alpha) / (n + alpha)
+    spec = class_spec(params, problem)
+    w = spec.w_center + spec.sgn * kappa * t_start**sigma
+    v = spec.sgn * t_start ** (n + alpha) / (n + alpha)
     return State(t=t_start, w=w, v=v)
 
 
@@ -331,19 +308,17 @@ def _series(params: Params, problem: ProblemClass) -> _Series:
     recurrences for ``exp``, ``w^-q``, ``w^q`` and ``|V|^(1/(p-1))``.
     ``U_0`` and ``V_0`` are the two terms of :func:`startup_state`.
     """
-    p, n, alpha, q = params.p, params.n, params.alpha, params.q
+    p, n, alpha = params.p, params.n, params.alpha
     sigma = (alpha + p) / (p - 1.0)
     m = n + alpha
-    sgn = _source_sign(problem)
-    gelfand = problem is ProblemClass.GELFAND
-    w_center = 0.0 if gelfand else 1.0
-    expo = 0.0 if gelfand else (-q if problem is ProblemClass.MEMS else q)
+    spec = class_spec(params, problem)
+    sgn, w_center, expo = spec.sgn, spec.w_center, spec.q_power
     # a: coefficients of w = w_c + tau U; vs = -+V > 0 and ps = vs^(1/(p-1))
     a, f, vs, ps, u = [w_center], [], [], [], []
     for k in range(_SERIES_TERMS):
         if k == 0:
             f.append(1.0)
-        elif gelfand:
+        elif expo is None:
             f.append(sum(j * a[j] * f[k - j] for j in range(1, k + 1)) / k)
         else:
             f.append(_power_coeff(a, f, expo, k))
@@ -637,6 +612,19 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: 
     return _Run(xs, states, steps, rejected, nfev, status)
 
 
+def _flux_rhs(params: Params, problem: ProblemClass):
+    """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), sgn t^(n+alpha-1) f(w))``
+    of the flux system, stepped in ``t``."""
+    p, n, alpha = params.p, params.n, params.alpha
+    spec = class_spec(params, problem)
+    f, sgn = spec.f, spec.sgn
+
+    def rhs(t, w, v):
+        return _phi_inv(v / t ** (n - 1.0), p), sgn * t ** (n + alpha - 1.0) * f(w)
+
+    return rhs
+
+
 def integrate(params: Params, problem: ProblemClass,
               config: IntegratorConfig | None = None) -> "Trajectory":
     """Integrate the generating IVP from the startup series to ``t_max``.
@@ -656,17 +644,11 @@ def integrate(params: Params, problem: ProblemClass,
     """
     cfg = (config or IntegratorConfig()).validated()
     validate_params(params, problem)
-    p, n, alpha = params.p, params.n, params.alpha
-    f = _make_f(problem, params.q)
-    sgn = _source_sign(problem)
-    watch_zero = problem is ProblemClass.JOSEPH_LUNDGREN
-
-    def rhs_lin(t, w, v):
-        return (
-            _phi_inv(v / t ** (n - 1.0), p),
-            sgn * t ** (n + alpha - 1.0) * f(w),
-        )
-
+    n, alpha = params.n, params.alpha
+    spec = class_spec(params, problem)
+    # w falls towards the zero of a power source, where the curve ends
+    watch_zero = spec.q_power is not None and spec.sgn < 0.0
+    rhs_lin = _flux_rhs(params, problem)
     rhs_log, g, c, log_step = _log_phase(params, problem)
 
     # the series segment [t_start, t1]: one node at the series' reach
@@ -896,16 +878,13 @@ def residual(params: Params, problem: ProblemClass,
     validate_params(params, problem)
     if not t > 0.0:
         raise ValueError(f"t must be positive, got {t!r}")
-    p, n, alpha, q = params.p, params.n, params.alpha, params.q
+    p, n, alpha = params.p, params.n, params.alpha
     if p < 2.0 and wprime == 0.0:
         raise ValueError("residual needs wprime != 0 when p < 2")
     phi_p = (p - 1.0) * abs(wprime) ** (p - 2.0)
     lead = phi_p * wsecond + (n - 1.0) / t * _phi(wprime, p)
-    if problem is ProblemClass.GELFAND:
-        return lead + t**alpha * math.exp(w)
-    if problem is ProblemClass.MEMS:
-        return lead - t**alpha * w**-q
-    return lead + t**alpha * w**q
+    spec = class_spec(params, problem)
+    return lead - spec.sgn * t**alpha * spec.f(w)
 
 
 def pohozaev(traj: Trajectory, t: float) -> float:

@@ -23,12 +23,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "ProblemClass",
     "Params",
+    "ClassSpec",
+    "class_spec",
     "ClosedForms",
     "ConditionResult",
     "RegimeReport",
@@ -97,6 +101,65 @@ class Params:
             object.__setattr__(self, "q", float(self.q))
 
 
+# What tells the classes apart: the sign sgn of the source in the generating
+# IVP, v' = sgn t^(n+alpha-1) f(w); the center value w_c = w(0); and the
+# nonlinearity, f = exp (None) or f = w^(s q) with the sign s and q > q_min.
+_FACTS = {  # problem: (sgn, w_c, s, q_min)
+    ProblemClass.GELFAND: (-1.0, 0.0, None, None),
+    ProblemClass.MEMS: (1.0, 1.0, -1.0, 0.0),
+    ProblemClass.JOSEPH_LUNDGREN: (-1.0, 1.0, 1.0, 1.0),
+}
+
+
+class ClassSpec(NamedTuple):
+    """The facts of a problem class with the exponents of one parameter set.
+
+    ``sgn`` is the sign of the source in ``v' = sgn t^(n+alpha-1) f(w)``,
+    ``w_center`` is ``w(0)``, ``q_power`` the exponent of a power source
+    ``f(w) = w^q_power`` (None for ``f = exp``) and ``k = alpha + p``.
+    Balancing ``phi(w')'`` against ``t^alpha f(w)`` for ``w ~ t^g`` gives
+    the signed exponent ``E = q_power - (p - 1)`` and the shift
+    ``g = -k/E``; the curve is ``lambda = t^k w^E`` and its monitor
+    ``k w + E t w'``.  ``E`` is None for ``f = exp``, the exponential case:
+    ``lambda = t^k e^w``, monitor ``k + t w'`` and ``g = 0``.
+    """
+
+    sgn: float
+    w_center: float
+    q_power: float | None
+    k: float
+    E: float | None
+
+    @property
+    def f(self):
+        """The nonlinearity.  A power is 0 for ``w <= 0``: past a zero of
+        ``w`` (``jl``) the trajectory is discarded anyway, and the clamp
+        keeps the source finite for fractional exponents."""
+        if self.q_power is None:
+            return math.exp
+        e = self.q_power
+        return lambda w: w**e if w > 0.0 else 0.0
+
+    @property
+    def g(self) -> float | None:
+        """Exponent of the self-similar scaling ``w ~ t^g``: ``-k/E``, 0 for
+        ``f = exp`` (``w0 = a0 - k ln t``), and None when ``-k/E`` does not
+        have the sign of the source, so that no power scaling exists."""
+        if self.E is None:
+            return 0.0
+        return -self.k / self.E if self.sgn * self.E < 0.0 else None
+
+
+def class_spec(params: Params, problem: ProblemClass) -> ClassSpec:
+    """The :class:`ClassSpec` of *problem* at valid *params*."""
+    sgn, w_center, s, _ = _FACTS[problem]
+    k = params.alpha + params.p
+    if s is None:
+        return ClassSpec(sgn, w_center, None, k, None)
+    q_power = s * params.q
+    return ClassSpec(sgn, w_center, q_power, k, q_power - params.p + 1.0)
+
+
 def validate_params(params: Params, problem: ProblemClass) -> None:
     """Check the class invariants of *params*, raising :class:`InvalidParamsError`."""
     p, n, alpha, q = params.p, params.n, params.alpha, params.q
@@ -109,16 +172,13 @@ def validate_params(params: Params, problem: ProblemClass) -> None:
         raise InvalidParamsError(f"alpha must satisfy alpha >= 0, got alpha = {alpha!r}")
     if not n >= 1.0:
         raise InvalidParamsError(f"n must satisfy n >= 1, got n = {n!r}")
-    if problem is ProblemClass.MEMS:
-        if q is None or not math.isfinite(q) or not q > 0.0:
-            raise InvalidParamsError(f"mems requires q > 0, got q = {q!r}")
-    elif problem is ProblemClass.JOSEPH_LUNDGREN:
-        if q is None or not math.isfinite(q) or not q > 1.0:
-            raise InvalidParamsError(f"jl requires q > 1, got q = {q!r}")
+    q_min = _FACTS[problem][3]
+    if q_min is not None and (q is None or not math.isfinite(q) or not q > q_min):
+        raise InvalidParamsError(f"{problem.value} requires q > {q_min:g}, got q = {q!r}")
 
 
 def beta_exponent(params: Params, problem: ProblemClass) -> float:
-    """Exponent of the guiding solution.
+    """Exponent ``beta = (alpha + p)/|E|`` of the guiding solution.
 
     For ``mems`` the guiding solution grows like ``t**beta`` with
     ``beta = (alpha + p)/(p + q - 1)``; for ``jl`` it decays like
@@ -126,16 +186,13 @@ def beta_exponent(params: Params, problem: ProblemClass) -> float:
     the guiding solution is logarithmic and the returned value is the
     slope ``alpha + p`` of ``-w0`` against ``ln t``.
     """
-    p, alpha, q = params.p, params.alpha, params.q
-    if problem is ProblemClass.GELFAND:
-        return alpha + p
-    if problem is ProblemClass.MEMS:
-        return (alpha + p) / (p + q - 1.0)
-    if q - p + 1.0 <= 0.0:
+    spec = class_spec(params, problem)
+    if spec.g is None:
+        # only jl can lack the scaling: mems has E = -(p+q-1) < 0
         raise ValidityError(
-            f"jl scaling requires q - p + 1 > 0, got q - p + 1 = {q - p + 1.0!r}"
+            f"jl scaling requires q - p + 1 > 0, got q - p + 1 = {spec.E!r}"
         )
-    return (p + alpha) / (q - p + 1.0)
+    return spec.k if spec.E is None else spec.k / abs(spec.E)
 
 
 @dataclass(frozen=True)
@@ -168,6 +225,10 @@ class ClosedForms:
     guiding_kind: str
     notes: tuple[str, ...] = ()
 
+    @cached_property
+    def spec(self) -> ClassSpec:
+        return class_spec(self.params, self.problem)
+
     def to_dict(self) -> dict:
         return {
             "beta": self.beta,
@@ -189,24 +250,15 @@ def closed_forms(params: Params, problem: ProblemClass) -> ClosedForms:
         ``(n-p) beta^(p-1) - (p-1) beta^p > 0`` for ``jl``.
     """
     validate_params(params, problem)
-    p, n, alpha, q = params.p, params.n, params.alpha, params.q
-
+    p, n, q = params.p, params.n, params.q
+    spec = class_spec(params, problem)
+    beta = beta_exponent(params, problem)
     if problem is ProblemClass.GELFAND:
         if not n > p:
             raise ValidityError(f"gelfand guiding solution requires n > p, got n = {n!r}, p = {p!r}")
-        coeff = (n - p) * (alpha + p) ** (p - 1.0)
-        return ClosedForms(
-            problem=problem,
-            params=params,
-            beta=alpha + p,
-            coeff=coeff,
-            lambda_inf=coeff,
-            guiding_kind="logarithmic",
-        )
-
-    beta = beta_exponent(params, problem)
-
-    if problem is ProblemClass.MEMS:
+        lam = coeff = (n - p) * beta ** (p - 1.0)
+        notes = ()
+    elif problem is ProblemClass.MEMS:
         bracket = (p - 1.0) * (beta - 1.0) + n - 1.0
         if not bracket > 0.0:
             raise ValidityError(
@@ -214,44 +266,28 @@ def closed_forms(params: Params, problem: ProblemClass) -> ClosedForms:
                 f"got {bracket!r}"
             )
         lam = beta ** (p - 1.0) * bracket
-        c0 = lam ** (-1.0 / (p + q - 1.0))
-        alt = c0 ** -(q - 1.0)
-        note = (
+        coeff = lam ** (1.0 / spec.E)
+        notes = (
             f"lambda_inf = coeff**-(p+q-1) = {lam!r}; the exponent-(q-1) "
-            f"variant coeff**-(q-1) = {alt!r} coincides only when coeff = 1"
+            f"variant coeff**-(q-1) = {coeff ** -(q - 1.0)!r} coincides only when coeff = 1",
         )
-        return ClosedForms(
-            problem=problem,
-            params=params,
-            beta=beta,
-            coeff=c0,
-            lambda_inf=lam,
-            guiding_kind="power-growth",
-            notes=(note,),
+    else:
+        bracket = (n - p) * beta ** (p - 1.0) - (p - 1.0) * beta**p
+        if not bracket > 0.0:
+            raise ValidityError(
+                "jl guiding solution requires (n-p) beta^(p-1) - (p-1) beta^p > 0, "
+                f"got {bracket!r}"
+            )
+        lam = bracket
+        coeff = lam ** (1.0 / spec.E)
+        notes = (
+            f"lambda_inf = coeff**(q-p+1) = {lam!r}; the exponent-(q-1) "
+            f"variant coeff**(q-1) = {coeff ** (q - 1.0)!r} coincides only at p = 2",
         )
-
-    bracket = (n - p) * beta ** (p - 1.0) - (p - 1.0) * beta**p
-    if not bracket > 0.0:
-        raise ValidityError(
-            "jl guiding solution requires (n-p) beta^(p-1) - (p-1) beta^p > 0, "
-            f"got {bracket!r}"
-        )
-    a0 = bracket ** (1.0 / (q - p + 1.0))
-    lam = bracket
-    alt = a0 ** (q - 1.0)
-    note = (
-        f"lambda_inf = coeff**(q-p+1) = {lam!r}; the exponent-(q-1) "
-        f"variant coeff**(q-1) = {alt!r} coincides only at p = 2"
-    )
-    return ClosedForms(
-        problem=problem,
-        params=params,
-        beta=beta,
-        coeff=a0,
-        lambda_inf=lam,
-        guiding_kind="power-decay",
-        notes=(note,),
-    )
+    # the guiding solution w0 = coeff t^g (gelfand: ln coeff - (alpha+p) ln t)
+    kind = "logarithmic" if spec.E is None else "power-growth" if spec.g > 0.0 else "power-decay"
+    return ClosedForms(problem=problem, params=params, beta=beta, coeff=coeff, lambda_inf=lam,
+                       guiding_kind=kind, notes=notes)
 
 
 def guiding_eval(cf: ClosedForms, t):
@@ -262,15 +298,13 @@ def guiding_eval(cf: ClosedForms, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("guiding solution is defined for t > 0 only")
-    if cf.guiding_kind == "power-growth":
-        w0 = cf.coeff * t**cf.beta
-        w0p = cf.beta * cf.coeff * t ** (cf.beta - 1.0)
-    elif cf.guiding_kind == "power-decay":
-        w0 = cf.coeff * t**-cf.beta
-        w0p = -cf.beta * cf.coeff * t ** (-cf.beta - 1.0)
-    else:
+    g = cf.spec.g
+    if cf.spec.E is None:
         w0 = math.log(cf.coeff) - cf.beta * np.log(t)
         w0p = -cf.beta / t
+    else:
+        w0 = cf.coeff * t**g
+        w0p = g * cf.coeff * t ** (g - 1.0)
     if w0.ndim == 0:
         return float(w0), float(w0p)
     return w0, w0p
@@ -281,12 +315,11 @@ def guiding_curvature(cf: ClosedForms, t):
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("guiding solution is defined for t > 0 only")
-    if cf.guiding_kind == "power-growth":
-        w0pp = cf.beta * (cf.beta - 1.0) * cf.coeff * t ** (cf.beta - 2.0)
-    elif cf.guiding_kind == "power-decay":
-        w0pp = cf.beta * (cf.beta + 1.0) * cf.coeff * t ** (-cf.beta - 2.0)
-    else:
+    g = cf.spec.g
+    if cf.spec.E is None:
         w0pp = cf.beta / t**2
+    else:
+        w0pp = g * (g - 1.0) * cf.coeff * t ** (g - 2.0)
     return float(w0pp) if w0pp.ndim == 0 else w0pp
 
 

@@ -12,8 +12,11 @@ criterion is asserted as pinned and marked strict-xfail rather than
 loosened.
 """
 
+import dataclasses
+
 import pytest
 
+from pfold import ivp
 from pfold.verify import KNOWN_FAILING, run_acceptance
 
 EXPECTED_CHECKS = [
@@ -92,3 +95,18 @@ def test_criterion(check_id):
     result = _matrix()[check_id]
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_startup_row_catches_a_wrong_series_coefficient(monkeypatch):
+    # 1e-3 on the first series coefficient beyond the two-term start moves
+    # w(t1) by 5e-6 to 5e-5 relative against the 1e-6 bound
+    series = ivp._series
+
+    def perturbed(params, problem):
+        s = series(params, problem)
+        return dataclasses.replace(s, u=(s.u[0], s.u[1] * 1.001) + s.u[2:])
+
+    monkeypatch.setattr(ivp, "_series", perturbed)
+    results = run_acceptance(only="6-startup")
+    assert [r.criterion for r in results] == ["gelfand", "mems", "jl"]
+    assert not any(r.passed for r in results), [r.line() for r in results]

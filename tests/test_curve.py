@@ -26,6 +26,8 @@ from pfold import (
     singular_profile,
     turning_points,
 )
+from pfold.curve import _error_guard
+from pfold.verify import RESIDUAL_SETS
 
 from conftest import GELFAND3, GELFAND10, JL454, MEMS233
 
@@ -94,16 +96,39 @@ class TestMonitor:
             w, wp = traj.eval(t)
             assert monitor(traj.problem, traj.params, t, w, wp) == pytest.approx(2.0, abs=1e-6)
 
+    @settings(max_examples=25, deadline=None)
+    @given(problem=st.sampled_from([G, M, J]), p=st.floats(1.5, 4.0),
+           n_minus_p=st.floats(0.05, 12.0),
+           alpha=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), uq=st.floats(0.0, 1.0))
+    def test_sign_is_the_sign_of_the_lambda_slope(self, problem, p, n_minus_p, alpha, uq):
+        # the sweep ranges of test_ivp.TestStartupSeries; wherever |M| clears
+        # the fold guard, sign(M) is that of a centered difference of lambda
+        # (no mismatch in 3,000 examples of 2,000 points, down to |M| = guard)
+        q = {G: None, M: 0.5 + 7.5 * uq, J: max(1.0, p - 1.0) + 0.25 + 8.0 * uq}[problem]
+        params = Params(p=p, n=p + n_minus_p, alpha=alpha, q=q)
+        traj = integrate(params, problem)
+        t = np.geomspace(2.0 * traj.t_start, 0.99 * traj.t_end, 400)
+        w, wp = traj.eval_many(t)
+        m = monitor(problem, params, t, w, wp)
+        lam_hi, _ = curve_values(problem, params, t * (1 + 1e-5), traj.eval_many(t * (1 + 1e-5))[0])
+        lam_lo, _ = curve_values(problem, params, t * (1 - 1e-5), traj.eval_many(t * (1 - 1e-5))[0])
+        # magnitudes of the coefficients on w and t w' in the monitor forms
+        e = None if q is None else (q - p + 1.0 if problem is J else p + q - 1.0)
+        coeff = 1.0 if e is None else alpha + p + abs(e)
+        clear = np.abs(m) > _error_guard(traj, w, t * wp, coeff)
+        assert clear.sum() > 200  # at least 1461 of 2000 in those examples
+        assert np.array_equal(np.sign(m[clear]), np.sign(lam_hi - lam_lo)[clear])
 
-def _shoot_gelfand_u1(lam, u0, n=3.0, rtol=1e-9, atol=1e-12):
-    """Radial shot for the exponential problem at p = 2 via scipy RK45."""
-    g0 = lam * math.exp(u0)
-    r0 = min(1e-6, math.sqrt(6e-10 / g0))
+
+def _shoot_u1(lam, u0, source=math.exp, n=3.0, rtol=1e-9, atol=1e-12):
+    """Radial shot of ``-Laplace u = lam source(u)`` at p = 2, alpha = 0 via scipy RK45."""
+    g0 = lam * source(u0)
+    r0 = min(1e-6, math.sqrt(2.0 * n * 1e-10 / g0))
 
     def rhs(r, y):
-        return [y[1] / r ** (n - 1.0), -lam * r ** (n - 1.0) * math.exp(y[0])]
+        return [y[1] / r ** (n - 1.0), -lam * r ** (n - 1.0) * source(y[0])]
 
-    y0 = [u0 - g0 * r0**2 / 6.0, -g0 * r0**3 / 3.0]
+    y0 = [u0 - g0 * r0**2 / (2.0 * n), -g0 * r0**n / n]
     sol = solve_ivp(rhs, (r0, 1.0), y0, method="RK45", rtol=rtol, atol=atol)
     assert sol.success
     return sol.y[0, -1]
@@ -138,7 +163,7 @@ class TestTurningPoints:
         turns = turning_points(gelfand3_traj)
         u0_grid = np.linspace(0.5, 17.5, 40)
         lam_of_u0 = np.array([
-            brentq(lambda lam: _shoot_gelfand_u1(lam, u0), 1e-9, 4.4, xtol=1e-6)
+            brentq(lambda lam: _shoot_u1(lam, u0), 1e-9, 4.4, xtol=1e-6)
             for u0 in u0_grid
         ])
         d = np.diff(lam_of_u0)
@@ -286,17 +311,20 @@ class TestProfile:
 
     def test_singular_profile_matches_guiding_scaling(self):
         r = np.geomspace(0.1, 1.0, 8)
-        for params, problem in ((MEMS233, M), (JL454, J)):
-            cf = closed_forms(params, problem)
-            t = 37.0
-            w0_r, _ = guiding_eval(cf, t * r)
-            w0_t, _ = guiding_eval(cf, t)
-            expected = 1.0 - w0_r / w0_t if problem is M else w0_r / w0_t - 1.0
-            assert singular_profile(cf, r) == pytest.approx(expected, rel=1e-12)
-        cfg = closed_forms(GELFAND3, G)
-        w0_r, _ = guiding_eval(cfg, 37.0 * r)
-        w0_t, _ = guiding_eval(cfg, 37.0)
-        assert singular_profile(cfg, r) == pytest.approx(w0_r - w0_t, rel=1e-12)
+        for problem, param_sets in RESIDUAL_SETS.items():
+            for params in param_sets:
+                cf = closed_forms(params, problem)
+                # the explicit profiles: -(p+alpha) ln r, 1 - r^beta, r^-beta - 1
+                explicit = {G: -cf.beta * np.log(r), M: 1.0 - r**cf.beta,
+                            J: r**-cf.beta - 1.0}[problem]
+                assert singular_profile(cf, r) == pytest.approx(explicit, rel=1e-12)
+                assert singular_profile(cf, 1.0) == 0.0
+                for t in (0.3, 37.0, 1e5):
+                    w0_r, _ = guiding_eval(cf, t * r)
+                    w0_t, _ = guiding_eval(cf, t)
+                    expected = {G: w0_r - w0_t, M: 1.0 - w0_r / w0_t,
+                                J: w0_r / w0_t - 1.0}[problem]
+                    assert singular_profile(cf, r) == pytest.approx(expected, rel=1e-12)
 
 
 class TestGeneralExponent:
@@ -353,13 +381,23 @@ class TestShootingCheck:
             point = CurvePoint(t=float(t), lam=lam, u0=u0, monitor=0.0)
             assert shooting_check(params, problem, point) < 1e-6
 
-    def test_perturbed_point_rejected(self, gelfand3_traj):
-        w, _ = gelfand3_traj.eval(10.0)
-        lam, u0 = curve_values(G, GELFAND3, 10.0, w)
-        good = CurvePoint(t=10.0, lam=lam, u0=u0, monitor=0.0)
-        bad = CurvePoint(t=10.0, lam=1.1 * lam, u0=u0, monitor=0.0)
-        assert shooting_check(GELFAND3, G, good) < 1e-6
-        assert shooting_check(GELFAND3, G, bad) > 1e-3
+    def test_perturbed_point_rejected(self, request):
+        # each |u(1)| against a shot with the paper's source exp(u),
+        # (1-u)^-q or (1+u)^q
+        for params, problem, fixture, source in (
+            (GELFAND3, G, "gelfand3_traj", math.exp),
+            (MEMS233, M, "mems_traj", lambda u: (1.0 - u) ** -2.0),
+            (JL454, J, "jl_traj", lambda u: (1.0 + u) ** 5.0),
+        ):
+            w, _ = request.getfixturevalue(fixture).eval(10.0)
+            lam, u0 = curve_values(problem, params, 10.0, w)
+            good = CurvePoint(t=10.0, lam=lam, u0=u0, monitor=0.0)
+            bad = CurvePoint(t=10.0, lam=1.1 * lam, u0=u0, monitor=0.0)
+            assert shooting_check(params, problem, good) < 1e-6
+            residual = shooting_check(params, problem, bad)
+            assert residual > 1e-3
+            shot = _shoot_u1(bad.lam, u0, source, n=params.n, rtol=1e-11, atol=1e-14)
+            assert residual == pytest.approx(abs(shot), rel=1e-8)  # measured <= 4.7e-10
 
     def test_trivial_limit_point(self, gelfand3_traj):
         w, _ = gelfand3_traj.eval(1e-4)

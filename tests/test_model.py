@@ -12,6 +12,7 @@ from pfold import (
     beta_exponent,
     characteristic_quadratic,
     check_conditions,
+    class_spec,
     closed_forms,
     guiding_curvature,
     guiding_eval,
@@ -360,3 +361,27 @@ class TestHypothesisProperties:
                 assert t * w0p / w0 == pytest.approx(cf.beta, rel=1e-12)
             else:
                 assert t * w0p / w0 == pytest.approx(-cf.beta, rel=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=st.floats(1.1, 4.0), alpha=st.floats(0.0, 3.0), q=st.floats(1.05, 8.0),
+           w=st.floats(0.01, 5.0))
+    def test_class_spec_gives_the_paper_forms(self, p, alpha, q, w):
+        params = Params(p=p, n=3.0, alpha=alpha, q=q)
+        for problem, sgn, w_c, f, e in (
+            (G, -1.0, 0.0, math.exp(w), None),
+            (M, 1.0, 1.0, w**-q, -(p + q - 1.0)),
+            (J, -1.0, 1.0, w**q, q - p + 1.0),
+        ):
+            spec = class_spec(params, problem)
+            assert (spec.sgn, spec.w_center, spec.k, spec.E) == (sgn, w_c, alpha + p, e)
+            assert spec.f(w) == f
+            if problem is J and not q - p + 1.0 > 0.0:
+                assert spec.g is None
+                with pytest.raises(ValidityError):
+                    beta_exponent(params, problem)
+            elif problem is G:
+                assert spec.g == 0.0
+            else:
+                # w0 grows like t^beta for mems and decays like t^-beta for jl
+                beta = beta_exponent(params, problem)
+                assert spec.g == (beta if problem is M else -beta)
