@@ -482,8 +482,8 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
             -lam * r ** (n + alpha - 1.0) * f(w_c - sgn * u),
         )
 
-    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, abs_tol, 200_000,
-                       dense=False)
+    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, (abs_tol, abs_tol),
+                       200_000, dense=False)
     if run.status != "done":
         raise _ivp.IntegrationError("shooting integration exhausted max_steps",
                                     (run.xs[-1], *run.states[-1]))

@@ -27,16 +27,12 @@ and the coefficients of ``U`` and ``V`` follow one by one from recurrences
 largest ``t <= min(1, t_max)`` at which its last three terms stay below
 ``1e-16`` of the leading ones, and for ``jl`` also lies before ``w`` falls
 to 1/2.  The trajectory keeps one node at ``t1`` for this segment, and its
-dense output evaluates the series there.  From ``t1`` up to 1 the flux
-system is stepped in ``t``, with step growth capped so the power-law flux
-spans a bounded range per step (keeping dense output accurate relative to
-the local solution scale).  For 90% of parameter sets drawn over ``p`` in
-[1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in [0, 2] the series
-reaches ``t = 0.34`` to 2.1, and past 1 for about half, so this phase
-takes a few steps or none.
+dense output evaluates the series there.  For 90% of parameter sets drawn
+over ``p`` in [1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in [0, 2]
+the series reaches ``t = 0.34`` to 2.1, and past 1 for about half.
 
-Beyond ``t = 1`` it runs in ``s = ln t``, where folds accumulate uniformly,
-in the Emden-Fowler variables of Joseph & Lundgren (1973)
+From ``t1`` on, one phase runs in ``s = ln t``, where folds accumulate
+uniformly, in the Emden-Fowler variables of Joseph & Lundgren (1973)
 
     ``W = w t^-g``,  ``Z = v t^c = phi(t w') t^(-g(p-1))``,  ``c = p - n - g(p-1)``,
 
@@ -54,12 +50,12 @@ power of ``t``.  The fixed point's linearization has the eigenvalues
 ``r - g``, with ``r`` the characteristic roots, and the step is capped at
 ``2 / max |r - g|`` (see :func:`_log_phase`).  A ``jl`` problem with
 ``q <= p - 1`` has no such scaling and keeps ``g = 0``, with the source
-``t^(alpha+p) f(W)``.  ``(W, Z) = (w, v)`` at ``t = 1``, and ``W`` has the
-sign of ``w``.  Nodes hold ``(w, v)`` in every phase; only the dense rows
-of the log phase hold ``(W, Z)``.  Below ``t = 1`` the solution follows
-the startup series, not the fixed point, so the series and the linear
-phase cover it.  For the ``jl`` class, ``w`` may reach zero in finite
-time; the crossing is located by bisection on the dense output and the
+``t^(alpha+p) f(W)``.  ``W`` has the sign of ``w``.  At ``t1 < 1``,
+``(W, Z)`` can be tiny, so the absolute tolerance is applied in the units
+of ``(w, v)`` at ``t1``: ``abs_tol (t1^-g, t1^c)``.  At ``t1 = 1``,
+``(W, Z) = (w, v)``.  Nodes hold ``(w, v)``; the dense rows hold
+``(W, Z)``.  For the ``jl`` class, ``w`` may reach zero in finite time;
+the crossing is located by bisection on the dense output and the
 trajectory is truncated there.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of order 8 with
@@ -141,9 +137,9 @@ class IntegratorConfig:
     The state at ``t_start`` comes from the startup series, so ``t_start``
     may lie anywhere up to the series' reach (mostly between 0.3 and 2;
     :func:`integrate` rejects a ``t_start`` beyond it), and the trajectory
-    past the series segment does not depend on it.  With ``log_time``
-    (the default) the stepper runs in ``s = ln t`` for ``t >= 1``, in the
-    Emden-Fowler variables described in the module docstring.
+    past the series segment does not depend on it.  Beyond the series
+    segment the stepper runs in ``s = ln t``, in the Emden-Fowler variables
+    described in the module docstring.
     """
 
     t_start: float = 1e-6
@@ -151,7 +147,6 @@ class IntegratorConfig:
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_steps: int = 100_000
-    log_time: bool = True
 
     def validated(self) -> "IntegratorConfig":
         if not (0.0 < self.t_start < self.t_max):
@@ -169,18 +164,13 @@ class IntegratorConfig:
 class PhaseStats:
     """Work of one integration phase: ``phase`` is ``"series"`` (the
     startup series, one accepted node at its reach and no right-hand-side
-    evaluation), ``"linear"`` (stepping in ``t``) or ``"log"`` (stepping in
-    ``ln t``); ``nfev`` counts right-hand-side evaluations, dense-output
-    stages included."""
+    evaluation) or ``"log"`` (stepping in ``ln t``); ``nfev`` counts
+    right-hand-side evaluations, dense-output stages included."""
 
     phase: str
     accepted: int
     rejected: int
     nfev: int
-
-
-def _phi(s: float, p: float) -> float:
-    return math.copysign(abs(s) ** (p - 1.0), s) if s != 0.0 else 0.0
 
 
 def _phi_inv(s: float, p: float) -> float:
@@ -467,8 +457,8 @@ def _rms(a: float, b: float) -> float:
 def _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol) -> float:
     """Initial step of Hairer-Norsett-Wanner II.4, for an error estimator of order 7."""
     interval = x_end - x
-    sw = atol + abs(w) * rtol
-    sv = atol + abs(v) * rtol
+    sw = atol[0] + abs(w) * rtol
+    sv = atol[1] + abs(v) * rtol
     d0 = _rms(w / sw, v / sv)
     d1 = _rms(fw / sw, fv / sv)
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -492,28 +482,25 @@ def _interp(step, x: float) -> tuple[float, float]:
             v0 + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6)))))))
 
 
-def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: float,
-            budget: int, ratio_cap: float | None = None, watch_zero: bool = False,
+def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
+            atol: tuple[float, float], budget: int, watch_zero: bool = False,
             dense: bool = True, max_step: float = math.inf) -> _Run:
     """Integrate ``(w, v)' = rhs(x, w, v)`` from ``x`` towards ``x_end > x``.
 
-    Accepts at most ``budget`` steps of at most ``max_step``.  ``ratio_cap``
-    bounds each step to ``(cap - 1) * x`` instead: with power-law growth of
-    the flux this keeps the per-step dynamic range bounded, so the dense
-    interpolant stays accurate relative to the local solution scale.  With ``watch_zero`` the run stops
-    at the first zero of ``w``, located by bisection on the step's
-    interpolant.  Without ``dense`` the run skips the three dense-output
-    stages and keeps no interpolation rows (``steps`` stays empty), so it
-    cannot ``watch_zero``.
+    ``atol`` holds the absolute tolerances of ``w`` and ``v``.  Accepts at
+    most ``budget`` steps of at most ``max_step``.  With ``watch_zero`` the
+    run stops at the first zero of ``w``, located by bisection on the
+    step's interpolant.  Without ``dense`` the run skips the three
+    dense-output stages and keeps no interpolation rows (``steps`` stays
+    empty), so it cannot ``watch_zero``.
     """
     xs = [x]
     states = [(w, v)]
     steps: list = []
     kw = [0.0] * 16
     kv = [0.0] * 16
+    atol_w, atol_v = atol
     fw, fv = rhs(x, w, v)
-    if ratio_cap:
-        max_step = (ratio_cap - 1.0) * x
     h_abs = _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol)
     nfev = 2
     rejected = 0
@@ -522,8 +509,6 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: 
         if len(xs) > budget:
             status = "budget"
             break
-        if ratio_cap:
-            max_step = (ratio_cap - 1.0) * x
         min_step = 10.0 * (math.nextafter(x, math.inf) - x)
         if h_abs > max_step:
             h_abs = max_step
@@ -559,8 +544,8 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float, atol: 
                 e3v += e3 * gv
             w_new = w + h * bw
             v_new = v + h * bv
-            sw = atol + max(abs(w), abs(w_new)) * rtol
-            sv = atol + max(abs(v), abs(v_new)) * rtol
+            sw = atol_w + max(abs(w), abs(w_new)) * rtol
+            sv = atol_v + max(abs(v), abs(v_new)) * rtol
             e5w /= sw
             e5v /= sv
             e3w /= sw
@@ -644,12 +629,10 @@ def integrate(params: Params, problem: ProblemClass,
     """
     cfg = (config or IntegratorConfig()).validated()
     validate_params(params, problem)
-    n, alpha = params.n, params.alpha
     spec = class_spec(params, problem)
     # w falls towards the zero of a power source, where the curve ends
     watch_zero = spec.q_power is not None and spec.sgn < 0.0
-    rhs_lin = _flux_rhs(params, problem)
-    rhs_log, g, c, log_step = _log_phase(params, problem)
+    rhs, g, c, log_step = _log_phase(params, problem)
 
     # the series segment [t_start, t1]: one node at the series' reach
     series = _series(params, problem)
@@ -669,56 +652,31 @@ def integrate(params: Params, problem: ProblemClass,
         states.append(series.state(t1))
     n_series = len(t_nodes) - 1
 
-    # then stepping: linear in t up to 1, logarithmic above (when enabled)
+    # then one stepped phase in s = ln t, in (W, Z) = (w t^-g, v t^c)
     t_lo = t_nodes[-1]
-    t_log = 1.0 if cfg.log_time else math.inf
-    phases: list[tuple[bool, float, float]] = []
-    if t_lo < min(t_log, cfg.t_max):
-        phases.append((False, t_lo, min(t_log, cfg.t_max)))
-    if cfg.t_max > t_log:
-        phases.append((True, max(t_lo, t_log), cfg.t_max))
-
-    # linear-phase growth cap: flux ~ t^(n+alpha), so a ratio cap of
-    # 100^(1/(n+alpha)) bounds the flux range per step to a factor 100
-    ratio_cap = max(100.0 ** (1.0 / (n + alpha)), 1.2)
-
     steps: list = []
     stats: list[PhaseStats] = [PhaseStats("series", n_series, 0, 0)]
-    n_lin = 0
     termination = "t_max"
-    for logspace, t_lo, t_hi in phases:
+    if t_lo < cfg.t_max:
+        # abs_tol holds in the units of (w, v) at t_lo, where (W, Z) may be tiny
+        scale_w, scale_v = t_lo**-g, t_lo**c
         w, v = states[-1]
-        if logspace:
-            w, v = w * t_lo**-g, v * t_lo**c
-        run = _dop853(
-            rhs_log if logspace else rhs_lin,
-            math.log(t_lo) if logspace else t_lo, w, v,
-            math.log(t_hi) if logspace else t_hi,
-            cfg.rel_tol, cfg.abs_tol, cfg.max_steps - (len(t_nodes) - 1),
-            ratio_cap=None if logspace else ratio_cap, watch_zero=watch_zero,
-            max_step=log_step if logspace else math.inf,
-        )
-        stats.append(PhaseStats("log" if logspace else "linear", len(run.steps),
-                                run.rejected, run.nfev))
-        ts_new = [math.exp(x) for x in run.xs[1:]] if logspace else run.xs[1:]
-        if run.status == "done":
-            ts_new[-1] = t_hi
+        run = _dop853(rhs, math.log(t_lo), w * scale_w, v * scale_v, math.log(cfg.t_max),
+                      cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
+                      cfg.max_steps - n_series, watch_zero=watch_zero, max_step=log_step)
+        stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev))
+        ts_new = [math.exp(x) for x in run.xs[1:]]
+        termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
+        if termination == "t_max":
+            ts_new[-1] = cfg.t_max
         t_nodes.extend(ts_new)
-        if logspace:
-            # nodes hold (w, v): undo the scaling of (W, Z)
-            states.extend((big_w * t**g, z * t**-c)
-                          for t, (big_w, z) in zip(ts_new, run.states[1:]))
-        else:
-            states.extend(run.states[1:])
-        steps.extend(run.steps)
-        if not logspace:
-            n_lin = len(steps)
-        if run.status != "done":
-            termination = "zero" if run.status == "zero" else "truncated"
-            break
+        # nodes hold (w, v): undo the scaling of (W, Z)
+        states.extend((big_w * t**g, z * t**-c)
+                      for t, (big_w, z) in zip(ts_new, run.states[1:]))
+        steps = run.steps
 
     traj = Trajectory._build(problem, params, cfg, t_nodes, states, series, n_series,
-                             steps, n_lin, (g, -c), termination, tuple(stats))
+                             steps, (g, -c), termination, tuple(stats))
     if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
@@ -738,12 +696,11 @@ class Trajectory:
 
     Dense output: below ``_series_end`` (node ``_n_series``, or everywhere
     when no step was taken) the startup series ``_series`` is evaluated.
-    Above it, step ``k`` runs from node ``k + _n_series`` in ``x = t`` when
-    ``k < _n_lin`` and in ``x = ln t`` otherwise; ``_steps`` holds its
-    interpolation row ``(x0, h, y0, F0, ..., F6)``, two floats for each
-    ``y0, F0..F6``, for scalar lookups and ``_table`` the same rows as an
-    ``(m, 18)`` array.  Linear rows interpolate ``(w, v)``, log rows the
-    scaled ``(W, Z) = (w t^-g, v t^-e)`` with ``_log_exps = (g, e)``.
+    Above it, step ``k`` runs in ``x = ln t`` from node ``k + _n_series``;
+    ``_steps`` holds its interpolation row ``(x0, h, y0, F0, ..., F6)``,
+    two floats for each ``y0, F0..F6``, for scalar lookups and ``_table``
+    the same rows as an ``(m, 18)`` array.  The rows interpolate the scaled
+    ``(W, Z) = (w t^-g, v t^-e)`` with ``_log_exps = (g, e)``.
     """
 
     problem: ProblemClass
@@ -762,12 +719,11 @@ class Trajectory:
     _series_end: float = field(repr=False)
     _steps: list = field(repr=False)
     _table: np.ndarray = field(repr=False)
-    _n_lin: int = field(repr=False)
     _log_exps: tuple[float, float] = field(repr=False)
 
     @classmethod
-    def _build(cls, problem, params, cfg, t_nodes, states, series, n_series, steps, n_lin,
-               log_exps, termination, stats):
+    def _build(cls, problem, params, cfg, t_nodes, states, series, n_series, steps, log_exps,
+               termination, stats):
         p, n = params.p, params.n
         wv = np.asarray(states, dtype=float)
         wp = [_phi_inv(v / t ** (n - 1.0), p) for t, (_, v) in zip(t_nodes, states)]
@@ -788,7 +744,6 @@ class Trajectory:
             _series_end=t_nodes[n_series] if steps else math.inf,
             _steps=steps,
             _table=np.asarray(steps, dtype=float).reshape(len(steps), 18),
-            _n_lin=n_lin,
             _log_exps=log_exps,
         )
 
@@ -817,8 +772,6 @@ class Trajectory:
         if t < self._series_end:
             return self._series.state(t)
         k = min(max(k - 1 - self._n_series, 0), len(self._steps) - 1)
-        if k < self._n_lin:
-            return _interp(self._steps[k], t)
         big_w, z = _interp(self._steps[k], math.log(t))
         g, e = self._log_exps
         return big_w * t**g, z * t**e
@@ -844,16 +797,14 @@ class Trajectory:
             td = ts[rest]
             k = np.clip(idx[rest] - 1 - self._n_series, 0, len(self._table) - 1)
             rows = self._table[k]
-            log_rows = k >= self._n_lin
-            x = np.where(log_rows, np.log(td), td)
-            s = ((x - rows[:, 0]) / rows[:, 1])[:, None]
+            s = ((np.log(td) - rows[:, 0]) / rows[:, 1])[:, None]
             u = 1.0 - s
             f = rows[:, 4:].reshape(-1, 7, 2)
             acc = f[:, 6]
             for i in range(5, -1, -1):
                 acc = f[:, i] + (s if i % 2 else u) * acc
             y = rows[:, 2:4] + s * acc
-            y[log_rows] *= td[log_rows, None] ** np.asarray(self._log_exps)
+            y *= td[:, None] ** np.asarray(self._log_exps)
             w[rest], v[rest] = y.T
         # stored nodes win bitwise over the interpolant
         node = np.minimum(idx, len(self.ts) - 1)
@@ -867,24 +818,32 @@ class Trajectory:
         return w, wp
 
 
-def residual(params: Params, problem: ProblemClass,
-             w: float, wprime: float, wsecond: float, t: float) -> float:
+def residual(params: Params, problem: ProblemClass, w, wprime, wsecond, t):
     """Pointwise defect of the generating ODE:
     ``phi'(w') w'' + ((n-1)/t) phi(w') -+ t^alpha f(w)``; zero on exact solutions.
 
-    For ``p < 2`` the derivative ``phi'`` is singular at ``w' = 0``, so
-    ``wprime`` must be nonzero there.
+    Accepts scalars or arrays that broadcast together; returns a float for
+    scalar input.  For ``p < 2`` the derivative ``phi'`` is singular at
+    ``w' = 0``, so ``wprime`` must be nonzero there.
     """
     validate_params(params, problem)
-    if not t > 0.0:
+    scalar = all(np.ndim(x) == 0 for x in (w, wprime, wsecond, t))
+    # scalars as 1-element arrays: numpy's power on a scalar can differ in the
+    # last bit from its array loops
+    w, wprime, wsecond, t = np.broadcast_arrays(*(np.atleast_1d(np.asarray(x, dtype=float))
+                                                  for x in (w, wprime, wsecond, t)))
+    if not np.all(t > 0.0):
         raise ValueError(f"t must be positive, got {t!r}")
     p, n, alpha = params.p, params.n, params.alpha
-    if p < 2.0 and wprime == 0.0:
+    if p < 2.0 and np.any(wprime == 0.0):
         raise ValueError("residual needs wprime != 0 when p < 2")
-    phi_p = (p - 1.0) * abs(wprime) ** (p - 2.0)
-    lead = phi_p * wsecond + (n - 1.0) / t * _phi(wprime, p)
+    slope = np.abs(wprime)
+    lead = ((p - 1.0) * slope ** (p - 2.0) * wsecond
+            + (n - 1.0) / t * np.copysign(slope ** (p - 1.0), wprime))
     spec = class_spec(params, problem)
-    return lead - spec.sgn * t**alpha * spec.f(w)
+    source = np.fromiter(map(spec.f, w.ravel().tolist()), float, w.size).reshape(w.shape)
+    res = lead - spec.sgn * t**alpha * source
+    return float(res[0]) if scalar else res
 
 
 def pohozaev(traj: Trajectory, t: float) -> float:

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import DOP853, OdeSolution, quad
+from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 
 import pfold
 from pfold import ivp
@@ -119,7 +119,8 @@ def _check_startup_series(params, problem):
                 sgn * t ** (n + alpha - 1.0) * source(w))
 
     start = startup_state(params, problem, 1e-8)
-    ref = _dop853(rhs, 1e-8, start.w, start.v, t1, 3e-14, 1e-300, 10**6, dense=False)
+    ref = _dop853(rhs, 1e-8, start.w, start.v, t1, 3e-14, (1e-300, 1e-300), 10**6,
+                  dense=False)
     w_ref, v_ref = ref.states[-1]
     assert abs(w1 - w_ref) <= 1e-10 * abs(w_ref - series.w_center)
     assert abs(v1 - v_ref) <= 1e-10 * abs(v_ref)
@@ -288,15 +289,12 @@ class TestIntegrate:
         with pytest.raises(InvalidParamsError, match="reach"):
             integrate(GELFAND3, G, IntegratorConfig(t_start=3.0))
 
-    def test_log_time_off_matches_default(self):
+    def test_matches_flux_stepping_in_t(self):
         a = integrate(GELFAND3, G, IntegratorConfig(t_max=100.0))
-        b = integrate(GELFAND3, G, IntegratorConfig(t_max=100.0, log_time=False))
         wa, _ = a.eval(100.0)
-        wb, _ = b.eval(100.0)
+        wb = _scipy_flux_reference(a, 100.0).sol(100.0)[0]
         assert wa == pytest.approx(wb, rel=1e-8)
-        # the series reaches t = 1 here, so only the log phase steps
         assert [s.phase for s in a.stats] == ["series", "log"]
-        assert [s.phase for s in b.stats] == ["series", "linear"]
 
     def test_stats_count_the_work(self, gelfand3_traj, mems_traj, jl_zero_traj):
         for traj in (gelfand3_traj, mems_traj, jl_zero_traj):
@@ -311,10 +309,10 @@ class TestIntegrate:
 
 
 def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
-    """The generating IVP stepped by scipy's DOP853 from the state ``(w1, v1)``
-    at the end ``t1`` of the series segment, with the same phases and
-    per-step ``max_step`` schedule as :func:`integrate`: the flux system in
-    ``t`` up to 1, the Emden-Fowler system in ``ln t`` above.
+    """The generating IVP stepped by scipy's DOP853 as :func:`integrate`
+    steps it: the Emden-Fowler system in ``ln t`` from the state
+    ``(w1, v1)`` at the end ``t1`` of the series segment, with the same step
+    cap and the absolute tolerance in the units of ``(w, v)`` at ``t1``.
 
     Returns the accepted steps per stepped phase and a vectorized ``(w, w')``
     on ``[t1, t_max]``.
@@ -328,53 +326,49 @@ def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
     def phiinv(s):
         return math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s else 0.0
 
-    def rhs_lin(t, y):
-        return (phiinv(y[1] / t ** (n - 1.0)), sgn * t ** (n + alpha - 1.0) * source(y[0]))
-
-    def rhs_log(s, y):
+    def rhs(s, y):
         # W = w t^-g, Z = v t^c
         if problem is G:
             return (phiinv(y[1]), c * y[1] - math.exp((alpha + p) * s + y[0]))
         return (-g * y[0] + phiinv(y[1]), c * y[1] + sgn * source(y[0]))
 
-    cap = max(100.0 ** (1.0 / (n + alpha)), 1.2)
-    # the log phase resolves the fixed point's fastest mode: eigenvalues r - g
+    # the fixed point's fastest mode has the eigenvalue r - g
     log_step = 2.0 / max(abs(r - g) for r in characteristic_quadratic(params, problem).roots)
-    y = [w1, v1]
-    counts, phases = [], []
-    for logspace, t_lo, t_hi in ((False, t1, 1.0), (True, 1.0, cfg.t_max)):
-        if t_lo == t_hi:
-            continue
-        x0, x1 = (math.log(t_lo), math.log(t_hi)) if logspace else (t_lo, t_hi)
-        solver = DOP853(rhs_log if logspace else rhs_lin, x0, y, x1, rtol=cfg.rel_tol,
-                        atol=cfg.abs_tol, max_step=log_step if logspace else (cap - 1.0) * x0)
-        xs, interps = [x0], []
-        while solver.status == "running":
-            if not logspace:
-                solver.max_step = (cap - 1.0) * solver.t
-            solver.step()
-            xs.append(solver.t)
-            interps.append(solver.dense_output())
-        assert solver.status == "finished"
-        counts.append(len(interps))
-        phases.append((logspace, t_hi, OdeSolution(np.array(xs), interps)))
-        y = solver.y  # (W, Z) = (w, v) at t = 1
+    scale = np.array([t1**-g, t1**c])
+    x0 = math.log(t1)
+    solver = DOP853(rhs, x0, np.array([w1, v1]) * scale, math.log(cfg.t_max),
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol * scale, max_step=log_step)
+    xs, interps = [x0], []
+    while solver.status == "running":
+        solver.step()
+        xs.append(solver.t)
+        interps.append(solver.dense_output())
+    assert solver.status == "finished"
+    sol = OdeSolution(np.array(xs), interps)
 
     def dense(ts):
-        w, v = np.empty_like(ts), np.empty_like(ts)
-        lo = 0.0
-        for logspace, t_hi, sol in phases:
-            mask = (ts > lo) & (ts <= t_hi)
-            if logspace:
-                big_w, z = sol(np.log(ts[mask]))
-                w[mask], v[mask] = big_w * ts[mask] ** g, z * ts[mask] ** -c
-            else:
-                w[mask], v[mask] = sol(ts[mask])
-            lo = t_hi
+        big_w, z = sol(np.log(ts))
+        w, v = big_w * ts**g, z * ts**-c
         arg = v / ts ** (n - 1.0)
         return w, np.sign(arg) * np.abs(arg) ** (1.0 / (p - 1.0))
 
-    return counts, dense
+    return [len(interps)], dense
+
+
+def _scipy_flux_reference(traj, t_end):
+    """The flux system ``(w, v)`` stepped in ``t`` by scipy's DOP853 at
+    ``rtol = 1e-13`` from the series node of ``traj`` to ``t_end``, stopping
+    at a zero of ``w``."""
+    rhs = ivp._flux_rhs(traj.params, traj.problem)
+
+    def zero(t, y):
+        return y[0]
+
+    zero.terminal, zero.direction = True, -1.0
+    sol = solve_ivp(lambda t, y: rhs(t, *y), (traj.ts[1], t_end), [traj.ws[1], traj.vs[1]],
+                    method="DOP853", rtol=1e-13, atol=1e-300, dense_output=True, events=zero)
+    assert sol.status in (0, 1), sol.message
+    return sol
 
 
 class TestAgainstScipyDop853:
@@ -450,21 +444,21 @@ class TestLogPhase:
         for a, b in zip(eig, roots):
             assert abs(a - b) <= 1e-6 * scale
 
-    def test_jl_without_scaling_matches_linear_time(self):
+    def test_jl_without_scaling_matches_flux_stepping_in_t(self):
         # q <= p - 1 has no fixed point: the log phase keeps g = 0 and t^(alpha+p) f(W)
         params = Params(p=3, n=5, alpha=0.5, q=1.5)
         a = integrate(params, J, IntegratorConfig(t_max=100.0))
-        b = integrate(params, J, IntegratorConfig(t_max=100.0, log_time=False))
-        assert a.termination == b.termination == "zero"
+        b = _scipy_flux_reference(a, 100.0)
+        assert a.termination == "zero" and b.status == 1
         assert [s.phase for s in a.stats] == ["series", "log"]
-        assert a.zero_time == pytest.approx(b.zero_time, rel=1e-9)
+        assert a.zero_time == pytest.approx(b.t_events[0][0], rel=1e-9)
         ts = np.geomspace(1.0, 0.9 * a.zero_time, 20)
-        np.testing.assert_allclose(a.eval_many(ts)[0], b.eval_many(ts)[0], rtol=1e-8)
+        np.testing.assert_allclose(a.eval_many(ts)[0], b.sol(ts)[0], rtol=1e-8)
 
 
 def test_stepper_without_dense_output_takes_the_same_steps():
     rhs, *_ = _log_phase(GELFAND3, G)
-    args = (rhs, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, 1e-12, 10_000)
+    args = (rhs, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 10_000)
     full = _dop853(*args)
     bare = _dop853(*args, dense=False)
     assert bare.xs == full.xs and bare.states == full.states
@@ -543,6 +537,39 @@ class TestResidual:
         with pytest.raises(ValueError):
             residual(params, G, 0.0, 0.0, 1.0, 1.0)
         assert math.isfinite(residual(params, G, 0.0, -0.5, 1.0, 1.0))
+
+    @pytest.mark.parametrize("params,problem", TestLogPhase.CASES)
+    def test_array_matches_scalar_elementwise(self, params, problem):
+        rng = np.random.default_rng(3)
+        t = np.geomspace(0.1, 100.0, 40)
+        cf = closed_forms(params, problem)
+        w0, w0p = guiding_eval(cf, t)
+        # off the guide, so that the defect is not rounding noise
+        w, wp, wpp = (x * rng.uniform(0.5, 1.5, t.size)
+                      for x in (w0, w0p, guiding_curvature(cf, t)))
+        res = residual(params, problem, w, wp, wpp, t)
+        scalar = [residual(params, problem, *map(float, x)) for x in zip(w, wp, wpp, t)]
+        assert all(type(r) is float for r in scalar)
+        np.testing.assert_array_equal(res, scalar)
+        # the defect in plain floats, whose power may differ from numpy's in the last bit
+        p, n, alpha = params.p, params.n, params.alpha
+        sgn = 1.0 if problem is M else -1.0
+        source = _source(params, problem)
+        for r, (wi, wpi, wppi, ti) in zip(res, zip(w.tolist(), wp.tolist(), wpp.tolist(),
+                                                   t.tolist())):
+            terms = ((p - 1.0) * abs(wpi) ** (p - 2.0) * wppi,
+                     (n - 1.0) / ti * math.copysign(abs(wpi) ** (p - 1.0), wpi),
+                     -sgn * ti**alpha * source(wi))
+            assert r == pytest.approx(sum(terms), rel=0.0, abs=1e-14 * sum(map(abs, terms)))
+        grid = residual(params, problem, w[:, None], wp[:, None], wpp[:, None], t[None, :5])
+        np.testing.assert_array_equal(grid[:, 0], residual(params, problem, w, wp, wpp, t[0]))
+
+    def test_array_checks_every_element(self):
+        params = Params(p=1.5, n=3, alpha=0)
+        with pytest.raises(ValueError):
+            residual(params, G, [0.0, 0.0], [-0.5, 0.0], 1.0, 1.0)
+        with pytest.raises(ValueError):
+            residual(GELFAND3, G, 0.0, -0.5, 1.0, [1.0, 0.0])
 
     def test_from_dense_second_differences(self, gelfand3_traj, mems_traj, jl_traj):
         for traj in (gelfand3_traj, mems_traj, jl_traj):
