@@ -15,15 +15,24 @@ crossings of ``w`` with ``w0`` and roots of ``M`` interlace, and both
 accumulate geometrically in ``t`` when the linearized Euler equation is
 oscillatory.
 
-Roots are bracketed on a scan grid (trajectory nodes plus a log-uniform
-refinement) and refined by bisection on the dense output.  A sign change is
-accepted only where ``|M|`` clears a guard proportional to the local
-interpolation error, which suppresses spurious near-tangential crossings.
+Roots are located on the stepper's own dense output (event location,
+Hairer, Norsett & Wanner, *Solving ODEs I*, Section II.6).  In the log-phase
+variables of :mod:`pfold.ivp`, ``W = w t^-g`` and ``Y = t w' t^-g =
+phiinv(Z)``, the monitor is ``M = t^g (k W + E Y)`` (``k + Y`` for ``exp``)
+and the gap to the guiding solution is ``w - w0 = t^g (W - W0)``, with
+``W0 = coeff`` (``ln coeff - k ln t`` for ``exp``), so their signs need no
+rescaling.  Each interpolation row is sampled at a fixed number of
+fractions of its step, and the startup series at points equally spaced in
+``tau``.  A sign change between consecutive samples is accepted only where
+the values clear a guard proportional to the dense-output error, which
+suppresses spurious near-tangential crossings, and its root is refined on
+the polynomial of the row that holds it by Illinois regula falsi.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,11 +67,8 @@ __all__ = [
     "shooting_check",
 ]
 
-#: Relative t-tolerance for bisection refinement of monitor roots and crossings.
+#: Relative t-tolerance to which monitor roots and crossings are refined.
 ROOT_RTOL = 1e-10
-
-#: Scan density for root bracketing, in points per decade of t.
-SCAN_PER_DECADE = 64
 
 
 def _u(spec: ClassSpec, w_r, w_t):
@@ -117,16 +123,18 @@ def monitor(problem: ProblemClass, params: Params, t, w, wprime):
 GUARD_FACTOR = 50.0
 
 
-def _error_guard(traj: _ivp.Trajectory, w, t_wprime, coeff_sum: float):
+def _error_guard(traj: _ivp.Trajectory, w, t_wprime, coeff_sum: float, scale=1.0):
     """Noise floor for sign changes of a functional linear in ``w`` and ``t w'``.
 
     The dense output carries a global error of order
     ``rel_tol * (|w| + |t w'|) + abs_tol`` (with headroom for accumulation);
     sign changes whose values stay below ``GUARD_FACTOR`` times this level
-    are unresolved and must not be reported.
+    are unresolved and must not be reported.  In the log-phase units, pass
+    ``W = w t^-g``, ``Y = t w' t^-g`` and ``scale = t^-g``: the floor is
+    then divided by ``t^g`` too.
     """
     cfg = traj.config
-    state_err = cfg.rel_tol * (np.abs(w) + np.abs(t_wprime) + 1.0) + cfg.abs_tol
+    state_err = cfg.rel_tol * (np.abs(w) + np.abs(t_wprime) + scale) + cfg.abs_tol * scale
     return GUARD_FACTOR * coeff_sum * state_err
 
 
@@ -180,23 +188,76 @@ class IntersectionRecord:
     extrema_abs: tuple[float, ...]
 
 
-def _scan_grid(traj: _ivp.Trajectory, t_lo: float, t_hi: float) -> np.ndarray:
-    decades = math.log10(t_hi / t_lo)
-    refine = np.geomspace(t_lo, t_hi, max(int(round(SCAN_PER_DECADE * decades)), 8) + 1)
-    nodes = traj.ts[(traj.ts >= t_lo) & (traj.ts <= t_hi)]
-    return np.unique(np.concatenate([refine, nodes]))
+def _illinois(traj: _ivp.Trajectory, fn, row: int, ta: float, tb: float, xa: float,
+              xb: float, fa: float, fb: float):
+    """Root of ``fn`` on dense row ``row`` between the parameters ``ta < tb``
+    (at ``x = ln t`` of ``xa``, ``xb``), where its values ``fa``, ``fb``
+    differ in sign: Illinois regula falsi until the bracket spans at most
+    ``ROOT_RTOL`` in ``ln t``.  Returns the last point evaluated, as
+    :meth:`~pfold.ivp.Trajectory._row_point` gives it."""
+    point = None
+    side = 0
+    while xb - xa > ROOT_RTOL:
+        tc = (ta * fb - tb * fa) / (fb - fa)
+        if not ta < tc < tb:
+            tc = 0.5 * (ta + tb)
+        point = traj._row_point(row, tc)
+        fc = fn(*point[:3])
+        if fc == 0.0:
+            break
+        if (fc > 0.0) == (fb > 0.0):
+            tb, xb, fb = tc, point[0], fc
+            if side < 0:
+                fa *= 0.5
+            side = -1
+        else:
+            ta, xa, fa = tc, point[0], fc
+            if side > 0:
+                fb *= 0.5
+            side = 1
+    if point is None:
+        point = traj._row_point(row, 0.5 * (ta + tb))
+    return point
 
 
-def _guarded_sign_changes(values, guards):
-    """Indices (i, j) of consecutive guard-clearing points with opposite signs."""
-    significant = np.abs(values) > guards
-    idx = np.flatnonzero(significant)
-    pairs = []
-    for k in range(len(idx) - 1):
-        i, j = idx[k], idx[k + 1]
-        if values[i] * values[j] < 0.0:
-            pairs.append((i, j))
-    return pairs
+def _roots(traj: _ivp.Trajectory, fn, coeff_sum: float | None = None,
+           x_min: float = -math.inf):
+    """Roots of ``fn(x, W, Y)`` past ``x_min``, in time order.
+
+    ``fn`` is a functional of ``x = ln t`` and of the log-phase variables
+    ``W = w t^-g``, ``Y = t w' t^-g``, evaluated on the trajectory's dense
+    samples.  With ``coeff_sum``, only samples whose value clears
+    :func:`_error_guard` count.  Each sign change between consecutive
+    counted samples is refined on the dense row that holds it: a bracket
+    that spans several rows goes to the first row whose end values differ
+    in sign.  Returns ``(x, W, Y, t^-g, positive_before)`` per root.
+    """
+    smp = traj._samples
+    vals = fn(smp.x, smp.big_w, smp.y)
+    if coeff_sum is None:
+        idx = np.arange(len(vals))
+    else:
+        idx = np.flatnonzero(np.abs(vals) > _error_guard(traj, smp.big_w, smp.y, coeff_sum,
+                                                         smp.scale))
+    a, b = idx[:-1], idx[1:]
+    pick = (vals[a] * vals[b] < 0.0) & (smp.x[b] > x_min)
+    rows, theta, xs = smp.row, smp.theta, smp.x
+    out = []
+    for i, j in zip(a[pick].tolist(), b[pick].tolist()):
+        lo, hi = i, j
+        for k in range(i + 1, j + 1):
+            if rows[k] != rows[k - 1]:  # sample k starts a row, where the row of lo ends
+                if vals[lo] * vals[k] <= 0.0:
+                    hi = k
+                    break
+                lo = k
+        row = int(rows[lo])
+        t_hi = float(theta[hi]) if rows[hi] == row else traj._row_end(row)
+        point = _illinois(traj, fn, row, float(theta[lo]), t_hi, float(xs[lo]), float(xs[hi]),
+                          float(vals[lo]), float(vals[hi]))
+        if point[0] > x_min:
+            out.append((*point, bool(vals[i] > 0.0)))
+    return out
 
 
 def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
@@ -245,28 +306,20 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
 
 def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
     """All guarded sign changes of the monitor on the trajectory range,
-    refined by bisection on the dense output.
+    refined on the dense output.
 
     Directions alternate along the returned (time-ordered) sequence.
     """
     spec = class_spec(traj.params, traj.problem)
-    grid = _scan_grid(traj, traj.t_start, traj.t_end)
-    w, wp = traj.eval_many(grid)
-    m = _monitor(spec, grid, w, wp)
     # the magnitudes of the monitor's coefficients on w and t w'
     coeff_sum = 1.0 if spec.E is None else spec.k + abs(spec.E)
-    guards = _error_guard(traj, w, grid * wp, coeff_sum)
-
-    def m_at(t: float) -> float:
-        wt, wpt = traj.eval(t)
-        return _monitor(spec, t, wt, wpt)
-
     out: list[TurningPoint] = []
-    for i, j in _guarded_sign_changes(m, guards):
-        t_star = _ivp._bisect(m_at, float(grid[i]), float(grid[j]), float(m[i]), ROOT_RTOL)
-        wt, _ = traj.eval(t_star)
-        lam, u0 = curve_values(traj.problem, traj.params, t_star, wt)
-        direction = "right-to-left" if m[i] > 0.0 else "left-to-right"
+    # M t^-g = k W + E Y (gelfand: k + Y)
+    for x, big_w, _, scale, positive in _roots(
+            traj, lambda x, big_w, y: _monitor(spec, 1.0, big_w, y), coeff_sum):
+        t_star = math.exp(x)
+        lam, u0 = curve_values(traj.problem, traj.params, t_star, big_w / scale)
+        direction = "right-to-left" if positive else "left-to-right"
         out.append(TurningPoint(t_star=t_star, lambda_star=lam, u0_star=u0,
                                 direction=direction))
     return out
@@ -287,47 +340,38 @@ def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
         t_min = 10.0 * traj.t_start
     if not t_min > traj.t_start:
         raise ValueError(f"t_min must exceed t_start = {traj.t_start!r}")
-    grid = _scan_grid(traj, t_min, traj.t_end)
-    w, wp = traj.eval_many(grid)
-    w0, w0p = guiding_eval(cf, grid)
-    p_vals = w - w0
-    guards = _error_guard(traj, w, grid * wp, 1.0)
+    # the guiding solution in the log-phase units: W0 = coeff, Y0 = g coeff
+    # (gelfand: W0 = ln coeff - beta x, Y0 = -beta)
+    big_w0, y0 = guiding_eval(cf, 1.0)
+    slope = -cf.beta if cf.spec.E is None else 0.0
 
-    def p_at(t: float) -> float:
-        wt, _ = traj.eval(t)
-        return wt - guiding_eval(cf, t)[0]
+    def gap(x, big_w, y):  # P t^-g
+        return big_w - (big_w0 + slope * x)
 
-    def dp_at(t: float) -> float:
-        _, wpt = traj.eval(t)
-        return wpt - guiding_eval(cf, t)[1]
-
-    times: list[float] = []
-    for i, j in _guarded_sign_changes(p_vals, guards):
-        times.append(_ivp._bisect(p_at, float(grid[i]), float(grid[j]), float(p_vals[i]),
-                                    ROOT_RTOL))
-
+    crossings = [x for x, *_ in _roots(traj, gap, 1.0, math.log(t_min))]
+    # the extrema: roots of P' t^(1-g) = Y - Y0, unguarded, between the crossings
+    extrema = (_roots(traj, lambda x, big_w, y: y - y0, None, crossings[0])
+               if len(crossings) > 1 else [])
+    ext_x = [x for x, *_ in extrema]
+    smp = traj._samples
     extrema_times: list[float] = []
     extrema_abs: list[float] = []
-    dp_vals = wp - w0p
-    for a, b in zip(times[:-1], times[1:]):
-        inside = (grid > a) & (grid < b)
-        cand: list[float] = []
-        sub = np.flatnonzero(inside)
-        for k in range(len(sub) - 1):
-            i, j = sub[k], sub[k + 1]
-            if dp_vals[i] * dp_vals[j] < 0.0:
-                cand.append(_ivp._bisect(dp_at, float(grid[i]), float(grid[j]),
-                                          float(dp_vals[i]), ROOT_RTOL))
-        if not cand and np.any(inside):
+    for xa, xb in zip(crossings[:-1], crossings[1:]):
+        lo, hi = bisect_right(ext_x, xa), bisect_left(ext_x, xb)
+        cand = [(abs(gap(x, big_w, y)) / scale, x) for x, big_w, y, scale, _ in extrema[lo:hi]]
+        if not cand:
             # fall back to the largest sampled deviation
-            k = np.argmax(np.abs(p_vals[inside]))
-            cand = [float(grid[inside][k])]
+            lo, hi = np.searchsorted(smp.x, xa, "right"), np.searchsorted(smp.x, xb, "left")
+            if hi > lo:
+                dev = np.abs(gap(smp.x[lo:hi], smp.big_w[lo:hi], smp.y[lo:hi])) / smp.scale[lo:hi]
+                k = int(np.argmax(dev))
+                cand = [(float(dev[k]), float(smp.x[lo + k]))]
         if cand:
-            best = max(cand, key=lambda t: abs(p_at(t)))
-            extrema_times.append(best)
-            extrema_abs.append(abs(p_at(best)))
+            dev, x = max(cand)
+            extrema_times.append(math.exp(x))
+            extrema_abs.append(dev)
     return IntersectionRecord(
-        times=tuple(times),
+        times=tuple(math.exp(x) for x in crossings),
         extrema_times=tuple(extrema_times),
         extrema_abs=tuple(extrema_abs),
     )

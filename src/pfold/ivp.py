@@ -75,6 +75,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -177,6 +179,10 @@ def _phi_inv(s: float, p: float) -> float:
     return math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s != 0.0 else 0.0
 
 
+def _phi_inv_many(s: np.ndarray, p: float) -> np.ndarray:
+    return np.sign(s) * np.abs(s) ** (1.0 / (p - 1.0))
+
+
 def _log_phase(params: Params, problem: ProblemClass):
     """Right-hand side ``(W, Z)' = rhs(s, W, Z)`` of the log phase, the
     exponents ``(g, c)`` of ``W = w t^-g``, ``Z = v t^c``, and its step cap.
@@ -274,6 +280,14 @@ class _Series:
         """``(w, v)`` at ``t``: a float or an array of times."""
         tau = t**self.sigma
         return self.w_center + tau * _horner(self.u, tau), t**self.m * _horner(self.v, tau)
+
+    def slope_form(self, tau):
+        """``(w, V)`` at ``tau``, a float or an array: ``t w' = tau phiinv(V)``,
+        since ``t^(alpha+p) = tau^(p-1)``."""
+        if np.ndim(tau):  # one table of powers serves both series
+            powers = np.power.outer(tau, np.arange(len(self.u)))
+            return self.w_center + tau * (powers @ self.u), powers @ self.v
+        return self.w_center + tau * _horner(self.u, tau), _horner(self.v, tau)
 
     def reach(self) -> float:
         """Largest ``t`` at which the last three terms of ``U`` and of ``V``
@@ -473,13 +487,28 @@ def _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol) -> float:
 
 
 def _interp(step, x: float) -> tuple[float, float]:
-    """Dense ``(w, v)`` of one step at ``x``, with ``s = (x - x0)/h``:
+    """Dense ``(w, v)`` of one step at ``x``."""
+    return _dense(step, (x - step[0]) / step[1])
+
+
+def _dense(step, s: float) -> tuple[float, float]:
+    """Dense ``(w, v)`` of one step at the fraction ``s = (x - x0)/h`` of it:
     ``y0 + s (F0 + (1-s) (F1 + s (F2 + (1-s) (F3 + ...))))``."""
-    x0, h, w0, v0, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = step
-    s = (x - x0) / h
+    _, _, w0, v0, a0, b0, a1, b1, a2, b2, a3, b3, a4, b4, a5, b5, a6, b6 = step
     u = 1.0 - s
     return (w0 + s * (a0 + u * (a1 + s * (a2 + u * (a3 + s * (a4 + u * (a5 + s * a6)))))),
             v0 + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6)))))))
+
+
+def _dense_weights(s: np.ndarray) -> np.ndarray:
+    """The matrix that takes the 16 floats ``(y0, F0, ..., F6)`` of a dense
+    row to its ``(w, v)`` at the fractions ``s``, as :func:`_dense` does:
+    the weights of ``y0, F0, ..., F6`` are ``1, s, s u, s^2 u, s^2 u^2, ...,
+    s^4 u^3`` with ``u = 1 - s``."""
+    basis = np.ones((len(s), 8))
+    for i in range(1, 8):
+        basis[:, i] = basis[:, i - 1] * (s if i % 2 else 1.0 - s)
+    return np.kron(basis.T, np.eye(2))
 
 
 def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
@@ -684,6 +713,29 @@ def integrate(params: Params, problem: ProblemClass,
     return traj
 
 
+#: Samples per dense row in :attr:`Trajectory._samples`, at equal fractions
+#: of its step, and samples of the series segment, equally spaced in ``tau``.
+ROW_SAMPLES = 8
+SERIES_SAMPLES = 16
+_ROW_FRACTIONS = np.arange(ROW_SAMPLES + 1) / ROW_SAMPLES
+_ROW_WEIGHTS = _dense_weights(_ROW_FRACTIONS)
+
+
+class _Samples(NamedTuple):
+    """Dense samples of a trajectory, in time order, in the log-phase
+    variables: sample ``i`` lies on dense row ``row[i]`` at its parameter
+    ``theta[i]`` (row -1 is the series segment, parametrised by
+    ``tau = t^sigma``; a step by the fraction of it), at ``x = ln t``, where
+    ``big_w = w t^-g``, ``y = t w' t^-g = phiinv(Z)`` and ``scale = t^-g``."""
+
+    row: np.ndarray
+    theta: np.ndarray
+    x: np.ndarray
+    big_w: np.ndarray
+    y: np.ndarray
+    scale: np.ndarray
+
+
 @dataclass
 class Trajectory:
     """Dense numerical solution of a generating IVP on ``[t_start, t_end]``.
@@ -701,6 +753,8 @@ class Trajectory:
     two floats for each ``y0, F0..F6``, for scalar lookups and ``_table``
     the same rows as an ``(m, 18)`` array.  The rows interpolate the scaled
     ``(W, Z) = (w t^-g, v t^-e)`` with ``_log_exps = (g, e)``.
+    :attr:`_samples` reads all of them at once, and :meth:`_row_point` one
+    row at one parameter, for the event location of :mod:`pfold.curve`.
     """
 
     problem: ProblemClass
@@ -759,6 +813,60 @@ class Trajectory:
     def zero_time(self) -> float | None:
         return self.t_end if self.termination == "zero" else None
 
+    @cached_property
+    def _samples(self) -> _Samples:
+        """Each dense row at ``ROW_SAMPLES`` equal fractions of its step, the
+        series segment at ``SERIES_SAMPLES`` points equally spaced in ``tau``,
+        and the end of the trajectory; computed on first use."""
+        p, g = self.params.p, self._log_exps[0]
+        table, ser = self._table, self._series
+        m = len(table)
+        parts = []
+        if self._n_series or not m:
+            t_hi = self._series_end if m else self.t_end
+            tau = np.linspace(self.t_start**ser.sigma, t_hi**ser.sigma, SERIES_SAMPLES + 1)
+            if m:
+                tau = tau[:-1]  # the first row starts there
+            w, big_v = ser.slope_form(tau)
+            x = np.log(tau) / ser.sigma
+            scale = np.exp(-g * x)
+            parts.append((np.full(len(tau), -1), tau, x, w * scale,
+                          tau * _phi_inv_many(big_v, p) * scale, scale))
+        if m:
+            x0, h = table[:, 0], table[:, 1]
+            y = (table[:, 2:] @ _ROW_WEIGHTS).reshape(m, ROW_SAMPLES + 1, 2)
+            # the last row may reach past the end (a zero of w)
+            span = min(1.0, (math.log(self.t_end) - x0[-1]) / h[-1])
+            if span < 1.0:
+                y[-1] = (table[-1, 2:] @ _dense_weights(span * _ROW_FRACTIONS)).reshape(-1, 2)
+            # a row's end is the next row's start, except for the last row
+            y = np.concatenate((y[:, :-1].reshape(-1, 2), y[-1:, -1]))
+            index = np.arange(m * ROW_SAMPLES + 1)
+            row = np.minimum(index // ROW_SAMPLES, m - 1)
+            theta = (index - row * ROW_SAMPLES) / ROW_SAMPLES
+            theta[-ROW_SAMPLES - 1:] *= span
+            x = x0[row] + theta * h[row]
+            parts.append((row, theta, x, y[:, 0], _phi_inv_many(y[:, 1], p), np.exp(-g * x)))
+        return _Samples(*(np.concatenate(arrays) for arrays in zip(*parts)))
+
+    def _row_point(self, row: int, theta: float) -> tuple[float, float, float, float]:
+        """``(x, W, Y, t^-g)`` of :attr:`_samples` at the parameter ``theta``
+        of dense row ``row``."""
+        p, g = self.params.p, self._log_exps[0]
+        if row < 0:
+            w, big_v = self._series.slope_form(theta)
+            x = math.log(theta) / self._series.sigma
+            scale = math.exp(-g * x)
+            return x, w * scale, theta * _phi_inv(big_v, p) * scale, scale
+        step = self._steps[row]
+        big_w, z = _dense(step, theta)
+        x = step[0] + theta * step[1]
+        return x, big_w, _phi_inv(z, p), math.exp(-g * x)
+
+    def _row_end(self, row: int) -> float:
+        """The parameter at which dense row ``row`` (not the last) ends."""
+        return self._series_end**self._series.sigma if row < 0 else 1.0
+
     def eval_state(self, t: float) -> tuple[float, float]:
         """Dense ``(w, v)`` at a scalar ``t``; exact at stored nodes."""
         t = float(t)
@@ -812,8 +920,7 @@ class Trajectory:
         w[exact] = self.ws[node[exact]]
         v[exact] = self.vs[node[exact]]
         n, p = self.params.n, self.params.p
-        arg = v / ts ** (n - 1.0)
-        wp = np.sign(arg) * np.abs(arg) ** (1.0 / (p - 1.0))
+        wp = _phi_inv_many(v / ts ** (n - 1.0), p)
         wp[exact] = self.wprimes[node[exact]]
         return w, wp
 

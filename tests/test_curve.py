@@ -9,6 +9,7 @@ from scipy.optimize import brentq
 from pfold import (
     CurvePoint,
     IntegratorConfig,
+    TruncatedTrajectoryError,
     Params,
     ProblemClass,
     build_curve,
@@ -26,10 +27,11 @@ from pfold import (
     singular_profile,
     turning_points,
 )
-from pfold.curve import _error_guard
+from pfold.curve import GUARD_FACTOR, ROOT_RTOL, _error_guard, _roots
+from pfold.ivp import ROW_SAMPLES, _bisect
 from pfold.verify import RESIDUAL_SETS
 
-from conftest import GELFAND3, GELFAND10, JL454, MEMS233
+from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233
 
 G, M, J = ProblemClass.GELFAND, ProblemClass.MEMS, ProblemClass.JOSEPH_LUNDGREN
 
@@ -193,6 +195,161 @@ class TestTurningPoints:
             d = d[np.abs(d) > 1e-12 * np.abs(lam[inside][:-1])]
             assert len(d) > 0
             assert np.all(d > 0) or np.all(d < 0)
+
+
+# The fold and crossing scan that event location on the dense rows replaced,
+# kept as an oracle: a log grid of 64 points per decade plus the trajectory
+# nodes, the guard in the units of (w, t w'), and bisection through eval.
+
+def _oracle_pairs(traj, t_lo, values_at, coeff_sum):
+    decades = math.log10(traj.t_end / t_lo)
+    grid = np.geomspace(t_lo, traj.t_end, max(int(round(64 * decades)), 8) + 1)
+    grid = np.unique(np.concatenate([grid, traj.ts[traj.ts >= t_lo]]))
+    w, wp = traj.eval_many(grid)
+    vals = values_at(grid, w, wp)
+    idx = np.flatnonzero(np.abs(vals) > _error_guard(traj, w, grid * wp, coeff_sum))
+    return [(float(grid[i]), float(grid[j]), float(vals[i]))
+            for i, j in zip(idx[:-1], idx[1:]) if vals[i] * vals[j] < 0.0]
+
+
+def _oracle_turning_points(traj):
+    problem, params = traj.problem, traj.params
+    # the magnitudes of the coefficients on w and t w': 1, or alpha + p + |E|
+    coeff = 1.0
+    if problem is not G:
+        e = params.q - (params.p - 1.0) if problem is J else params.q + params.p - 1.0
+        coeff = params.alpha + params.p + abs(e)
+
+    def m_at(t, w, wp):
+        return monitor(problem, params, t, w, wp)
+
+    out = []
+    for a, b, m_a in _oracle_pairs(traj, traj.t_start, m_at, coeff):
+        t_star = _bisect(lambda t: m_at(t, *traj.eval(t)), a, b, m_a, ROOT_RTOL)
+        lam, u0 = curve_values(problem, params, t_star, traj.eval(t_star)[0])
+        out.append((t_star, lam, u0, "right-to-left" if m_a > 0.0 else "left-to-right"))
+    return out
+
+
+def _oracle_crossings(traj, t_min=None):
+    cf = closed_forms(traj.params, traj.problem)
+
+    def p_at(t, w, wp):
+        return w - guiding_eval(cf, t)[0]
+
+    return [_bisect(lambda t: p_at(t, *traj.eval(t)), a, b, p_a, ROOT_RTOL)
+            for a, b, p_a in _oracle_pairs(traj, t_min or 10.0 * traj.t_start, p_at, 1.0)]
+
+
+def _assert_folds_match_oracle(traj):
+    turns = turning_points(traj)
+    oracle = _oracle_turning_points(traj)
+    assert [tp.direction for tp in turns] == [d for *_, d in oracle]
+    for tp, (t_star, lam, u0, _) in zip(turns, oracle):
+        assert tp.t_star == pytest.approx(t_star, rel=1e-7)
+        assert tp.lambda_star == pytest.approx(lam, rel=1e-12)
+    return turns
+
+
+def _assert_crossings_match_oracle(traj, t_min=None):
+    times = intersections(traj, t_min=t_min).times
+    oracle = _oracle_crossings(traj, t_min)
+    assert len(times) == len(oracle)
+    assert times == pytest.approx(oracle, rel=1e-7)
+    return times
+
+
+class TestEventLocation:
+    """Folds and crossings located on the dense rows agree with the grid scan."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(problem=st.sampled_from([G, M, J]), p=st.floats(1.5, 4.0),
+           n_minus_p=st.floats(0.05, 12.0),
+           alpha=st.one_of(st.just(0.0), st.floats(0.0, 2.0)), uq=st.floats(0.0, 1.0),
+           t_max=st.sampled_from([1e4, 1e8]))
+    def test_folds_match_grid_scan_oracle(self, problem, p, n_minus_p, alpha, uq, t_max):
+        # the sweep ranges; identical counts and directions on 600 random
+        # cases, t* within 8.1e-9 and lambda* within 1.7e-14 (relative)
+        q = {G: None, M: 0.5 + 7.5 * uq, J: max(1.0, p - 1.0) + 0.25 + 8.0 * uq}[problem]
+        params = Params(p=p, n=p + n_minus_p, alpha=alpha, q=q)
+        _assert_folds_match_oracle(integrate(params, problem, IntegratorConfig(t_max=t_max)))
+
+    def test_crossings_match_grid_scan_oracle(self, gelfand3_traj, mems_traj, jl_traj):
+        for traj in (gelfand3_traj, mems_traj, jl_traj):
+            assert len(_assert_crossings_match_oracle(traj)) >= 4
+
+    def test_extrema_are_the_largest_deviations(self, gelfand3_traj, mems_traj, jl_traj):
+        for traj in (gelfand3_traj, mems_traj, jl_traj):
+            cf = closed_forms(traj.params, traj.problem)
+            rec = intersections(traj, cf)
+            for a, b, t_ext, dev in zip(rec.times[:-1], rec.times[1:], rec.extrema_times,
+                                        rec.extrema_abs):
+                assert a < t_ext < b
+                grid = np.geomspace(a, b, 2001)
+                sampled = np.max(np.abs(traj.eval_many(grid)[0] - guiding_eval(cf, grid)[0]))
+                assert dev == pytest.approx(sampled, rel=1e-6)
+                assert dev >= sampled * (1.0 - 1e-12)
+
+    def test_jl_zero_trajectory(self, jl_zero_traj):
+        # the last step reaches past the zero of w, where the trajectory ends
+        assert jl_zero_traj.termination == "zero"
+        assert len(_assert_folds_match_oracle(jl_zero_traj)) >= 1
+        assert len(_assert_crossings_match_oracle(jl_zero_traj)) >= 2
+
+    def test_truncated_trajectory(self):
+        with pytest.raises(TruncatedTrajectoryError) as info:
+            integrate(GELFAND3, G, IntegratorConfig(t_max=1e8, max_steps=30))
+        traj = info.value.trajectory
+        assert len(_assert_folds_match_oracle(traj)) >= 3
+        assert len(_assert_crossings_match_oracle(traj)) >= 3
+
+    def test_series_only_trajectory(self):
+        traj = integrate(JL_ZERO, J, IntegratorConfig(t_max=1.0))
+        assert [s.phase for s in traj.stats] == ["series"]
+        _assert_folds_match_oracle(traj)
+        _assert_crossings_match_oracle(traj)
+
+    def test_t_min_inside_a_step_and_the_series(self, mems_traj, jl_traj):
+        for traj in (mems_traj, jl_traj):
+            full = intersections(traj).times
+            k = int(np.searchsorted(traj.ts, full[1]))
+            # inside the step past the second crossing, and inside the series segment
+            for t_min in (math.sqrt(traj.ts[k - 1] * traj.ts[k]), 0.5 * traj.ts[1]):
+                times = _assert_crossings_match_oracle(traj, t_min)
+                assert list(times) == [t for t in full if t > t_min]
+
+    @pytest.mark.parametrize("offset", [-0.25, 0.25])
+    def test_root_next_to_a_row_boundary(self, gelfand3_traj, offset):
+        # a root between the last sample of a row and the first of the next
+        # (offset < 0), or just past the first (offset > 0), in sample spacings
+        traj = gelfand3_traj
+        k = len(traj.ts) // 2
+        x_b = math.log(traj.ts[k])
+        x_root = x_b + offset * traj._steps[k - 1 - traj._n_series][1] / ROW_SAMPLES
+        roots = _roots(traj, lambda x, big_w, y: x - x_root)
+        assert len(roots) == 1
+        x, big_w, _, _, positive = roots[0]
+        assert x == pytest.approx(x_root, abs=ROOT_RTOL) and not positive
+        assert big_w == pytest.approx(traj.eval(math.exp(x))[0], rel=1e-12)
+
+    def test_bracket_spanning_rows(self, gelfand3_traj):
+        # the guard hides every sample within 1.5 steps of the root, so its
+        # bracket spans several rows; the root is refined on the row that holds it
+        traj = gelfand3_traj
+        k = len(traj.ts) // 2
+        step = traj._steps[k - traj._n_series]
+        x_root = step[0] + 0.3 * step[1]
+        cfg = traj.config
+        width = 1.5 * step[1]
+
+        def fn(x, big_w, y):
+            return (x - x_root) * (np.abs(big_w) + np.abs(y) + 1.0 + cfg.abs_tol / cfg.rel_tol)
+
+        hidden = np.abs(traj._samples.x - x_root) < width
+        assert len(set(traj._samples.row[hidden].tolist())) >= 3
+        roots = _roots(traj, fn, width / (GUARD_FACTOR * cfg.rel_tol))
+        assert len(roots) == 1
+        assert roots[0][0] == pytest.approx(x_root, abs=ROOT_RTOL)
 
 
 class TestRealRootFolds:

@@ -512,6 +512,60 @@ class TestEval:
             gelfand3_traj.eval(2e4)
 
 
+def _truncated_traj():
+    with pytest.raises(TruncatedTrajectoryError) as info:
+        integrate(GELFAND3, G, IntegratorConfig(t_max=1e8, max_steps=30))
+    return info.value.trajectory
+
+
+# a trajectory that ends inside the series segment (t_max <= t1)
+SERIES_ONLY = (JL_ZERO, J, IntegratorConfig(t_max=1.0))
+
+
+class TestSamples:
+    """The dense samples on which pfold.curve locates folds and crossings."""
+
+    @pytest.fixture(params=["gelfand3", "mems", "jl", "jl_zero", "truncated", "series_only"])
+    def traj(self, request):
+        if request.param == "truncated":
+            return _truncated_traj()
+        if request.param == "series_only":
+            return integrate(*SERIES_ONLY)
+        return request.getfixturevalue(f"{request.param}_traj")
+
+    def test_cover_the_range_in_time_order(self, traj):
+        smp = traj._samples
+        rows = len(traj._table)
+        series = ivp.SERIES_SAMPLES + (rows == 0) if traj._n_series or not rows else 0
+        assert len(smp.x) == series + ivp.ROW_SAMPLES * rows + (rows > 0)
+        assert np.all(np.diff(smp.x) > 0.0)
+        assert np.all(np.diff(smp.row) >= 0) and np.all(smp.row[:series] == -1)
+        assert smp.x[0] == pytest.approx(math.log(traj.t_start), abs=1e-14)
+        # no sample past the end, also where the last step reaches past a zero of w
+        assert smp.x[-1] == pytest.approx(math.log(traj.t_end), abs=1e-14)
+
+    def test_values_are_the_dense_output(self, traj):
+        smp = traj._samples
+        t = np.exp(smp.x)
+        w, wp = traj.eval_many(np.clip(t, traj.t_start, traj.t_end))
+        # abs: near the zero of w (jl), w and its rounding error are both tiny
+        assert smp.big_w / smp.scale == pytest.approx(w, rel=1e-12, abs=1e-14)
+        assert smp.y / smp.scale == pytest.approx(t * wp, rel=1e-12, abs=1e-14)
+        assert smp.scale == pytest.approx(t ** -traj._log_exps[0], rel=1e-13)
+
+    def test_row_point_reproduces_the_samples(self, traj):
+        smp = traj._samples
+        for i in range(0, len(smp.x), 5):
+            point = traj._row_point(int(smp.row[i]), float(smp.theta[i]))
+            expected = (smp.x[i], smp.big_w[i], smp.y[i], smp.scale[i])
+            assert point == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+    def test_series_only_trajectory(self):
+        traj = integrate(*SERIES_ONLY)
+        assert [s.phase for s in traj.stats] == ["series"]
+        assert np.all(traj._samples.row == -1)
+
+
 class TestResidual:
     GUIDING_CASES = [
         (Params(p=2, n=3, alpha=0, q=2), M),
