@@ -24,12 +24,12 @@ convergent power series (Joseph & Lundgren 1973).  With
 
 and the coefficients of ``U`` and ``V`` follow one by one from recurrences
 (:func:`_series`).  The series covers ``[t_start, t1]``: ``t1`` is the
-largest ``t <= min(1, t_max)`` at which its last three terms stay below
-``1e-16`` of the leading ones, and for ``jl`` also lies before ``w`` falls
-to 1/2.  The trajectory keeps one node at ``t1`` for this segment, and its
-dense output evaluates the series there.  For 90% of parameter sets drawn
-over ``p`` in [1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in [0, 2]
-the series reaches ``t = 0.34`` to 2.1, and past 1 for about half.
+largest ``t <= t_max`` at which its last three terms stay below ``1e-16``
+of the leading ones, and for ``jl`` also lies before ``w`` falls to 1/2.
+The trajectory keeps one node at ``t1`` for this segment, and its dense
+output evaluates the series there.  For 90% of parameter sets drawn over
+``p`` in [1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in [0, 2] the
+series reaches ``t = 0.34`` to 2.1, and past 1 for about half.
 
 From ``t1`` on, one phase runs in ``s = ln t``, where folds accumulate
 uniformly, in the Emden-Fowler variables of Joseph & Lundgren (1973)
@@ -50,11 +50,11 @@ power of ``t``.  The fixed point's linearization has the eigenvalues
 ``r - g``, with ``r`` the characteristic roots, and the step is capped at
 ``2 / max |r - g|`` (see :func:`_log_phase`).  A ``jl`` problem with
 ``q <= p - 1`` has no such scaling and keeps ``g = 0``, with the source
-``t^(alpha+p) f(W)``.  ``W`` has the sign of ``w``.  At ``t1 < 1``,
-``(W, Z)`` can be tiny, so the absolute tolerance is applied in the units
-of ``(w, v)`` at ``t1``: ``abs_tol (t1^-g, t1^c)``.  At ``t1 = 1``,
-``(W, Z) = (w, v)``.  Nodes hold ``(w, v)``; the dense rows hold
-``(W, Z)``.  For the ``jl`` class, ``w`` may reach zero in finite time;
+``t^(alpha+p) f(W)``.  ``W`` has the sign of ``w``.  At ``t1``, ``(W, Z)``
+differs from ``(w, v)`` by powers of ``t1`` (for ``t1 < 1`` it can be
+tiny), so the absolute tolerance is applied in the units of ``(w, v)`` at
+``t1``: ``abs_tol (t1^-g, t1^c)``.  Nodes hold ``(w, v)``; the dense rows
+hold ``(W, Z)``.  For the ``jl`` class, ``w`` may reach zero in finite time;
 the crossing is located by bisection on the dense output and the
 trajectory is truncated there.
 
@@ -670,7 +670,7 @@ def integrate(params: Params, problem: ProblemClass,
         raise InvalidParamsError(
             f"t_start = {cfg.t_start!r} lies beyond the reach {reach:.6g} of the startup series"
         )
-    t1 = min(reach, 1.0, cfg.t_max)
+    t1 = min(reach, cfg.t_max)
     if watch_zero and t1 > cfg.t_start and series.state(t1)[0] < _JL_SERIES_FLOOR:
         t1 = _bisect(lambda t: series.state(t)[0] - _JL_SERIES_FLOOR, cfg.t_start, t1,
                      series.state(cfg.t_start)[0] - _JL_SERIES_FLOOR, 1e-12)

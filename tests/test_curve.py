@@ -304,10 +304,11 @@ class TestEventLocation:
         assert len(_assert_crossings_match_oracle(traj)) >= 3
 
     def test_series_only_trajectory(self):
-        traj = integrate(JL_ZERO, J, IntegratorConfig(t_max=1.0))
+        # the series reaches t = 1.68, past the first crossing at 1.596
+        traj = integrate(JL_ZERO, J, IntegratorConfig(t_max=1.65))
         assert [s.phase for s in traj.stats] == ["series"]
-        _assert_folds_match_oracle(traj)
-        _assert_crossings_match_oracle(traj)
+        assert _assert_folds_match_oracle(traj) == []
+        assert len(_assert_crossings_match_oracle(traj)) == 1
 
     def test_t_min_inside_a_step_and_the_series(self, mems_traj, jl_traj):
         for traj in (mems_traj, jl_traj):
