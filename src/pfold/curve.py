@@ -353,19 +353,11 @@ def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     extrema = (_roots(traj, lambda x, big_w, y: y - y0, None, crossings[0])
                if len(crossings) > 1 else [])
     ext_x = [x for x, *_ in extrema]
-    smp = traj._samples
     extrema_times: list[float] = []
     extrema_abs: list[float] = []
     for xa, xb in zip(crossings[:-1], crossings[1:]):
         lo, hi = bisect_right(ext_x, xa), bisect_left(ext_x, xb)
         cand = [(abs(gap(x, big_w, y)) / scale, x) for x, big_w, y, scale, _ in extrema[lo:hi]]
-        if not cand:
-            # fall back to the largest sampled deviation
-            lo, hi = np.searchsorted(smp.x, xa, "right"), np.searchsorted(smp.x, xb, "left")
-            if hi > lo:
-                dev = np.abs(gap(smp.x[lo:hi], smp.big_w[lo:hi], smp.y[lo:hi])) / smp.scale[lo:hi]
-                k = int(np.argmax(dev))
-                cand = [(float(dev[k]), float(smp.x[lo + k]))]
         if cand:
             dev, x = max(cand)
             extrema_times.append(math.exp(x))
