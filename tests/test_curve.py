@@ -319,14 +319,17 @@ class TestEventLocation:
                 times = _assert_crossings_match_oracle(traj, t_min)
                 assert list(times) == [t for t in full if t > t_min]
 
+    @pytest.mark.parametrize("row", [0, 15])
     @pytest.mark.parametrize("offset", [-0.25, 0.25])
-    def test_root_next_to_a_row_boundary(self, gelfand3_traj, offset):
-        # a root between the last sample of a row and the first of the next
-        # (offset < 0), or just past the first (offset > 0), in sample spacings
+    def test_root_next_to_a_row_boundary(self, gelfand3_traj, row, offset):
+        # a root between the last sample of a row (row 0: of the series) and
+        # the first of the next (offset < 0), or just past that first sample
+        # (offset > 0), as a fraction of the sample spacing
         traj = gelfand3_traj
-        k = len(traj.ts) // 2
-        x_b = math.log(traj.ts[k])
-        x_root = x_b + offset * traj._steps[k - 1 - traj._n_series][1] / ROW_SAMPLES
+        smp = traj._samples
+        b = int(np.flatnonzero(smp.row == row)[0])
+        x_b = smp.x[b]
+        x_root = x_b + offset * (smp.x[b + 1] - x_b if offset > 0 else x_b - smp.x[b - 1])
         roots = _roots(traj, lambda x, big_w, y: x - x_root)
         assert len(roots) == 1
         x, big_w, _, _, positive = roots[0]
