@@ -9,9 +9,9 @@ from scipy.optimize import brentq
 from pfold import (
     CurvePoint,
     IntegratorConfig,
-    TruncatedTrajectoryError,
     Params,
     ProblemClass,
+    TruncatedTrajectoryError,
     build_curve,
     check_conditions,
     check_interlacing,
@@ -28,7 +28,7 @@ from pfold import (
     turning_points,
 )
 from pfold.curve import GUARD_FACTOR, ROOT_RTOL, _error_guard, _roots
-from pfold.ivp import ROW_SAMPLES, _bisect
+from pfold.ivp import _bisect
 from pfold.verify import RESIDUAL_SETS
 
 from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233
