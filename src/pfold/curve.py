@@ -402,16 +402,22 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
     * ``mems``:    ``u(r) = 1 - w(t r)/w(t)``,
     * ``jl``:      ``u(r) = w(t r)/w(t) - 1``.
 
-    ``u(1) = 0`` exactly and ``u`` decreases in ``r``.
+    ``u(1) = 0`` exactly and ``u`` decreases in ``r``.  A power source needs
+    ``w(t)`` above the floor of :func:`build_curve`, ``10 abs_tol``.
     """
     r = np.asarray(r_grid, dtype=float)
     if np.any(r <= 0.0) or np.any(r > 1.0):
         raise ValueError("r_grid must lie in (0, 1]")
     if t * r.max() > traj.t_end * (1.0 + 1e-12) or t * r.min() < traj.t_start * (1.0 - 1e-12):
         raise ValueError("t * r_grid leaves the trajectory range")
-    w_r, _ = traj.eval_many(np.minimum(t * r, traj.t_end))
-    w_t, _ = traj.eval(min(t, traj.t_end))
-    return r, _u(class_spec(traj.params, traj.problem), w_r, w_t)
+    # w(t r) and w(t) in one read, so that r = 1 gives u = 0 exactly
+    w, _ = traj.eval_many(np.minimum(t * np.append(r, 1.0), traj.t_end))
+    spec = class_spec(traj.params, traj.problem)
+    if spec.E is not None and not w[-1] > 10.0 * traj.config.abs_tol:
+        zero = f"; w reaches zero at t = {traj.zero_time!r}" if traj.zero_time else ""
+        raise ValueError(f"profile needs w(t) > {10.0 * traj.config.abs_tol:g}, got "
+                         f"w = {w[-1]:.3g} at t = {t!r}{zero}")
+    return r, _u(spec, w[:-1], w[-1])
 
 
 @dataclass(frozen=True)

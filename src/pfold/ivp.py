@@ -66,8 +66,8 @@ It steps the two-component state in plain floats.  The step-size
 controller uses the initial step rule of Section II.4, a safety factor of
 0.9, step factors clamped to [0.2, 10], the error exponent -1/8, DOP853's
 combined err5/err3 error norm and a minimum step of 10 ulp.  The dense
-output of all steps is kept as one table of interpolation rows, so a
-vector of times is evaluated with one lookup and one polynomial pass.
+output of all steps is kept as one table of interpolation rows, which every
+reader of :class:`Trajectory` reads in the units ``(W, Y = t w' t^-g)``.
 """
 
 from __future__ import annotations
@@ -276,15 +276,15 @@ class _Series:
     u: tuple
     v: tuple
 
-    def state(self, t):
-        """``(w, v)`` at ``t``: a float or an array of times."""
-        tau = t**self.sigma
-        return self.w_center + tau * _horner(self.u, tau), t**self.m * _horner(self.v, tau)
+    def state(self, t: float) -> tuple[float, float]:
+        """``(w, v)`` at a scalar ``t``."""
+        w, big_v = self.slope_form(t**self.sigma)
+        return w, t**self.m * big_v
 
     def slope_form(self, tau):
         """``(w, V)`` at ``tau``, a float or an array: ``t w' = tau phiinv(V)``,
         since ``t^(alpha+p) = tau^(p-1)``."""
-        if np.ndim(tau):  # one table of powers serves both series
+        if isinstance(tau, np.ndarray):  # one table of powers serves both series
             powers = np.power.outer(tau, np.arange(len(self.u)))
             return self.w_center + tau * (powers @ self.u), powers @ self.v
         return self.w_center + tau * _horner(self.u, tau), _horner(self.v, tau)
@@ -486,11 +486,6 @@ def _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol) -> float:
     return min(100.0 * h0, h1, interval, max_step)
 
 
-def _interp(step, x: float) -> tuple[float, float]:
-    """Dense ``(w, v)`` of one step at ``x``."""
-    return _dense(step, (x - step[0]) / step[1])
-
-
 def _dense(step, s: float) -> tuple[float, float]:
     """Dense ``(w, v)`` of one step at the fraction ``s = (x - x0)/h`` of it:
     ``y0 + s (F0 + (1-s) (F1 + s (F2 + (1-s) (F3 + ...))))``."""
@@ -500,15 +495,13 @@ def _dense(step, s: float) -> tuple[float, float]:
             v0 + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6)))))))
 
 
-def _dense_weights(s: np.ndarray) -> np.ndarray:
-    """The matrix that takes the 16 floats ``(y0, F0, ..., F6)`` of a dense
-    row to its ``(w, v)`` at the fractions ``s``, as :func:`_dense` does:
-    the weights of ``y0, F0, ..., F6`` are ``1, s, s u, s^2 u, s^2 u^2, ...,
-    s^4 u^3`` with ``u = 1 - s``."""
-    basis = np.ones((len(s), 8))
+def _dense_basis(s: np.ndarray) -> np.ndarray:
+    """The ``(len(s), 8)`` weights ``1, s, s u, s^2 u, ..., s^4 u^3`` (``u = 1 - s``)
+    of ``y0, F0, ..., F6`` in :func:`_dense` at the fractions ``s``."""
+    basis = np.ones((8, len(s)))
     for i in range(1, 8):
-        basis[:, i] = basis[:, i - 1] * (s if i % 2 else 1.0 - s)
-    return np.kron(basis.T, np.eye(2))
+        np.multiply(basis[i - 1], s if i % 2 else 1.0 - s, out=basis[i])
+    return basis.T
 
 
 def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
@@ -615,9 +608,9 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
                 step += (h * dw, h * dv)
             steps.append(step)
             if watch_zero and w > 0.0 and w_new <= 0.0:
-                x_zero = _bisect(lambda xx: _interp(step, xx)[0], x, x_new, w)
+                x_zero = _bisect(lambda xx: _dense(step, (xx - x) / h)[0], x, x_new, w)
                 xs.append(x_zero)
-                states.append(_interp(step, x_zero))
+                states.append(_dense(step, (x_zero - x) / h))
                 status = "zero"
                 break
         x, w, v, fw, fv = x_new, w_new, v_new, fw_new, fv_new
@@ -705,7 +698,7 @@ def integrate(params: Params, problem: ProblemClass,
         steps = run.steps
 
     traj = Trajectory._build(problem, params, cfg, t_nodes, states, series, n_series,
-                             steps, (g, -c), termination, tuple(stats))
+                             steps, g, termination, tuple(stats))
     if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
@@ -718,15 +711,14 @@ def integrate(params: Params, problem: ProblemClass,
 ROW_SAMPLES = 8
 SERIES_SAMPLES = 16
 _ROW_FRACTIONS = np.arange(ROW_SAMPLES + 1) / ROW_SAMPLES
-_ROW_WEIGHTS = _dense_weights(_ROW_FRACTIONS)
+_ROW_BASIS = _dense_basis(_ROW_FRACTIONS)
 
 
 class _Samples(NamedTuple):
-    """Dense samples of a trajectory, in time order, in the log-phase
-    variables: sample ``i`` lies on dense row ``row[i]`` at its parameter
-    ``theta[i]`` (row -1 is the series segment, parametrised by
-    ``tau = t^sigma``; a step by the fraction of it), at ``x = ln t``, where
-    ``big_w = w t^-g``, ``y = t w' t^-g = phiinv(Z)`` and ``scale = t^-g``."""
+    """Dense output in the log-phase variables: point ``i`` lies on dense row
+    ``row[i]`` at its parameter ``theta[i]`` (see :class:`Trajectory`), at
+    ``x = ln t``, where ``big_w = w t^-g``, ``y = t w' t^-g = phiinv(Z)``
+    and ``scale = t^-g``."""
 
     row: np.ndarray
     theta: np.ndarray
@@ -746,16 +738,14 @@ class Trajectory:
     for partial data carried by :class:`TruncatedTrajectoryError`.
     ``stats`` holds the work of each integration phase, in order.
 
-    Dense output: below ``_series_end`` (node ``_n_series``, or everywhere
-    when no step was taken) the startup series ``_series`` is evaluated.
-    Above it, step ``k`` runs in ``x = ln t`` from node ``k + _n_series``;
-    ``_steps`` holds its interpolation row ``(x0, h, y0, F0, ..., F6)``,
-    two floats for each ``y0, F0..F6``, for scalar lookups and ``_table``
-    the same rows as an ``(m, 18)`` array.  The rows interpolate the scaled
-    ``(W, Z) = (w t^-g, v t^-e)`` with ``_log_exps = (g, e)``.
-    :attr:`_samples` reads all of them at once, and :meth:`_row_point` one
-    row at one parameter, for the event location of :mod:`pfold.curve`.
-    """
+    Dense output is read on a row at a parameter ``theta``: row -1 is the
+    series ``_series`` at ``theta = tau``, below ``_series_end`` (node
+    ``_n_series``; everywhere without steps), and row ``k`` step ``k`` from
+    node ``k + _n_series``, at the fraction ``theta`` of it in ``x = ln t``.
+    ``_steps`` holds its ``(x0, h, y0, F0, ..., F6)`` of ``(W, Z) = (w t^-g,
+    v t^c)``, two floats each, and ``_table`` the same as an ``(m, 18)``
+    array.  :meth:`_row_point` (one point) and :meth:`_read` (arrays) give
+    ``(x, W, Y = t w' t^-g, t^-g)``."""
 
     problem: ProblemClass
     params: Params
@@ -767,16 +757,15 @@ class Trajectory:
     termination: str
     stats: tuple[PhaseStats, ...]
     _t_list: list = field(repr=False)
-    _states: list = field(repr=False)
     _series: _Series = field(repr=False)
     _n_series: int = field(repr=False)
     _series_end: float = field(repr=False)
     _steps: list = field(repr=False)
     _table: np.ndarray = field(repr=False)
-    _log_exps: tuple[float, float] = field(repr=False)
+    _g: float = field(repr=False)
 
     @classmethod
-    def _build(cls, problem, params, cfg, t_nodes, states, series, n_series, steps, log_exps,
+    def _build(cls, problem, params, cfg, t_nodes, states, series, n_series, steps, g,
                termination, stats):
         p, n = params.p, params.n
         wv = np.asarray(states, dtype=float)
@@ -792,13 +781,12 @@ class Trajectory:
             termination=termination,
             stats=stats,
             _t_list=t_nodes,
-            _states=states,
             _series=series,
             _n_series=n_series,
             _series_end=t_nodes[n_series] if steps else math.inf,
             _steps=steps,
             _table=np.asarray(steps, dtype=float).reshape(len(steps), 18),
-            _log_exps=log_exps,
+            _g=g,
         )
 
     @property
@@ -818,41 +806,57 @@ class Trajectory:
         """Each dense row at ``ROW_SAMPLES`` equal fractions of its step, the
         series segment at ``SERIES_SAMPLES`` points equally spaced in ``tau``,
         and the end of the trajectory; computed on first use."""
-        p, g = self.params.p, self._log_exps[0]
         table, ser = self._table, self._series
         m = len(table)
-        parts = []
+        row, theta, wz = np.empty(0, dtype=int), np.empty(0), None
         if self._n_series or not m:
             t_hi = self._series_end if m else self.t_end
-            tau = np.linspace(self.t_start**ser.sigma, t_hi**ser.sigma, SERIES_SAMPLES + 1)
-            if m:
-                tau = tau[:-1]  # the first row starts there
-            w, big_v = ser.slope_form(tau)
-            x = np.log(tau) / ser.sigma
-            scale = np.exp(-g * x)
-            parts.append((np.full(len(tau), -1), tau, x, w * scale,
-                          tau * _phi_inv_many(big_v, p) * scale, scale))
+            theta = np.linspace(self.t_start**ser.sigma, t_hi**ser.sigma, SERIES_SAMPLES + 1)
+            theta = theta[:-1] if m else theta  # the first row starts there
+            row = np.full(len(theta), -1)
         if m:
-            x0, h = table[:, 0], table[:, 1]
-            y = (table[:, 2:] @ _ROW_WEIGHTS).reshape(m, ROW_SAMPLES + 1, 2)
+            coefs = table[:, 2:].reshape(m, 8, 2)
+            wz = _ROW_BASIS @ coefs
             # the last row may reach past the end (a zero of w)
-            span = min(1.0, (math.log(self.t_end) - x0[-1]) / h[-1])
+            span = min(1.0, (math.log(self.t_end) - table[-1, 0]) / table[-1, 1])
             if span < 1.0:
-                y[-1] = (table[-1, 2:] @ _dense_weights(span * _ROW_FRACTIONS)).reshape(-1, 2)
+                wz[-1] = _dense_basis(span * _ROW_FRACTIONS) @ coefs[-1]
             # a row's end is the next row's start, except for the last row
-            y = np.concatenate((y[:, :-1].reshape(-1, 2), y[-1:, -1]))
+            wz = np.concatenate((wz[:, :-1].reshape(-1, 2), wz[-1:, -1]))
             index = np.arange(m * ROW_SAMPLES + 1)
-            row = np.minimum(index // ROW_SAMPLES, m - 1)
-            theta = (index - row * ROW_SAMPLES) / ROW_SAMPLES
-            theta[-ROW_SAMPLES - 1:] *= span
-            x = x0[row] + theta * h[row]
-            parts.append((row, theta, x, y[:, 0], _phi_inv_many(y[:, 1], p), np.exp(-g * x)))
-        return _Samples(*(np.concatenate(arrays) for arrays in zip(*parts)))
+            steps = np.minimum(index // ROW_SAMPLES, m - 1)
+            fractions = (index - steps * ROW_SAMPLES) / ROW_SAMPLES
+            fractions[-ROW_SAMPLES - 1:] *= span
+            row, theta = np.concatenate((row, steps)), np.concatenate((theta, fractions))
+        return self._read(row, theta, wz)
+
+    def _read(self, row: np.ndarray, theta: np.ndarray, wz: np.ndarray | None = None) -> _Samples:
+        """:class:`_Samples` at the parameters ``theta`` of the rows ``row``;
+        ``wz``: the ``(W, Z)`` of the points off the series, if known."""
+        p, ser = self.params.p, self._series
+        on_series = row < 0
+        on_rows = ~on_series
+        tau, s, k = theta[on_series], theta[on_rows], row[on_rows]
+        x, big_w, y = np.empty((3, len(theta)))
+        x[on_series] = np.log(tau) / ser.sigma
+        x[on_rows] = self._table[:, 0][k] + s * self._table[:, 1][k]
+        scale = np.exp(-self._g * x)
+        if len(tau):
+            w, big_v = ser.slope_form(tau)
+            scale_ser = scale[on_series]
+            big_w[on_series] = w * scale_ser
+            y[on_series] = tau * _phi_inv_many(big_v, p) * scale_ser
+        if wz is None:  # y0 added last, as in _dense: within an ulp of the polynomial
+            coefs = self._table[k, 2:].reshape(-1, 8, 2)
+            wz = coefs[:, 0] + np.einsum("ik,ikj->ij", _dense_basis(s)[:, 1:], coefs[:, 1:])
+        big_w[on_rows] = wz[:, 0]
+        y[on_rows] = _phi_inv_many(wz[:, 1], p)
+        return _Samples(row, theta, x, big_w, y, scale)
 
     def _row_point(self, row: int, theta: float) -> tuple[float, float, float, float]:
         """``(x, W, Y, t^-g)`` of :attr:`_samples` at the parameter ``theta``
         of dense row ``row``."""
-        p, g = self.params.p, self._log_exps[0]
+        p, g = self.params.p, self._g
         if row < 0:
             w, big_v = self._series.slope_form(theta)
             x = math.log(theta) / self._series.sigma
@@ -867,8 +871,8 @@ class Trajectory:
         """The parameter at which dense row ``row`` (not the last) ends."""
         return self._series_end**self._series.sigma if row < 0 else 1.0
 
-    def eval_state(self, t: float) -> tuple[float, float]:
-        """Dense ``(w, v)`` at a scalar ``t``; exact at stored nodes."""
+    def eval(self, t: float) -> tuple[float, float]:
+        """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes."""
         t = float(t)
         nodes = self._t_list
         lo, hi = nodes[0], nodes[-1]
@@ -876,18 +880,15 @@ class Trajectory:
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         k = bisect_left(nodes, t)
         if k < len(nodes) and nodes[k] == t:
-            return self._states[k]
+            return float(self.ws[k]), float(self.wprimes[k])
         if t < self._series_end:
-            return self._series.state(t)
-        k = min(max(k - 1 - self._n_series, 0), len(self._steps) - 1)
-        big_w, z = _interp(self._steps[k], math.log(t))
-        g, e = self._log_exps
-        return big_w * t**g, z * t**e
-
-    def eval(self, t: float) -> tuple[float, float]:
-        """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes."""
-        w, v = self.eval_state(t)
-        return w, _phi_inv(v / float(t) ** (self.params.n - 1.0), self.params.p)
+            row, theta = -1, t**self._series.sigma
+        else:
+            row = min(max(k - 1 - self._n_series, 0), len(self._steps) - 1)
+            theta = (math.log(t) - self._steps[row][0]) / self._steps[row][1]
+        _, big_w, y, _ = self._row_point(row, theta)
+        tg = t**self._g
+        return big_w * tg, y * tg / t
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized dense ``(w, w')``; exact at stored nodes."""
@@ -896,31 +897,19 @@ class Trajectory:
         if np.any(ts < lo - 1e-12 * lo) or np.any(ts > hi + 1e-12 * hi):
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)
-        w, v = np.empty_like(ts), np.empty_like(ts)
-        ser = ts < self._series_end
-        if ser.any():
-            w[ser], v[ser] = self._series.state(ts[ser])
-        if not ser.all():
-            rest = ~ser
-            td = ts[rest]
-            k = np.clip(idx[rest] - 1 - self._n_series, 0, len(self._table) - 1)
-            rows = self._table[k]
-            s = ((np.log(td) - rows[:, 0]) / rows[:, 1])[:, None]
-            u = 1.0 - s
-            f = rows[:, 4:].reshape(-1, 7, 2)
-            acc = f[:, 6]
-            for i in range(5, -1, -1):
-                acc = f[:, i] + (s if i % 2 else u) * acc
-            y = rows[:, 2:4] + s * acc
-            y *= td[:, None] ** np.asarray(self._log_exps)
-            w[rest], v[rest] = y.T
+        on_rows = ts >= self._series_end
+        row = np.where(on_rows, np.clip(idx - 1 - self._n_series, 0, len(self._table) - 1), -1)
+        theta = np.empty_like(ts)
+        theta[~on_rows] = ts[~on_rows] ** self._series.sigma
+        k = row[on_rows]
+        theta[on_rows] = (np.log(ts[on_rows]) - self._table[:, 0][k]) / self._table[:, 1][k]
+        smp = self._read(row, theta)
+        tg = ts**self._g
+        w, wp = smp.big_w * tg, smp.y * tg / ts
         # stored nodes win bitwise over the interpolant
         node = np.minimum(idx, len(self.ts) - 1)
         exact = self.ts[node] == ts
         w[exact] = self.ws[node[exact]]
-        v[exact] = self.vs[node[exact]]
-        n, p = self.params.n, self.params.p
-        wp = _phi_inv_many(v / ts ** (n - 1.0), p)
         wp[exact] = self.wprimes[node[exact]]
         return w, wp
 
@@ -953,18 +942,21 @@ def residual(params: Params, problem: ProblemClass, w, wprime, wsecond, t):
     return float(res[0]) if scalar else res
 
 
-def pohozaev(traj: Trajectory, t: float) -> float:
+def pohozaev(traj: Trajectory, t):
     """Pohozaev combination for ``jl`` trajectories:
 
-    ``P(t) = t^n [(p-1) |w'|^p + p t^alpha w^(q+1)/(q+1)] + (n-p) v w``.
+    ``P(t) = t^n [(p-1) |w'|^p + p t^alpha w^(q+1)/(q+1)] + (n-p) v w``,
 
+    with ``v = t^(n-1) phi(w')``, at a float ``t`` (a float) or an array.
     ``P(0) = 0`` and, in the supercritical regime, ``P`` is nonincreasing
     and nonpositive, which rules out zeros of ``w``.
     """
     if traj.problem is not ProblemClass.JOSEPH_LUNDGREN:
         raise ValueError(f"pohozaev applies to jl trajectories only, got {traj.problem.value}")
     p, n, alpha, q = traj.params.p, traj.params.n, traj.params.alpha, traj.params.q
-    w, v = traj.eval_state(t)
-    wp = _phi_inv(v / t ** (n - 1.0), p)
-    big_f = t**alpha * w ** (q + 1.0) / (q + 1.0)
-    return t**n * ((p - 1.0) * abs(wp) ** p + p * big_f) + (n - p) * v * w
+    ts = np.atleast_1d(np.asarray(t, dtype=float))
+    w, wp = traj.eval_many(ts)
+    phi = np.copysign(np.abs(wp) ** (p - 1.0), wp)
+    big_f = ts**alpha * w ** (q + 1.0) / (q + 1.0)
+    res = ts**n * ((p - 1.0) * wp * phi + p * big_f) + (n - p) * ts ** (n - 1.0) * phi * w
+    return float(res[0]) if np.ndim(t) == 0 else res

@@ -191,6 +191,13 @@ class TestProfile:
                        "--t", "1e9")
         assert proc.returncode == 2
 
+    def test_past_a_zero_of_w_exit_2(self, run_cli):
+        # --t 1e3 is clamped to the zero of w at t = 9.922
+        proc = run_cli("profile", "--class", "jl", "-p", "2", "-n", "5", "-q", "2")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "reaches zero at t = 9.92219843" in proc.stderr
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, run_cli, tmp_path):

@@ -452,10 +452,23 @@ class TestConvergence:
 class TestProfile:
     def test_boundary_value_exact_zero(self, gelfand3_traj, mems_traj, jl_traj):
         r = np.geomspace(0.1, 1.0, 16)
-        for traj in (gelfand3_traj, mems_traj, jl_traj):
-            _, u = profile(traj, 1e3, r)
-            assert u[-1] == 0.0
-            assert np.all(np.diff(u) < 0.0)
+        long_runs = [integrate(params, problem, IntegratorConfig(t_max=1e8))
+                     for params, problem in ((GELFAND3, G), (MEMS233, M), (JL454, J))]
+        # gelfand (3,5,1): reading w(t) apart from w(t r) gave u(1) = -3.6e-15
+        gelfand351 = integrate(Params(p=3, n=5, alpha=1), G)
+        for traj in (gelfand3_traj, mems_traj, jl_traj, gelfand351, *long_runs):
+            for t in (1e3, math.sqrt(traj.t_end), 0.5 * traj.t_end, traj.t_end):
+                _, u = profile(traj, t, r)
+                assert u[-1] == 0.0
+                assert np.all(np.diff(u) < 0.0)
+
+    def test_rejects_a_zero_of_w(self, jl_zero_traj):
+        r = np.geomspace(0.1, 1.0, 16)
+        t_zero = jl_zero_traj.zero_time
+        with pytest.raises(ValueError, match=f"reaches zero at t = {t_zero!r}"):
+            profile(jl_zero_traj, t_zero, r)
+        _, u = profile(jl_zero_traj, 0.9 * t_zero, r)
+        assert u[-1] == 0.0 and np.all(np.diff(u) < 0.0)
 
     def test_mems_profile_in_unit_interval(self, mems_traj):
         r = np.geomspace(0.01, 1.0, 64)

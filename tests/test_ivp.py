@@ -260,8 +260,9 @@ class TestIntegrate:
         for params, problem in ((GELFAND3, G), (MEMS233, M), (JL454, J)):
             a = integrate(params, problem, IntegratorConfig(t_start=1e-6, t_max=2e-6))
             b = integrate(params, problem, IntegratorConfig(t_start=2.5e-7, t_max=2e-6))
-            wa, va = a.eval_state(2e-6)
-            wb, vb = b.eval_state(2e-6)
+            # both end at their node t_max = 2e-6
+            wa, va = a.ws[-1], a.vs[-1]
+            wb, vb = b.ws[-1], b.vs[-1]
             assert abs(wa - wb) <= 1e-6 * max(abs(wa), abs(wb))
             assert abs(va - vb) <= 1e-6 * max(abs(va), abs(vb))
 
@@ -552,7 +553,7 @@ class TestSamples:
         # abs: near the zero of w (jl), w and its rounding error are both tiny
         assert smp.big_w / smp.scale == pytest.approx(w, rel=1e-12, abs=1e-14)
         assert smp.y / smp.scale == pytest.approx(t * wp, rel=1e-12, abs=1e-14)
-        assert smp.scale == pytest.approx(t ** -traj._log_exps[0], rel=1e-13)
+        assert smp.scale == pytest.approx(t ** -traj._g, rel=1e-13)
 
     def test_row_point_reproduces_the_samples(self, traj):
         smp = traj._samples
@@ -560,6 +561,22 @@ class TestSamples:
             point = traj._row_point(int(smp.row[i]), float(smp.theta[i]))
             expected = (smp.x[i], smp.big_w[i], smp.y[i], smp.scale[i])
             assert point == pytest.approx(expected, rel=1e-13, abs=1e-14)
+
+    def test_eval_matches_eval_many(self, traj):
+        # the scalar and the vector reader of the same rows: random times, the
+        # nodes (the row boundaries) and their neighbouring floats
+        rng = np.random.default_rng(5)
+        lo, hi = traj.t_start, traj.t_end
+        ts = np.concatenate((np.exp(rng.uniform(math.log(lo), math.log(hi), 200)),
+                             np.nextafter(traj.ts[1:], 0.0), np.nextafter(traj.ts[:-1], np.inf)))
+        w, wp = traj.eval_many(ts)
+        scalar = np.array([traj.eval(t) for t in ts.tolist()])
+        scale = np.abs(w) + np.abs(ts * wp)
+        assert np.all(np.abs(scalar[:, 0] - w) <= 1e-13 * scale)
+        assert np.all(np.abs(ts * (scalar[:, 1] - wp)) <= 1e-13 * scale)
+        w_nodes, wp_nodes = traj.eval_many(traj.ts)
+        assert np.array_equal(w_nodes, traj.ws) and np.array_equal(wp_nodes, traj.wprimes)
+        assert [traj.eval(t) for t in traj.ts.tolist()] == list(zip(traj.ws, traj.wprimes))
 
     def test_series_only_trajectory(self):
         traj = integrate(*SERIES_ONLY)
@@ -654,6 +671,17 @@ class TestPohozaev:
         assert np.all(vals < 0.0)
         assert np.all(np.diff(vals) <= 1e-9 * (1.0 + np.abs(vals[:-1])))
 
+    def test_array_equals_the_floats(self, jl_traj, jl_zero_traj):
+        for traj in (jl_traj, jl_zero_traj):
+            grid = np.geomspace(traj.t_start, traj.t_end, 57)
+            vals = pohozaev(traj, grid)
+            assert vals.shape == grid.shape
+            # equal up to rounding: the series' matrix product may round one
+            # point differently from many (seen: 2.3e-15 relative on jl_zero)
+            assert vals == pytest.approx([pohozaev(traj, t) for t in grid.tolist()],
+                                         rel=1e-14, abs=0.0)
+            assert type(pohozaev(traj, 1.0)) is float
+
     def test_derivative_matches_closed_form(self, jl_traj):
         p, n, alpha, q = 2.0, 4.0, 0.0, 5.0
         t, h = 1.0, 3e-4
@@ -675,8 +703,11 @@ class TestFluxIdentity:
     def test_quadrature_cross_check(self, gelfand3_traj, mems_traj, jl_traj):
         rng = np.random.default_rng(3)
         for traj in (gelfand3_traj, mems_traj, jl_traj):
-            n, alpha, q = traj.params.n, traj.params.alpha, traj.params.q
+            p, n, alpha, q = traj.params.p, traj.params.n, traj.params.alpha, traj.params.q
             sgn = 1.0 if traj.problem is M else -1.0
+
+            def flux(wp):  # phi(w') = w' |w'|^(p-2)
+                return math.copysign(abs(wp) ** (p - 1.0), wp)
 
             def source(w):
                 if traj.problem is G:
@@ -692,8 +723,7 @@ class TestFluxIdentity:
                     lambda s: s ** (n + alpha - 1.0) * source(traj.eval(s)[0]),
                     lo, hi, epsabs=1e-13, epsrel=1e-11, limit=200,
                 )
-                _, va = traj.eval_state(lo)
-                _, vb = traj.eval_state(hi)
+                va, vb = (s ** (n - 1.0) * flux(traj.eval(s)[1]) for s in (lo, hi))
                 lhs = vb - va
                 rhs = sgn * integral
                 scale = abs(va) + abs(vb) + abs(integral) + 1e-12
