@@ -288,10 +288,7 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
         keep = w > 10.0 * traj.config.abs_tol
     lam, u0 = _curve_values(spec, grid[keep], w[keep])
     mon = _monitor(spec, grid[keep], w[keep], wp[keep])
-    points = tuple(
-        CurvePoint(t=float(t), lam=float(lv), u0=float(u), monitor=float(m))
-        for t, lv, u, m in zip(grid[keep], lam, u0, mon)
-    )
+    points = tuple(map(CurvePoint, grid[keep].tolist(), lam.tolist(), u0.tolist(), mon.tolist()))
     if not points:
         raise ValueError("no curve points with positive w in range")
     return SolutionCurve(
@@ -518,9 +515,11 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
     u_start = u0 - kappa * r_start**sigma
     v_start = -g0 * r_start ** (n + alpha) / (n + alpha)
 
+    phi_exp = 1.0 / (p - 1.0)
+
     def rhs(r, u, v):
         return (
-            _ivp._phi_inv(v / r ** (n - 1.0), p),
+            _ivp._phi_inv(v / r ** (n - 1.0), phi_exp),
             -lam * r ** (n + alpha - 1.0) * f(w_c - sgn * u),
         )
 

@@ -68,6 +68,13 @@ controller uses the initial step rule of Section II.4, a safety factor of
 combined err5/err3 error norm and a minimum step of 10 ulp.  The dense
 output of all steps is kept as one table of interpolation rows, which every
 reader of :class:`Trajectory` reads in the units ``(W, Y = t w' t^-g)``.
+
+The stage arithmetic is generated once, at import, from the coefficient
+tables (:func:`_straight_line`): a loop over the tables' ``(j, a_j)`` pairs
+spent most of a step in the interpreter's loop machinery, and straight-line
+code does only the arithmetic.  Each sum keeps the order of its table and
+starts from ``0.0``, as the loop added it up, so the rounding, and with it
+every step and every result, stays that of the loop.
 """
 
 from __future__ import annotations
@@ -175,12 +182,13 @@ class PhaseStats:
     nfev: int
 
 
-def _phi_inv(s: float, p: float) -> float:
-    return math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s != 0.0 else 0.0
+def _phi_inv(s: float, r: float) -> float:
+    """``phiinv(s) = sign(s) |s|^r``, with ``r = 1/(p-1)`` computed by the caller."""
+    return math.copysign(abs(s) ** r, s) if s != 0.0 else 0.0
 
 
-def _phi_inv_many(s: np.ndarray, p: float) -> np.ndarray:
-    return np.sign(s) * np.abs(s) ** (1.0 / (p - 1.0))
+def _phi_inv_many(s: np.ndarray, r: float) -> np.ndarray:
+    return np.sign(s) * np.abs(s) ** r
 
 
 def _log_phase(params: Params, problem: ProblemClass):
@@ -195,6 +203,7 @@ def _log_phase(params: Params, problem: ProblemClass):
     ``2 / max |r - g|`` keeps each step well inside the stability region.
     """
     p, n = params.p, params.n
+    phi_exp = 1.0 / (p - 1.0)
     spec = class_spec(params, problem)
     f, sgn, k, g = spec.f, spec.sgn, spec.k, spec.g
     if g is None:
@@ -202,16 +211,16 @@ def _log_phase(params: Params, problem: ProblemClass):
         c = p - n
 
         def rhs(s, big_w, z):
-            return _phi_inv(z, p), c * z + sgn * math.exp(k * s) * f(big_w)
+            return _phi_inv(z, phi_exp), c * z + sgn * math.exp(k * s) * f(big_w)
 
         return rhs, 0.0, c, math.inf
     c = p - n - g * (p - 1.0)
     if spec.E is None:
         def rhs(s, big_w, z):
-            return _phi_inv(z, p), c * z + sgn * math.exp(k * s + big_w)
+            return _phi_inv(z, phi_exp), c * z + sgn * math.exp(k * s + big_w)
     else:
         def rhs(s, big_w, z):
-            return _phi_inv(z, p) - g * big_w, c * z + sgn * f(big_w)
+            return _phi_inv(z, phi_exp) - g * big_w, c * z + sgn * f(big_w)
 
     rate = max(abs(r - g) for r in characteristic_quadratic(params, problem).roots)
     return rhs, g, c, 2.0 / rate if rate > 0.0 else math.inf
@@ -445,6 +454,53 @@ _STEP_STAGES = tuple((s, _C[s], _A[s]) for s in range(1, 12))
 _DENSE_STAGES = tuple((s, _C[s], _A[s]) for s in range(13, 16))
 
 
+def _term_sum(terms, k: str) -> str:
+    """Source of ``0.0 + a_j k_j + ...`` over the ``(j, a_j)`` of ``terms``: the
+    sum a loop over them accumulates, in the same order, rounding for rounding."""
+    return " + ".join(["0.0", *(f"{a!r} * {k}{j}" for j, a in terms)])
+
+
+def _straight_line(step_stages, weights, dense_stages, d):
+    """The stage arithmetic of a Runge-Kutta tableau as two functions without
+    loops, compiled from the tables (as :func:`collections.namedtuple` compiles
+    its class):
+
+    * ``attempt(rhs, x, h, w, v, kw0, kv0)`` evaluates the stages
+      ``step_stages`` of one step attempt from ``(x, w, v)`` with the step
+      ``h`` and the slope ``(kw0, kv0)`` there, and returns the sums
+      ``sum_j b_j k_j``, ``sum_j e5_j k_j`` and ``sum_j e3_j k_j`` of
+      ``weights`` for ``w`` and ``v``, then the stage values ``(kw0, kv0, ...)``;
+    * ``dense(rhs, x, h, w, v, ks, kw12, kv12)`` takes those stage values and
+      the slope at the end of the step, evaluates the stages ``dense_stages``
+      and returns the dense-output rows ``h sum_j d_ij k_j`` of ``d``, ``w``
+      and ``v`` of each.
+
+    Every sum keeps the order of its table and starts from ``0.0``, as a loop
+    over the table adds it up, so the results are those of the loop bit for bit.
+    """
+    def stages(rows):
+        for s, c, row in rows:
+            yield f"dw = {_term_sum(row, 'kw')}"
+            yield f"dv = {_term_sum(row, 'kv')}"
+            yield f"kw{s}, kv{s} = rhs(x + {c!r} * h, w + dw * h, v + dv * h)"
+
+    ks = ", ".join(f"kw{j}, kv{j}" for j in range(step_stages[-1][0] + 1))
+    sums = [f"{name}{y} = {_term_sum([(row[0], row[i]) for row in weights], 'k' + y)}"
+            for i, name in enumerate(("b", "e5", "e3"), 1) for y in "wv"]
+    rows = [f"h * ({_term_sum(row, 'k' + y)})" for row in d for y in "wv"]
+    attempt = ["def attempt(rhs, x, h, w, v, kw0, kv0):", *stages(step_stages), *sums,
+               f"return bw, bv, e5w, e5v, e3w, e3v, ({ks})"]
+    dense = ["def dense(rhs, x, h, w, v, ks, kw12, kv12):", f"{ks} = ks",
+             *stages(dense_stages), f"return {', '.join(rows)}"]
+    source = "\n".join("\n    ".join(lines) for lines in (attempt, dense))
+    namespace: dict = {}
+    exec(compile(source, "<DOP853 stages>", "exec"), namespace)
+    return namespace["attempt"], namespace["dense"]
+
+
+_attempt, _dense_rows = _straight_line(_STEP_STAGES, _WEIGHTS, _DENSE_STAGES, _D)
+
+
 @dataclass
 class _Run:
     """Result of one :func:`_dop853` run.
@@ -519,8 +575,6 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
     xs = [x]
     states = [(w, v)]
     steps: list = []
-    kw = [0.0] * 16
-    kv = [0.0] * 16
     atol_w, atol_v = atol
     fw, fv = rhs(x, w, v)
     h_abs = _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol)
@@ -536,8 +590,6 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
             h_abs = max_step
         elif h_abs < min_step:
             h_abs = min_step
-        kw[0] = fw
-        kv[0] = fv
         step_rejected = False
         while True:
             if h_abs < min_step:
@@ -548,22 +600,8 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
                 )
             x_new = min(x + h_abs, x_end)
             h = h_abs = x_new - x
-            for s, c, row in _STEP_STAGES:
-                dw = dv = 0.0
-                for j, a in row:
-                    dw += a * kw[j]
-                    dv += a * kv[j]
-                kw[s], kv[s] = rhs(x + c * h, w + dw * h, v + dv * h)
+            bw, bv, e5w, e5v, e3w, e3v, ks = _attempt(rhs, x, h, w, v, fw, fv)
             nfev += 11
-            bw = bv = e5w = e5v = e3w = e3v = 0.0
-            for j, b, e5, e3 in _WEIGHTS:
-                gw, gv = kw[j], kv[j]
-                bw += b * gw
-                bv += b * gv
-                e5w += e5 * gw
-                e5v += e5 * gv
-                e3w += e3 * gw
-                e3v += e3 * gv
             w_new = w + h * bw
             v_new = v + h * bv
             sw = atol_w + max(abs(w), abs(w_new)) * rtol
@@ -586,26 +624,15 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
             rejected += 1
         if not (math.isfinite(w_new) and math.isfinite(v_new)):
             raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}", (x, w, v))
-        kw[12], kv[12] = fw_new, fv_new = rhs(x_new, w_new, v_new)
+        fw_new, fv_new = rhs(x_new, w_new, v_new)
         nfev += 1
         if dense:
-            for s, c, row in _DENSE_STAGES:
-                dw = dv = 0.0
-                for j, a in row:
-                    dw += a * kw[j]
-                    dv += a * kv[j]
-                kw[s], kv[s] = rhs(x + c * h, w + dw * h, v + dv * h)
             nfev += 3
             delta_w = w_new - w
             delta_v = v_new - v
             step = [x, h, w, v, delta_w, delta_v, h * fw - delta_w, h * fv - delta_v,
-                    2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv)]
-            for row in _D:
-                dw = dv = 0.0
-                for j, a in row:
-                    dw += a * kw[j]
-                    dv += a * kv[j]
-                step += (h * dw, h * dv)
+                    2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv),
+                    *_dense_rows(rhs, x, h, w, v, ks, fw_new, fv_new)]
             steps.append(step)
             if watch_zero and w > 0.0 and w_new <= 0.0:
                 x_zero = _bisect(lambda xx: _dense(step, (xx - x) / h)[0], x, x_new, w)
@@ -623,11 +650,12 @@ def _flux_rhs(params: Params, problem: ProblemClass):
     """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), sgn t^(n+alpha-1) f(w))``
     of the flux system, stepped in ``t``."""
     p, n, alpha = params.p, params.n, params.alpha
+    phi_exp = 1.0 / (p - 1.0)
     spec = class_spec(params, problem)
     f, sgn = spec.f, spec.sgn
 
     def rhs(t, w, v):
-        return _phi_inv(v / t ** (n - 1.0), p), sgn * t ** (n + alpha - 1.0) * f(w)
+        return _phi_inv(v / t ** (n - 1.0), phi_exp), sgn * t ** (n + alpha - 1.0) * f(w)
 
     return rhs
 
@@ -767,9 +795,9 @@ class Trajectory:
     @classmethod
     def _build(cls, problem, params, cfg, t_nodes, states, series, n_series, steps, g,
                termination, stats):
-        p, n = params.p, params.n
+        phi_exp, n = 1.0 / (params.p - 1.0), params.n
         wv = np.asarray(states, dtype=float)
-        wp = [_phi_inv(v / t ** (n - 1.0), p) for t, (_, v) in zip(t_nodes, states)]
+        wp = [_phi_inv(v / t ** (n - 1.0), phi_exp) for t, (_, v) in zip(t_nodes, states)]
         return cls(
             problem=problem,
             params=params,
@@ -833,7 +861,7 @@ class Trajectory:
     def _read(self, row: np.ndarray, theta: np.ndarray, wz: np.ndarray | None = None) -> _Samples:
         """:class:`_Samples` at the parameters ``theta`` of the rows ``row``;
         ``wz``: the ``(W, Z)`` of the points off the series, if known."""
-        p, ser = self.params.p, self._series
+        phi_exp, ser = 1.0 / (self.params.p - 1.0), self._series
         on_series = row < 0
         on_rows = ~on_series
         tau, s, k = theta[on_series], theta[on_rows], row[on_rows]
@@ -845,27 +873,27 @@ class Trajectory:
             w, big_v = ser.slope_form(tau)
             scale_ser = scale[on_series]
             big_w[on_series] = w * scale_ser
-            y[on_series] = tau * _phi_inv_many(big_v, p) * scale_ser
+            y[on_series] = tau * _phi_inv_many(big_v, phi_exp) * scale_ser
         if wz is None:  # y0 added last, as in _dense: within an ulp of the polynomial
             coefs = self._table[k, 2:].reshape(-1, 8, 2)
             wz = coefs[:, 0] + np.einsum("ik,ikj->ij", _dense_basis(s)[:, 1:], coefs[:, 1:])
         big_w[on_rows] = wz[:, 0]
-        y[on_rows] = _phi_inv_many(wz[:, 1], p)
+        y[on_rows] = _phi_inv_many(wz[:, 1], phi_exp)
         return _Samples(row, theta, x, big_w, y, scale)
 
     def _row_point(self, row: int, theta: float) -> tuple[float, float, float, float]:
         """``(x, W, Y, t^-g)`` of :attr:`_samples` at the parameter ``theta``
         of dense row ``row``."""
-        p, g = self.params.p, self._g
+        phi_exp, g = 1.0 / (self.params.p - 1.0), self._g
         if row < 0:
             w, big_v = self._series.slope_form(theta)
             x = math.log(theta) / self._series.sigma
             scale = math.exp(-g * x)
-            return x, w * scale, theta * _phi_inv(big_v, p) * scale, scale
+            return x, w * scale, theta * _phi_inv(big_v, phi_exp) * scale, scale
         step = self._steps[row]
         big_w, z = _dense(step, theta)
         x = step[0] + theta * step[1]
-        return x, big_w, _phi_inv(z, p), math.exp(-g * x)
+        return x, big_w, _phi_inv(z, phi_exp), math.exp(-g * x)
 
     def _row_end(self, row: int) -> float:
         """The parameter at which dense row ``row`` (not the last) ends."""

@@ -472,6 +472,141 @@ def test_stepper_without_dense_output_takes_the_same_steps():
     assert bare.nfev == 2 + 12 * accepted + 11 * bare.rejected
 
 
+def _loop_stages(rhs, x, h, w, v, kw, kv, stages):
+    for s, c, row in stages:
+        dw = dv = 0.0
+        for j, a in row:
+            dw += a * kw[j]
+            dv += a * kv[j]
+        kw[s], kv[s] = rhs(x + c * h, w + dw * h, v + dv * h)
+
+
+def _loop_attempt(rhs, x, h, w, v, kw0, kv0):
+    """``ivp._attempt`` as loops over the tableau: the reference it must equal."""
+    kw, kv = [kw0] + [0.0] * 11, [kv0] + [0.0] * 11
+    _loop_stages(rhs, x, h, w, v, kw, kv, ivp._STEP_STAGES)
+    bw = bv = e5w = e5v = e3w = e3v = 0.0
+    for j, b, e5, e3 in ivp._WEIGHTS:
+        bw += b * kw[j]
+        bv += b * kv[j]
+        e5w += e5 * kw[j]
+        e5v += e5 * kv[j]
+        e3w += e3 * kw[j]
+        e3v += e3 * kv[j]
+    return bw, bv, e5w, e5v, e3w, e3v, tuple(k for pair in zip(kw, kv) for k in pair)
+
+
+def _loop_dense_rows(rhs, x, h, w, v, ks, kw12, kv12):
+    """``ivp._dense_rows`` as loops over the tableau: the reference it must equal."""
+    kw, kv = [*ks[0::2], kw12, 0.0, 0.0, 0.0], [*ks[1::2], kv12, 0.0, 0.0, 0.0]
+    _loop_stages(rhs, x, h, w, v, kw, kv, ivp._DENSE_STAGES)
+    rows = []
+    for row in ivp._D:
+        dw = dv = 0.0
+        for j, a in row:
+            dw += a * kw[j]
+            dv += a * kv[j]
+        rows += (h * dw, h * dv)
+    return tuple(rows)
+
+
+def _dop853_calls(monkeypatch, call):
+    """The arguments of every ``_dop853`` run that ``call()`` makes."""
+    calls = []
+    original = ivp._dop853
+
+    def spy(*args, **kwargs):
+        calls.append((args, kwargs))
+        return original(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ivp, "_dop853", spy)
+        call()
+    return calls
+
+
+def _integration(params, problem, t_max=1e4):
+    return lambda: integrate(params, problem, IntegratorConfig(t_max=t_max))
+
+
+def _shooting(params, problem):
+    point = pfold.curve.build_curve(integrate(params, problem)).points[150]
+    return lambda: pfold.curve.shooting_check(params, problem, point)
+
+
+class TestStraightLineStages:
+    """The stage arithmetic compiled from the tableau against loops over it."""
+
+    # each log-phase right-hand side (gelfand; mems and jl with a fixed point,
+    # the jl run ending at a zero of w; jl without scaling) and shooting
+    CASES = {
+        "gelfand": lambda: _integration(Params(p=3, n=5, alpha=1), G, 1e8),
+        "mems": lambda: _integration(MEMS233, M, 1e8),
+        "jl-zero": lambda: _integration(JL_ZERO, J),
+        "jl-unscaled": lambda: _integration(Params(p=3, n=5, alpha=0.5, q=1.5), J, 100.0),
+        "shooting-gelfand": lambda: _shooting(GELFAND3, G),
+        "shooting-mems": lambda: _shooting(MEMS233, M),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_bitwise_equal_to_the_loops(self, monkeypatch, case):
+        calls = _dop853_calls(monkeypatch, self.CASES[case]())
+        assert calls
+        rng = np.random.default_rng(9)
+        for args, kwargs in calls:
+            rhs = args[0]
+            run = _dop853(*args, **kwargs)
+            # random states near the nodes, and steps around the ones taken
+            for i in rng.integers(0, len(run.xs) - 1, 25):
+                x, h = run.xs[i], (run.xs[i + 1] - run.xs[i]) * rng.uniform(0.25, 2.0)
+                w, v = (y * (1.0 + 1e-3 * rng.standard_normal()) for y in run.states[i])
+                k0 = rhs(x, w, v)
+                got = ivp._attempt(rhs, x, h, w, v, *k0)
+                # repr tells every float apart, 0.0 from -0.0 included
+                assert repr(got) == repr(_loop_attempt(rhs, x, h, w, v, *k0))
+                bw, bv, *_, ks = got
+                k12 = rhs(x + h, w + h * bw, v + h * bv)
+                assert (repr(ivp._dense_rows(rhs, x, h, w, v, ks, *k12))
+                        == repr(_loop_dense_rows(rhs, x, h, w, v, ks, *k12)))
+            for dense in (True, False):
+                options = dict(kwargs, dense=dense,
+                               watch_zero=dense and kwargs.get("watch_zero", False))
+                new = _dop853(*args, **options)
+                with monkeypatch.context() as m:
+                    m.setattr(ivp, "_attempt", _loop_attempt)
+                    m.setattr(ivp, "_dense_rows", _loop_dense_rows)
+                    old = _dop853(*args, **options)
+                assert repr(new) == repr(old)
+                assert len(new.steps) == (len(new.xs) - 1 if dense else 0)
+
+    def test_compiled_from_the_tables(self, monkeypatch):
+        # a coefficient changed in the tables changes the step: the scipy
+        # comparisons guard the coefficients of the compiled code
+        def raised(row):
+            (j, a), *rest = row
+            return ((j, a + 1e-3), *rest)
+
+        rhs, *_ = _log_phase(GELFAND3, G)
+        args = (rhs, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 1)
+        base = _dop853(*args)
+        s, c, row = ivp._STEP_STAGES[6]
+        stages = (*ivp._STEP_STAGES[:6], (s, c, raised(row)), *ivp._STEP_STAGES[7:])
+        d = (*ivp._D[:2], raised(ivp._D[2]), ivp._D[3])
+        for tables in ((stages, ivp._WEIGHTS, ivp._DENSE_STAGES, ivp._D),
+                       (ivp._STEP_STAGES, ivp._WEIGHTS, ivp._DENSE_STAGES, d)):
+            attempt, dense_rows = ivp._straight_line(*tables)
+            with monkeypatch.context() as m:
+                m.setattr(ivp, "_attempt", attempt)
+                m.setattr(ivp, "_dense_rows", dense_rows)
+                run = _dop853(*args)
+            (step,), (base_step,) = run.steps, base.steps
+            if tables[0] is stages:  # a_70: the step moves
+                assert run.states[1] != base.states[1]
+            else:  # d_50: the same step, another F5
+                assert run.states == base.states and step[:14] == base_step[:14]
+                assert step[14:16] != base_step[14:16] and step[16:] == base_step[16:]
+
+
 def test_import_leaves_scipy_unloaded():
     src = str(Path(pfold.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
