@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,8 +139,7 @@ def _error_guard(traj: _ivp.Trajectory, w, t_wprime, coeff_sum: float, scale=1.0
     return GUARD_FACTOR * coeff_sum * state_err
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """One sample of the solution curve (``lam`` is the parameter value)."""
 
     t: float
@@ -305,21 +305,25 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
     """All guarded sign changes of the monitor on the trajectory range,
     refined on the dense output.
 
-    Directions alternate along the returned (time-ordered) sequence.
+    Directions alternate along the returned (time-ordered) sequence.  The
+    folds are located on the first call and kept on the trajectory; each
+    call returns a new list of them.
     """
-    spec = class_spec(traj.params, traj.problem)
-    # the magnitudes of the monitor's coefficients on w and t w'
-    coeff_sum = 1.0 if spec.E is None else spec.k + abs(spec.E)
-    out: list[TurningPoint] = []
-    # M t^-g = k W + E Y (gelfand: k + Y)
-    for x, big_w, _, scale, positive in _roots(
-            traj, lambda x, big_w, y: _monitor(spec, 1.0, big_w, y), coeff_sum):
-        t_star = math.exp(x)
-        lam, u0 = curve_values(traj.problem, traj.params, t_star, big_w / scale)
-        direction = "right-to-left" if positive else "left-to-right"
-        out.append(TurningPoint(t_star=t_star, lambda_star=lam, u0_star=u0,
-                                direction=direction))
-    return out
+    if traj._folds is None:
+        spec = class_spec(traj.params, traj.problem)
+        # the magnitudes of the monitor's coefficients on w and t w'
+        coeff_sum = 1.0 if spec.E is None else spec.k + abs(spec.E)
+        folds = []
+        # M t^-g = k W + E Y (gelfand: k + Y)
+        for x, big_w, _, scale, positive in _roots(
+                traj, lambda x, big_w, y: _monitor(spec, 1.0, big_w, y), coeff_sum):
+            t_star = math.exp(x)
+            lam, u0 = curve_values(traj.problem, traj.params, t_star, big_w / scale)
+            direction = "right-to-left" if positive else "left-to-right"
+            folds.append(TurningPoint(t_star=t_star, lambda_star=lam, u0_star=u0,
+                                      direction=direction))
+        traj._folds = tuple(folds)
+    return list(traj._folds)
 
 
 def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
@@ -515,14 +519,8 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
     u_start = u0 - kappa * r_start**sigma
     v_start = -g0 * r_start ** (n + alpha) / (n + alpha)
 
-    phi_exp = 1.0 / (p - 1.0)
-
-    def rhs(r, u, v):
-        return (
-            _ivp._phi_inv(v / r ** (n - 1.0), phi_exp),
-            -lam * r ** (n + alpha - 1.0) * f(w_c - sgn * u),
-        )
-
+    # (u, v)' = (phiinv(v / r^(n-1)), -lam r^(n+alpha-1) f(w_c - sgn u))
+    rhs = _ivp._radial_rhs(params, spec, "-lam", "w_c - sgn * W", lam=lam, w_c=w_c, sgn=sgn)
     run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, (abs_tol, abs_tol),
                        200_000, dense=False)
     if run.status != "done":

@@ -69,25 +69,34 @@ combined err5/err3 error norm and a minimum step of 10 ulp.  The dense
 output of all steps is kept as one table of interpolation rows, which every
 reader of :class:`Trajectory` reads in the units ``(W, Y = t w' t^-g)``.
 
-The stage arithmetic is generated once, at import, from the coefficient
-tables (:func:`_straight_line`): a loop over the tables' ``(j, a_j)`` pairs
-spent most of a step in the interpreter's loop machinery, and straight-line
-code does only the arithmetic.  Each sum keeps the order of its table and
-starts from ``0.0``, as the loop added it up, so the rounding, and with it
-every step and every result, stays that of the loop.
+The whole stepping loop is generated from the coefficient tables, once
+per *form* of the right-hand side, when the form is first used
+(:func:`_straight_line`).  A form is the source of the pair ``(w', v')``
+as an expression in the point and the state, with named constants; the
+loop writes it into every stage in place of a call, and writes each sum
+over the tables out as straight-line code.  A sub-expression that a form
+uses more than once, such as the argument of ``phiinv``, is bound once
+with ``:=``, as a call would evaluate it once.  Each sum keeps the order
+of its table and starts from ``0.0``, as a loop over the table adds it up,
+and each form does the operations of the function it replaces in the same
+order, so the rounding, and with it every step and every result, stays
+that of a loop over the tables that calls the right-hand side.  Any other
+callable runs through the same loop as a call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
+    ClassSpec,
     InvalidParamsError,
     Params,
     ProblemClass,
@@ -191,6 +200,57 @@ def _phi_inv_many(s: np.ndarray, r: float) -> np.ndarray:
     return np.sign(s) * np.abs(s) ** r
 
 
+class _Form(NamedTuple):
+    """A form of the right-hand side ``(w, v)' = rhs(x, w, v)``: the names of
+    its constants and ``slope``, the source of the pair ``(w', v')`` as an
+    expression in the constants and ``X, W, Z`` (the point ``x`` and the
+    state ``(w, v)``).  :func:`_straight_line` writes it into every stage."""
+
+    consts: tuple[str, ...]
+    slope: str
+
+
+#: The form of any other callable ``rhs``: a call of it.
+_CALL = _Form(("rhs",), "rhs(X, W, Z)")
+
+
+class _Rhs(NamedTuple):
+    """A right-hand side of one form with the values of its constants;
+    ``rhs(x, w, v)`` evaluates it at one point."""
+
+    form: _Form
+    values: tuple
+
+    def __call__(self, x: float, w: float, v: float) -> tuple[float, float]:
+        return _program(self.form).rhs(*self.values, x, w, v)
+
+
+def _bind(slope: str, **consts) -> _Rhs:
+    """The right-hand side ``slope`` with the constants ``consts``."""
+    return _Rhs(_Form(tuple(consts), slope), tuple(consts.values()))
+
+
+def _once(expr: str, name: str) -> tuple[str, str]:
+    """The source of ``expr`` where it is first evaluated, which binds it to
+    ``name`` (unless it is a name), and where it is used again."""
+    return (expr, expr) if expr.isidentifier() else (f"({name} := {expr})", name)
+
+
+def _phi_inv_source(s: str) -> str:
+    """Source of :func:`_phi_inv` of ``s``, with ``r = phi_exp``."""
+    first, then = _once(s, "S")
+    return f"(copysign(abs({then}) ** phi_exp, {then}) if {first} != 0.0 else 0.0)"
+
+
+def _f_source(spec: ClassSpec, w: str) -> str:
+    """Source of the nonlinearity :attr:`~pfold.model.ClassSpec.f` of ``w``:
+    ``exp``, or the power ``w^e`` that is 0 for ``w <= 0``."""
+    if spec.q_power is None:
+        return f"exp({w})"
+    first, then = _once(w, "A")
+    return f"({then} ** e if {first} > 0.0 else 0.0)"
+
+
 def _log_phase(params: Params, problem: ProblemClass):
     """Right-hand side ``(W, Z)' = rhs(s, W, Z)`` of the log phase, the
     exponents ``(g, c)`` of ``W = w t^-g``, ``Z = v t^c``, and its step cap.
@@ -205,22 +265,20 @@ def _log_phase(params: Params, problem: ProblemClass):
     p, n = params.p, params.n
     phi_exp = 1.0 / (p - 1.0)
     spec = class_spec(params, problem)
-    f, sgn, k, g = spec.f, spec.sgn, spec.k, spec.g
+    sgn, k, g, e = spec.sgn, spec.k, spec.g, spec.q_power
+    w_dot = _phi_inv_source("Z")
     if g is None:
         # no self-similar scaling, so no fixed point: step (w, t^(p-n) v)
         c = p - n
-
-        def rhs(s, big_w, z):
-            return _phi_inv(z, phi_exp), c * z + sgn * math.exp(k * s) * f(big_w)
-
+        rhs = _bind(f"{w_dot}, c * Z + sgn * exp(k * X) * {_f_source(spec, 'W')}",
+                    phi_exp=phi_exp, c=c, sgn=sgn, k=k, e=e)
         return rhs, 0.0, c, math.inf
     c = p - n - g * (p - 1.0)
     if spec.E is None:
-        def rhs(s, big_w, z):
-            return _phi_inv(z, phi_exp), c * z + sgn * math.exp(k * s + big_w)
+        rhs = _bind(f"{w_dot}, c * Z + sgn * exp(k * X + W)", phi_exp=phi_exp, c=c, sgn=sgn, k=k)
     else:
-        def rhs(s, big_w, z):
-            return _phi_inv(z, phi_exp) - g * big_w, c * z + sgn * f(big_w)
+        rhs = _bind(f"{w_dot} - g * W, c * Z + sgn * {_f_source(spec, 'W')}",
+                    phi_exp=phi_exp, g=g, c=c, sgn=sgn, e=e)
 
     rate = max(abs(r - g) for r in characteristic_quadratic(params, problem).roots)
     return rhs, g, c, 2.0 / rate if rate > 0.0 else math.inf
@@ -460,47 +518,6 @@ def _term_sum(terms, k: str) -> str:
     return " + ".join(["0.0", *(f"{a!r} * {k}{j}" for j, a in terms)])
 
 
-def _straight_line(step_stages, weights, dense_stages, d):
-    """The stage arithmetic of a Runge-Kutta tableau as two functions without
-    loops, compiled from the tables (as :func:`collections.namedtuple` compiles
-    its class):
-
-    * ``attempt(rhs, x, h, w, v, kw0, kv0)`` evaluates the stages
-      ``step_stages`` of one step attempt from ``(x, w, v)`` with the step
-      ``h`` and the slope ``(kw0, kv0)`` there, and returns the sums
-      ``sum_j b_j k_j``, ``sum_j e5_j k_j`` and ``sum_j e3_j k_j`` of
-      ``weights`` for ``w`` and ``v``, then the stage values ``(kw0, kv0, ...)``;
-    * ``dense(rhs, x, h, w, v, ks, kw12, kv12)`` takes those stage values and
-      the slope at the end of the step, evaluates the stages ``dense_stages``
-      and returns the dense-output rows ``h sum_j d_ij k_j`` of ``d``, ``w``
-      and ``v`` of each.
-
-    Every sum keeps the order of its table and starts from ``0.0``, as a loop
-    over the table adds it up, so the results are those of the loop bit for bit.
-    """
-    def stages(rows):
-        for s, c, row in rows:
-            yield f"dw = {_term_sum(row, 'kw')}"
-            yield f"dv = {_term_sum(row, 'kv')}"
-            yield f"kw{s}, kv{s} = rhs(x + {c!r} * h, w + dw * h, v + dv * h)"
-
-    ks = ", ".join(f"kw{j}, kv{j}" for j in range(step_stages[-1][0] + 1))
-    sums = [f"{name}{y} = {_term_sum([(row[0], row[i]) for row in weights], 'k' + y)}"
-            for i, name in enumerate(("b", "e5", "e3"), 1) for y in "wv"]
-    rows = [f"h * ({_term_sum(row, 'k' + y)})" for row in d for y in "wv"]
-    attempt = ["def attempt(rhs, x, h, w, v, kw0, kv0):", *stages(step_stages), *sums,
-               f"return bw, bv, e5w, e5v, e3w, e3v, ({ks})"]
-    dense = ["def dense(rhs, x, h, w, v, ks, kw12, kv12):", f"{ks} = ks",
-             *stages(dense_stages), f"return {', '.join(rows)}"]
-    source = "\n".join("\n    ".join(lines) for lines in (attempt, dense))
-    namespace: dict = {}
-    exec(compile(source, "<DOP853 stages>", "exec"), namespace)
-    return namespace["attempt"], namespace["dense"]
-
-
-_attempt, _dense_rows = _straight_line(_STEP_STAGES, _WEIGHTS, _DENSE_STAGES, _D)
-
-
 @dataclass
 class _Run:
     """Result of one :func:`_dop853` run.
@@ -524,24 +541,6 @@ def _rms(a: float, b: float) -> float:
     return math.sqrt(a * a + b * b) / math.sqrt(2.0)
 
 
-def _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol) -> float:
-    """Initial step of Hairer-Norsett-Wanner II.4, for an error estimator of order 7."""
-    interval = x_end - x
-    sw = atol[0] + abs(w) * rtol
-    sv = atol[1] + abs(v) * rtol
-    d0 = _rms(w / sw, v / sv)
-    d1 = _rms(fw / sw, fv / sv)
-    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
-    h0 = min(h0, interval)
-    gw, gv = rhs(x + h0, w + h0 * fw, v + h0 * fv)
-    d2 = _rms((gw - fw) / sw, (gv - fv) / sv) / h0
-    if d1 <= 1e-15 and d2 <= 1e-15:
-        h1 = max(1e-6, h0 * 1e-3)
-    else:
-        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
-    return min(100.0 * h0, h1, interval, max_step)
-
-
 def _dense(step, s: float) -> tuple[float, float]:
     """Dense ``(w, v)`` of one step at the fraction ``s = (x - x0)/h`` of it:
     ``y0 + s (F0 + (1-s) (F1 + s (F2 + (1-s) (F3 + ...))))``."""
@@ -549,6 +548,14 @@ def _dense(step, s: float) -> tuple[float, float]:
     u = 1.0 - s
     return (w0 + s * (a0 + u * (a1 + s * (a2 + u * (a3 + s * (a4 + u * (a5 + s * a6)))))),
             v0 + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6)))))))
+
+
+def _dense_zero(step, x_end: float) -> tuple[float, tuple[float, float]]:
+    """The zero of ``w`` on the dense row ``step``, which ends at ``x_end``
+    and starts at a positive ``w``, by bisection, and ``(w, v)`` there."""
+    x, h = step[0], step[1]
+    x_zero = _bisect(lambda xx: _dense(step, (xx - x) / h)[0], x, x_end, step[2])
+    return x_zero, _dense(step, (x_zero - x) / h)
 
 
 def _dense_basis(s: np.ndarray) -> np.ndarray:
@@ -560,104 +567,204 @@ def _dense_basis(s: np.ndarray) -> np.ndarray:
     return basis.T
 
 
+# The body of the DOP853 loop that _straight_line generates, with the
+# right-hand side as a call (the form _CALL).  {attempt} stands for the
+# stages 1-11 of a step attempt from the slope (kw0, kv0) at (x, w, v) and
+# the sums bw, bv, e5w, e5v, e3w, e3v of the weights b and the error
+# estimators; {dense} for the dense-output stages 13-15 and the rows
+# f3w, f3v, ..., f6v.  The slope at the end of the step is stage 12.
+_LOOP = """\
+xs = [x]
+states = [(w, v)]
+steps = []
+atol_w, atol_v = atol
+kw0, kv0 = rhs(x, w, v)
+# the initial step of Hairer-Norsett-Wanner II.4, for an error estimator of order 7
+interval = x_end - x
+sw = atol_w + abs(w) * rtol
+sv = atol_v + abs(v) * rtol
+d0 = _rms(w / sw, v / sv)
+d1 = _rms(kw0 / sw, kv0 / sv)
+h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+h0 = min(h0, interval)
+gw, gv = rhs(x + h0, w + h0 * kw0, v + h0 * kv0)
+d2 = _rms((gw - kw0) / sw, (gv - kv0) / sv) / h0
+if d1 <= 1e-15 and d2 <= 1e-15:
+    h1 = max(1e-6, h0 * 1e-3)
+else:
+    h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+h_abs = min(100.0 * h0, h1, interval, max_step)
+nfev = 2
+rejected = 0
+status = "done"
+while x != x_end:
+    if len(xs) > budget:
+        status = "budget"
+        break
+    min_step = 10.0 * (nextafter(x, inf) - x)
+    if h_abs > max_step:
+        h_abs = max_step
+    elif h_abs < min_step:
+        h_abs = min_step
+    step_rejected = False
+    while True:
+        if h_abs < min_step:
+            raise IntegrationError(
+                f"integration failed at t-coordinate {x!r}: "
+                "required step size is less than spacing between numbers",
+                (x, w, v),
+            )
+        x_new = min(x + h_abs, x_end)
+        h = h_abs = x_new - x
+        {attempt}
+        nfev += 11
+        w_new = w + h * bw
+        v_new = v + h * bv
+        sw = atol_w + max(abs(w), abs(w_new)) * rtol
+        sv = atol_v + max(abs(v), abs(v_new)) * rtol
+        e5w /= sw
+        e5v /= sv
+        e3w /= sw
+        e3v /= sv
+        n5 = e5w * e5w + e5v * e5v
+        n3 = e3w * e3w + e3v * e3v
+        err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)
+        if err < 1.0:
+            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+            if step_rejected:
+                factor = min(1.0, factor)
+            h_abs *= factor
+            break
+        h_abs *= max(0.2, 0.9 * err ** -0.125)
+        step_rejected = True
+        rejected += 1
+    if not (isfinite(w_new) and isfinite(v_new)):
+        raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}", (x, w, v))
+    kw12, kv12 = rhs(x_new, w_new, v_new)
+    nfev += 1
+    if dense:
+        nfev += 3
+        {dense}
+        delta_w = w_new - w
+        delta_v = v_new - v
+        step = [x, h, w, v, delta_w, delta_v, h * kw0 - delta_w, h * kv0 - delta_v,
+                2.0 * delta_w - h * (kw12 + kw0), 2.0 * delta_v - h * (kv12 + kv0),
+                f3w, f3v, f4w, f4v, f5w, f5v, f6w, f6v]
+        steps.append(step)
+        if watch_zero and w > 0.0 and w_new <= 0.0:
+            x_zero, state = _dense_zero(step, x_new)
+            xs.append(x_zero)
+            states.append(state)
+            status = "zero"
+            break
+    x, w, v, kw0, kv0 = x_new, w_new, v_new, kw12, kv12
+    xs.append(x)
+    states.append((w, v))
+return _Run(xs, states, steps, rejected, nfev, status)
+"""
+# what the generated code uses besides the builtins
+_LOOP_GLOBALS = dict(copysign=math.copysign, exp=math.exp, sqrt=math.sqrt,
+                     isfinite=math.isfinite, nextafter=math.nextafter, inf=math.inf,
+                     _rms=_rms, _dense_zero=_dense_zero, _Run=_Run,
+                     IntegrationError=IntegrationError)
+# a line of _LOOP that evaluates the right-hand side
+_RHS_LINE = re.compile(r"(\w+), (\w+) = rhs\((.*)\)")
+
+
+class _Program(NamedTuple):
+    """The generated code of one form: its ``source``, ``rhs(*consts, x, w, v)``
+    and ``loop(*consts, x, w, v, x_end, rtol, atol, budget, watch_zero, dense,
+    max_step)``, which does a :func:`_dop853` run."""
+
+    source: str
+    rhs: object
+    loop: object
+
+
+def _straight_line(form: _Form, step_stages=_STEP_STAGES, weights=_WEIGHTS,
+                   dense_stages=_DENSE_STAGES, d=_D) -> _Program:
+    """The DOP853 loop ``_LOOP`` of the tableau for the right-hand side
+    ``form``, compiled without a loop over the tables or a call of the
+    right-hand side (as :func:`collections.namedtuple` compiles its class).
+
+    The blocks ``{attempt}`` and ``{dense}`` are the stages ``step_stages``,
+    the sums of ``weights`` (``(j, b_j, e5_j, e3_j)``), the stages
+    ``dense_stages`` and the rows ``h sum_j d_ij k_j`` of ``d``.  Each line
+    ``kw, kv = rhs(x, w, v)`` binds ``X, W, Z`` to the arguments the form
+    uses and evaluates its ``slope``.  Every sum keeps the order of its
+    table and starts from ``0.0``, as a loop over the table adds it up, so
+    the results are those of such a loop bit for bit.
+    """
+    def stages(rows):
+        for s, c, row in rows:
+            yield (f"kw{s}, kv{s} = rhs(x + {c!r} * h, w + ({_term_sum(row, 'kw')}) * h, "
+                   f"v + ({_term_sum(row, 'kv')}) * h)")
+
+    blocks = {
+        "{attempt}": [*stages(step_stages), *(
+            f"{name}{y} = {_term_sum([(row[0], row[i]) for row in weights], 'k' + y)}"
+            for i, name in enumerate(("b", "e5", "e3"), 1) for y in "wv")],
+        "{dense}": [*stages(dense_stages), *(f"f{i}{y} = h * ({_term_sum(row, 'k' + y)})"
+                                             for i, row in enumerate(d, 3) for y in "wv")],
+    }
+    used = [name for name in "XWZ" if re.search(rf"\b{name}\b", form.slope)]
+    consts = "".join(f"{name}, " for name in form.consts)
+    lines = [f"def rhs({consts}X, W, Z):", f"    return {form.slope}",
+             f"def loop({consts}x, w, v, x_end, rtol, atol, budget, watch_zero, dense, max_step):"]
+    for template in _LOOP.splitlines():
+        indent = " " * (4 + len(template) - len(template.lstrip()))
+        for line in blocks.get(template.strip(), [template.strip()]):
+            call = _RHS_LINE.fullmatch(line)
+            if call:
+                kw, kv, args = call.groups()
+                values = dict(zip("XWZ", args.split(", "), strict=True))
+                lines += [f"{indent}{name} = {values[name]}" for name in used]
+                line = f"{kw}, {kv} = {form.slope}"
+            lines.append(indent + line)
+    source = "\n".join(lines)
+    namespace = dict(_LOOP_GLOBALS)
+    exec(compile(source, f"<DOP853 loop: {form.slope}>", "exec"), namespace)
+    return _Program(source, namespace["rhs"], namespace["loop"])
+
+
+# each form is compiled on its first use; the forms are few, since their
+# constants are arguments of the generated code
+_program = functools.cache(_straight_line)
+
+
 def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
             atol: tuple[float, float], budget: int, watch_zero: bool = False,
             dense: bool = True, max_step: float = math.inf) -> _Run:
     """Integrate ``(w, v)' = rhs(x, w, v)`` from ``x`` towards ``x_end > x``.
 
-    ``atol`` holds the absolute tolerances of ``w`` and ``v``.  Accepts at
-    most ``budget`` steps of at most ``max_step``.  With ``watch_zero`` the
-    run stops at the first zero of ``w``, located by bisection on the
-    step's interpolant.  Without ``dense`` the run skips the three
-    dense-output stages and keeps no interpolation rows (``steps`` stays
-    empty), so it cannot ``watch_zero``.
+    ``rhs`` is an :class:`_Rhs`, whose form the loop writes into its stages,
+    or any other callable, which it calls.  ``atol`` holds the absolute
+    tolerances of ``w`` and ``v``.  Accepts at most ``budget`` steps of at
+    most ``max_step``.  With ``watch_zero`` the run stops at the first zero
+    of ``w``, located by bisection on the step's interpolant.  Without
+    ``dense`` the run skips the three dense-output stages and keeps no
+    interpolation rows (``steps`` stays empty), so it cannot ``watch_zero``.
     """
-    xs = [x]
-    states = [(w, v)]
-    steps: list = []
-    atol_w, atol_v = atol
-    fw, fv = rhs(x, w, v)
-    h_abs = _initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol)
-    nfev = 2
-    rejected = 0
-    status = "done"
-    while x != x_end:
-        if len(xs) > budget:
-            status = "budget"
-            break
-        min_step = 10.0 * (math.nextafter(x, math.inf) - x)
-        if h_abs > max_step:
-            h_abs = max_step
-        elif h_abs < min_step:
-            h_abs = min_step
-        step_rejected = False
-        while True:
-            if h_abs < min_step:
-                raise IntegrationError(
-                    f"integration failed at t-coordinate {x!r}: "
-                    "required step size is less than spacing between numbers",
-                    (x, w, v),
-                )
-            x_new = min(x + h_abs, x_end)
-            h = h_abs = x_new - x
-            bw, bv, e5w, e5v, e3w, e3v, ks = _attempt(rhs, x, h, w, v, fw, fv)
-            nfev += 11
-            w_new = w + h * bw
-            v_new = v + h * bv
-            sw = atol_w + max(abs(w), abs(w_new)) * rtol
-            sv = atol_v + max(abs(v), abs(v_new)) * rtol
-            e5w /= sw
-            e5v /= sv
-            e3w /= sw
-            e3v /= sv
-            n5 = e5w * e5w + e5v * e5v
-            n3 = e3w * e3w + e3v * e3v
-            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-                if step_rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
-            h_abs *= max(0.2, 0.9 * err ** -0.125)
-            step_rejected = True
-            rejected += 1
-        if not (math.isfinite(w_new) and math.isfinite(v_new)):
-            raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}", (x, w, v))
-        fw_new, fv_new = rhs(x_new, w_new, v_new)
-        nfev += 1
-        if dense:
-            nfev += 3
-            delta_w = w_new - w
-            delta_v = v_new - v
-            step = [x, h, w, v, delta_w, delta_v, h * fw - delta_w, h * fv - delta_v,
-                    2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv),
-                    *_dense_rows(rhs, x, h, w, v, ks, fw_new, fv_new)]
-            steps.append(step)
-            if watch_zero and w > 0.0 and w_new <= 0.0:
-                x_zero = _bisect(lambda xx: _dense(step, (xx - x) / h)[0], x, x_new, w)
-                xs.append(x_zero)
-                states.append(_dense(step, (x_zero - x) / h))
-                status = "zero"
-                break
-        x, w, v, fw, fv = x_new, w_new, v_new, fw_new, fv_new
-        xs.append(x)
-        states.append((w, v))
-    return _Run(xs, states, steps, rejected, nfev, status)
+    form, values = rhs if isinstance(rhs, _Rhs) else (_CALL, (rhs,))
+    return _program(form).loop(*values, x, w, v, x_end, rtol, atol, budget, watch_zero, dense,
+                               max_step)
 
 
-def _flux_rhs(params: Params, problem: ProblemClass):
+def _radial_rhs(params: Params, spec: ClassSpec, coeff: str, arg: str, **consts) -> _Rhs:
+    """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), coeff t^(n+alpha-1) f(arg))``
+    of a radial equation stepped in ``t``, where ``coeff`` and ``arg`` are
+    sources in ``W`` and the constants ``consts``."""
+    p, n, alpha = params.p, params.n, params.alpha
+    return _bind(f"{_phi_inv_source('Z / X ** e1')}, {coeff} * X ** e2 * {_f_source(spec, arg)}",
+                 phi_exp=1.0 / (p - 1.0), e1=n - 1.0, e2=n + alpha - 1.0, e=spec.q_power,
+                 **consts)
+
+
+def _flux_rhs(params: Params, problem: ProblemClass) -> _Rhs:
     """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), sgn t^(n+alpha-1) f(w))``
     of the flux system, stepped in ``t``."""
-    p, n, alpha = params.p, params.n, params.alpha
-    phi_exp = 1.0 / (p - 1.0)
     spec = class_spec(params, problem)
-    f, sgn = spec.f, spec.sgn
-
-    def rhs(t, w, v):
-        return _phi_inv(v / t ** (n - 1.0), phi_exp), sgn * t ** (n + alpha - 1.0) * f(w)
-
-    return rhs
+    return _radial_rhs(params, spec, "sgn", "W", sgn=spec.sgn)
 
 
 def integrate(params: Params, problem: ProblemClass,
@@ -760,7 +867,8 @@ class _Samples(NamedTuple):
 class Trajectory:
     """Dense numerical solution of a generating IVP on ``[t_start, t_end]``.
 
-    Immutable after construction.  ``termination`` is ``"t_max"`` when the
+    Immutable after construction, but for what it computes on first use
+    (``_samples``, ``_folds``).  ``termination`` is ``"t_max"`` when the
     requested horizon was reached, ``"zero"`` when a ``jl`` run stopped at a
     zero of ``w`` (then ``t_end`` is the crossing time), and ``"truncated"``
     for partial data carried by :class:`TruncatedTrajectoryError`.
@@ -773,7 +881,8 @@ class Trajectory:
     ``_steps`` holds its ``(x0, h, y0, F0, ..., F6)`` of ``(W, Z) = (w t^-g,
     v t^c)``, two floats each, and ``_table`` the same as an ``(m, 18)``
     array.  :meth:`_row_point` (one point) and :meth:`_read` (arrays) give
-    ``(x, W, Y = t w' t^-g, t^-g)``."""
+    ``(x, W, Y = t w' t^-g, t^-g)``.  ``_folds`` holds the folds once
+    :func:`pfold.curve.turning_points` has located them."""
 
     problem: ProblemClass
     params: Params
@@ -791,6 +900,7 @@ class Trajectory:
     _steps: list = field(repr=False)
     _table: np.ndarray = field(repr=False)
     _g: float = field(repr=False)
+    _folds: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
     def _build(cls, problem, params, cfg, t_nodes, states, series, n_series, steps, g,
@@ -829,7 +939,7 @@ class Trajectory:
     def zero_time(self) -> float | None:
         return self.t_end if self.termination == "zero" else None
 
-    @cached_property
+    @functools.cached_property
     def _samples(self) -> _Samples:
         """Each dense row at ``ROW_SAMPLES`` equal fractions of its step, the
         series segment at ``SERIES_SAMPLES`` points equally spaced in ``tau``,

@@ -83,11 +83,11 @@ class CheckResult:
 
 
 class _Cache:
-    """Memoized trajectories and turning points keyed by (problem, params, config)."""
+    """Memoized trajectories keyed by (problem, params, config); each keeps its
+    turning points."""
 
     def __init__(self):
         self._traj: dict = {}
-        self._turns: dict = {}
 
     def trajectory(self, params, problem, config=None) -> _ivp.Trajectory:
         cfg = config or _ivp.IntegratorConfig()
@@ -97,11 +97,7 @@ class _Cache:
         return self._traj[key]
 
     def turns(self, params, problem, config=None):
-        cfg = config or _ivp.IntegratorConfig()
-        key = (problem, params, cfg)
-        if key not in self._turns:
-            self._turns[key] = _curve.turning_points(self.trajectory(params, problem, cfg))
-        return self._turns[key]
+        return _curve.turning_points(self.trajectory(params, problem, config))
 
 
 def _lambda_at(cache, params, problem, t):

@@ -27,6 +27,7 @@ from pfold import (
     singular_profile,
     turning_points,
 )
+from pfold import curve as curve_module
 from pfold.curve import GUARD_FACTOR, ROOT_RTOL, _error_guard, _roots
 from pfold.ivp import _bisect
 from pfold.verify import RESIDUAL_SETS
@@ -447,6 +448,30 @@ class TestConvergence:
         short = integrate(GELFAND3, G, IntegratorConfig(t_max=100.0))
         with pytest.raises(ValueError):
             convergence(build_curve(short))
+
+    def test_reuses_the_folds_of_the_trajectory(self, monkeypatch):
+        # the folds are refined once per trajectory: a second turning_points
+        # call and the report refine no root again
+        traj = integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))
+        refined = []
+        original = curve_module._illinois
+
+        def spy(*args):
+            refined.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(curve_module, "_illinois", spy)
+        first = turning_points(traj)
+        assert len(first) >= 7 and len(refined) >= len(first)
+        expected = list(first)
+        first.pop()
+        count = len(refined)
+        assert turning_points(traj) == expected
+        rep = convergence(build_curve(traj), t_eval=1e3)
+        assert len(refined) == count
+        assert rep.turning_lambda_gaps == tuple(abs(tp.lambda_star - 2.0) for tp in expected)
+        # the same folds as on a trajectory that has located none yet
+        assert turning_points(integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))) == expected
 
 
 class TestProfile:

@@ -11,8 +11,9 @@ from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 
 import pfold
 from pfold import ivp
-from pfold.ivp import _dop853, _log_phase, _series
-from pfold.verify import RESIDUAL_SETS
+from pfold.ivp import _bisect, _dop853, _log_phase, _series
+from pfold.model import class_spec
+from pfold.verify import RESIDUAL_SETS, run_acceptance
 from pfold import (
     IntegratorConfig,
     InvalidParamsError,
@@ -472,6 +473,10 @@ def test_stepper_without_dense_output_takes_the_same_steps():
     assert bare.nfev == 2 + 12 * accepted + 11 * bare.rejected
 
 
+# The DOP853 loop as it was written before it was generated from the tableau:
+# loops over the tables that call the right-hand side.  The generated loop
+# must give the same runs bit for bit.
+
 def _loop_stages(rhs, x, h, w, v, kw, kv, stages):
     for s, c, row in stages:
         dw = dv = 0.0
@@ -482,7 +487,8 @@ def _loop_stages(rhs, x, h, w, v, kw, kv, stages):
 
 
 def _loop_attempt(rhs, x, h, w, v, kw0, kv0):
-    """``ivp._attempt`` as loops over the tableau: the reference it must equal."""
+    """The stages of one step attempt and the sums of the weights b and of
+    the error estimators, as loops over the tableau."""
     kw, kv = [kw0] + [0.0] * 11, [kv0] + [0.0] * 11
     _loop_stages(rhs, x, h, w, v, kw, kv, ivp._STEP_STAGES)
     bw = bv = e5w = e5v = e3w = e3v = 0.0
@@ -497,7 +503,7 @@ def _loop_attempt(rhs, x, h, w, v, kw0, kv0):
 
 
 def _loop_dense_rows(rhs, x, h, w, v, ks, kw12, kv12):
-    """``ivp._dense_rows`` as loops over the tableau: the reference it must equal."""
+    """The dense-output stages and the rows F3..F6, as loops over the tableau."""
     kw, kv = [*ks[0::2], kw12, 0.0, 0.0, 0.0], [*ks[1::2], kv12, 0.0, 0.0, 0.0]
     _loop_stages(rhs, x, h, w, v, kw, kv, ivp._DENSE_STAGES)
     rows = []
@@ -508,6 +514,135 @@ def _loop_dense_rows(rhs, x, h, w, v, ks, kw12, kv12):
             dv += a * kv[j]
         rows += (h * dw, h * dv)
     return tuple(rows)
+
+
+def _loop_initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol):
+    interval = x_end - x
+    sw = atol[0] + abs(w) * rtol
+    sv = atol[1] + abs(v) * rtol
+    d0 = ivp._rms(w / sw, v / sv)
+    d1 = ivp._rms(fw / sw, fv / sv)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, interval)
+    gw, gv = rhs(x + h0, w + h0 * fw, v + h0 * fv)
+    d2 = ivp._rms((gw - fw) / sw, (gv - fv) / sv) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100.0 * h0, h1, interval, max_step)
+
+
+def _loop_dop853(rhs, x, w, v, x_end, rtol, atol, budget, watch_zero=False, dense=True,
+                 max_step=math.inf):
+    """``ivp._dop853`` with loops over the tableau and calls of ``rhs``."""
+    xs = [x]
+    states = [(w, v)]
+    steps = []
+    atol_w, atol_v = atol
+    fw, fv = rhs(x, w, v)
+    h_abs = _loop_initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol)
+    nfev = 2
+    rejected = 0
+    status = "done"
+    while x != x_end:
+        if len(xs) > budget:
+            status = "budget"
+            break
+        min_step = 10.0 * (math.nextafter(x, math.inf) - x)
+        if h_abs > max_step:
+            h_abs = max_step
+        elif h_abs < min_step:
+            h_abs = min_step
+        step_rejected = False
+        while True:
+            if h_abs < min_step:
+                raise ivp.IntegrationError("step size underflow", (x, w, v))
+            x_new = min(x + h_abs, x_end)
+            h = h_abs = x_new - x
+            bw, bv, e5w, e5v, e3w, e3v, ks = _loop_attempt(rhs, x, h, w, v, fw, fv)
+            nfev += 11
+            w_new = w + h * bw
+            v_new = v + h * bv
+            sw = atol_w + max(abs(w), abs(w_new)) * rtol
+            sv = atol_v + max(abs(v), abs(v_new)) * rtol
+            e5w /= sw
+            e5v /= sv
+            e3w /= sw
+            e3v /= sv
+            n5 = e5w * e5w + e5v * e5v
+            n3 = e3w * e3w + e3v * e3v
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+            if err < 1.0:
+                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                if step_rejected:
+                    factor = min(1.0, factor)
+                h_abs *= factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** -0.125)
+            step_rejected = True
+            rejected += 1
+        if not (math.isfinite(w_new) and math.isfinite(v_new)):
+            raise ivp.IntegrationError("non-finite state", (x, w, v))
+        fw_new, fv_new = rhs(x_new, w_new, v_new)
+        nfev += 1
+        if dense:
+            nfev += 3
+            delta_w = w_new - w
+            delta_v = v_new - v
+            step = [x, h, w, v, delta_w, delta_v, h * fw - delta_w, h * fv - delta_v,
+                    2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv),
+                    *_loop_dense_rows(rhs, x, h, w, v, ks, fw_new, fv_new)]
+            steps.append(step)
+            if watch_zero and w > 0.0 and w_new <= 0.0:
+                x_zero = _bisect(lambda xx: ivp._dense(step, (xx - x) / h)[0], x, x_new, w)
+                xs.append(x_zero)
+                states.append(ivp._dense(step, (x_zero - x) / h))
+                status = "zero"
+                break
+        x, w, v, fw, fv = x_new, w_new, v_new, fw_new, fv_new
+        xs.append(x)
+        states.append((w, v))
+    return ivp._Run(xs, states, steps, rejected, nfev, status)
+
+
+def _phi_inv(s, r):
+    return math.copysign(abs(s) ** r, s) if s != 0.0 else 0.0
+
+
+def _closures(params, problem, lam):
+    """The right-hand sides as they were written before they became forms:
+    closures that call ``_phi_inv`` and ``f``.  ``log`` is that of the log
+    phase, ``flux`` that of the flux system in ``t`` and ``shooting`` that
+    of the radial BVP at ``lam``."""
+    p, n, alpha = params.p, params.n, params.alpha
+    phi_exp = 1.0 / (p - 1.0)
+    spec = class_spec(params, problem)
+    f, sgn, k, g, w_c = spec.f, spec.sgn, spec.k, spec.g, spec.w_center
+    if g is None:
+        c = p - n
+
+        def log(s, big_w, z):
+            return _phi_inv(z, phi_exp), c * z + sgn * math.exp(k * s) * f(big_w)
+    elif spec.E is None:
+        c = p - n - g * (p - 1.0)
+
+        def log(s, big_w, z):
+            return _phi_inv(z, phi_exp), c * z + sgn * math.exp(k * s + big_w)
+    else:
+        c = p - n - g * (p - 1.0)
+
+        def log(s, big_w, z):
+            return _phi_inv(z, phi_exp) - g * big_w, c * z + sgn * f(big_w)
+
+    def flux(t, w, v):
+        return _phi_inv(v / t ** (n - 1.0), phi_exp), sgn * t ** (n + alpha - 1.0) * f(w)
+
+    def shooting(r, u, v):
+        return (_phi_inv(v / r ** (n - 1.0), phi_exp),
+                -lam * r ** (n + alpha - 1.0) * f(w_c - sgn * u))
+
+    return {"log": log, "flux": flux, "shooting": shooting}
 
 
 def _dop853_calls(monkeypatch, call):
@@ -529,21 +664,34 @@ def _integration(params, problem, t_max=1e4):
     return lambda: integrate(params, problem, IntegratorConfig(t_max=t_max))
 
 
+def _curve_point(params, problem, t=1e-3):
+    w, _ = integrate(params, problem).eval(t)
+    lam, u0 = pfold.curve.curve_values(problem, params, t, w)
+    return pfold.curve.CurvePoint(t=t, lam=lam, u0=u0, monitor=0.0)
+
+
 def _shooting(params, problem):
-    point = pfold.curve.build_curve(integrate(params, problem)).points[150]
+    point = _curve_point(params, problem)
     return lambda: pfold.curve.shooting_check(params, problem, point)
 
 
-class TestStraightLineStages:
-    """The stage arithmetic compiled from the tableau against loops over it."""
+# jl with q <= p - 1: the log phase without scaling
+JL_UNSCALED = Params(p=3, n=5, alpha=0.5, q=1.5)
 
-    # each log-phase right-hand side (gelfand; mems and jl with a fixed point,
-    # the jl run ending at a zero of w; jl without scaling) and shooting
+
+class TestStraightLineStages:
+    """The DOP853 loop generated from the tableau for each form of the
+    right-hand side, against loops over the tableau that call it."""
+
+    # each log-phase form (gelfand; mems and jl with a fixed point, the jl
+    # run ending at a zero of w; jl without scaling), the flux system of
+    # acceptance row 6, and shooting
     CASES = {
         "gelfand": lambda: _integration(Params(p=3, n=5, alpha=1), G, 1e8),
         "mems": lambda: _integration(MEMS233, M, 1e8),
         "jl-zero": lambda: _integration(JL_ZERO, J),
-        "jl-unscaled": lambda: _integration(Params(p=3, n=5, alpha=0.5, q=1.5), J, 100.0),
+        "jl-unscaled": lambda: _integration(JL_UNSCALED, J, 100.0),
+        "flux": lambda: lambda: run_acceptance(only="6-startup"),
         "shooting-gelfand": lambda: _shooting(GELFAND3, G),
         "shooting-mems": lambda: _shooting(MEMS233, M),
     }
@@ -551,35 +699,39 @@ class TestStraightLineStages:
     @pytest.mark.parametrize("case", CASES)
     def test_bitwise_equal_to_the_loops(self, monkeypatch, case):
         calls = _dop853_calls(monkeypatch, self.CASES[case]())
-        assert calls
-        rng = np.random.default_rng(9)
+        assert calls and all(isinstance(args[0], ivp._Rhs) for args, _ in calls)
         for args, kwargs in calls:
-            rhs = args[0]
-            run = _dop853(*args, **kwargs)
-            # random states near the nodes, and steps around the ones taken
-            for i in rng.integers(0, len(run.xs) - 1, 25):
-                x, h = run.xs[i], (run.xs[i + 1] - run.xs[i]) * rng.uniform(0.25, 2.0)
-                w, v = (y * (1.0 + 1e-3 * rng.standard_normal()) for y in run.states[i])
-                k0 = rhs(x, w, v)
-                got = ivp._attempt(rhs, x, h, w, v, *k0)
-                # repr tells every float apart, 0.0 from -0.0 included
-                assert repr(got) == repr(_loop_attempt(rhs, x, h, w, v, *k0))
-                bw, bv, *_, ks = got
-                k12 = rhs(x + h, w + h * bw, v + h * bv)
-                assert (repr(ivp._dense_rows(rhs, x, h, w, v, ks, *k12))
-                        == repr(_loop_dense_rows(rhs, x, h, w, v, ks, *k12)))
             for dense in (True, False):
                 options = dict(kwargs, dense=dense,
                                watch_zero=dense and kwargs.get("watch_zero", False))
                 new = _dop853(*args, **options)
-                with monkeypatch.context() as m:
-                    m.setattr(ivp, "_attempt", _loop_attempt)
-                    m.setattr(ivp, "_dense_rows", _loop_dense_rows)
-                    old = _dop853(*args, **options)
-                assert repr(new) == repr(old)
+                # repr tells every float apart, 0.0 from -0.0 included
+                assert repr(new) == repr(_loop_dop853(*args, **options))
                 assert len(new.steps) == (len(new.xs) - 1 if dense else 0)
+        if case == "jl-zero":  # the zero watch stopped the run
+            (args, kwargs), = calls
+            assert kwargs["watch_zero"] and _dop853(*args, **kwargs).status == "zero"
 
-    def test_compiled_from_the_tables(self, monkeypatch):
+    @pytest.mark.parametrize("params,problem", [
+        *TestLogPhase.CASES, (JL_ZERO, J), (JL_UNSCALED, J)])
+    def test_scalar_forms_equal_the_closures(self, monkeypatch, params, problem):
+        point = _curve_point(params, problem)
+        calls = _dop853_calls(monkeypatch,
+                              lambda: pfold.curve.shooting_check(params, problem, point))
+        forms = {"log": _log_phase(params, problem)[0], "flux": ivp._flux_rhs(params, problem),
+                 "shooting": calls[0][0][0]}
+        closures = _closures(params, problem, point.lam)
+        rng = np.random.default_rng(4)
+        w_c = class_spec(params, problem).w_center
+        # W <= 0 (the power clamp), u = w_c (a zero argument of f), -0.0 and Z = 0
+        ws = [*rng.uniform(-2.0, 3.0, 40), 0.0, -0.0, -1.5, w_c, -w_c, 1.0]
+        zs = [*rng.uniform(-3.0, 3.0, 40), 0.0, -0.0, 0.0, -0.0, 1e-300, -2.5]
+        xs = rng.uniform(0.05, 4.0, len(ws))
+        for kind, rhs in forms.items():
+            for x, w, z in zip(xs.tolist(), ws, zs):
+                assert repr(rhs(x, w, z)) == repr(closures[kind](x, w, z)), (kind, x, w, z)
+
+    def test_compiled_from_the_tables(self):
         # a coefficient changed in the tables changes the step: the scipy
         # comparisons guard the coefficients of the compiled code
         def raised(row):
@@ -587,24 +739,33 @@ class TestStraightLineStages:
             return ((j, a + 1e-3), *rest)
 
         rhs, *_ = _log_phase(GELFAND3, G)
-        args = (rhs, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 1)
-        base = _dop853(*args)
+        args = (*rhs.values, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 1, False,
+                True, math.inf)
+        base = ivp._straight_line(rhs.form).loop(*args)
+        assert repr(base) == repr(_dop853(rhs, *args[len(rhs.values):]))
         s, c, row = ivp._STEP_STAGES[6]
         stages = (*ivp._STEP_STAGES[:6], (s, c, raised(row)), *ivp._STEP_STAGES[7:])
         d = (*ivp._D[:2], raised(ivp._D[2]), ivp._D[3])
         for tables in ((stages, ivp._WEIGHTS, ivp._DENSE_STAGES, ivp._D),
                        (ivp._STEP_STAGES, ivp._WEIGHTS, ivp._DENSE_STAGES, d)):
-            attempt, dense_rows = ivp._straight_line(*tables)
-            with monkeypatch.context() as m:
-                m.setattr(ivp, "_attempt", attempt)
-                m.setattr(ivp, "_dense_rows", dense_rows)
-                run = _dop853(*args)
+            run = ivp._straight_line(rhs.form, *tables).loop(*args)
             (step,), (base_step,) = run.steps, base.steps
             if tables[0] is stages:  # a_70: the step moves
                 assert run.states[1] != base.states[1]
             else:  # d_50: the same step, another F5
                 assert run.states == base.states and step[:14] == base_step[:14]
                 assert step[14:16] != base_step[14:16] and step[16:] == base_step[16:]
+
+    def test_compiled_once_per_form(self):
+        # the constants are arguments: parameter sets of one form share its code
+        forms = {_log_phase(params, problem)[0].form for params, problem in TestLogPhase.CASES}
+        assert len(forms) == 2  # gelfand, and the power classes with a fixed point
+        assert len({_log_phase(JL_UNSCALED, J)[0].form, *forms}) == 3
+        rhs = _log_phase(MEMS233, M)[0]
+        assert ivp._program(rhs.form) is ivp._program(_log_phase(JL454, J)[0].form)
+        # the form is written into the stages: the loop calls no right-hand side
+        loop = ivp._program(rhs.form).source.split("def loop", 1)[1]
+        assert "rhs(" not in loop and loop.count(rhs.form.slope) == 2 + 11 + 1 + 3
 
 
 def test_import_leaves_scipy_unloaded():
