@@ -520,7 +520,7 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
     v_start = -g0 * r_start ** (n + alpha) / (n + alpha)
 
     # (u, v)' = (phiinv(v / r^(n-1)), -lam r^(n+alpha-1) f(w_c - sgn u))
-    rhs = _ivp._radial_rhs(params, spec, "-lam", "w_c - sgn * W", lam=lam, w_c=w_c, sgn=sgn)
+    rhs = _ivp._radial_rhs(params, spec, -lam, w_c, sgn)
     run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, (abs_tol, abs_tol),
                        200_000, dense=False)
     if run.status != "done":

@@ -750,21 +750,24 @@ def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
                                max_step)
 
 
-def _radial_rhs(params: Params, spec: ClassSpec, coeff: str, arg: str, **consts) -> _Rhs:
-    """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), coeff t^(n+alpha-1) f(arg))``
-    of a radial equation stepped in ``t``, where ``coeff`` and ``arg`` are
-    sources in ``W`` and the constants ``consts``."""
+def _radial_rhs(params: Params, spec: ClassSpec, coeff: float, w_c: float, s: float) -> _Rhs:
+    """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), coeff t^(n+alpha-1) f(w_c - s w))``
+    of a radial equation stepped in ``t``.  The flux system and the radial
+    BVP that :func:`pfold.curve.shooting_check` shoots share its form, so
+    a process that steps both compiles one loop for them."""
     p, n, alpha = params.p, params.n, params.alpha
-    return _bind(f"{_phi_inv_source('Z / X ** e1')}, {coeff} * X ** e2 * {_f_source(spec, arg)}",
-                 phi_exp=1.0 / (p - 1.0), e1=n - 1.0, e2=n + alpha - 1.0, e=spec.q_power,
-                 **consts)
+    return _bind(f"{_phi_inv_source('Z / X ** e1')}, "
+                 f"coeff * X ** e2 * {_f_source(spec, 'w_c - s * W')}",
+                 phi_exp=1.0 / (p - 1.0), e1=n - 1.0, e2=n + alpha - 1.0, coeff=coeff, w_c=w_c,
+                 s=s, e=spec.q_power)
 
 
 def _flux_rhs(params: Params, problem: ProblemClass) -> _Rhs:
     """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), sgn t^(n+alpha-1) f(w))``
-    of the flux system, stepped in ``t``."""
+    of the flux system, stepped in ``t``.  ``f``'s argument ``0 - (-1) w`` is
+    ``w`` exactly, up to the sign of a zero, which ``f`` does not see."""
     spec = class_spec(params, problem)
-    return _radial_rhs(params, spec, "sgn", "W", sgn=spec.sgn)
+    return _radial_rhs(params, spec, spec.sgn, 0.0, -1.0)
 
 
 def integrate(params: Params, problem: ProblemClass,
