@@ -17,6 +17,7 @@ from .model import (
     check_conditions,
     class_spec,
     closed_forms,
+    guiding_bracket,
     guiding_curvature,
     guiding_eval,
     validate_params,

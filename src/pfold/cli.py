@@ -143,6 +143,15 @@ def _integrator_config(settings: dict) -> _ivp.IntegratorConfig:
     )
 
 
+def _write(settings: dict, text: str) -> None:
+    """Write ``text`` to the ``-o`` file, or to stdout without ``-o``."""
+    if settings.get("out"):
+        with open(settings["out"], "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit_table(settings: dict, header, rows, summary: dict | None = None) -> None:
     """Write tabular data honoring the output settings.
 
@@ -156,20 +165,11 @@ def _emit_table(settings: dict, header, rows, summary: dict | None = None) -> No
         doc: dict = {"header": list(header), "rows": [list(r) for r in rows]}
         if summary is not None and out is None:
             doc["summary"] = summary
-        text = _out.json_dumps(doc) + "\n"
-        if out:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(settings, _out.json_dumps(doc) + "\n")
     else:
-        if out:
-            with open(out, "w", encoding="utf-8", newline="\n") as fh:
-                _out.write_csv(fh, header, rows)
-        else:
-            buf = io.StringIO()
-            _out.write_csv(buf, header, rows)
-            sys.stdout.write(buf.getvalue())
+        buf = io.StringIO()
+        _out.write_csv(buf, header, rows)
+        _write(settings, buf.getvalue())
     if summary is not None and (out or fmt == "csv"):
         stream = sys.stdout if out else sys.stderr
         stream.write(_out.json_dumps(summary) + "\n")
@@ -184,12 +184,7 @@ def _cmd_analyze(settings: dict) -> int:
     except ValidityError as exc:
         doc["closed_forms"] = None
         doc["validity_error"] = str(exc)
-    text = _out.json_dumps(doc) + "\n"
-    if settings.get("out"):
-        with open(settings["out"], "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(settings, _out.json_dumps(doc) + "\n")
     return EXIT_OK
 
 

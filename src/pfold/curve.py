@@ -124,15 +124,16 @@ def monitor(problem: ProblemClass, params: Params, t, w, wprime):
 GUARD_FACTOR = 50.0
 
 
-def _error_guard(traj: _ivp.Trajectory, w, t_wprime, coeff_sum: float, scale=1.0):
+def _error_guard(traj: _ivp.Trajectory, w, t_wprime, coeff_sum: float, scale):
     """Noise floor for sign changes of a functional linear in ``w`` and ``t w'``.
 
     The dense output carries a global error of order
     ``rel_tol * (|w| + |t w'|) + abs_tol`` (with headroom for accumulation);
     sign changes whose values stay below ``GUARD_FACTOR`` times this level
-    are unresolved and must not be reported.  In the log-phase units, pass
-    ``W = w t^-g``, ``Y = t w' t^-g`` and ``scale = t^-g``: the floor is
-    then divided by ``t^g`` too.
+    are unresolved and must not be reported.  In the units of ``(w, t w')``
+    pass ``scale = 1``; in the log-phase units, pass ``W = w t^-g``,
+    ``Y = t w' t^-g`` and ``scale = t^-g``: the floor is then divided by
+    ``t^g`` too.
     """
     cfg = traj.config
     state_err = cfg.rel_tol * (np.abs(w) + np.abs(t_wprime) + scale) + cfg.abs_tol * scale
@@ -452,8 +453,7 @@ class ConvergenceReport:
         }
 
 
-def convergence(curve: SolutionCurve, t_eval: float | None = None,
-                r_points: int = 64) -> ConvergenceReport:
+def convergence(curve: SolutionCurve, t_eval: float | None = None) -> ConvergenceReport:
     """Convergence report at ``t_eval`` (default: end of the curve).
 
     ``lambda_gap`` is ``|lambda(t_eval) - lambda_inf|``;
@@ -475,7 +475,7 @@ def convergence(curve: SolutionCurve, t_eval: float | None = None,
     lam, _ = curve_values(curve.problem, curve.params, t_eval, w_t)
     turns = turning_points(traj)
     gaps = tuple(abs(tp.lambda_star - cf.lambda_inf) for tp in turns)
-    r = np.geomspace(0.1, 1.0, r_points)
+    r = np.geomspace(0.1, 1.0, 64)
     _, u = profile(traj, t_eval, r)
     sup_gap = float(np.max(np.abs(u - singular_profile(cf, r))))
     quad = characteristic_quadratic(curve.params, curve.problem)
@@ -490,16 +490,16 @@ def convergence(curve: SolutionCurve, t_eval: float | None = None,
     )
 
 
-def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
-                   rel_tol: float = 1e-12, abs_tol: float = 1e-14) -> float:
+def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> float:
     """Independent validation of a curve point by shooting the radial BVP.
 
     Integrates the radial equation in ``r`` from a series startup near 0
     with center value ``u(0) = point.u0`` at ``lambda = point.lam``, with
     the source ``f(w_c - sgn u)``: ``exp(u)``, ``(1-u)^-q`` or ``(1+u)^q``,
     and returns ``|u(1)|``, which vanishes exactly when the point lies on the
-    solution curve.  Tolerances are decoupled from the generating
-    integration so the check is a genuine cross-validation.
+    solution curve.  Its tolerances, ``rel_tol = 1e-12`` and ``abs_tol =
+    1e-14``, are decoupled from the generating integration so the check is
+    a genuine cross-validation.
     """
     p, n, alpha = params.p, params.n, params.alpha
     lam, u0 = point.lam, point.u0
@@ -521,8 +521,8 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint,
 
     # (u, v)' = (phiinv(v / r^(n-1)), -lam r^(n+alpha-1) f(w_c - sgn u))
     rhs = _ivp._radial_rhs(params, spec, -lam, w_c, sgn)
-    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, rel_tol, (abs_tol, abs_tol),
-                       200_000, dense=False)
+    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, 1e-12, (1e-14, 1e-14), 200_000,
+                       dense=False)
     if run.status != "done":
         raise _ivp.IntegrationError("shooting integration exhausted max_steps",
                                     (run.xs[-1], *run.states[-1]))

@@ -34,10 +34,11 @@ series reaches ``t = 0.34`` to 2.1, and past 1 for about half.
 From ``t1`` on, one phase runs in ``s = ln t``, where folds accumulate
 uniformly, in the Emden-Fowler variables of Joseph & Lundgren (1973)
 
-    ``W = w t^-g``,  ``Z = v t^c = phi(t w') t^(-g(p-1))``,  ``c = p - n - g(p-1)``,
+    ``W = w t^-g``,  ``Z = v t^c = phi(t w') t^(-g(p-1))``,  ``c = p - n - g(p-1) = -D``,
 
 with ``g = 0`` for ``gelfand``, ``g = beta`` for ``mems`` and ``g = -beta``
-for ``jl`` (:func:`~pfold.model.beta_exponent`):
+for ``jl`` (:func:`~pfold.model.beta_exponent`) and the bracket ``D`` of
+:func:`~pfold.model.guiding_bracket`:
 
     ``W' = -g W + phiinv(Z)``,  ``Z' = c Z -+ f(W)``   (``mems``, ``jl``),
     ``W' = phiinv(Z)``,  ``Z' = (p-n) Z - exp((alpha+p) s + W)``   (``gelfand``).
@@ -80,8 +81,7 @@ with ``:=``, as a call would evaluate it once.  Each sum keeps the order
 of its table and starts from ``0.0``, as a loop over the table adds it up,
 and each form does the operations of the function it replaces in the same
 order, so the rounding, and with it every step and every result, stays
-that of a loop over the tables that calls the right-hand side.  Any other
-callable runs through the same loop as a call.
+that of a loop over the tables that calls the right-hand side.
 """
 
 from __future__ import annotations
@@ -102,6 +102,7 @@ from .model import (
     ProblemClass,
     characteristic_quadratic,
     class_spec,
+    guiding_bracket,
     validate_params,
 )
 
@@ -210,10 +211,6 @@ class _Form(NamedTuple):
     slope: str
 
 
-#: The form of any other callable ``rhs``: a call of it.
-_CALL = _Form(("rhs",), "rhs(X, W, Z)")
-
-
 class _Rhs(NamedTuple):
     """A right-hand side of one form with the values of its constants;
     ``rhs(x, w, v)`` evaluates it at one point."""
@@ -273,7 +270,7 @@ def _log_phase(params: Params, problem: ProblemClass):
         rhs = _bind(f"{w_dot}, c * Z + sgn * exp(k * X) * {_f_source(spec, 'W')}",
                     phi_exp=phi_exp, c=c, sgn=sgn, k=k, e=e)
         return rhs, 0.0, c, math.inf
-    c = p - n - g * (p - 1.0)
+    c = -guiding_bracket(params, g)  # p - n - g(p-1): the fixed point has D Z = sgn f(W)
     if spec.E is None:
         rhs = _bind(f"{w_dot}, c * Z + sgn * exp(k * X + W)", phi_exp=phi_exp, c=c, sgn=sgn, k=k)
     else:
@@ -324,8 +321,12 @@ def _horner(coeffs, x):
 
 def _power_coeff(a: list, b: list, e: float, k: int) -> float:
     """Coefficient ``k`` of ``B = A^e`` from ``A_0..A_k`` and ``B_0..B_(k-1)``
-    (J. C. P. Miller's recurrence, from ``A B' = e A' B``)."""
-    return sum(((e + 1.0) * j - k) * a[j] * b[k - j] for j in range(1, k + 1)) / (k * a[0])
+    (J. C. P. Miller's recurrence, from ``A B' = e A' B``), summed in the
+    order of ``j`` on every Python (3.12's ``sum()`` is compensated)."""
+    acc = 0.0
+    for j in range(1, k + 1):
+        acc += ((e + 1.0) * j - k) * a[j] * b[k - j]
+    return acc / (k * a[0])
 
 
 @dataclass(frozen=True)
@@ -389,8 +390,11 @@ def _series(params: Params, problem: ProblemClass) -> _Series:
     for k in range(_SERIES_TERMS):
         if k == 0:
             f.append(1.0)
-        elif expo is None:
-            f.append(sum(j * a[j] * f[k - j] for j in range(1, k + 1)) / k)
+        elif expo is None:  # F' = A' F
+            acc = 0.0
+            for j in range(1, k + 1):
+                acc += j * a[j] * f[k - j]
+            f.append(acc / k)
         else:
             f.append(_power_coeff(a, f, expo, k))
         vs.append(f[k] / (sigma * k + m))
@@ -568,9 +572,9 @@ def _dense_basis(s: np.ndarray) -> np.ndarray:
 
 
 # The body of the DOP853 loop that _straight_line generates, with the
-# right-hand side as a call (the form _CALL).  {attempt} stands for the
-# stages 1-11 of a step attempt from the slope (kw0, kv0) at (x, w, v) and
-# the sums bw, bv, e5w, e5v, e3w, e3v of the weights b and the error
+# right-hand side as a call, which it replaces by the form.  {attempt} stands
+# for the stages 1-11 of a step attempt from the slope (kw0, kv0) at (x, w, v)
+# and the sums bw, bv, e5w, e5v, e3w, e3v of the weights b and the error
 # estimators; {dense} for the dense-output stages 13-15 and the rows
 # f3w, f3v, ..., f6v.  The slope at the end of the step is stage 12.
 _LOOP = """\
@@ -681,15 +685,14 @@ class _Program(NamedTuple):
     loop: object
 
 
-def _straight_line(form: _Form, step_stages=_STEP_STAGES, weights=_WEIGHTS,
-                   dense_stages=_DENSE_STAGES, d=_D) -> _Program:
+def _straight_line(form: _Form) -> _Program:
     """The DOP853 loop ``_LOOP`` of the tableau for the right-hand side
     ``form``, compiled without a loop over the tables or a call of the
     right-hand side (as :func:`collections.namedtuple` compiles its class).
 
-    The blocks ``{attempt}`` and ``{dense}`` are the stages ``step_stages``,
-    the sums of ``weights`` (``(j, b_j, e5_j, e3_j)``), the stages
-    ``dense_stages`` and the rows ``h sum_j d_ij k_j`` of ``d``.  Each line
+    The blocks ``{attempt}`` and ``{dense}`` are the stages ``_STEP_STAGES``,
+    the sums of ``_WEIGHTS`` (``(j, b_j, e5_j, e3_j)``), the stages
+    ``_DENSE_STAGES`` and the rows ``h sum_j d_ij k_j`` of ``_D``.  Each line
     ``kw, kv = rhs(x, w, v)`` binds ``X, W, Z`` to the arguments the form
     uses and evaluates its ``slope``.  Every sum keeps the order of its
     table and starts from ``0.0``, as a loop over the table adds it up, so
@@ -701,11 +704,11 @@ def _straight_line(form: _Form, step_stages=_STEP_STAGES, weights=_WEIGHTS,
                    f"v + ({_term_sum(row, 'kv')}) * h)")
 
     blocks = {
-        "{attempt}": [*stages(step_stages), *(
-            f"{name}{y} = {_term_sum([(row[0], row[i]) for row in weights], 'k' + y)}"
+        "{attempt}": [*stages(_STEP_STAGES), *(
+            f"{name}{y} = {_term_sum([(row[0], row[i]) for row in _WEIGHTS], 'k' + y)}"
             for i, name in enumerate(("b", "e5", "e3"), 1) for y in "wv")],
-        "{dense}": [*stages(dense_stages), *(f"f{i}{y} = h * ({_term_sum(row, 'k' + y)})"
-                                             for i, row in enumerate(d, 3) for y in "wv")],
+        "{dense}": [*stages(_DENSE_STAGES), *(f"f{i}{y} = h * ({_term_sum(row, 'k' + y)})"
+                                              for i, row in enumerate(_D, 3) for y in "wv")],
     }
     used = [name for name in "XWZ" if re.search(rf"\b{name}\b", form.slope)]
     consts = "".join(f"{name}, " for name in form.consts)
@@ -732,22 +735,21 @@ def _straight_line(form: _Form, step_stages=_STEP_STAGES, weights=_WEIGHTS,
 _program = functools.cache(_straight_line)
 
 
-def _dop853(rhs, x: float, w: float, v: float, x_end: float, rtol: float,
+def _dop853(rhs: _Rhs, x: float, w: float, v: float, x_end: float, rtol: float,
             atol: tuple[float, float], budget: int, watch_zero: bool = False,
             dense: bool = True, max_step: float = math.inf) -> _Run:
     """Integrate ``(w, v)' = rhs(x, w, v)`` from ``x`` towards ``x_end > x``.
 
-    ``rhs`` is an :class:`_Rhs`, whose form the loop writes into its stages,
-    or any other callable, which it calls.  ``atol`` holds the absolute
-    tolerances of ``w`` and ``v``.  Accepts at most ``budget`` steps of at
-    most ``max_step``.  With ``watch_zero`` the run stops at the first zero
-    of ``w``, located by bisection on the step's interpolant.  Without
+    The loop compiled for the form of ``rhs`` does the run, with the form
+    written into its stages.  ``atol`` holds the absolute tolerances of
+    ``w`` and ``v``.  Accepts at most ``budget`` steps of at most
+    ``max_step``.  With ``watch_zero`` the run stops at the first zero of
+    ``w``, located by bisection on the step's interpolant.  Without
     ``dense`` the run skips the three dense-output stages and keeps no
     interpolation rows (``steps`` stays empty), so it cannot ``watch_zero``.
     """
-    form, values = rhs if isinstance(rhs, _Rhs) else (_CALL, (rhs,))
-    return _program(form).loop(*values, x, w, v, x_end, rtol, atol, budget, watch_zero, dense,
-                               max_step)
+    return _program(rhs.form).loop(*rhs.values, x, w, v, x_end, rtol, atol, budget, watch_zero,
+                                   dense, max_step)
 
 
 def _radial_rhs(params: Params, spec: ClassSpec, coeff: float, w_c: float, s: float) -> _Rhs:

@@ -12,10 +12,11 @@ Each problem is generated by a single scaled initial value problem whose
 solution ``w(t)`` parameterizes the full ``(lambda, u(0))`` solution curve.
 This module holds everything that can be computed without integrating that
 IVP: the explicit guiding solution ``w0`` that ``w`` approaches as
-``t -> infinity``, the limit value ``lambda_inf`` of the curve, the Euler
-(equidimensional) equation obtained by linearizing about ``w0``, and the
-named inequality conditions that decide whether the characteristic roots are
-complex, i.e. whether the curve spirals through infinitely many folds.
+``t -> infinity``, the limit value ``lambda_inf`` of the curve and the Euler
+(equidimensional) equation obtained by linearizing about ``w0``, all three
+from one bracket ``D`` (:func:`guiding_bracket`), and the named inequality
+conditions that decide whether the characteristic roots are complex, i.e.
+whether the curve spirals through infinitely many folds.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ __all__ = [
     "ValidityError",
     "validate_params",
     "beta_exponent",
+    "guiding_bracket",
     "closed_forms",
     "guiding_eval",
     "guiding_curvature",
@@ -195,6 +197,14 @@ def beta_exponent(params: Params, problem: ProblemClass) -> float:
     return spec.k if spec.E is None else spec.k / abs(spec.E)
 
 
+def guiding_bracket(params: Params, g: float) -> float:
+    """The bracket ``D = (n - p) + (p - 1) g`` of the guiding solution
+    ``w0 = coeff t^g`` (``ln coeff - k ln t``, ``g = 0``, for ``gelfand``):
+    ``phi(w0')' + ((n-1)/t) phi(w0') = D phi(w0')/t``, so ``w0`` solves the
+    equation when ``D phi(w0') = sgn t^(alpha+1) f(w0)``."""
+    return (params.n - params.p) + (params.p - 1.0) * g
+
+
 @dataclass(frozen=True)
 class ClosedForms:
     """Explicit constants attached to a (params, problem) pair.
@@ -239,51 +249,45 @@ class ClosedForms:
         }
 
 
+# The paper's form of D > 0 in each class, which a ValidityError names, and
+# the note on lambda_inf.
+_TEXTS = {
+    ProblemClass.GELFAND: ("n > p, got n = {n!r}, p = {p!r}", None),
+    ProblemClass.MEMS: ("(p-1)(beta-1) + n - 1 > 0, got {D!r}",
+                        "lambda_inf = coeff**-(p+q-1) = {lam!r}; the exponent-(q-1) variant "
+                        "coeff**-(q-1) = {variant!r} coincides only when coeff = 1"),
+    ProblemClass.JOSEPH_LUNDGREN: ("(n-p) beta^(p-1) - (p-1) beta^p > 0, got {lam!r}",
+                                   "lambda_inf = coeff**(q-p+1) = {lam!r}; the exponent-(q-1) "
+                                   "variant coeff**(q-1) = {variant!r} coincides only at p = 2"),
+}
+
+
 def closed_forms(params: Params, problem: ProblemClass) -> ClosedForms:
     """Compute guiding-solution constants and the curve limit ``lambda_inf``.
 
-    Raises
-    ------
-    ValidityError
-        If the validity inequality of the class fails: ``n > p`` for
-        ``gelfand``, ``(p-1)(beta-1) + n - 1 > 0`` for ``mems``, and
-        ``(n-p) beta^(p-1) - (p-1) beta^p > 0`` for ``jl``.
+    The guiding solution exists when the bracket ``D`` of
+    :func:`guiding_bracket` is positive.  The curve at ``w0`` is
+    ``lambda = coeff^E`` (``coeff`` for ``gelfand``), which the guiding
+    equation makes ``lambda_inf = beta^(p-1) D``.  With ``g = 0``, ``beta``
+    and ``-beta``, ``D > 0`` reads ``n > p`` for ``gelfand``,
+    ``(p-1)(beta-1) + n - 1 > 0`` for ``mems`` and, times ``beta^(p-1)``,
+    ``(n-p) beta^(p-1) - (p-1) beta^p > 0`` for ``jl``: the inequality that
+    a :class:`ValidityError` names when it fails.
     """
     validate_params(params, problem)
-    p, n, q = params.p, params.n, params.q
     spec = class_spec(params, problem)
     beta = beta_exponent(params, problem)
-    if problem is ProblemClass.GELFAND:
-        if not n > p:
-            raise ValidityError(f"gelfand guiding solution requires n > p, got n = {n!r}, p = {p!r}")
-        lam = coeff = (n - p) * beta ** (p - 1.0)
-        notes = ()
-    elif problem is ProblemClass.MEMS:
-        bracket = (p - 1.0) * (beta - 1.0) + n - 1.0
-        if not bracket > 0.0:
-            raise ValidityError(
-                "mems guiding solution requires (p-1)(beta-1) + n - 1 > 0, "
-                f"got {bracket!r}"
-            )
-        lam = beta ** (p - 1.0) * bracket
+    D = guiding_bracket(params, spec.g)
+    lam = beta ** (params.p - 1.0) * D
+    validity, note = _TEXTS[problem]
+    if not D > 0.0:
+        raise ValidityError(f"{problem.value} guiding solution requires "
+                            + validity.format(n=params.n, p=params.p, D=D, lam=lam))
+    if spec.E is None:
+        coeff, notes = lam, ()
+    else:  # the note's variant has the exponent q - 1 with the sign s of f's power
         coeff = lam ** (1.0 / spec.E)
-        notes = (
-            f"lambda_inf = coeff**-(p+q-1) = {lam!r}; the exponent-(q-1) "
-            f"variant coeff**-(q-1) = {coeff ** -(q - 1.0)!r} coincides only when coeff = 1",
-        )
-    else:
-        bracket = (n - p) * beta ** (p - 1.0) - (p - 1.0) * beta**p
-        if not bracket > 0.0:
-            raise ValidityError(
-                "jl guiding solution requires (n-p) beta^(p-1) - (p-1) beta^p > 0, "
-                f"got {bracket!r}"
-            )
-        lam = bracket
-        coeff = lam ** (1.0 / spec.E)
-        notes = (
-            f"lambda_inf = coeff**(q-p+1) = {lam!r}; the exponent-(q-1) "
-            f"variant coeff**(q-1) = {coeff ** (q - 1.0)!r} coincides only at p = 2",
-        )
+        notes = (note.format(lam=lam, variant=coeff ** (_FACTS[problem][2] * (params.q - 1.0))),)
     # the guiding solution w0 = coeff t^g (gelfand: ln coeff - (alpha+p) ln t)
     kind = "logarithmic" if spec.E is None else "power-growth" if spec.g > 0.0 else "power-decay"
     return ClosedForms(problem=problem, params=params, beta=beta, coeff=coeff, lambda_inf=lam,
@@ -368,27 +372,24 @@ def _solve_monic(b: float, c: float) -> tuple[tuple[complex, complex], float]:
 def characteristic_quadratic(params: Params, problem: ProblemClass) -> CharacteristicQuadratic:
     """Characteristic quadratic of the Euler equation linearized at ``w0``.
 
-    Normalized monic form ``r**2 + (A - 1) r + B`` with
+    ``h = t^r`` solves the linearization about ``w0 = coeff t^g`` when
+    ``r**2 + b r + c = 0``, with ``k = alpha + p`` and the bracket ``D`` of
+    :func:`guiding_bracket`: ``b = (n - p) + (p - 2) g`` from the powers of
+    ``t`` in ``(p-1)|w0'|^(p-2) h'``, and ``c = (k - (p - 1) g) D/(p - 1)``
+    from ``f'(w0)`` by the guiding equation.  Worked out per class:
 
-    * ``gelfand``: ``A = n - p + 1``, ``B = (n-p)(p+alpha)/(p-1)``,
-    * ``mems``:    ``A - 1 = (p-2)(beta-1) + n - 2``,
-      ``B = q beta [(p-1)(beta-1) + n - 1]/(p-1)``,
-    * ``jl``:      ``A = -beta(p-2) + n - p + 1``,
-      ``B = q(n-p) beta/(p-1) - q beta**2``.
+    * ``gelfand``: ``b = n - p``, ``c = (n-p)(p+alpha)/(p-1)``,
+    * ``mems``:    ``b = (p-2)(beta-1) + n - 2``,
+      ``c = q beta [(p-1)(beta-1) + n - 1]/(p-1)``,
+    * ``jl``:      ``b = -beta(p-2) + n - p``,
+      ``c = q(n-p) beta/(p-1) - q beta**2``.
     """
     validate_params(params, problem)
-    p, n, alpha, q = params.p, params.n, params.alpha, params.q
-    if problem is ProblemClass.GELFAND:
-        b = n - p
-        c = (n - p) * (p + alpha) / (p - 1.0)
-    elif problem is ProblemClass.MEMS:
-        beta = beta_exponent(params, problem)
-        b = (p - 2.0) * (beta - 1.0) + n - 2.0
-        c = q * beta * ((p - 1.0) * (beta - 1.0) + n - 1.0) / (p - 1.0)
-    else:
-        beta = beta_exponent(params, problem)
-        b = -beta * (p - 2.0) + n - p
-        c = q * (n - p) * beta / (p - 1.0) - q * beta**2
+    beta_exponent(params, problem)  # ValidityError without the scaling w ~ t^g
+    spec = class_spec(params, problem)
+    p, n, g = params.p, params.n, spec.g
+    b = (n - p) + (p - 2.0) * g
+    c = (spec.k - (p - 1.0) * g) * guiding_bracket(params, g) / (p - 1.0)
     roots, disc = _solve_monic(b, c)
     return CharacteristicQuadratic(
         coefficients=(1.0, b, c),

@@ -118,7 +118,7 @@ class TestMonitor:
         # magnitudes of the coefficients on w and t w' in the monitor forms
         e = None if q is None else (q - p + 1.0 if problem is J else p + q - 1.0)
         coeff = 1.0 if e is None else alpha + p + abs(e)
-        clear = np.abs(m) > _error_guard(traj, w, t * wp, coeff)
+        clear = np.abs(m) > _error_guard(traj, w, t * wp, coeff, 1.0)
         assert clear.sum() > 200  # at least 1461 of 2000 in those examples
         assert np.array_equal(np.sign(m[clear]), np.sign(lam_hi - lam_lo)[clear])
 
@@ -208,7 +208,7 @@ def _oracle_pairs(traj, t_lo, values_at, coeff_sum):
     grid = np.unique(np.concatenate([grid, traj.ts[traj.ts >= t_lo]]))
     w, wp = traj.eval_many(grid)
     vals = values_at(grid, w, wp)
-    idx = np.flatnonzero(np.abs(vals) > _error_guard(traj, w, grid * wp, coeff_sum))
+    idx = np.flatnonzero(np.abs(vals) > _error_guard(traj, w, grid * wp, coeff_sum, 1.0))
     return [(float(grid[i]), float(grid[j]), float(vals[i]))
             for i, j in zip(idx[:-1], idx[1:]) if vals[i] * vals[j] < 0.0]
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from pfold import (
@@ -14,6 +15,7 @@ from pfold import (
     check_conditions,
     class_spec,
     closed_forms,
+    guiding_bracket,
     guiding_curvature,
     guiding_eval,
     validate_params,
@@ -152,6 +154,96 @@ class TestCharacteristicQuadratic:
     def test_complex_pair_ordering(self):
         quad = characteristic_quadratic(Params(p=2, n=3, alpha=0), G)
         assert quad.roots[0].imag > 0 > quad.roots[1].imag
+
+
+# Rational parameter sets (p, n, alpha, q): the canonical and acceptance
+# cases, others across the sweep ranges, and last one with D near 1e-6.
+SYMBOLIC_SETS = {
+    G: [(2, 3, 0, None), (2, 10, 0, None), (3, 5, 1, None), ("5/2", "55/4", 0, None),
+        ("3/2", 5, "1/2", None), (4, 7, 2, None), ("5/4", 3, 0, None), (2, 20, 0, None),
+        (3, 4, "3/2", None), ("7/4", "11/2", "1/4", None), (2, "2097153/1048576", 0, None)],
+    M: [(2, 3, 0, 2), (2, "5/2", 0, "3/10"), ("5/2", 7, 1, "7/10"), (3, 4, 0, 1),
+        ("3/2", 5, "1/2", 4), (4, 6, 2, "1/2"), (2, 10, 1, 6), ("7/4", "9/2", 0, "5/2"),
+        (3, 3, "3/2", 2), ("5/4", "3/2", "1/4", "1/20"), (2, "1800001/1000000", 0, 9)],
+    J: [(2, 4, 0, 5), (2, 5, 0, 2), ("5/2", 5, 0, 4), (3, 6, 1, 5), ("5/2", 6, "1/2", 3),
+        ("3/2", 6, 0, 3), (4, 12, 1, 6), (2, 10, 1, 3), (3, 9, 0, 4), ("7/4", 8, "3/4", "9/2"),
+        (2, "2621441/1048576", 0, 5)],
+}
+
+
+def _sympy_guiding(problem, p, n, alpha, q):
+    """``D``, ``lambda_inf`` and the Euler coefficients ``(b, c)`` from sympy.
+
+    ``w0 = A t^g`` (``ln A - k ln t`` for gelfand) in the residual
+    ``phi(w')' + ((n-1)/t) phi(w') - sgn t^alpha f(w)`` gives the guiding
+    equation for ``A``, and ``D = t phi(w0')'/phi(w0') + n - 1``.  The
+    residual linearized about ``w0`` and applied to ``t^r`` is, at ``t = 1``,
+    a quadratic in ``r`` whose monic form is ``r^2 + b r + c``.  Also
+    returns ``g`` and ``k = alpha + p``.
+    """
+    t, a, r, eps = sp.symbols("t A r epsilon", positive=True)
+    p, n, alpha = sp.Rational(p), sp.Rational(n), sp.Rational(alpha)
+    k = alpha + p
+    if problem is G:
+        sgn, f, g = -1, sp.exp, sp.Integer(0)
+        w0 = sp.log(a) - k * sp.log(t)
+        curve = t**k * sp.exp(w0)
+    else:
+        power = -sp.Rational(q) if problem is M else sp.Rational(q)
+        sgn = 1 if problem is M else -1
+        big_e = power - (p - 1)
+        g = -k / big_e
+
+        def f(w):
+            return w**power
+
+        w0 = a * t**g
+        curve = t**k * w0**big_e
+
+    def phi(s):
+        return s * (s**2) ** ((p - 2) / 2)
+
+    def residual(w):
+        wp = sp.diff(w, t)
+        return sp.diff(phi(wp), t) + (n - 1) / t * phi(wp) - sgn * t**alpha * f(w)
+
+    flux = phi(sp.diff(w0, t))
+    bracket = sp.simplify(t * sp.diff(flux, t) / flux + n - 1)
+    # the guiding equation c1 A^e1 + c2 A^e2 = 0, at t = 1
+    (c1, e1), (c2, e2) = (term.as_coeff_exponent(a) for term in
+                          sp.Add.make_args(sp.expand(residual(w0).subs(t, 1))))
+    a0 = (-c1 / c2) ** (1 / (e2 - e1))
+    assert a0.is_positive
+    assert residual(w0).subs({a: a0, t: 3}).evalf(30) == pytest.approx(0.0, abs=1e-20)
+    lam = curve.subs({a: a0, t: 1})
+    assert curve.subs({a: a0, t: 3}).evalf(30) == pytest.approx(float(lam), rel=1e-20)
+    lin = sp.diff(residual(w0 + eps * t**r), eps).subs(eps, 0).subs({a: a0, t: 1})
+    a2, a1, a_0 = sp.Poly(sp.expand(lin), r).all_coeffs()
+    return {"D": bracket, "lambda_inf": lam, "b": a1 / a2, "c": a_0 / a2, "g": g, "k": k}
+
+
+class TestSymbolicGuiding:
+    """The closed forms against sympy's linearization about ``w0``."""
+
+    @pytest.mark.parametrize("problem,p,n,alpha,q", [
+        (problem, *case) for problem, cases in SYMBOLIC_SETS.items() for case in cases])
+    def test_closed_forms_equal_the_linearization(self, problem, p, n, alpha, q):
+        ref = _sympy_guiding(problem, p, n, alpha, q)
+        params = Params(p=float(sp.Rational(p)), n=float(sp.Rational(n)),
+                        alpha=float(sp.Rational(alpha)),
+                        q=None if q is None else float(sp.Rational(q)))
+        cf = closed_forms(params, problem)
+        _, b, c = characteristic_quadratic(params, problem).coefficients
+        got = {"D": guiding_bracket(params, class_spec(params, problem).g),
+               "lambda_inf": cf.lambda_inf, "b": b, "c": c}
+        # each value to 1e-13 of the size of its terms
+        pp, nn, g, k = sp.Rational(p), sp.Rational(n), ref["g"], ref["k"]
+        d_terms = abs(nn - pp) + abs((pp - 1) * g)
+        terms = {"D": d_terms, "lambda_inf": abs(ref["lambda_inf"] / ref["D"]) * d_terms,
+                 "b": abs(nn - pp) + abs((pp - 2) * g),
+                 "c": (k + abs((pp - 1) * g)) * d_terms / (pp - 1)}
+        for name, value in got.items():
+            assert abs(value - ref[name].evalf(30)) <= 1e-13 * terms[name].evalf(30), name
 
 
 class TestConditions:
