@@ -1,10 +1,6 @@
-"""Command-line front end.
-
-Subcommands: ``analyze`` (regime report as JSON), ``solve`` (trajectory),
-``curve`` (solution curve), ``turns`` (turning points plus summary),
-``profile`` (radial solution at a curve parameter), ``verify`` (acceptance
-matrix).  Data is written as CSV (default) or JSON to ``-o`` or stdout;
-outputs are byte-deterministic for identical inputs.
+"""Command-line front end: the subcommands of ``_COMMANDS``, with the flags
+and config-file keys of ``_SETTINGS``.  Data is written as CSV (default) or
+JSON to ``-o`` or stdout; outputs are byte-deterministic for identical inputs.
 
 Exit codes: 0 success, 2 invalid parameters or flags, 3 numerical failure.
 """
@@ -14,6 +10,8 @@ from __future__ import annotations
 import argparse
 import io
 import sys
+from dataclasses import fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -34,33 +32,48 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_NUMERICAL = 3
 
-# Every setting a flag or a config file can give: key -> (type, default),
-# where a default of None means "not set".
+
+class _Setting(NamedTuple):
+    """A setting's flags, type, default (None: not set) and choices, and the
+    subcommand that takes it (None: every subcommand that reads a problem)."""
+
+    flags: tuple[str, ...]
+    type: type
+    default: object = None
+    command: str | None = None
+    choices: tuple[str, ...] | None = None
+
+
+# Every setting, in the order of --help: key -> _Setting.  The integrator's
+# controls are the fields of IntegratorConfig, with their defaults.
 _SETTINGS = {
-    "problem": (str, None), "p": (float, None), "q": (float, None),
-    "alpha": (float, 0.0), "n": (float, None), "t_start": (float, 1e-6),
-    "t_max": (float, 1e4), "rel_tol": (float, 1e-10), "abs_tol": (float, 1e-12),
-    "max_steps": (int, 100_000), "out": (str, None), "format": (str, "csv"),
-    "samples_per_decade": (int, 50), "t": (float, 1e3), "r_min": (float, 0.1),
-    "r_points": (int, 64),
+    "problem": _Setting(("--class",), str, choices=tuple(c.value for c in ProblemClass)),
+    "p": _Setting(("-p",), float),
+    "q": _Setting(("-q",), float),
+    "alpha": _Setting(("-a", "--alpha"), float, 0.0),
+    "n": _Setting(("-n",), float),
+    **{f.name: _Setting(("--" + f.name.replace("_", "-"),), type(f.default), f.default)
+       for f in fields(_ivp.IntegratorConfig)},
+    "out": _Setting(("-o", "--out"), str),
+    "format": _Setting(("--format",), str, "csv", choices=("csv", "json")),
+    "samples_per_decade": _Setting(("--samples-per-decade",), int, 50, "curve"),
+    "t": _Setting(("--t",), float, 1e3, "profile"),
+    "r_min": _Setting(("--r-min",), float, 0.1, "profile"),
+    "r_points": _Setting(("--r-points",), int, 64, "profile"),
+    "only": _Setting(("--only",), str, command="verify"),
+    "tol_scale": _Setting(("--tol-scale",), float, 1.0, "verify"),
 }
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    def add_settings(parser: argparse.ArgumentParser, command: str | None) -> None:
+        for key, setting in _SETTINGS.items():
+            if setting.command == command:
+                parser.add_argument(*setting.flags, dest=key, type=setting.type,
+                                    choices=setting.choices)
+
     shared = argparse.ArgumentParser(add_help=False)
-    shared.add_argument("--class", dest="problem",
-                        choices=[c.value for c in ProblemClass])
-    shared.add_argument("-p", type=float, dest="p")
-    shared.add_argument("-q", type=float, dest="q")
-    shared.add_argument("-a", "--alpha", type=float, dest="alpha")
-    shared.add_argument("-n", type=float, dest="n")
-    shared.add_argument("--t-start", type=float, dest="t_start")
-    shared.add_argument("--t-max", type=float, dest="t_max")
-    shared.add_argument("--rel-tol", type=float, dest="rel_tol")
-    shared.add_argument("--abs-tol", type=float, dest="abs_tol")
-    shared.add_argument("--max-steps", type=int, dest="max_steps")
-    shared.add_argument("-o", "--out", dest="out")
-    shared.add_argument("--format", choices=["csv", "json"], dest="format")
+    add_settings(shared, None)
     shared.add_argument("--config", dest="config")
 
     parser = argparse.ArgumentParser(
@@ -69,23 +82,9 @@ def _build_parser() -> argparse.ArgumentParser:
                     "radial p-Laplace problems.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("analyze", parents=[shared],
-                   help="closed forms, named conditions, and the fold prediction")
-    sub.add_parser("solve", parents=[shared],
-                   help="integrate the generating IVP and emit the trajectory")
-    sp_curve = sub.add_parser("curve", parents=[shared],
-                              help="emit the sampled (t, lambda, u0, monitor) curve")
-    sp_curve.add_argument("--samples-per-decade", type=int, dest="samples_per_decade")
-    sp_turns = sub.add_parser("turns", parents=[shared],
-                              help="locate turning points; emit them plus a summary")
-    sp_prof = sub.add_parser("profile", parents=[shared],
-                             help="radial profile u(r) at a curve parameter t")
-    sp_prof.add_argument("--t", type=float, dest="t")
-    sp_prof.add_argument("--r-min", type=float, dest="r_min")
-    sp_prof.add_argument("--r-points", type=int, dest="r_points")
-    sp_verify = sub.add_parser("verify", help="run the acceptance matrix")
-    sp_verify.add_argument("--only", dest="only")
-    sp_verify.add_argument("--tol-scale", type=float, dest="tol_scale", default=1.0)
+    for name, command in _COMMANDS.items():
+        add_settings(sub.add_parser(name, parents=[shared] if command.problem else [],
+                                    help=command.help), name)
     return parser
 
 
@@ -105,14 +104,14 @@ def _read_config(path: str) -> dict:
 
 def _effective(args: argparse.Namespace) -> dict:
     """Merge defaults, config-file values, and flags (flags win)."""
-    settings = {key: default for key, (_, default) in _SETTINGS.items()}
+    settings = {key: setting.default for key, setting in _SETTINGS.items()}
     if getattr(args, "config", None):
         for key, raw in _read_config(args.config).items():
             key = "problem" if key == "class" else key
-            if key not in _SETTINGS:
+            if key not in _CONFIG_KEYS:
                 raise InvalidParamsError(f"unknown config key {key!r}")
             try:
-                settings[key] = _SETTINGS[key][0](raw)
+                settings[key] = _SETTINGS[key].type(raw)
             except ValueError as exc:
                 raise InvalidParamsError(f"bad config value for {key}: {raw!r}") from exc
     for key in _SETTINGS:
@@ -123,29 +122,30 @@ def _effective(args: argparse.Namespace) -> dict:
 
 
 def _require_problem(settings: dict) -> tuple[Params, ProblemClass]:
-    if settings.get("problem") is None:
+    if settings["problem"] is None:
         raise InvalidParamsError("--class is required (gelfand, mems, or jl)")
     for key in ("p", "n"):
-        if settings.get(key) is None:
+        if settings[key] is None:
             raise InvalidParamsError(f"-{key} is required")
-    problem = ProblemClass(settings["problem"])
-    params = Params(p=settings["p"], n=settings["n"], alpha=settings["alpha"], q=settings.get("q"))
-    return params, problem
+    params = Params(p=settings["p"], n=settings["n"], alpha=settings["alpha"], q=settings["q"])
+    return params, ProblemClass(settings["problem"])
 
 
-def _integrator_config(settings: dict) -> _ivp.IntegratorConfig:
-    return _ivp.IntegratorConfig(
-        t_start=settings["t_start"],
-        t_max=settings["t_max"],
-        rel_tol=settings["rel_tol"],
-        abs_tol=settings["abs_tol"],
-        max_steps=settings["max_steps"],
-    )
+def _integrate(settings: dict,
+               check: Callable[[_ivp.IntegratorConfig], None] | None = None) -> _ivp.Trajectory:
+    """The prologue of the subcommands that integrate: read the problem,
+    build its integrator config, let ``check`` reject it, and integrate."""
+    params, problem = _require_problem(settings)
+    cfg = _ivp.IntegratorConfig(**{f.name: settings[f.name]
+                                   for f in fields(_ivp.IntegratorConfig)})
+    if check is not None:
+        check(cfg)
+    return _ivp.integrate(params, problem, cfg)
 
 
 def _write(settings: dict, text: str) -> None:
     """Write ``text`` to the ``-o`` file, or to stdout without ``-o``."""
-    if settings.get("out"):
+    if settings["out"]:
         with open(settings["out"], "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
     else:
@@ -160,7 +160,7 @@ def _emit_table(settings: dict, header, rows, summary: dict | None = None) -> No
     document; CSV format streams to stdout with the summary on stderr.
     """
     fmt = settings["format"]
-    out = settings.get("out")
+    out = settings["out"]
     if fmt == "json":
         doc: dict = {"header": list(header), "rows": [list(r) for r in rows]}
         if summary is not None and out is None:
@@ -175,10 +175,14 @@ def _emit_table(settings: dict, header, rows, summary: dict | None = None) -> No
         stream.write(_out.json_dumps(summary) + "\n")
 
 
+def _zero_warning(traj: _ivp.Trajectory, what: str) -> str:
+    return (f"generating solution reached zero at t = {_out.format_float(traj.t_end)}; "
+            f"{what} truncated")
+
+
 def _cmd_analyze(settings: dict) -> int:
     params, problem = _require_problem(settings)
-    report = check_conditions(params, problem)
-    doc = report.to_dict()
+    doc = check_conditions(params, problem).to_dict()
     try:
         doc["closed_forms"] = closed_forms(params, problem).to_dict()
     except ValidityError as exc:
@@ -189,8 +193,7 @@ def _cmd_analyze(settings: dict) -> int:
 
 
 def _cmd_solve(settings: dict) -> int:
-    params, problem = _require_problem(settings)
-    traj = _ivp.integrate(params, problem, _integrator_config(settings))
+    traj = _integrate(settings)
     summary = {
         "termination": traj.termination,
         "t_start": traj.t_start,
@@ -198,18 +201,15 @@ def _cmd_solve(settings: dict) -> int:
         "steps": len(traj.ts) - 1,
     }
     if traj.termination == "zero":
-        summary["warning"] = (
-            f"generating solution reached zero at t = {_out.format_float(traj.t_end)}; "
-            "trajectory truncated"
-        )
-    _emit_table(settings, _out.TRAJECTORY_HEADER, _out.trajectory_rows(traj), summary)
+        summary["warning"] = _zero_warning(traj, "trajectory")
+    rows = zip(traj.ts.tolist(), traj.ws.tolist(), traj.wprimes.tolist())
+    _emit_table(settings, _out.TRAJECTORY_HEADER, rows, summary)
     return EXIT_OK
 
 
 def _cmd_curve(settings: dict) -> int:
-    params, problem = _require_problem(settings)
-    traj = _ivp.integrate(params, problem, _integrator_config(settings))
-    cf = closed_forms(params, problem)
+    traj = _integrate(settings)
+    cf = closed_forms(traj.params, traj.problem)
     curve = _curve.build_curve(traj, cf, samples_per_decade=settings["samples_per_decade"])
     summary = {
         "termination": traj.termination,
@@ -219,19 +219,15 @@ def _cmd_curve(settings: dict) -> int:
         "lambda_inf": cf.lambda_inf,
     }
     if curve.truncated:
-        summary["warning"] = (
-            f"generating solution reached zero at t = {_out.format_float(traj.t_end)}; "
-            "curve truncated"
-        )
-    _emit_table(settings, _out.CURVE_HEADER, _out.curve_rows(curve), summary)
+        summary["warning"] = _zero_warning(traj, "curve")
+    _emit_table(settings, _out.CURVE_HEADER, curve.points, summary)
     return EXIT_OK
 
 
 def _cmd_turns(settings: dict) -> int:
-    params, problem = _require_problem(settings)
-    traj = _ivp.integrate(params, problem, _integrator_config(settings))
+    traj = _integrate(settings)
     turns = _curve.turning_points(traj)
-    report = check_conditions(params, problem)
+    report = check_conditions(traj.params, traj.problem)
     directions = [tp.direction for tp in turns]
     alternating = all(a != b for a, b in zip(directions[:-1], directions[1:]))
     summary = {
@@ -243,71 +239,77 @@ def _cmd_turns(settings: dict) -> int:
         "termination": traj.termination,
     }
     try:
-        summary["lambda_inf"] = closed_forms(params, problem).lambda_inf
+        summary["lambda_inf"] = closed_forms(traj.params, traj.problem).lambda_inf
     except ValidityError:
         summary["lambda_inf"] = None
-    _emit_table(settings, _out.TURNING_HEADER, _out.turning_rows(turns), summary)
+    _emit_table(settings, _out.TURNING_HEADER, turns, summary)
     return EXIT_OK
 
 
 def _cmd_profile(settings: dict) -> int:
-    params, problem = _require_problem(settings)
-    if not 0.0 < settings["r_min"] < 1.0:
-        raise InvalidParamsError(f"--r-min must lie in (0, 1), got {settings['r_min']!r}")
-    if settings["r_points"] < 2:
-        raise InvalidParamsError("--r-points must be at least 2")
-    t_eval = settings["t"]
-    cfg = _integrator_config(settings)
-    if t_eval > cfg.t_max or t_eval * settings["r_min"] < cfg.t_start:
-        raise InvalidParamsError(
-            f"profile needs t_start <= t*r <= t_max for r in [{settings['r_min']!r}, 1], "
-            f"got t = {t_eval!r}"
-        )
-    traj = _ivp.integrate(params, problem, cfg)
-    r = np.geomspace(settings["r_min"], 1.0, settings["r_points"])
+    t_eval, r_min = settings["t"], settings["r_min"]
+
+    def check(cfg: _ivp.IntegratorConfig) -> None:
+        if not 0.0 < r_min < 1.0:
+            raise InvalidParamsError(f"--r-min must lie in (0, 1), got {r_min!r}")
+        if settings["r_points"] < 2:
+            raise InvalidParamsError("--r-points must be at least 2")
+        if t_eval > cfg.t_max or t_eval * r_min < cfg.t_start:
+            raise InvalidParamsError(
+                f"profile needs t_start <= t*r <= t_max for r in [{r_min!r}, 1], "
+                f"got t = {t_eval!r}"
+            )
+
+    traj = _integrate(settings, check)
+    r = np.geomspace(r_min, 1.0, settings["r_points"])
     r, u = _curve.profile(traj, min(t_eval, traj.t_end), r)
-    _emit_table(settings, _out.PROFILE_HEADER, _out.profile_rows(r, u))
+    _emit_table(settings, _out.PROFILE_HEADER, zip(r.tolist(), u.tolist()))
     return EXIT_OK
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    results = _verify.run_acceptance(only=args.only, tol_scale=args.tol_scale)
+def _cmd_verify(settings: dict) -> int:
+    only = settings["only"]
+    results = _verify.run_acceptance(only=only, tol_scale=settings["tol_scale"])
     if not results:
-        sys.stderr.write(f"no acceptance rows match --only {args.only!r}\n")
+        sys.stderr.write(f"no acceptance rows match --only {only!r}\n")
         return EXIT_INVALID
     for res in results:
         sys.stdout.write(res.line() + "\n")
     failed = [r for r in results if not r.passed]
-    sys.stdout.write(
-        f"{len(results) - len(failed)}/{len(results)} criteria passed\n"
-    )
+    sys.stdout.write(f"{len(results) - len(failed)}/{len(results)} criteria passed\n")
     return EXIT_OK if not failed else 1
 
 
+class _Command(NamedTuple):
+    help: str
+    run: Callable[[dict], int]
+    problem: bool = True  # takes the shared settings and --config
+
+
+_COMMANDS = {
+    "analyze": _Command("closed forms, named conditions, and the fold prediction", _cmd_analyze),
+    "solve": _Command("integrate the generating IVP and emit the trajectory", _cmd_solve),
+    "curve": _Command("emit the sampled (t, lambda, u0, monitor) curve", _cmd_curve),
+    "turns": _Command("locate turning points; emit them plus a summary", _cmd_turns),
+    "profile": _Command("radial profile u(r) at a curve parameter t", _cmd_profile),
+    "verify": _Command("run the acceptance matrix", _cmd_verify, problem=False),
+}
+
+# A config file may set every setting of a subcommand that reads a problem.
+_CONFIG_KEYS = {key for key, setting in _SETTINGS.items()
+                if setting.command is None or _COMMANDS[setting.command].problem}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "verify":
-            return _cmd_verify(args)
-        settings = _effective(args)
-        handler = {
-            "analyze": _cmd_analyze,
-            "solve": _cmd_solve,
-            "curve": _cmd_curve,
-            "turns": _cmd_turns,
-            "profile": _cmd_profile,
-        }[args.command]
-        return handler(settings)
-    except (InvalidParamsError, ValidityError, ValueError) as exc:
+        return _COMMANDS[args.command].run(_effective(args))
+    except (ValueError, OSError) as exc:  # InvalidParamsError, ValidityError, file errors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except _ivp.IntegrationError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
 
 
 if __name__ == "__main__":

@@ -141,7 +141,8 @@ def _error_guard(traj: _ivp.Trajectory, w, t_wprime, coeff_sum: float, scale):
 
 
 class CurvePoint(NamedTuple):
-    """One sample of the solution curve (``lam`` is the parameter value)."""
+    """One sample of the solution curve (``lam`` is the parameter value), a
+    row of :data:`pfold.output.CURVE_HEADER`."""
 
     t: float
     lam: float
@@ -165,13 +166,13 @@ class SolutionCurve:
         return self.points[-1].t
 
 
-@dataclass(frozen=True)
-class TurningPoint:
+class TurningPoint(NamedTuple):
     """Fold of the solution curve: a sign change of the monitor.
 
     ``direction`` records the passage of the curve through the fold:
     ``"right-to-left"`` for a monitor going + to - (local maximum of
-    ``lambda``), ``"left-to-right"`` for - to +.
+    ``lambda``), ``"left-to-right"`` for - to +.  The fields are the
+    columns of :data:`pfold.output.TURNING_HEADER`.
     """
 
     t_star: float
@@ -219,6 +220,12 @@ def _illinois(traj: _ivp.Trajectory, fn, row: int, ta: float, tb: float, xa: flo
     if point is None:
         point = traj._row_point(row, 0.5 * (ta + tb))
     return point
+
+
+def _w_floor(traj: _ivp.Trajectory) -> float:
+    """Smallest ``w`` of a curve point of a power source, ``10 abs_tol``:
+    ``lambda = t^k w^E`` needs ``w > 0``."""
+    return 10.0 * traj.config.abs_tol
 
 
 def _roots(traj: _ivp.Trajectory, fn, coeff_sum: float | None = None,
@@ -285,8 +292,7 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     truncated = traj.termination == "zero"
     spec = cf.spec
     if spec.E is not None:
-        # lambda = t^k w^E needs w > 0
-        keep = w > 10.0 * traj.config.abs_tol
+        keep = w > _w_floor(traj)
     lam, u0 = _curve_values(spec, grid[keep], w[keep])
     mon = _monitor(spec, grid[keep], w[keep], wp[keep])
     points = tuple(map(CurvePoint, grid[keep].tolist(), lam.tolist(), u0.tolist(), mon.tolist()))
@@ -415,9 +421,10 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
     # w(t r) and w(t) in one read, so that r = 1 gives u = 0 exactly
     w, _ = traj.eval_many(np.minimum(t * np.append(r, 1.0), traj.t_end))
     spec = class_spec(traj.params, traj.problem)
-    if spec.E is not None and not w[-1] > 10.0 * traj.config.abs_tol:
+    floor = _w_floor(traj)
+    if spec.E is not None and not w[-1] > floor:
         zero = f"; w reaches zero at t = {traj.zero_time!r}" if traj.zero_time else ""
-        raise ValueError(f"profile needs w(t) > {10.0 * traj.config.abs_tol:g}, got "
+        raise ValueError(f"profile needs w(t) > {floor:g}, got "
                          f"w = {w[-1]:.3g} at t = {t!r}{zero}")
     return r, _u(spec, w[:-1], w[-1])
 

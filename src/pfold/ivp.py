@@ -154,8 +154,8 @@ class IntegratorConfig:
     """Integration controls.
 
     The state at ``t_start`` comes from the startup series, so ``t_start``
-    may lie anywhere up to the series' reach (mostly between 0.3 and 2;
-    :func:`integrate` rejects a ``t_start`` beyond it), and the trajectory
+    may lie anywhere below the series' reach (mostly between 0.3 and 2;
+    :func:`integrate` rejects a ``t_start`` at or beyond it), and the trajectory
     past the series segment does not depend on it.  Beyond the series
     segment the stepper runs in ``s = ln t``, in the Emden-Fowler variables
     described in the module docstring.
@@ -782,8 +782,8 @@ def integrate(params: Params, problem: ProblemClass,
     Raises
     ------
     InvalidParamsError
-        On invalid parameters or configuration, including a ``t_start``
-        beyond the reach of the startup series.
+        On invalid parameters or configuration, including a ``t_start`` at
+        or beyond the reach of the startup series.
     IntegrationError
         On stepper failure (step-size underflow, non-finite state).
     TruncatedTrajectoryError
@@ -799,33 +799,28 @@ def integrate(params: Params, problem: ProblemClass,
     # the series segment [t_start, t1]: one node at the series' reach
     series = _series(params, problem)
     reach = series.reach()
-    if cfg.t_start > reach:
+    if cfg.t_start >= reach:
         raise InvalidParamsError(
             f"t_start = {cfg.t_start!r} lies beyond the reach {reach:.6g} of the startup series"
         )
     t1 = min(reach, cfg.t_max)
-    if watch_zero and t1 > cfg.t_start and series.state(t1)[0] < _JL_SERIES_FLOOR:
+    if watch_zero and series.state(t1)[0] < _JL_SERIES_FLOOR:
         t1 = _bisect(lambda t: series.state(t)[0] - _JL_SERIES_FLOOR, cfg.t_start, t1,
                      series.state(cfg.t_start)[0] - _JL_SERIES_FLOOR, 1e-12)
-    t_nodes: list[float] = [cfg.t_start]
-    states: list[tuple[float, float]] = [series.state(cfg.t_start)]
-    if t1 > cfg.t_start:
-        t_nodes.append(t1)
-        states.append(series.state(t1))
-    n_series = len(t_nodes) - 1
+    t_nodes: list[float] = [cfg.t_start, t1]
+    states: list[tuple[float, float]] = [series.state(cfg.t_start), series.state(t1)]
 
     # then one stepped phase in s = ln t, in (W, Z) = (w t^-g, v t^c)
-    t_lo = t_nodes[-1]
     steps: list = []
-    stats: list[PhaseStats] = [PhaseStats("series", n_series, 0, 0)]
+    stats: list[PhaseStats] = [PhaseStats("series", 1, 0, 0)]
     termination = "t_max"
-    if t_lo < cfg.t_max:
-        # abs_tol holds in the units of (w, v) at t_lo, where (W, Z) may be tiny
-        scale_w, scale_v = t_lo**-g, t_lo**c
+    if t1 < cfg.t_max:
+        # abs_tol holds in the units of (w, v) at t1, where (W, Z) may be tiny
+        scale_w, scale_v = t1**-g, t1**c
         w, v = states[-1]
-        run = _dop853(rhs, math.log(t_lo), w * scale_w, v * scale_v, math.log(cfg.t_max),
+        run = _dop853(rhs, math.log(t1), w * scale_w, v * scale_v, math.log(cfg.t_max),
                       cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
-                      cfg.max_steps - n_series, watch_zero=watch_zero, max_step=log_step)
+                      cfg.max_steps - 1, watch_zero=watch_zero, max_step=log_step)
         stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev))
         ts_new = [math.exp(x) for x in run.xs[1:]]
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
@@ -837,8 +832,8 @@ def integrate(params: Params, problem: ProblemClass,
                       for t, (big_w, z) in zip(ts_new, run.states[1:]))
         steps = run.steps
 
-    traj = Trajectory._build(problem, params, cfg, t_nodes, states, series, n_series,
-                             steps, g, termination, tuple(stats))
+    traj = Trajectory._build(problem, params, cfg, t_nodes, states, series, steps, g,
+                             termination, tuple(stats))
     if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
@@ -880,9 +875,9 @@ class Trajectory:
     ``stats`` holds the work of each integration phase, in order.
 
     Dense output is read on a row at a parameter ``theta``: row -1 is the
-    series ``_series`` at ``theta = tau``, below ``_series_end`` (node
-    ``_n_series``; everywhere without steps), and row ``k`` step ``k`` from
-    node ``k + _n_series``, at the fraction ``theta`` of it in ``x = ln t``.
+    series ``_series`` at ``theta = tau``, from node 0 to node 1 at
+    ``_series_end`` (everywhere without steps), and row ``k`` step ``k`` from
+    node ``k + 1``, at the fraction ``theta`` of it in ``x = ln t``.
     ``_steps`` holds its ``(x0, h, y0, F0, ..., F6)`` of ``(W, Z) = (w t^-g,
     v t^c)``, two floats each, and ``_table`` the same as an ``(m, 18)``
     array.  :meth:`_row_point` (one point) and :meth:`_read` (arrays) give
@@ -900,7 +895,6 @@ class Trajectory:
     stats: tuple[PhaseStats, ...]
     _t_list: list = field(repr=False)
     _series: _Series = field(repr=False)
-    _n_series: int = field(repr=False)
     _series_end: float = field(repr=False)
     _steps: list = field(repr=False)
     _table: np.ndarray = field(repr=False)
@@ -908,8 +902,8 @@ class Trajectory:
     _folds: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def _build(cls, problem, params, cfg, t_nodes, states, series, n_series, steps, g,
-               termination, stats):
+    def _build(cls, problem, params, cfg, t_nodes, states, series, steps, g, termination,
+               stats):
         phi_exp, n = 1.0 / (params.p - 1.0), params.n
         wv = np.asarray(states, dtype=float)
         wp = [_phi_inv(v / t ** (n - 1.0), phi_exp) for t, (_, v) in zip(t_nodes, states)]
@@ -925,8 +919,7 @@ class Trajectory:
             stats=stats,
             _t_list=t_nodes,
             _series=series,
-            _n_series=n_series,
-            _series_end=t_nodes[n_series] if steps else math.inf,
+            _series_end=t_nodes[1] if steps else math.inf,
             _steps=steps,
             _table=np.asarray(steps, dtype=float).reshape(len(steps), 18),
             _g=g,
@@ -951,12 +944,11 @@ class Trajectory:
         and the end of the trajectory; computed on first use."""
         table, ser = self._table, self._series
         m = len(table)
-        row, theta, wz = np.empty(0, dtype=int), np.empty(0), None
-        if self._n_series or not m:
-            t_hi = self._series_end if m else self.t_end
-            theta = np.linspace(self.t_start**ser.sigma, t_hi**ser.sigma, SERIES_SAMPLES + 1)
-            theta = theta[:-1] if m else theta  # the first row starts there
-            row = np.full(len(theta), -1)
+        wz = None
+        t_hi = self._series_end if m else self.t_end
+        theta = np.linspace(self.t_start**ser.sigma, t_hi**ser.sigma, SERIES_SAMPLES + 1)
+        theta = theta[:-1] if m else theta  # the first row starts there
+        row = np.full(len(theta), -1)
         if m:
             coefs = table[:, 2:].reshape(m, 8, 2)
             wz = _ROW_BASIS @ coefs
@@ -1027,7 +1019,7 @@ class Trajectory:
         if t < self._series_end:
             row, theta = -1, t**self._series.sigma
         else:
-            row = min(max(k - 1 - self._n_series, 0), len(self._steps) - 1)
+            row = min(max(k - 2, 0), len(self._steps) - 1)
             theta = (math.log(t) - self._steps[row][0]) / self._steps[row][1]
         _, big_w, y, _ = self._row_point(row, theta)
         tg = t**self._g
@@ -1041,7 +1033,7 @@ class Trajectory:
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)
         on_rows = ts >= self._series_end
-        row = np.where(on_rows, np.clip(idx - 1 - self._n_series, 0, len(self._table) - 1), -1)
+        row = np.where(on_rows, np.clip(idx - 2, 0, len(self._table) - 1), -1)
         theta = np.empty_like(ts)
         theta[~on_rows] = ts[~on_rows] ** self._series.sigma
         k = row[on_rows]

@@ -479,10 +479,6 @@ class RegimeReport:
     notes: tuple[str, ...] = ()
 
     @property
-    def char_roots(self) -> tuple[complex, complex] | None:
-        return self.quadratic.roots if self.quadratic is not None else None
-
-    @property
     def oscillatory(self) -> bool:
         return self.quadratic.oscillatory if self.quadratic is not None else False
 

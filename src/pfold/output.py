@@ -12,15 +12,7 @@ import json
 import math
 from typing import IO, Iterable
 
-__all__ = [
-    "format_float",
-    "json_dumps",
-    "write_csv",
-    "trajectory_rows",
-    "curve_rows",
-    "turning_rows",
-    "profile_rows",
-]
+__all__ = ["format_float", "json_dumps", "write_csv"]
 
 TRAJECTORY_HEADER = ("t", "w", "wprime")
 CURVE_HEADER = ("t", "lambda", "u0", "monitor")
@@ -86,20 +78,3 @@ def write_csv(stream: IO[str], header: Iterable[str], rows: Iterable[tuple]) -> 
             ",".join(format_float(x) if isinstance(x, float) else str(x) for x in row)
             + "\n"
         )
-
-
-def trajectory_rows(traj) -> list[tuple]:
-    return [(float(t), float(w), float(wp))
-            for t, w, wp in zip(traj.ts, traj.ws, traj.wprimes)]
-
-
-def curve_rows(curve) -> list[tuple]:
-    return [(pt.t, pt.lam, pt.u0, pt.monitor) for pt in curve.points]
-
-
-def turning_rows(turns) -> list[tuple]:
-    return [(tp.t_star, tp.lambda_star, tp.u0_star, tp.direction) for tp in turns]
-
-
-def profile_rows(r, u) -> list[tuple]:
-    return [(float(a), float(b)) for a, b in zip(r, u)]

@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from pfold import IntegratorConfig, ivp
 from pfold.cli import main
 
 CLI = [sys.executable, "-m", "pfold.cli"]
@@ -211,6 +212,26 @@ class TestConfigFile:
         doc2 = json.loads(proc2.stdout)
         assert doc2["params"]["n"] == 3
         assert doc2["predicted_infinite_turns"] is True
+
+    def test_integrator_keys_reach_the_config(self, run_cli, tmp_path, monkeypatch):
+        seen = []
+        integrate = ivp.integrate
+
+        def spy(params, problem, config):
+            seen.append(config)
+            return integrate(params, problem, config)
+
+        monkeypatch.setattr(ivp, "integrate", spy)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("class=gelfand\np=2\nn=3\nt_max=1e5\nrel-tol=1e-9\nmax_steps=5000\n")
+        out = str(tmp_path / "traj.csv")
+        run_cli("solve", "--config", str(cfg), "-o", out, check=True)
+        run_cli("solve", "--config", str(cfg), "--t-max", "1e3", "-o", out, check=True)
+        run_cli("solve", "--class", "gelfand", "-p", "2", "-n", "3", "-o", out, check=True)
+        assert seen == [IntegratorConfig(t_max=1e5, rel_tol=1e-9, max_steps=5000),
+                        IntegratorConfig(t_max=1e3, rel_tol=1e-9, max_steps=5000),
+                        IntegratorConfig()]
+        assert type(seen[0].max_steps) is int
 
     def test_unknown_key_exit_2(self, run_cli, tmp_path):
         cfg = tmp_path / "run.cfg"

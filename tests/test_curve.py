@@ -342,7 +342,7 @@ class TestEventLocation:
         # bracket spans several rows; the root is refined on the row that holds it
         traj = gelfand3_traj
         k = len(traj.ts) // 2
-        step = traj._steps[k - traj._n_series]
+        step = traj._steps[k - 1]  # row k - 1 starts at node k
         x_root = step[0] + 0.3 * step[1]
         cfg = traj.config
         width = 1.5 * step[1]

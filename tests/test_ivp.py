@@ -291,6 +291,14 @@ class TestIntegrate:
         with pytest.raises(InvalidParamsError, match="reach"):
             integrate(GELFAND3, G, IntegratorConfig(t_start=3.0))
 
+    def test_t_start_at_the_series_reach(self):
+        # the series segment always holds one node past t_start
+        reach = _series(GELFAND3, G).reach()
+        with pytest.raises(InvalidParamsError, match="reach"):
+            integrate(GELFAND3, G, IntegratorConfig(t_start=reach))
+        below = math.nextafter(reach, 0.0)
+        assert integrate(GELFAND3, G, IntegratorConfig(t_start=below, t_max=10.0)).ts[1] == reach
+
     def test_matches_flux_stepping_in_t(self):
         a = integrate(GELFAND3, G, IntegratorConfig(t_max=100.0))
         wa, _ = a.eval(100.0)
@@ -835,7 +843,7 @@ class TestSamples:
     def test_cover_the_range_in_time_order(self, traj):
         smp = traj._samples
         rows = len(traj._table)
-        series = ivp.SERIES_SAMPLES + (rows == 0) if traj._n_series or not rows else 0
+        series = ivp.SERIES_SAMPLES + (rows == 0)
         assert len(smp.x) == series + ivp.ROW_SAMPLES * rows + (rows > 0)
         assert np.all(np.diff(smp.x) > 0.0)
         assert np.all(np.diff(smp.row) >= 0) and np.all(smp.row[:series] == -1)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from pfold import (
     InvalidParamsError,
@@ -410,6 +410,43 @@ class TestInvariants:
 
 
 class TestHypothesisProperties:
+    @pytest.mark.parametrize("problem", [G, M, J])
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(1.2, 4.0),
+        alpha=st.floats(0.0, 3.0),
+        n=st.floats(1.0, 16.0),
+        q=st.floats(0.05, 8.0),
+        q_jl=st.floats(1.01, 10.0),
+    )
+    def test_named_conditions_agree_with_the_roots(self, problem, p, alpha, n, q, q_jl):
+        # the roots r of the linearization about the guiding solution ~ t^g:
+        # w oscillates about it where disc < 0 and approaches it where max Re r < g
+        params = Params(p=p, n=n, alpha=alpha, q=q_jl if problem is J else q)
+        rep = check_conditions(params, problem)
+        if rep.quadratic is None:  # jl without the scaling w ~ t^g
+            assert problem is J and params.q <= p - 1.0
+            assert not rep.predicted_infinite_turns
+            return
+        quad = rep.quadratic
+        _, b, c = quad.coefficients
+        gap = max(r.real for r in quad.roots) - class_spec(params, problem).g
+        oscillation, decay = quad.discriminant < 0.0, gap < 0.0
+        expected = {
+            G: {"dimension_window": oscillation},
+            M: {"oscillation": oscillation, "guiding_positive": decay},
+            J: {"oscillation": oscillation, "supercritical": decay,
+                "dimension_window": oscillation and decay},
+        }[problem]
+        assume(abs(quad.discriminant) > 1e-9 * (b * b + 4.0 * abs(c)) and abs(gap) > 1e-9)
+        assume(all(abs(rep.conditions[name].margin) > 1e-9 for name in expected))
+        for name, holds in expected.items():
+            assert rep.conditions[name].holds == holds, (name, params)
+        if problem is M:  # sufficient only: some sets have both and no prediction
+            assert not rep.predicted_infinite_turns or (oscillation and decay)
+        else:
+            assert rep.predicted_infinite_turns == (oscillation and decay)
+
     @settings(max_examples=60, deadline=None)
     @given(
         p=st.floats(1.1, 4.0),
