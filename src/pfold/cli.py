@@ -103,17 +103,23 @@ def _read_config(path: str) -> dict:
 
 
 def _effective(args: argparse.Namespace) -> dict:
-    """Merge defaults, config-file values, and flags (flags win)."""
+    """Merge defaults, config-file values, and flags (flags win); a config
+    value must have the setting's type and be one of its choices."""
     settings = {key: setting.default for key, setting in _SETTINGS.items()}
     if getattr(args, "config", None):
-        for key, raw in _read_config(args.config).items():
-            key = "problem" if key == "class" else key
+        for name, raw in _read_config(args.config).items():
+            key = "problem" if name == "class" else name
             if key not in _CONFIG_KEYS:
                 raise InvalidParamsError(f"unknown config key {key!r}")
+            setting = _SETTINGS[key]
             try:
-                settings[key] = _SETTINGS[key].type(raw)
+                value = setting.type(raw)
             except ValueError as exc:
-                raise InvalidParamsError(f"bad config value for {key}: {raw!r}") from exc
+                raise InvalidParamsError(f"bad config value for {name}: {raw!r}") from exc
+            if setting.choices is not None and value not in setting.choices:
+                raise InvalidParamsError(f"bad config value for {name}: {raw!r} "
+                                         f"(choose from {', '.join(setting.choices)})")
+            settings[key] = value
     for key in _SETTINGS:
         value = getattr(args, key, None)
         if value is not None:

@@ -15,18 +15,13 @@ crossings of ``w`` with ``w0`` and roots of ``M`` interlace, and both
 accumulate geometrically in ``t`` when the linearized Euler equation is
 oscillatory.
 
-Roots are located on the stepper's own dense output (event location,
-Hairer, Norsett & Wanner, *Solving ODEs I*, Section II.6).  In the log-phase
-variables of :mod:`pfold.ivp`, ``W = w t^-g`` and ``Y = t w' t^-g =
-phiinv(Z)``, the monitor is ``M = t^g (k W + E Y)`` (``k + Y`` for ``exp``)
-and the gap to the guiding solution is ``w - w0 = t^g (W - W0)``, with
-``W0 = coeff`` (``ln coeff - k ln t`` for ``exp``), so their signs need no
-rescaling.  Each interpolation row is sampled at a fixed number of
-fractions of its step, and the startup series at points equally spaced in
-``tau``.  A sign change between consecutive samples is accepted only where
-the values clear a guard proportional to the dense-output error, which
-suppresses spurious near-tangential crossings, and its root is refined on
-the polynomial of the row that holds it by Illinois regula falsi.
+Folds and crossings are events located on the stepper's own dense output
+(Hairer, Norsett & Wanner, *Solving ODEs I*, Section II.6) by
+:meth:`pfold.ivp.Trajectory._roots`; this module states their functionals
+and guard weights.  In the log-phase variables ``W = w t^-g``, ``Y = t w'
+t^-g`` of :mod:`pfold.ivp`, the monitor is ``M = t^g (k W + E Y)`` (``k +
+Y`` for ``exp``) and the gap to the guiding solution ``t^g (W - W0)``, ``W0
+= coeff`` (``ln coeff - k ln t``), so their signs need no rescaling.
 """
 
 from __future__ import annotations
@@ -67,9 +62,6 @@ __all__ = [
     "singular_profile",
     "shooting_check",
 ]
-
-#: Relative t-tolerance to which monitor roots and crossings are refined.
-ROOT_RTOL = 1e-10
 
 
 def _u(spec: ClassSpec, w_r, w_t):
@@ -118,26 +110,6 @@ def monitor(problem: ProblemClass, params: Params, t, w, wprime):
     * ``jl``:      ``(p + alpha) w + (q - p + 1) t w'``.
     """
     return _monitor(class_spec(params, problem), t, w, wprime)
-
-
-#: Headroom factor of the sign-change guard over the estimated dense-output error.
-GUARD_FACTOR = 50.0
-
-
-def _error_guard(traj: _ivp.Trajectory, w, t_wprime, coeff_sum: float, scale):
-    """Noise floor for sign changes of a functional linear in ``w`` and ``t w'``.
-
-    The dense output carries a global error of order
-    ``rel_tol * (|w| + |t w'|) + abs_tol`` (with headroom for accumulation);
-    sign changes whose values stay below ``GUARD_FACTOR`` times this level
-    are unresolved and must not be reported.  In the units of ``(w, t w')``
-    pass ``scale = 1``; in the log-phase units, pass ``W = w t^-g``,
-    ``Y = t w' t^-g`` and ``scale = t^-g``: the floor is then divided by
-    ``t^g`` too.
-    """
-    cfg = traj.config
-    state_err = cfg.rel_tol * (np.abs(w) + np.abs(t_wprime) + scale) + cfg.abs_tol * scale
-    return GUARD_FACTOR * coeff_sum * state_err
 
 
 class CurvePoint(NamedTuple):
@@ -190,82 +162,10 @@ class IntersectionRecord:
     extrema_abs: tuple[float, ...]
 
 
-def _illinois(traj: _ivp.Trajectory, fn, row: int, ta: float, tb: float, xa: float,
-              xb: float, fa: float, fb: float):
-    """Root of ``fn`` on dense row ``row`` between the parameters ``ta < tb``
-    (at ``x = ln t`` of ``xa``, ``xb``), where its values ``fa``, ``fb``
-    differ in sign: Illinois regula falsi until the bracket spans at most
-    ``ROOT_RTOL`` in ``ln t``.  Returns the last point evaluated, as
-    :meth:`~pfold.ivp.Trajectory._row_point` gives it."""
-    point = None
-    side = 0
-    while xb - xa > ROOT_RTOL:
-        tc = (ta * fb - tb * fa) / (fb - fa)
-        if not ta < tc < tb:
-            tc = 0.5 * (ta + tb)
-        point = traj._row_point(row, tc)
-        fc = fn(*point[:3])
-        if fc == 0.0:
-            break
-        if (fc > 0.0) == (fb > 0.0):
-            tb, xb, fb = tc, point[0], fc
-            if side < 0:
-                fa *= 0.5
-            side = -1
-        else:
-            ta, xa, fa = tc, point[0], fc
-            if side > 0:
-                fb *= 0.5
-            side = 1
-    if point is None:
-        point = traj._row_point(row, 0.5 * (ta + tb))
-    return point
-
-
 def _w_floor(traj: _ivp.Trajectory) -> float:
     """Smallest ``w`` of a curve point of a power source, ``10 abs_tol``:
     ``lambda = t^k w^E`` needs ``w > 0``."""
     return 10.0 * traj.config.abs_tol
-
-
-def _roots(traj: _ivp.Trajectory, fn, coeff_sum: float | None = None,
-           x_min: float = -math.inf):
-    """Roots of ``fn(x, W, Y)`` past ``x_min``, in time order.
-
-    ``fn`` is a functional of ``x = ln t`` and of the log-phase variables
-    ``W = w t^-g``, ``Y = t w' t^-g``, evaluated on the trajectory's dense
-    samples.  With ``coeff_sum``, only samples whose value clears
-    :func:`_error_guard` count.  Each sign change between consecutive
-    counted samples is refined on the dense row that holds it: a bracket
-    that spans several rows goes to the first row whose end values differ
-    in sign.  Returns ``(x, W, Y, t^-g, positive_before)`` per root.
-    """
-    smp = traj._samples
-    vals = fn(smp.x, smp.big_w, smp.y)
-    if coeff_sum is None:
-        idx = np.arange(len(vals))
-    else:
-        idx = np.flatnonzero(np.abs(vals) > _error_guard(traj, smp.big_w, smp.y, coeff_sum,
-                                                         smp.scale))
-    a, b = idx[:-1], idx[1:]
-    pick = (vals[a] * vals[b] < 0.0) & (smp.x[b] > x_min)
-    rows, theta, xs = smp.row, smp.theta, smp.x
-    out = []
-    for i, j in zip(a[pick].tolist(), b[pick].tolist()):
-        lo, hi = i, j
-        for k in range(i + 1, j + 1):
-            if rows[k] != rows[k - 1]:  # sample k starts a row, where the row of lo ends
-                if vals[lo] * vals[k] <= 0.0:
-                    hi = k
-                    break
-                lo = k
-        row = int(rows[lo])
-        t_hi = float(theta[hi]) if rows[hi] == row else traj._row_end(row)
-        point = _illinois(traj, fn, row, float(theta[lo]), t_hi, float(xs[lo]), float(xs[hi]),
-                          float(vals[lo]), float(vals[hi]))
-        if point[0] > x_min:
-            out.append((*point, bool(vals[i] > 0.0)))
-    return out
 
 
 def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
@@ -322,8 +222,8 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
         coeff_sum = 1.0 if spec.E is None else spec.k + abs(spec.E)
         folds = []
         # M t^-g = k W + E Y (gelfand: k + Y)
-        for x, big_w, _, scale, positive in _roots(
-                traj, lambda x, big_w, y: _monitor(spec, 1.0, big_w, y), coeff_sum):
+        for x, big_w, _, scale, positive in traj._roots(
+                lambda x, big_w, y: _monitor(spec, 1.0, big_w, y), coeff_sum):
             t_star = math.exp(x)
             lam, u0 = curve_values(traj.problem, traj.params, t_star, big_w / scale)
             direction = "right-to-left" if positive else "left-to-right"
@@ -356,9 +256,9 @@ def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     def gap(x, big_w, y):  # P t^-g
         return big_w - (big_w0 + slope * x)
 
-    crossings = [x for x, *_ in _roots(traj, gap, 1.0, math.log(t_min))]
+    crossings = [x for x, *_ in traj._roots(gap, 1.0, math.log(t_min))]
     # the extrema: roots of P' t^(1-g) = Y - Y0, unguarded, between the crossings
-    extrema = (_roots(traj, lambda x, big_w, y: y - y0, None, crossings[0])
+    extrema = (traj._roots(lambda x, big_w, y: y - y0, None, crossings[0])
                if len(crossings) > 1 else [])
     ext_x = [x for x, *_ in extrema]
     extrema_times: list[float] = []

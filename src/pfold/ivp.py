@@ -68,7 +68,13 @@ controller uses the initial step rule of Section II.4, a safety factor of
 0.9, step factors clamped to [0.2, 10], the error exponent -1/8, DOP853's
 combined err5/err3 error norm and a minimum step of 10 ulp.  The dense
 output of all steps is kept as one table of interpolation rows, which every
-reader of :class:`Trajectory` reads in the units ``(W, Y = t w' t^-g)``.
+reader of :class:`Trajectory` reads in the units ``(W, Y = t w' t^-g)``:
+any time or array of times with the row polynomial :func:`_dense`, and the
+fixed fractions of every row that event location samples with one matrix
+product over the table, several times faster.  Events are located on these
+rows (Section II.6) by :meth:`Trajectory._roots`, which guards the sign
+changes of a functional and refines each root on its row by Illinois
+regula falsi; :mod:`pfold.curve` states the functionals.
 
 The whole stepping loop is generated from the coefficient tables, once
 per *form* of the right-hand side, when the form is first used
@@ -350,11 +356,12 @@ class _Series:
         return w, t**self.m * big_v
 
     def slope_form(self, tau):
-        """``(w, V)`` at ``tau``, a float or an array: ``t w' = tau phiinv(V)``,
-        since ``t^(alpha+p) = tau^(p-1)``."""
+        """``(w, V)`` at ``tau``, a float or an array (each point summed apart, so
+        that none depends on the rest): ``t w' = tau phiinv(V)``, since
+        ``t^(alpha+p) = tau^(p-1)``."""
         if isinstance(tau, np.ndarray):  # one table of powers serves both series
             powers = np.power.outer(tau, np.arange(len(self.u)))
-            return self.w_center + tau * (powers @ self.u), powers @ self.v
+            return self.w_center + tau * (powers * self.u).sum(1), (powers * self.v).sum(1)
         return self.w_center + tau * _horner(self.u, tau), _horner(self.v, tau)
 
     def reach(self) -> float:
@@ -655,7 +662,7 @@ while x != x_end:
                 2.0 * delta_w - h * (kw12 + kw0), 2.0 * delta_v - h * (kv12 + kv0),
                 f3w, f3v, f4w, f4v, f5w, f5v, f6w, f6v]
         steps.append(step)
-        if watch_zero and w > 0.0 and w_new <= 0.0:
+        if w > 0.0 and w_new <= 0.0:
             x_zero, state = _dense_zero(step, x_new)
             xs.append(x_zero)
             states.append(state)
@@ -677,8 +684,8 @@ _RHS_LINE = re.compile(r"(\w+), (\w+) = rhs\((.*)\)")
 
 class _Program(NamedTuple):
     """The generated code of one form: its ``source``, ``rhs(*consts, x, w, v)``
-    and ``loop(*consts, x, w, v, x_end, rtol, atol, budget, watch_zero, dense,
-    max_step)``, which does a :func:`_dop853` run."""
+    and ``loop(*consts, x, w, v, x_end, rtol, atol, budget, dense, max_step)``,
+    which does a :func:`_dop853` run."""
 
     source: str
     rhs: object
@@ -713,7 +720,7 @@ def _straight_line(form: _Form) -> _Program:
     used = [name for name in "XWZ" if re.search(rf"\b{name}\b", form.slope)]
     consts = "".join(f"{name}, " for name in form.consts)
     lines = [f"def rhs({consts}X, W, Z):", f"    return {form.slope}",
-             f"def loop({consts}x, w, v, x_end, rtol, atol, budget, watch_zero, dense, max_step):"]
+             f"def loop({consts}x, w, v, x_end, rtol, atol, budget, dense, max_step):"]
     for template in _LOOP.splitlines():
         indent = " " * (4 + len(template) - len(template.lstrip()))
         for line in blocks.get(template.strip(), [template.strip()]):
@@ -736,20 +743,20 @@ _program = functools.cache(_straight_line)
 
 
 def _dop853(rhs: _Rhs, x: float, w: float, v: float, x_end: float, rtol: float,
-            atol: tuple[float, float], budget: int, watch_zero: bool = False,
-            dense: bool = True, max_step: float = math.inf) -> _Run:
+            atol: tuple[float, float], budget: int, dense: bool = True,
+            max_step: float = math.inf) -> _Run:
     """Integrate ``(w, v)' = rhs(x, w, v)`` from ``x`` towards ``x_end > x``.
 
     The loop compiled for the form of ``rhs`` does the run, with the form
     written into its stages.  ``atol`` holds the absolute tolerances of
     ``w`` and ``v``.  Accepts at most ``budget`` steps of at most
-    ``max_step``.  With ``watch_zero`` the run stops at the first zero of
-    ``w``, located by bisection on the step's interpolant.  Without
-    ``dense`` the run skips the three dense-output stages and keeps no
-    interpolation rows (``steps`` stays empty), so it cannot ``watch_zero``.
-    """
-    return _program(rhs.form).loop(*rhs.values, x, w, v, x_end, rtol, atol, budget, watch_zero,
-                                   dense, max_step)
+    ``max_step``.  A ``dense`` run stops where ``w`` falls from positive to
+    zero, bisected on the step's interpolant; only ``jl``'s can, as
+    ``gelfand``'s ``w`` stays below 0 (``v' < 0``) and ``mems``' above 1 (``v'
+    > 0``), and ``W = w t^-g`` has the sign of ``w``.  Without ``dense`` the
+    run skips the three dense-output stages and keeps no rows (``steps``)."""
+    return _program(rhs.form).loop(*rhs.values, x, w, v, x_end, rtol, atol, budget, dense,
+                                   max_step)
 
 
 def _radial_rhs(params: Params, spec: ClassSpec, coeff: float, w_c: float, s: float) -> _Rhs:
@@ -792,8 +799,6 @@ def integrate(params: Params, problem: ProblemClass,
     cfg = (config or IntegratorConfig()).validated()
     validate_params(params, problem)
     spec = class_spec(params, problem)
-    # w falls towards the zero of a power source, where the curve ends
-    watch_zero = spec.q_power is not None and spec.sgn < 0.0
     rhs, g, c, log_step = _log_phase(params, problem)
 
     # the series segment [t_start, t1]: one node at the series' reach
@@ -804,7 +809,8 @@ def integrate(params: Params, problem: ProblemClass,
             f"t_start = {cfg.t_start!r} lies beyond the reach {reach:.6g} of the startup series"
         )
     t1 = min(reach, cfg.t_max)
-    if watch_zero and series.state(t1)[0] < _JL_SERIES_FLOOR:
+    # jl: w falls towards the zero of a power source, where the curve ends
+    if spec.q_power is not None and spec.sgn < 0.0 and series.state(t1)[0] < _JL_SERIES_FLOOR:
         t1 = _bisect(lambda t: series.state(t)[0] - _JL_SERIES_FLOOR, cfg.t_start, t1,
                      series.state(cfg.t_start)[0] - _JL_SERIES_FLOOR, 1e-12)
     t_nodes: list[float] = [cfg.t_start, t1]
@@ -820,7 +826,7 @@ def integrate(params: Params, problem: ProblemClass,
         w, v = states[-1]
         run = _dop853(rhs, math.log(t1), w * scale_w, v * scale_v, math.log(cfg.t_max),
                       cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
-                      cfg.max_steps - 1, watch_zero=watch_zero, max_step=log_step)
+                      cfg.max_steps - 1, max_step=log_step)
         stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev))
         ts_new = [math.exp(x) for x in run.xs[1:]]
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
@@ -847,6 +853,10 @@ ROW_SAMPLES = 8
 SERIES_SAMPLES = 16
 _ROW_FRACTIONS = np.arange(ROW_SAMPLES + 1) / ROW_SAMPLES
 _ROW_BASIS = _dense_basis(_ROW_FRACTIONS)
+#: Headroom factor of the sign-change guard over the estimated dense-output error.
+GUARD_FACTOR = 50.0
+#: Relative t-tolerance to which roots are refined.
+ROOT_RTOL = 1e-10
 
 
 class _Samples(NamedTuple):
@@ -881,8 +891,8 @@ class Trajectory:
     ``_steps`` holds its ``(x0, h, y0, F0, ..., F6)`` of ``(W, Z) = (w t^-g,
     v t^c)``, two floats each, and ``_table`` the same as an ``(m, 18)``
     array.  :meth:`_row_point` (one point) and :meth:`_read` (arrays) give
-    ``(x, W, Y = t w' t^-g, t^-g)``.  ``_folds`` holds the folds once
-    :func:`pfold.curve.turning_points` has located them."""
+    ``(x, W, Y = t w' t^-g, t^-g)`` with :func:`_dense`; ``_folds`` holds the
+    folds that :func:`pfold.curve.turning_points` located by :meth:`_roots`."""
 
     problem: ProblemClass
     params: Params
@@ -967,7 +977,8 @@ class Trajectory:
 
     def _read(self, row: np.ndarray, theta: np.ndarray, wz: np.ndarray | None = None) -> _Samples:
         """:class:`_Samples` at the parameters ``theta`` of the rows ``row``;
-        ``wz``: the ``(W, Z)`` of the points off the series, if known."""
+        ``wz``: the ``(W, Z)`` of the points off the series, if known, else
+        :func:`_dense` on arrays, the arithmetic of :meth:`_row_point`."""
         phi_exp, ser = 1.0 / (self.params.p - 1.0), self._series
         on_series = row < 0
         on_rows = ~on_series
@@ -981,11 +992,8 @@ class Trajectory:
             scale_ser = scale[on_series]
             big_w[on_series] = w * scale_ser
             y[on_series] = tau * _phi_inv_many(big_v, phi_exp) * scale_ser
-        if wz is None:  # y0 added last, as in _dense: within an ulp of the polynomial
-            coefs = self._table[k, 2:].reshape(-1, 8, 2)
-            wz = coefs[:, 0] + np.einsum("ik,ikj->ij", _dense_basis(s)[:, 1:], coefs[:, 1:])
-        big_w[on_rows] = wz[:, 0]
-        y[on_rows] = _phi_inv_many(wz[:, 1], phi_exp)
+        big_w[on_rows], z = _dense(self._table[k].T, s) if wz is None else wz.T
+        y[on_rows] = _phi_inv_many(z, phi_exp)
         return _Samples(row, theta, x, big_w, y, scale)
 
     def _row_point(self, row: int, theta: float) -> tuple[float, float, float, float]:
@@ -1002,9 +1010,83 @@ class Trajectory:
         x = step[0] + theta * step[1]
         return x, big_w, _phi_inv(z, phi_exp), math.exp(-g * x)
 
-    def _row_end(self, row: int) -> float:
-        """The parameter at which dense row ``row`` (not the last) ends."""
-        return self._series_end**self._series.sigma if row < 0 else 1.0
+    def _guard(self, w, t_wprime, coeff_sum: float, scale):
+        """Noise floor of a functional linear in ``w`` and ``t w'``, whose
+        coefficients' magnitudes sum to ``coeff_sum``: ``GUARD_FACTOR`` times the
+        dense output's error, ``rel_tol (|w| + |t w'| + 1) + abs_tol``.  Pass
+        ``(w, t w')`` and ``scale = 1``, or ``(W, Y) = (w, t w') t^-g`` and
+        ``scale = t^-g``, which divides the floor by ``t^g`` too."""
+        cfg = self.config
+        state_err = cfg.rel_tol * (np.abs(w) + np.abs(t_wprime) + scale) + cfg.abs_tol * scale
+        return GUARD_FACTOR * coeff_sum * state_err
+
+    def _illinois(self, fn, row: int, ta: float, tb: float, xa: float, xb: float, fa: float,
+                  fb: float):
+        """Root of ``fn`` on dense row ``row`` between the parameters ``ta < tb``
+        (at ``x = ln t`` of ``xa``, ``xb``), where its values ``fa``, ``fb``
+        differ in sign: Illinois regula falsi until the bracket spans at most
+        ``ROOT_RTOL`` in ``ln t``.  Returns the last point evaluated, as
+        :meth:`_row_point` gives it."""
+        point = None
+        side = 0
+        while xb - xa > ROOT_RTOL:
+            tc = (ta * fb - tb * fa) / (fb - fa)
+            if not ta < tc < tb:
+                tc = 0.5 * (ta + tb)
+            point = self._row_point(row, tc)
+            fc = fn(*point[:3])
+            if fc == 0.0:
+                break
+            if (fc > 0.0) == (fb > 0.0):
+                tb, xb, fb = tc, point[0], fc
+                if side < 0:
+                    fa *= 0.5
+                side = -1
+            else:
+                ta, xa, fa = tc, point[0], fc
+                if side > 0:
+                    fb *= 0.5
+                side = 1
+        if point is None:
+            point = self._row_point(row, 0.5 * (ta + tb))
+        return point
+
+    def _roots(self, fn, coeff_sum: float | None = None, x_min: float = -math.inf):
+        """Roots of ``fn(x, W, Y)`` past ``x_min``, in time order.
+
+        ``fn`` is a functional of ``x = ln t`` and of the log-phase variables
+        ``W = w t^-g``, ``Y = t w' t^-g``, evaluated on :attr:`_samples`.
+        With ``coeff_sum``, only samples whose value clears :meth:`_guard`
+        count.  Each sign change between consecutive counted samples is
+        refined on the dense row that holds it: a bracket that spans several
+        rows goes to the first row whose end values differ in sign.  Returns
+        ``(x, W, Y, t^-g, positive_before)`` per root.
+        """
+        smp = self._samples
+        vals = fn(smp.x, smp.big_w, smp.y)
+        floor = (-math.inf if coeff_sum is None
+                 else self._guard(smp.big_w, smp.y, coeff_sum, smp.scale))
+        idx = np.flatnonzero(np.abs(vals) > floor)
+        a, b = idx[:-1], idx[1:]
+        pick = (vals[a] * vals[b] < 0.0) & (smp.x[b] > x_min)
+        rows, theta, xs = smp.row, smp.theta, smp.x
+        out = []
+        for i, j in zip(a[pick].tolist(), b[pick].tolist()):
+            lo, hi = i, j
+            for k in range(i + 1, j + 1):
+                if rows[k] != rows[k - 1]:  # sample k starts a row, where the row of lo ends
+                    if vals[lo] * vals[k] <= 0.0:
+                        hi = k
+                        break
+                    lo = k
+            row = int(rows[lo])
+            end = self._series_end**self._series.sigma if row < 0 else 1.0  # of row lo
+            t_hi = float(theta[hi]) if rows[hi] == row else end
+            point = self._illinois(fn, row, float(theta[lo]), t_hi, float(xs[lo]),
+                                   float(xs[hi]), float(vals[lo]), float(vals[hi]))
+            if point[0] > x_min:
+                out.append((*point, bool(vals[i] > 0.0)))
+        return out
 
     def eval(self, t: float) -> tuple[float, float]:
         """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes."""

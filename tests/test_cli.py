@@ -240,6 +240,17 @@ class TestConfigFile:
                        "-p", "2", "-n", "3")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("line,allowed", [("format=xml", "csv, json"),
+                                              ("class=foo", "gelfand, mems, jl")])
+    def test_value_outside_the_choices_exit_2(self, run_cli, tmp_path, line, allowed):
+        # as a flag outside its choices: the config key and the allowed values
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"class=gelfand\np=2\nn=3\n{line}\n")
+        proc = run_cli("solve", "--config", str(cfg))
+        key, _, value = line.partition("=")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr == f"error: bad config value for {key}: {value!r} (choose from {allowed})\n"
+
 
 class TestVerify:
     def test_only_filter_passes(self, run_cli):

@@ -27,9 +27,7 @@ from pfold import (
     singular_profile,
     turning_points,
 )
-from pfold import curve as curve_module
-from pfold.curve import GUARD_FACTOR, ROOT_RTOL, _error_guard, _roots
-from pfold.ivp import _bisect
+from pfold.ivp import GUARD_FACTOR, ROOT_RTOL, Trajectory, _bisect
 from pfold.verify import RESIDUAL_SETS
 
 from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233
@@ -118,7 +116,7 @@ class TestMonitor:
         # magnitudes of the coefficients on w and t w' in the monitor forms
         e = None if q is None else (q - p + 1.0 if problem is J else p + q - 1.0)
         coeff = 1.0 if e is None else alpha + p + abs(e)
-        clear = np.abs(m) > _error_guard(traj, w, t * wp, coeff, 1.0)
+        clear = np.abs(m) > traj._guard(w, t * wp, coeff, 1.0)
         assert clear.sum() > 200  # at least 1461 of 2000 in those examples
         assert np.array_equal(np.sign(m[clear]), np.sign(lam_hi - lam_lo)[clear])
 
@@ -208,7 +206,7 @@ def _oracle_pairs(traj, t_lo, values_at, coeff_sum):
     grid = np.unique(np.concatenate([grid, traj.ts[traj.ts >= t_lo]]))
     w, wp = traj.eval_many(grid)
     vals = values_at(grid, w, wp)
-    idx = np.flatnonzero(np.abs(vals) > _error_guard(traj, w, grid * wp, coeff_sum, 1.0))
+    idx = np.flatnonzero(np.abs(vals) > traj._guard(w, grid * wp, coeff_sum, 1.0))
     return [(float(grid[i]), float(grid[j]), float(vals[i]))
             for i, j in zip(idx[:-1], idx[1:]) if vals[i] * vals[j] < 0.0]
 
@@ -331,7 +329,7 @@ class TestEventLocation:
         b = int(np.flatnonzero(smp.row == row)[0])
         x_b = smp.x[b]
         x_root = x_b + offset * (smp.x[b + 1] - x_b if offset > 0 else x_b - smp.x[b - 1])
-        roots = _roots(traj, lambda x, big_w, y: x - x_root)
+        roots = traj._roots(lambda x, big_w, y: x - x_root)
         assert len(roots) == 1
         x, big_w, _, _, positive = roots[0]
         assert x == pytest.approx(x_root, abs=ROOT_RTOL) and not positive
@@ -352,7 +350,7 @@ class TestEventLocation:
 
         hidden = np.abs(traj._samples.x - x_root) < width
         assert len(set(traj._samples.row[hidden].tolist())) >= 3
-        roots = _roots(traj, fn, width / (GUARD_FACTOR * cfg.rel_tol))
+        roots = traj._roots(fn, width / (GUARD_FACTOR * cfg.rel_tol))
         assert len(roots) == 1
         assert roots[0][0] == pytest.approx(x_root, abs=ROOT_RTOL)
 
@@ -454,13 +452,13 @@ class TestConvergence:
         # call and the report refine no root again
         traj = integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))
         refined = []
-        original = curve_module._illinois
+        original = Trajectory._illinois
 
         def spy(*args):
             refined.append(args)
             return original(*args)
 
-        monkeypatch.setattr(curve_module, "_illinois", spy)
+        monkeypatch.setattr(Trajectory, "_illinois", spy)
         first = turning_points(traj)
         assert len(first) >= 7 and len(refined) >= len(first)
         expected = list(first)

@@ -710,15 +710,15 @@ class TestStraightLineStages:
         assert calls and all(isinstance(args[0], ivp._Rhs) for args, _ in calls)
         for args, kwargs in calls:
             for dense in (True, False):
-                options = dict(kwargs, dense=dense,
-                               watch_zero=dense and kwargs.get("watch_zero", False))
-                new = _dop853(*args, **options)
-                # repr tells every float apart, 0.0 from -0.0 included
-                assert repr(new) == repr(_loop_dop853(*args, **options))
+                new = _dop853(*args, **dict(kwargs, dense=dense))
+                # repr tells every float apart, 0.0 from -0.0 included; a
+                # dense run watches for a zero of w
+                assert repr(new) == repr(_loop_dop853(*args, **dict(kwargs, dense=dense),
+                                                      watch_zero=dense))
                 assert len(new.steps) == (len(new.xs) - 1 if dense else 0)
         if case == "jl-zero":  # the zero watch stopped the run
             (args, kwargs), = calls
-            assert kwargs["watch_zero"] and _dop853(*args, **kwargs).status == "zero"
+            assert _dop853(*args, **kwargs).status == "zero"
 
     @pytest.mark.parametrize("params,problem", [
         *TestLogPhase.CASES, (JL_ZERO, J), (JL_UNSCALED, J)])
@@ -747,8 +747,8 @@ class TestStraightLineStages:
             return ((j, a + 1e-3), *rest)
 
         rhs, *_ = _log_phase(GELFAND3, G)
-        args = (*rhs.values, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 1, False,
-                True, math.inf)
+        args = (*rhs.values, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 1, True,
+                math.inf)
         base = ivp._straight_line(rhs.form).loop(*args)
         assert repr(base) == repr(_dop853(rhs, *args[len(rhs.values):]))
         s, c, row = ivp._STEP_STAGES[6]
@@ -887,6 +887,35 @@ class TestSamples:
         traj = integrate(*SERIES_ONLY)
         assert [s.phase for s in traj.stats] == ["series"]
         assert np.all(traj._samples.row == -1)
+
+
+class TestOneReader:
+    """``eval_many`` reads the rows with the polynomial of ``eval`` and of the
+    root refinement, and each point on its own."""
+
+    CASES = [(GELFAND3, G), (Params(p=3, n=5, alpha=1), G), (MEMS233, M), (JL454, J),
+             (JL_ZERO, J)]
+
+    @pytest.mark.parametrize("params,problem", CASES)
+    def test_read_is_the_row_point(self, params, problem):
+        traj = integrate(params, problem)
+        rng = np.random.default_rng(7)
+        row, theta = rng.integers(0, len(traj._table), 400), rng.random(400)
+        smp = traj._read(row, theta)
+        x, big_w, y, _ = map(np.array, zip(*(traj._row_point(k, s)
+                                              for k, s in zip(row.tolist(), theta.tolist()))))
+        assert np.array_equal(smp.x, x) and np.array_equal(smp.big_w, big_w)
+        # phiinv of an array can round Z's power differently by an ulp
+        assert smp.y == pytest.approx(y, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("params,problem", CASES)
+    def test_eval_many_does_not_depend_on_the_batch(self, params, problem):
+        traj = integrate(params, problem)
+        rng = np.random.default_rng(11)
+        ts = np.exp(rng.uniform(math.log(traj.t_start), math.log(traj.t_end), 300))
+        w, wp = traj.eval_many(ts)
+        single = np.array([[a[0] for a in traj.eval_many(ts[i:i + 1])] for i in range(len(ts))])
+        assert np.array_equal(single[:, 0], w) and np.array_equal(single[:, 1], wp)
 
 
 class TestResidual:
