@@ -83,11 +83,19 @@ as an expression in the point and the state, with named constants; the
 loop writes it into every stage in place of a call, and writes each sum
 over the tables out as straight-line code.  A sub-expression that a form
 uses more than once, such as the argument of ``phiinv``, is bound once
-with ``:=``, as a call would evaluate it once.  Each sum keeps the order
-of its table and starts from ``0.0``, as a loop over the table adds it up,
-and each form does the operations of the function it replaces in the same
-order, so the rounding, and with it every step and every result, stays
-that of a loop over the tables that calls the right-hand side.
+with ``:=``, as a call would evaluate it once.  The parameters pick the
+form, and the classical case ``p = 2``, ``alpha = 0`` (Gelfand; Joseph &
+Lundgren's and the MEMS power laws) has forms of its own: ``phiinv`` is
+the identity there, written ``s + 0.0`` (which makes a zero ``+0.0``), and
+the radial source has the flux's power ``t^(n-1)``, computed once.  For
+other ``p``, ``phiinv(s)`` is ``s^r`` for ``s > 0`` and ``-(-s)^r`` for
+``s < 0``, without a call of ``abs`` or ``copysign``; the error control
+calls no builtin either.  Each sum keeps the order of its table and starts
+from its first term, which is what a loop over the table gives from
+``0.0`` except that a sum of negative zeros stays ``-0.0``.  Each form does
+the operations of the function it replaces in the same order, so the
+rounding, and with it every step and every result, stays that of a loop
+over the tables that calls the right-hand side.
 """
 
 from __future__ import annotations
@@ -190,17 +198,23 @@ class PhaseStats:
     """Work of one integration phase: ``phase`` is ``"series"`` (the
     startup series, one accepted node at its reach and no right-hand-side
     evaluation) or ``"log"`` (stepping in ``ln t``); ``nfev`` counts
-    right-hand-side evaluations, dense-output stages included."""
+    right-hand-side evaluations, dense-output stages included.  A log phase
+    with steps gives its smallest and largest accepted step in ``ln t``
+    (the last, clipped to ``t_max``, included), read off its dense rows;
+    they are ``None`` otherwise."""
 
     phase: str
     accepted: int
     rejected: int
     nfev: int
+    min_step: float | None = None
+    max_step: float | None = None
 
 
 def _phi_inv(s: float, r: float) -> float:
-    """``phiinv(s) = sign(s) |s|^r``, with ``r = 1/(p-1)`` computed by the caller."""
-    return math.copysign(abs(s) ** r, s) if s != 0.0 else 0.0
+    """``phiinv(s) = sign(s) |s|^r``, with ``r = 1/(p-1)`` computed by the caller;
+    ``phiinv(-0.0) = 0.0``."""
+    return s ** r if s > 0.0 else -(-s) ** r if s < 0.0 else s + 0.0
 
 
 def _phi_inv_many(s: np.ndarray, r: float) -> np.ndarray:
@@ -239,10 +253,15 @@ def _once(expr: str, name: str) -> tuple[str, str]:
     return (expr, expr) if expr.isidentifier() else (f"({name} := {expr})", name)
 
 
-def _phi_inv_source(s: str) -> str:
-    """Source of :func:`_phi_inv` of ``s``, with ``r = phi_exp``."""
+def _phi_inv_source(s: str, phi_exp: float) -> str:
+    """Source of :func:`_phi_inv` of the arithmetic expression ``s``, with
+    ``r = phi_exp``.  At ``p = 2`` (``phi_exp == 1``) it is ``s`` itself, made
+    ``+0.0`` at a zero, as ``|s|^1 = |s|`` exactly."""
+    if phi_exp == 1.0:
+        return f"({s} + 0.0)"
     first, then = _once(s, "S")
-    return f"(copysign(abs({then}) ** phi_exp, {then}) if {first} != 0.0 else 0.0)"
+    return (f"({then} ** phi_exp if {first} > 0.0 else -(-{then}) ** phi_exp if {then} < 0.0 "
+            f"else {then} + 0.0)")
 
 
 def _f_source(spec: ClassSpec, w: str) -> str:
@@ -269,7 +288,7 @@ def _log_phase(params: Params, problem: ProblemClass):
     phi_exp = 1.0 / (p - 1.0)
     spec = class_spec(params, problem)
     sgn, k, g, e = spec.sgn, spec.k, spec.g, spec.q_power
-    w_dot = _phi_inv_source("Z")
+    w_dot = _phi_inv_source("Z", phi_exp)
     if g is None:
         # no self-similar scaling, so no fixed point: step (w, t^(p-n) v)
         c = p - n
@@ -352,7 +371,12 @@ class _Series:
 
     def state(self, t: float) -> tuple[float, float]:
         """``(w, v)`` at a scalar ``t``."""
-        w, big_v = self.slope_form(t**self.sigma)
+        try:
+            tau = t**self.sigma
+        except OverflowError:  # sigma is large as p nears 1
+            raise IntegrationError(f"the startup series overflows at t = {t!r}: "
+                                   f"t^sigma with sigma = {self.sigma:.6g}") from None
+        w, big_v = self.slope_form(tau)
         return w, t**self.m * big_v
 
     def slope_form(self, tau):
@@ -524,9 +548,10 @@ _DENSE_STAGES = tuple((s, _C[s], _A[s]) for s in range(13, 16))
 
 
 def _term_sum(terms, k: str) -> str:
-    """Source of ``0.0 + a_j k_j + ...`` over the ``(j, a_j)`` of ``terms``: the
-    sum a loop over them accumulates, in the same order, rounding for rounding."""
-    return " + ".join(["0.0", *(f"{a!r} * {k}{j}" for j, a in terms)])
+    """Source of ``a_j k_j + ...`` over the ``(j, a_j)`` of ``terms``: the sum a
+    loop over them accumulates from ``0.0``, in the same order, rounding for
+    rounding; only a sum of negative zeros stays ``-0.0``."""
+    return " + ".join(f"{a!r} * {k}{j}" for j, a in terms)
 
 
 @dataclass
@@ -625,14 +650,22 @@ while x != x_end:
                 "required step size is less than spacing between numbers",
                 (x, w, v),
             )
-        x_new = min(x + h_abs, x_end)
+        # no builtin calls per attempt: min(a, b) is b if b < a else a, max(a, b)
+        # is b if b > a else a, and abs(a) is a if a > 0.0 else 0.0 - a
+        x_new = x + h_abs
+        if x_end < x_new:
+            x_new = x_end
         h = h_abs = x_new - x
         {attempt}
         nfev += 11
         w_new = w + h * bw
         v_new = v + h * bv
-        sw = atol_w + max(abs(w), abs(w_new)) * rtol
-        sv = atol_v + max(abs(v), abs(v_new)) * rtol
+        sw = w if w > 0.0 else 0.0 - w
+        size = w_new if w_new > 0.0 else 0.0 - w_new
+        sw = atol_w + (size if size > sw else sw) * rtol
+        sv = v if v > 0.0 else 0.0 - v
+        size = v_new if v_new > 0.0 else 0.0 - v_new
+        sv = atol_v + (size if size > sv else sv) * rtol
         e5w /= sw
         e5v /= sv
         e3w /= sw
@@ -641,12 +674,13 @@ while x != x_end:
         n3 = e3w * e3w + e3v * e3v
         err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)
         if err < 1.0:
-            factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-            if step_rejected:
-                factor = min(1.0, factor)
-            h_abs *= factor
+            # min(10.0, factor), or min(1.0, factor) after a rejection
+            factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
+            cap = 1.0 if step_rejected else 10.0
+            h_abs *= factor if factor < cap else cap
             break
-        h_abs *= max(0.2, 0.9 * err ** -0.125)
+        factor = 0.9 * err ** -0.125
+        h_abs *= factor if factor > 0.2 else 0.2
         step_rejected = True
         rejected += 1
     if not (isfinite(w_new) and isfinite(v_new)):
@@ -674,7 +708,7 @@ while x != x_end:
 return _Run(xs, states, steps, rejected, nfev, status)
 """
 # what the generated code uses besides the builtins
-_LOOP_GLOBALS = dict(copysign=math.copysign, exp=math.exp, sqrt=math.sqrt,
+_LOOP_GLOBALS = dict(exp=math.exp, sqrt=math.sqrt,
                      isfinite=math.isfinite, nextafter=math.nextafter, inf=math.inf,
                      _rms=_rms, _dense_zero=_dense_zero, _Run=_Run,
                      IntegrationError=IntegrationError)
@@ -702,8 +736,11 @@ def _straight_line(form: _Form) -> _Program:
     ``_DENSE_STAGES`` and the rows ``h sum_j d_ij k_j`` of ``_D``.  Each line
     ``kw, kv = rhs(x, w, v)`` binds ``X, W, Z`` to the arguments the form
     uses and evaluates its ``slope``.  Every sum keeps the order of its
-    table and starts from ``0.0``, as a loop over the table adds it up, so
-    the results are those of such a loop bit for bit.
+    table and starts from its first term, so the results are those of a
+    loop over the table that adds up from ``0.0``, bit for bit, but for a
+    sum of negative zeros, which stays ``-0.0``.  Per step attempt the code
+    calls no builtin: the error control writes ``min``, ``max`` and ``abs``
+    as conditionals, and the forms of :func:`_phi_inv_source` call none.
     """
     def stages(rows):
         for s, c, row in rows:
@@ -765,10 +802,12 @@ def _radial_rhs(params: Params, spec: ClassSpec, coeff: float, w_c: float, s: fl
     BVP that :func:`pfold.curve.shooting_check` shoots share its form, so
     a process that steps both compiles one loop for them."""
     p, n, alpha = params.p, params.n, params.alpha
-    return _bind(f"{_phi_inv_source('Z / X ** e1')}, "
-                 f"coeff * X ** e2 * {_f_source(spec, 'w_c - s * W')}",
-                 phi_exp=1.0 / (p - 1.0), e1=n - 1.0, e2=n + alpha - 1.0, coeff=coeff, w_c=w_c,
-                 s=s, e=spec.q_power)
+    phi_exp, e1, e2 = 1.0 / (p - 1.0), n - 1.0, n + alpha - 1.0
+    # alpha = 0: the source has the flux's power of t, computed once
+    power, source_power = ("(P := X ** e1)", "P") if e2 == e1 else ("X ** e1", "X ** e2")
+    return _bind(f"{_phi_inv_source(f'Z / {power}', phi_exp)}, "
+                 f"coeff * {source_power} * {_f_source(spec, 'w_c - s * W')}",
+                 phi_exp=phi_exp, e1=e1, e2=e2, coeff=coeff, w_c=w_c, s=s, e=spec.q_power)
 
 
 def _flux_rhs(params: Params, problem: ProblemClass) -> _Rhs:
@@ -798,6 +837,9 @@ def integrate(params: Params, problem: ProblemClass,
     """
     cfg = (config or IntegratorConfig()).validated()
     validate_params(params, problem)
+    if cfg.t_start ** (params.n - 1.0) == 0.0:  # w' = phiinv(v / t^(n-1)) at t_start
+        raise InvalidParamsError(
+            f"t_start = {cfg.t_start!r} is too small: t_start^(n-1) underflows to 0")
     spec = class_spec(params, problem)
     rhs, g, c, log_step = _log_phase(params, problem)
 
@@ -822,12 +864,19 @@ def integrate(params: Params, problem: ProblemClass,
     termination = "t_max"
     if t1 < cfg.t_max:
         # abs_tol holds in the units of (w, v) at t1, where (W, Z) may be tiny
-        scale_w, scale_v = t1**-g, t1**c
+        try:
+            scale_w, scale_v = t1**-g, t1**c
+        except OverflowError:  # jl: g = -(p+alpha)/(q-p+1) is large as q nears p - 1
+            raise IntegrationError(
+                f"the log-phase scales t1^-g, t1^c overflow at t1 = {t1!r} "
+                f"(g = {g:.6g}, c = {c:.6g})", (t1, *states[-1])) from None
         w, v = states[-1]
         run = _dop853(rhs, math.log(t1), w * scale_w, v * scale_v, math.log(cfg.t_max),
                       cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
                       cfg.max_steps - 1, max_step=log_step)
-        stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev))
+        hs = [row[1] for row in run.steps]
+        stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev,
+                                min(hs, default=None), max(hs, default=None)))
         ts_new = [math.exp(x) for x in run.xs[1:]]
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
         if termination == "t_max":

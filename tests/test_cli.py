@@ -266,3 +266,22 @@ class TestVerify:
     def test_unknown_filter_exit_2(self, run_cli):
         proc = run_cli("verify", "--only", "no-such-row")
         assert proc.returncode == 2
+
+
+class TestOutOfFloatRange:
+    """Parameters whose exponents leave the float range: one error line, no traceback."""
+
+    @pytest.mark.parametrize("argv,code,prefix", [
+        (("turns", "--class", "mems", "-p", "1.01", "-n", "3", "-q", "2"), 3,
+         "numerical failure:"),
+        (("solve", "--class", "gelfand", "-p", "1.001", "-n", "3"), 3, "numerical failure:"),
+        (("turns", "--class", "jl", "-p", "2", "-n", "3", "-q", "1.0001"), 3,
+         "numerical failure:"),
+        (("curve", "--class", "gelfand", "-p", "2", "-n", "3", "--t-start", "1e-300"), 2,
+         "error:"),
+    ])
+    def test_exit_code_and_one_line(self, run_cli, argv, code, prefix):
+        proc = run_cli(*argv)
+        assert proc.returncode == code
+        assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr and proc.stdout == ""

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -316,6 +317,33 @@ class TestIntegrate:
                 # step for its end point and the 3 extra dense-output stages
                 assert s.nfev == 2 + 15 * s.accepted + 11 * s.rejected
         assert sum(s.rejected for s in jl_zero_traj.stats) > 0
+
+    def test_stats_step_range_is_the_node_spacing(self, gelfand3_traj, mems_traj, jl_traj):
+        for traj in (gelfand3_traj, mems_traj, jl_traj):
+            series, log = traj.stats
+            assert series.min_step is None and series.max_step is None
+            # nodes past the series one are exp(x) of the steps' ends (the last is t_max)
+            spacing = np.diff(np.log(traj.ts[1:]))
+            assert log.min_step == pytest.approx(spacing.min(), rel=1e-9)
+            assert log.max_step == pytest.approx(spacing.max(), rel=1e-9)
+            assert log.min_step < log.max_step
+        with pytest.raises(TruncatedTrajectoryError) as info:  # a log phase without a step
+            integrate(GELFAND3, G, IntegratorConfig(max_steps=1))
+        log = info.value.trajectory.stats[1]
+        assert log.accepted == 0 and log.min_step is None and log.max_step is None
+
+    @pytest.mark.parametrize("params,problem,config,error,match", [
+        # sigma = (alpha+p)/(p-1) is 101 and 1001: t^sigma overflows at t_max
+        (Params(p=1.01, n=3, alpha=0, q=2), M, None, ivp.IntegrationError, r"t\^sigma"),
+        (Params(p=1.001, n=3, alpha=0), G, None, ivp.IntegrationError, r"t\^sigma"),
+        # g = -20000: t1^-g overflows
+        (Params(p=2, n=3, alpha=0, q=1.0001), J, None, ivp.IntegrationError, r"t1\^-g"),
+        # t_start^(n-1) underflows to 0
+        (GELFAND3, G, IntegratorConfig(t_start=1e-300), InvalidParamsError, r"t_start\^\(n-1\)"),
+    ])
+    def test_out_of_float_range_is_named(self, params, problem, config, error, match):
+        with pytest.raises(error, match=match):
+            integrate(params, problem, config)
 
 
 def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
@@ -693,15 +721,18 @@ class TestStraightLineStages:
 
     # each log-phase form (gelfand; mems and jl with a fixed point, the jl
     # run ending at a zero of w; jl without scaling), the flux system of
-    # acceptance row 6, and shooting
+    # acceptance row 6 (whose trajectories take the log-phase forms at p = 2),
+    # and shooting: the forms of p = 2 and alpha = 0, and the general ones
     CASES = {
         "gelfand": lambda: _integration(Params(p=3, n=5, alpha=1), G, 1e8),
         "mems": lambda: _integration(MEMS233, M, 1e8),
+        "jl": lambda: _integration(Params(p=2.5, n=5, alpha=0, q=4), J),
         "jl-zero": lambda: _integration(JL_ZERO, J),
         "jl-unscaled": lambda: _integration(JL_UNSCALED, J, 100.0),
         "flux": lambda: lambda: run_acceptance(only="6-startup"),
         "shooting-gelfand": lambda: _shooting(GELFAND3, G),
         "shooting-mems": lambda: _shooting(MEMS233, M),
+        "shooting-gelfand-3-5-1": lambda: _shooting(Params(p=3, n=5, alpha=1), G),
     }
 
     @pytest.mark.parametrize("case", CASES)
@@ -731,9 +762,10 @@ class TestStraightLineStages:
         closures = _closures(params, problem, point.lam)
         rng = np.random.default_rng(4)
         w_c = class_spec(params, problem).w_center
-        # W <= 0 (the power clamp), u = w_c (a zero argument of f), -0.0 and Z = 0
-        ws = [*rng.uniform(-2.0, 3.0, 40), 0.0, -0.0, -1.5, w_c, -w_c, 1.0]
-        zs = [*rng.uniform(-3.0, 3.0, 40), 0.0, -0.0, 0.0, -0.0, 1e-300, -2.5]
+        # W <= 0 (the power clamp), u = w_c (a zero argument of f), -0.0 and Z = 0;
+        # Python floats, as the loop passes them
+        ws = [*rng.uniform(-2.0, 3.0, 40).tolist(), 0.0, -0.0, -1.5, w_c, -w_c, 1.0]
+        zs = [*rng.uniform(-3.0, 3.0, 40).tolist(), 0.0, -0.0, 0.0, -0.0, 1e-300, -2.5]
         xs = rng.uniform(0.05, 4.0, len(ws))
         for kind, rhs in forms.items():
             for x, w, z in zip(xs.tolist(), ws, zs):
@@ -765,16 +797,54 @@ class TestStraightLineStages:
                 assert run.states == base.states and step[:14] == base_step[:14]
                 assert step[14:16] != base_step[14:16] and step[16:] == base_step[16:]
 
+    def test_acceptance_matrix_takes_the_classical_forms(self, monkeypatch):
+        # every run of the matrix is at p = 2 and alpha = 0: the log phase of
+        # gelfand and of the power classes, and the radial form of each
+        forms = {args[0].form for args, _ in _dop853_calls(monkeypatch, run_acceptance)}
+        assert len(forms) == 4
+        assert not any(re.search(r"\bphi_exp\b|\be2\b", form.slope) for form in forms)
+
     def test_compiled_once_per_form(self):
         # the constants are arguments: parameter sets of one form share its code
         forms = {_log_phase(params, problem)[0].form for params, problem in TestLogPhase.CASES}
-        assert len(forms) == 2  # gelfand, and the power classes with a fixed point
-        assert len({_log_phase(JL_UNSCALED, J)[0].form, *forms}) == 3
+        # gelfand, and the power classes with a fixed point: at p = 2 and in general
+        assert len(forms) == 4
+        assert len({_log_phase(JL_UNSCALED, J)[0].form, *forms}) == 5
         rhs = _log_phase(MEMS233, M)[0]
         assert ivp._program(rhs.form) is ivp._program(_log_phase(JL454, J)[0].form)
         # the form is written into the stages: the loop calls no right-hand side
         loop = ivp._program(rhs.form).source.split("def loop", 1)[1]
         assert "rhs(" not in loop and loop.count(rhs.form.slope) == 2 + 11 + 1 + 3
+
+
+class TestPhiInvSource:
+    """The call-free sources of phiinv, against ``copysign(|s|^r, s)``."""
+
+    SPECIAL = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf,
+               math.nan]
+
+    @staticmethod
+    def _outcome(fn, *args):
+        # |s|^r overflows at p < 2: both forms raise
+        try:
+            return repr(fn(*args))
+        except OverflowError:
+            return "OverflowError"
+
+    @pytest.mark.parametrize("p", [2.0, 1.5, 3.0, 4.0])
+    def test_equal_to_phi_inv_by_repr(self, p):
+        phi_exp = 1.0 / (p - 1.0)
+        bits = np.random.default_rng(11).integers(0, 2**64, 20_000, dtype=np.uint64)
+        values = self.SPECIAL + bits.view(np.float64).tolist()
+        # a name, and an expression that is bound once (dividing by 1 changes nothing)
+        forms = [eval(f"lambda Z, X: {ivp._phi_inv_source(s, phi_exp)}", {"phi_exp": phi_exp})
+                 for s in ("Z", "Z / X")]
+        assert ("phi_exp" in ivp._phi_inv_source("Z", phi_exp)) == (p != 2.0)
+        for s in values:
+            want = self._outcome(_phi_inv, s, phi_exp)
+            assert self._outcome(ivp._phi_inv, s, phi_exp) == want, s
+            for form in forms:
+                assert self._outcome(form, s, 1.0) == want, s
 
 
 def test_import_leaves_scipy_unloaded():
