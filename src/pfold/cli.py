@@ -219,14 +219,15 @@ def _cmd_curve(settings: dict) -> int:
     curve = _curve.build_curve(traj, cf, samples_per_decade=settings["samples_per_decade"])
     summary = {
         "termination": traj.termination,
-        "rows": len(curve.points),
+        "rows": len(curve.t),
         "t_end": curve.t_end,
-        "lambda_end": curve.points[-1].lam,
+        "lambda_end": float(curve.lam[-1]),
         "lambda_inf": cf.lambda_inf,
     }
     if curve.truncated:
         summary["warning"] = _zero_warning(traj, "curve")
-    _emit_table(settings, _out.CURVE_HEADER, curve.points, summary)
+    rows = zip(curve.t.tolist(), curve.lam.tolist(), curve.u0.tolist(), curve.monitor.tolist())
+    _emit_table(settings, _out.CURVE_HEADER, rows, summary)
     return EXIT_OK
 
 
@@ -238,6 +239,7 @@ def _cmd_turns(settings: dict) -> int:
     alternating = all(a != b for a, b in zip(directions[:-1], directions[1:]))
     summary = {
         "count": len(turns),
+        "guard_discarded": _curve.guard_discarded(traj),
         "alternating_directions": alternating if len(turns) >= 2 else None,
         "predicted_infinite_turns": report.predicted_infinite_turns,
         "oscillatory": report.oscillatory,

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,6 +56,7 @@ __all__ = [
     "monitor",
     "build_curve",
     "turning_points",
+    "guard_discarded",
     "intersections",
     "check_interlacing",
     "convergence",
@@ -100,6 +102,12 @@ def _monitor(spec: ClassSpec, t, w, wprime):
     return spec.k * w + spec.E * t * wprime
 
 
+def _log_monitor(spec: ClassSpec):
+    """The monitor in the log-phase variables, ``M t^-g = k W + E Y`` (``k +
+    Y`` for ``exp``), as a functional ``fn(x, W, Y)`` of the dense samples."""
+    return lambda x, big_w, y: _monitor(spec, 1.0, big_w, y)
+
+
 def monitor(problem: ProblemClass, params: Params, t, w, wprime):
     """Monitor function ``M(t)`` whose sign equals the sign of ``lambda'(t)``:
     ``(alpha + p) w + E t w'`` for a power source, ``(alpha + p) + t w'`` for
@@ -122,20 +130,52 @@ class CurvePoint(NamedTuple):
     monitor: float
 
 
+class _CurveRows(Sequence):
+    """The rows of a :class:`SolutionCurve`, built from its columns on read:
+    an index gives a :class:`CurvePoint`, a slice a tuple of them."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[np.ndarray, ...]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(map(CurvePoint, *(col[index].tolist() for col in self._columns)))
+        return CurvePoint(*(col[index].item() for col in self._columns))
+
+    def __iter__(self):
+        return map(CurvePoint, *(col.tolist() for col in self._columns))
+
+
 @dataclass(frozen=True)
 class SolutionCurve:
-    """Log-uniformly sampled solution curve with its source trajectory."""
+    """Log-uniformly sampled solution curve with its source trajectory.
+
+    The samples are held once, as the read-only columns ``t``, ``lam``,
+    ``u0`` and ``monitor``; :attr:`points` reads them as rows."""
 
     problem: ProblemClass
     params: Params
     closed_forms: ClosedForms
-    points: tuple[CurvePoint, ...]
+    t: np.ndarray
+    lam: np.ndarray
+    u0: np.ndarray
+    monitor: np.ndarray
     trajectory: _ivp.Trajectory
     truncated: bool = False
 
     @property
+    def points(self) -> Sequence[CurvePoint]:
+        """The samples as :class:`CurvePoint` rows, built on read."""
+        return _CurveRows((self.t, self.lam, self.u0, self.monitor))
+
+    @property
     def t_end(self) -> float:
-        return self.points[-1].t
+        return float(self.t[-1])
 
 
 class TurningPoint(NamedTuple):
@@ -188,23 +228,25 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
         raise ValueError("requested sampling produces fewer than two points")
     grid = np.geomspace(t_lo, t_hi, count)
     w, wp = traj.eval_many(grid)
-    keep = np.ones(len(grid), dtype=bool)
-    truncated = traj.termination == "zero"
     spec = cf.spec
-    if spec.E is not None:
-        keep = w > _w_floor(traj)
-    lam, u0 = _curve_values(spec, grid[keep], w[keep])
-    mon = _monitor(spec, grid[keep], w[keep], wp[keep])
-    points = tuple(map(CurvePoint, grid[keep].tolist(), lam.tolist(), u0.tolist(), mon.tolist()))
-    if not points:
+    keep = slice(None) if spec.E is None else w > _w_floor(traj)
+    t, w, wp = grid[keep], w[keep], wp[keep]
+    if not len(t):
         raise ValueError("no curve points with positive w in range")
+    lam, u0 = _curve_values(spec, t, w)
+    mon = _monitor(spec, t, w, wp)
+    for col in (t, lam, u0, mon):
+        col.flags.writeable = False
     return SolutionCurve(
         problem=traj.problem,
         params=traj.params,
         closed_forms=cf,
-        points=points,
+        t=t,
+        lam=lam,
+        u0=u0,
+        monitor=mon,
         trajectory=traj,
-        truncated=truncated,
+        truncated=traj.termination == "zero",
     )
 
 
@@ -221,9 +263,7 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
         # the magnitudes of the monitor's coefficients on w and t w'
         coeff_sum = 1.0 if spec.E is None else spec.k + abs(spec.E)
         folds = []
-        # M t^-g = k W + E Y (gelfand: k + Y)
-        for x, big_w, _, scale, positive in traj._roots(
-                lambda x, big_w, y: _monitor(spec, 1.0, big_w, y), coeff_sum):
+        for x, big_w, _, scale, positive in traj._roots(_log_monitor(spec), coeff_sum):
             t_star = math.exp(x)
             lam, u0 = curve_values(traj.problem, traj.params, t_star, big_w / scale)
             direction = "right-to-left" if positive else "left-to-right"
@@ -231,6 +271,16 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
                                       direction=direction))
         traj._folds = tuple(folds)
     return list(traj._folds)
+
+
+def guard_discarded(traj: _ivp.Trajectory) -> int:
+    """Sign changes of the monitor that the guard of :func:`turning_points`
+    threw away: those between consecutive dense samples, minus the folds.
+    Each fold brackets an odd number of them, so the count is ``>= 0``; it
+    counts both rounding noise and real folds too close to the guiding
+    solution to resolve."""
+    monitor_fn = _log_monitor(class_spec(traj.params, traj.problem))
+    return traj._sign_changes(monitor_fn) - len(turning_points(traj))
 
 
 def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,

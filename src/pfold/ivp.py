@@ -24,8 +24,10 @@ convergent power series (Joseph & Lundgren 1973).  With
 
 and the coefficients of ``U`` and ``V`` follow one by one from recurrences
 (:func:`_series`).  The series covers ``[t_start, t1]``: ``t1`` is the
-largest ``t <= t_max`` at which its last three terms stay below ``1e-16``
-of the leading ones, and for ``jl`` also lies before ``w`` falls to 1/2.
+largest ``t <= t_max`` at which its last three nonzero terms stay below
+``1e-16`` of the leading ones and the powers of ``tau`` in use below
+``1e300`` (coefficients underflow to 0 as ``p`` nears 1), and for ``jl``
+also lies before ``w`` falls to 1/2.
 The trajectory keeps one node at ``t1`` for this segment, and its dense
 output evaluates the series there.  For 90% of parameter sets drawn over
 ``p`` in [1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in [0, 2] the
@@ -103,6 +105,7 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -332,6 +335,10 @@ def startup_state(params: Params, problem: ProblemClass, t_start: float) -> Stat
 # term, below which its last three terms must stay on the series segment.
 _SERIES_TERMS = 24
 _SERIES_TOL = 1e-16
+# tau's range on the series segment: below the normal floats tau no longer
+# tells t apart, and its powers in use must stay finite.
+_TAU_MIN = sys.float_info.min
+_TAU_MAX = 1e300
 # jl: the series segment ends before w falls below this value, well above
 # the zero the stepper has to watch for.
 _JL_SERIES_FLOOR = 0.5
@@ -370,13 +377,8 @@ class _Series:
     v: tuple
 
     def state(self, t: float) -> tuple[float, float]:
-        """``(w, v)`` at a scalar ``t``."""
-        try:
-            tau = t**self.sigma
-        except OverflowError:  # sigma is large as p nears 1
-            raise IntegrationError(f"the startup series overflows at t = {t!r}: "
-                                   f"t^sigma with sigma = {self.sigma:.6g}") from None
-        w, big_v = self.slope_form(tau)
+        """``(w, v)`` at a scalar ``t`` within :meth:`reach`."""
+        w, big_v = self.slope_form(t**self.sigma)
         return w, t**self.m * big_v
 
     def slope_form(self, tau):
@@ -389,13 +391,14 @@ class _Series:
         return self.w_center + tau * _horner(self.u, tau), _horner(self.v, tau)
 
     def reach(self) -> float:
-        """Largest ``t`` at which the last three terms of ``U`` and of ``V``
-        stay below ``_SERIES_TOL`` of the leading ones."""
-        tau = math.inf
+        """Largest ``t`` at which the last three nonzero terms of ``U`` and of
+        ``V`` stay below ``_SERIES_TOL`` of the leading ones, and ``tau`` and
+        its powers in use, up to ``tau^(L-1)`` for ``L`` coefficients, below
+        ``_TAU_MAX``."""
+        tau = _TAU_MAX ** (1.0 / max(len(self.u) - 1, 1))
         for coeffs in (self.u, self.v):
-            for k in range(len(coeffs) - 3, len(coeffs)):
-                if coeffs[k] != 0.0:
-                    tau = min(tau, (_SERIES_TOL * abs(coeffs[0] / coeffs[k])) ** (1.0 / k))
+            for k in [k for k in range(1, len(coeffs)) if coeffs[k] != 0.0][-3:]:
+                tau = min(tau, (_SERIES_TOL * abs(coeffs[0] / coeffs[k])) ** (1.0 / k))
         return tau ** (1.0 / self.sigma)
 
 
@@ -433,7 +436,9 @@ def _series(params: Params, problem: ProblemClass) -> _Series:
                   _power_coeff(vs, ps, 1.0 / (p - 1.0), k))
         u.append(sgn * ps[k] / (sigma * (k + 1.0)))
         a.append(u[k])
-    return _Series(sigma, m, w_center, tuple(u), tuple(sgn * x for x in vs))
+    # coefficients that underflow to 0 (as p nears 1) end both series
+    size = 1 + max((k for k in range(_SERIES_TERMS) if u[k] != 0.0 or vs[k] != 0.0), default=0)
+    return _Series(sigma, m, w_center, tuple(u[:size]), tuple(sgn * x for x in vs[:size]))
 
 
 def _bisect(fn, a: float, b: float, fa: float, rtol: float = 0.0) -> float:
@@ -871,9 +876,14 @@ def integrate(params: Params, problem: ProblemClass,
                 f"the log-phase scales t1^-g, t1^c overflow at t1 = {t1!r} "
                 f"(g = {g:.6g}, c = {c:.6g})", (t1, *states[-1])) from None
         w, v = states[-1]
-        run = _dop853(rhs, math.log(t1), w * scale_w, v * scale_v, math.log(cfg.t_max),
-                      cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
-                      cfg.max_steps - 1, max_step=log_step)
+        try:
+            run = _dop853(rhs, math.log(t1), w * scale_w, v * scale_v, math.log(cfg.t_max),
+                          cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
+                          cfg.max_steps - 1, max_step=log_step)
+        except OverflowError:  # phiinv(Z) = Z^(1/(p-1)) as p nears 1, or f(W)
+            raise IntegrationError(
+                f"the log phase leaves the float range past t1 = {t1!r} "
+                f"(phiinv(Z) = Z^{1.0 / (params.p - 1.0):.6g})", (t1, *states[-1])) from None
         hs = [row[1] for row in run.steps]
         stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev,
                                 min(hs, default=None), max(hs, default=None)))
@@ -999,13 +1009,15 @@ class Trajectory:
     @functools.cached_property
     def _samples(self) -> _Samples:
         """Each dense row at ``ROW_SAMPLES`` equal fractions of its step, the
-        series segment at ``SERIES_SAMPLES`` points equally spaced in ``tau``,
-        and the end of the trajectory; computed on first use."""
+        series segment at ``SERIES_SAMPLES`` points equally spaced in ``tau``
+        (from ``_TAU_MIN`` at least), and the end of the trajectory; computed
+        on first use."""
         table, ser = self._table, self._series
         m = len(table)
         wz = None
         t_hi = self._series_end if m else self.t_end
-        theta = np.linspace(self.t_start**ser.sigma, t_hi**ser.sigma, SERIES_SAMPLES + 1)
+        theta = np.linspace(max(self.t_start**ser.sigma, _TAU_MIN), t_hi**ser.sigma,
+                            SERIES_SAMPLES + 1)
         theta = theta[:-1] if m else theta  # the first row starts there
         row = np.full(len(theta), -1)
         if m:
@@ -1137,6 +1149,14 @@ class Trajectory:
                 out.append((*point, bool(vals[i] > 0.0)))
         return out
 
+    def _sign_changes(self, fn) -> int:
+        """Sign changes of ``fn(x, W, Y)`` between consecutive nonzero samples of
+        :attr:`_samples`: all that :meth:`_roots` sees before its guard."""
+        smp = self._samples
+        vals = fn(smp.x, smp.big_w, smp.y)
+        vals = vals[vals != 0.0]
+        return int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
+
     def eval(self, t: float) -> tuple[float, float]:
         """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes."""
         t = float(t)
@@ -1148,6 +1168,7 @@ class Trajectory:
         if k < len(nodes) and nodes[k] == t:
             return float(self.ws[k]), float(self.wprimes[k])
         if t < self._series_end:
+            t = max(t, _TAU_MIN ** (1.0 / self._series.sigma))  # as in eval_many
             row, theta = -1, t**self._series.sigma
         else:
             row = min(max(k - 2, 0), len(self._steps) - 1)
@@ -1165,13 +1186,16 @@ class Trajectory:
         idx = np.searchsorted(self.ts, ts)
         on_rows = ts >= self._series_end
         row = np.where(on_rows, np.clip(idx - 2, 0, len(self._table) - 1), -1)
+        # where t^sigma falls below the normal floats it no longer tells t
+        # apart, and the series is w_c to double precision: read it at _TAU_MIN
+        t = np.maximum(ts, _TAU_MIN ** (1.0 / self._series.sigma))
         theta = np.empty_like(ts)
-        theta[~on_rows] = ts[~on_rows] ** self._series.sigma
+        theta[~on_rows] = t[~on_rows] ** self._series.sigma
         k = row[on_rows]
-        theta[on_rows] = (np.log(ts[on_rows]) - self._table[:, 0][k]) / self._table[:, 1][k]
+        theta[on_rows] = (np.log(t[on_rows]) - self._table[:, 0][k]) / self._table[:, 1][k]
         smp = self._read(row, theta)
-        tg = ts**self._g
-        w, wp = smp.big_w * tg, smp.y * tg / ts
+        tg = t**self._g
+        w, wp = smp.big_w * tg, smp.y * tg / t
         # stored nodes win bitwise over the interpolant
         node = np.minimum(idx, len(self.ts) - 1)
         exact = self.ts[node] == ts

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from pfold import IntegratorConfig, ivp
+from pfold import IntegratorConfig, Params, ProblemClass, guard_discarded, ivp
 from pfold.cli import main
 
 CLI = [sys.executable, "-m", "pfold.cli"]
@@ -144,6 +144,16 @@ class TestCurve:
         assert doc["header"] == ["t", "lambda", "u0", "monitor"]
         assert "warning" in doc["summary"]
 
+    @pytest.mark.parametrize("argv", [("jl", "-p", "2", "-n", "5", "-q", "2"),
+                                      ("gelfand", "-p", "2", "-n", "3")])
+    def test_summary_matches_the_last_row(self, run_cli, argv):
+        # the truncated jl curve ends before the trajectory does
+        proc = run_cli("curve", "--class", *argv, "--format", "json", check=True)
+        doc = json.loads(proc.stdout)
+        summary, rows = doc["summary"], doc["rows"]
+        assert summary["rows"] == len(rows)
+        assert [summary["t_end"], summary["lambda_end"]] == rows[-1][:2]
+
     def test_determinism(self, run_cli, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ("curve", "--class", "mems", "-p", "2", "-q", "2", "-a", "0", "-n", "3")
@@ -175,6 +185,15 @@ class TestTurns:
         summary = json.loads(proc.stdout)
         assert summary["count"] == 0
         assert summary["alternating_directions"] is None
+
+    def test_summary_counts_guard_discards(self, run_cli):
+        # a late fold of this set lies below the guard (near t = 4844)
+        params = Params(p=2.9163914331524685, n=8.342952000081926, alpha=0)
+        proc = run_cli("turns", "--class", "gelfand", "-p", repr(params.p), "-n",
+                       repr(params.n), "--format", "json", check=True)
+        discarded = json.loads(proc.stdout)["summary"]["guard_discarded"]
+        traj = ivp.integrate(params, ProblemClass.GELFAND)
+        assert discarded == guard_discarded(traj) >= 1
 
 
 class TestProfile:
@@ -272,9 +291,10 @@ class TestOutOfFloatRange:
     """Parameters whose exponents leave the float range: one error line, no traceback."""
 
     @pytest.mark.parametrize("argv,code,prefix", [
-        (("turns", "--class", "mems", "-p", "1.01", "-n", "3", "-q", "2"), 3,
+        # phiinv(Z) = Z^10000 overflows in the log phase
+        (("turns", "--class", "gelfand", "-p", "1.0001", "-n", "3"), 3, "numerical failure:"),
+        (("solve", "--class", "mems", "-p", "1.0001", "-n", "3", "-q", "0.5"), 3,
          "numerical failure:"),
-        (("solve", "--class", "gelfand", "-p", "1.001", "-n", "3"), 3, "numerical failure:"),
         (("turns", "--class", "jl", "-p", "2", "-n", "3", "-q", "1.0001"), 3,
          "numerical failure:"),
         (("curve", "--class", "gelfand", "-p", "2", "-n", "3", "--t-start", "1e-300"), 2,
@@ -285,3 +305,18 @@ class TestOutOfFloatRange:
         assert proc.returncode == code
         assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv", [
+        # series coefficients that underflow to 0 as p nears 1
+        ("--class", "mems", "-p", "1.01", "-n", "3", "-q", "2"),
+        ("--class", "gelfand", "-p", "1.001", "-n", "3"),
+    ], ids=["mems", "gelfand"])
+    def test_underflowing_series_gives_finite_folds(self, run_cli, argv):
+        proc = run_cli("turns", *argv, "--t-max", "100", "--format", "json", check=True)
+        doc = json.loads(proc.stdout)
+        assert proc.stderr == "" and doc["summary"]["t_end"] == 100
+        assert doc["summary"]["count"] == len(doc["rows"]) > 0
+        assert doc["summary"]["predicted_infinite_turns"] is True
+        # a non-finite value would be written as a quoted string
+        assert all(isinstance(x, float) for row in doc["rows"] for x in row[:3])

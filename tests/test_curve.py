@@ -13,11 +13,13 @@ from pfold import (
     ProblemClass,
     TruncatedTrajectoryError,
     build_curve,
+    characteristic_quadratic,
     check_conditions,
     check_interlacing,
     closed_forms,
     convergence,
     curve_values,
+    guard_discarded,
     guiding_eval,
     integrate,
     intersections,
@@ -28,6 +30,7 @@ from pfold import (
     turning_points,
 )
 from pfold.ivp import GUARD_FACTOR, ROOT_RTOL, Trajectory, _bisect
+from pfold.model import class_spec
 from pfold.verify import RESIDUAL_SETS
 
 from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233
@@ -77,6 +80,25 @@ class TestBuildCurve:
     def test_mems_u0_range(self, mems_traj):
         u0 = np.array([pt.u0 for pt in build_curve(mems_traj).points])
         assert np.all((u0 >= 0.0) & (u0 < 1.0))
+
+    def test_rows_are_built_from_the_columns(self, gelfand3_traj, jl_zero_traj):
+        for traj in (gelfand3_traj, jl_zero_traj):
+            curve = build_curve(traj)
+            columns = (curve.t, curve.lam, curve.u0, curve.monitor)
+            rows = tuple(map(CurvePoint, *(col.tolist() for col in columns)))
+            points = curve.points
+            assert len(points) == len(rows) > 100
+            assert repr(tuple(points)) == repr(rows)
+            for i in (0, 1, len(rows) // 2, -2, -1):
+                assert repr(points[i]) == repr(rows[i])
+            for k in (1, 7, len(rows) // 20):
+                assert repr(points[::k]) == repr(rows[::k])
+            assert repr(points[3:-3:5]) == repr(rows[3:-3:5])
+            assert curve.t_end == rows[-1].t
+            with pytest.raises(IndexError):
+                points[len(rows)]
+            for col in columns:
+                assert col.dtype == np.float64 and not col.flags.writeable
 
 
 class TestMonitor:
@@ -194,6 +216,31 @@ class TestTurningPoints:
             d = d[np.abs(d) > 1e-12 * np.abs(lam[inside][:-1])]
             assert len(d) > 0
             assert np.all(d > 0) or np.all(d < 0)
+
+
+    def test_guard_discarded(self):
+        # sweep case gelfand-12 misses a late fold near t = 4844 under the guard
+        late = integrate(Params(p=2.9163914331524685, n=8.342952000081926, alpha=0), G)
+        assert guard_discarded(late) >= 1
+        assert guard_discarded(integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))) == 0
+
+    @pytest.mark.parametrize("params,problem", [
+        (GELFAND3, G), (MEMS233, M), (JL454, J), (Params(p=3, n=5, alpha=1), G),
+    ], ids=["gelfand-2-3-0", "mems-2-3-0-2", "jl-2-4-0-5", "gelfand-3-5-1"])
+    def test_asymptotic_fold_law(self, params, problem):
+        # the linearization about the guiding solution: folds t_k spaced by
+        # exp(pi/|Im r|), and lambda*_k - lambda_inf shrinking by
+        # -exp(pi (Re r - g)/|Im r|) from one fold to the next
+        traj = integrate(params, problem, IntegratorConfig(t_max=1e8))
+        turns = turning_points(traj)
+        assert len(turns) >= 6
+        r = characteristic_quadratic(params, problem).roots[0]
+        g = class_spec(params, problem).g
+        lam_inf = closed_forms(params, problem).lambda_inf
+        (t_a, lam_a, *_), (t_b, lam_b, *_) = turns[-2:]
+        assert t_b / t_a == pytest.approx(math.exp(math.pi / abs(r.imag)), rel=1e-3)
+        assert (lam_b - lam_inf) / (lam_a - lam_inf) == pytest.approx(
+            -math.exp(math.pi * (r.real - g) / abs(r.imag)), rel=1e-3)
 
 
 # The fold and crossing scan that event location on the dense rows replaced,

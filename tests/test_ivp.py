@@ -333,9 +333,9 @@ class TestIntegrate:
         assert log.accepted == 0 and log.min_step is None and log.max_step is None
 
     @pytest.mark.parametrize("params,problem,config,error,match", [
-        # sigma = (alpha+p)/(p-1) is 101 and 1001: t^sigma overflows at t_max
-        (Params(p=1.01, n=3, alpha=0, q=2), M, None, ivp.IntegrationError, r"t\^sigma"),
-        (Params(p=1.001, n=3, alpha=0), G, None, ivp.IntegrationError, r"t\^sigma"),
+        # 1/(p-1) = 10000: phiinv(Z) = Z^10000 overflows in the log phase
+        (Params(p=1.0001, n=3, alpha=0), G, None, ivp.IntegrationError, r"log phase"),
+        (Params(p=1.0001, n=3, alpha=0, q=0.5), M, None, ivp.IntegrationError, r"log phase"),
         # g = -20000: t1^-g overflows
         (Params(p=2, n=3, alpha=0, q=1.0001), J, None, ivp.IntegrationError, r"t1\^-g"),
         # t_start^(n-1) underflows to 0
@@ -344,6 +344,32 @@ class TestIntegrate:
     def test_out_of_float_range_is_named(self, params, problem, config, error, match):
         with pytest.raises(error, match=match):
             integrate(params, problem, config)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("params,problem,reach", [
+        # sigma = 101: u_6 ... underflow to 0; the last nonzero term bounds the reach
+        (Params(p=1.01, n=3, alpha=0, q=2), M, 2.7182948112858947),
+        # sigma = 1001: every u_k is -0.0; tau = t^sigma stays below 1e300
+        (Params(p=1.001, n=3, alpha=0), G, 1e300 ** (1.0 / 1001.0000000001102)),
+    ], ids=["mems", "gelfand"])
+    def test_series_with_underflowing_coefficients(self, params, problem, reach):
+        assert _series(params, problem).reach() == pytest.approx(reach, rel=1e-12)
+        traj = integrate(params, problem)
+        assert traj.ts[1] == pytest.approx(reach, rel=1e-12) and traj.t_end == 1e4
+        assert np.all(np.isfinite(traj.ws)) and np.all(np.isfinite(traj.wprimes))
+        assert np.all(traj.ws >= 1.0) if problem is M else np.all(traj.ws <= 0.0)
+        # the series segment and the log phase, dense, and a curve point shot
+        grid = np.geomspace(traj.t_start, traj.t_end, 401)
+        w, wp = traj.eval_many(grid)
+        assert np.all(np.isfinite(w)) and np.all(np.isfinite(wp))
+        # where t^sigma underflows, w is w(0) to double precision
+        w_c = 1.0 if problem is M else 0.0
+        assert traj.eval(1e-5) == pytest.approx((w_c, 0.0), abs=1e-12)
+        assert pfold.curve.turning_points(traj)
+        w3, _ = traj.eval(3.0)
+        lam, u0 = pfold.curve.curve_values(problem, params, 3.0, w3)
+        assert pfold.curve.shooting_check(params, problem,
+                                          pfold.curve.CurvePoint(3.0, lam, u0, 0.0)) < 1e-6
 
 
 def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
