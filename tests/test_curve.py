@@ -217,7 +217,6 @@ class TestTurningPoints:
             assert len(d) > 0
             assert np.all(d > 0) or np.all(d < 0)
 
-
     def test_guard_discarded(self):
         # sweep case gelfand-12 misses a late fold near t = 4844 under the guard
         late = integrate(Params(p=2.9163914331524685, n=8.342952000081926, alpha=0), G)
