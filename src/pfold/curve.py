@@ -456,7 +456,8 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> 
     and returns ``|u(1)|``, which vanishes exactly when the point lies on the
     solution curve.  Its tolerances, ``rel_tol = 1e-12`` and ``abs_tol =
     1e-14``, are decoupled from the generating integration so the check is
-    a genuine cross-validation.
+    a genuine cross-validation.  Raises :class:`~pfold.ivp.IntegrationError`
+    where the radial solution leaves the float range, as ``p`` nears 1.
     """
     p, n, alpha = params.p, params.n, params.alpha
     lam, u0 = point.lam, point.u0
@@ -466,20 +467,23 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> 
     f, w_c, sgn = spec.f, spec.w_center, spec.sgn
     g0 = lam * f(w_c - sgn * u0)
     sigma = (alpha + p) / (p - 1.0)
-    kappa = (p - 1.0) / (alpha + p) * (g0 / (n + alpha)) ** (1.0 / (p - 1.0))
-    # startup radius: keep the series correction below ~1e-10 of the scale
-    if kappa > 0.0:
-        r_start = min(1e-6, (1e-10 * max(1.0, abs(u0)) / kappa) ** (1.0 / sigma))
-        r_start = max(r_start, 1e-30)
-    else:
-        r_start = 1e-6
-    u_start = u0 - kappa * r_start**sigma
-    v_start = -g0 * r_start ** (n + alpha) / (n + alpha)
-
     # (u, v)' = (phiinv(v / r^(n-1)), -lam r^(n+alpha-1) f(w_c - sgn u))
     rhs = _ivp._radial_rhs(params, spec, -lam, w_c, sgn)
-    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, 1e-12, (1e-14, 1e-14), 200_000,
-                       dense=False)
+    try:  # as p nears 1, kappa and the slope u' ~ -(g0 r/(n+alpha))^(1/(p-1)) overflow
+        kappa = (p - 1.0) / (alpha + p) * (g0 / (n + alpha)) ** (1.0 / (p - 1.0))
+        # startup radius: keep the series correction below ~1e-10 of the scale
+        if kappa > 0.0:
+            r_start = min(1e-6, (1e-10 * max(1.0, abs(u0)) / kappa) ** (1.0 / sigma))
+            r_start = max(r_start, 1e-30)
+        else:
+            r_start = 1e-6
+        u_start = u0 - kappa * r_start**sigma
+        v_start = -g0 * r_start ** (n + alpha) / (n + alpha)
+        run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, 1e-12, (1e-14, 1e-14), 200_000,
+                           dense=False)
+    except OverflowError:
+        raise _ivp.IntegrationError(f"the radial solution at lambda = {lam!r}, u0 = {u0!r} "
+                                    "leaves the float range") from None
     if run.status != "done":
         raise _ivp.IntegrationError("shooting integration exhausted max_steps",
                                     (run.xs[-1], *run.states[-1]))

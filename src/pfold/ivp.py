@@ -56,10 +56,10 @@ power of ``t``.  The fixed point's linearization has the eigenvalues
 ``t^(alpha+p) f(W)``.  ``W`` has the sign of ``w``.  At ``t1``, ``(W, Z)``
 differs from ``(w, v)`` by powers of ``t1`` (for ``t1 < 1`` it can be
 tiny), so the absolute tolerance is applied in the units of ``(w, v)`` at
-``t1``: ``abs_tol (t1^-g, t1^c)``.  Nodes hold ``(w, v)``; the dense rows
-hold ``(W, Z)``.  For the ``jl`` class, ``w`` may reach zero in finite time;
-the crossing is located by bisection on the dense output and the
-trajectory is truncated there.
+``t1``: ``abs_tol (t1^-g, t1^c)``.  The dense rows hold ``(W, Z)``.  For
+the ``jl`` class, ``w`` may reach zero in finite time; the crossing is
+located by bisection on the dense output and the trajectory is truncated
+there.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of order 8 with
 embedded error estimators of orders 5 and 3 and a 7th-order dense output
@@ -70,13 +70,14 @@ controller uses the initial step rule of Section II.4, a safety factor of
 0.9, step factors clamped to [0.2, 10], the error exponent -1/8, DOP853's
 combined err5/err3 error norm and a minimum step of 10 ulp.  The dense
 output of all steps is kept as one table of interpolation rows, which every
-reader of :class:`Trajectory` reads in the units ``(W, Y = t w' t^-g)``:
-any time or array of times with the row polynomial :func:`_dense`, and the
-fixed fractions of every row that event location samples with one matrix
-product over the table, several times faster.  Events are located on these
-rows (Section II.6) by :meth:`Trajectory._roots`, which guards the sign
-changes of a functional and refines each root on its row by Illinois
-regula falsi; :mod:`pfold.curve` states the functionals.
+reader of :class:`Trajectory` reads with the row polynomial :func:`_dense`, in
+the units ``(W, Y = t w' t^-g)`` and with ``scale = t^-g``: one time, an
+array of times, or the fixed fractions of every row that event location
+samples.  ``(w, t w') = (W, Y) / scale`` is the one way back, for the nodes
+too.  Events are located on these rows (Section II.6) by
+:meth:`Trajectory._roots`, which guards the sign changes of a functional
+and refines each root on its row by Illinois regula falsi;
+:mod:`pfold.curve` states the functionals.
 
 The whole stepping loop is generated from the coefficient tables, once
 per *form* of the right-hand side, when the form is first used
@@ -367,19 +368,22 @@ class _Series:
 
     With ``tau = t^sigma``, ``sigma = (alpha+p)/(p-1)`` and ``m = n+alpha``,
     ``w = w_c + tau U(tau)`` and ``v = t^m V(tau)``, where ``U`` and ``V``
-    are power series in ``tau`` with the coefficients ``u`` and ``v``.
+    are power series in ``tau`` with the coefficients ``u`` and ``v``;
+    ``phi_exp = 1/(p-1)``.
     """
 
     sigma: float
     m: float
+    phi_exp: float
     w_center: float
     u: tuple
     v: tuple
 
-    def state(self, t: float) -> tuple[float, float]:
-        """``(w, v)`` at a scalar ``t`` within :meth:`reach`."""
-        w, big_v = self.slope_form(t**self.sigma)
-        return w, t**self.m * big_v
+    def state(self, t: float) -> tuple[float, float, float]:
+        """``(w, w', v)`` at a scalar ``t`` within :meth:`reach`."""
+        tau = t**self.sigma
+        w, big_v = self.slope_form(tau)
+        return w, tau * _phi_inv(big_v, self.phi_exp) / t, t**self.m * big_v
 
     def slope_form(self, tau):
         """``(w, V)`` at ``tau``, a float or an array (each point summed apart, so
@@ -415,7 +419,7 @@ def _series(params: Params, problem: ProblemClass) -> _Series:
     ``U_0`` and ``V_0`` are the two terms of :func:`startup_state`.
     """
     p, n, alpha = params.p, params.n, params.alpha
-    sigma = (alpha + p) / (p - 1.0)
+    sigma, phi_exp = (alpha + p) / (p - 1.0), 1.0 / (p - 1.0)
     m = n + alpha
     spec = class_spec(params, problem)
     sgn, w_center, expo = spec.sgn, spec.w_center, spec.q_power
@@ -432,13 +436,12 @@ def _series(params: Params, problem: ProblemClass) -> _Series:
         else:
             f.append(_power_coeff(a, f, expo, k))
         vs.append(f[k] / (sigma * k + m))
-        ps.append(vs[0] ** (1.0 / (p - 1.0)) if k == 0 else
-                  _power_coeff(vs, ps, 1.0 / (p - 1.0), k))
+        ps.append(vs[0] ** phi_exp if k == 0 else _power_coeff(vs, ps, phi_exp, k))
         u.append(sgn * ps[k] / (sigma * (k + 1.0)))
         a.append(u[k])
     # coefficients that underflow to 0 (as p nears 1) end both series
     size = 1 + max((k for k in range(_SERIES_TERMS) if u[k] != 0.0 or vs[k] != 0.0), default=0)
-    return _Series(sigma, m, w_center, tuple(u[:size]), tuple(sgn * x for x in vs[:size]))
+    return _Series(sigma, m, phi_exp, w_center, tuple(u[:size]), tuple(sgn * x for x in vs[:size]))
 
 
 def _bisect(fn, a: float, b: float, fa: float, rtol: float = 0.0) -> float:
@@ -597,15 +600,6 @@ def _dense_zero(step, x_end: float) -> tuple[float, tuple[float, float]]:
     x, h = step[0], step[1]
     x_zero = _bisect(lambda xx: _dense(step, (xx - x) / h)[0], x, x_end, step[2])
     return x_zero, _dense(step, (x_zero - x) / h)
-
-
-def _dense_basis(s: np.ndarray) -> np.ndarray:
-    """The ``(len(s), 8)`` weights ``1, s, s u, s^2 u, ..., s^4 u^3`` (``u = 1 - s``)
-    of ``y0, F0, ..., F6`` in :func:`_dense` at the fractions ``s``."""
-    basis = np.ones((8, len(s)))
-    for i in range(1, 8):
-        np.multiply(basis[i - 1], s if i % 2 else 1.0 - s, out=basis[i])
-    return basis.T
 
 
 # The body of the DOP853 loop that _straight_line generates, with the
@@ -861,21 +855,21 @@ def integrate(params: Params, problem: ProblemClass,
         t1 = _bisect(lambda t: series.state(t)[0] - _JL_SERIES_FLOOR, cfg.t_start, t1,
                      series.state(cfg.t_start)[0] - _JL_SERIES_FLOOR, 1e-12)
     t_nodes: list[float] = [cfg.t_start, t1]
-    states: list[tuple[float, float]] = [series.state(cfg.t_start), series.state(t1)]
+    nodes = np.array([series.state(t) for t in t_nodes]).T  # rows w, w', v
 
     # then one stepped phase in s = ln t, in (W, Z) = (w t^-g, v t^c)
     steps: list = []
     stats: list[PhaseStats] = [PhaseStats("series", 1, 0, 0)]
     termination = "t_max"
     if t1 < cfg.t_max:
+        w, _, v = nodes[:, 1].tolist()
         # abs_tol holds in the units of (w, v) at t1, where (W, Z) may be tiny
         try:
             scale_w, scale_v = t1**-g, t1**c
         except OverflowError:  # jl: g = -(p+alpha)/(q-p+1) is large as q nears p - 1
             raise IntegrationError(
                 f"the log-phase scales t1^-g, t1^c overflow at t1 = {t1!r} "
-                f"(g = {g:.6g}, c = {c:.6g})", (t1, *states[-1])) from None
-        w, v = states[-1]
+                f"(g = {g:.6g}, c = {c:.6g})", (t1, w, v)) from None
         try:
             run = _dop853(rhs, math.log(t1), w * scale_w, v * scale_v, math.log(cfg.t_max),
                           cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
@@ -883,7 +877,7 @@ def integrate(params: Params, problem: ProblemClass,
         except OverflowError:  # phiinv(Z) = Z^(1/(p-1)) as p nears 1, or f(W)
             raise IntegrationError(
                 f"the log phase leaves the float range past t1 = {t1!r} "
-                f"(phiinv(Z) = Z^{1.0 / (params.p - 1.0):.6g})", (t1, *states[-1])) from None
+                f"(phiinv(Z) = Z^{series.phi_exp:.6g})", (t1, w, v)) from None
         hs = [row[1] for row in run.steps]
         stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev,
                                 min(hs, default=None), max(hs, default=None)))
@@ -891,13 +885,23 @@ def integrate(params: Params, problem: ProblemClass,
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
         if termination == "t_max":
             ts_new[-1] = cfg.t_max
+        # (w, t w') = (W, Y) / scale, Y = phiinv(Z), as eval_many reads the rows
+        x, ts = np.array(run.xs[1:]), np.array(ts_new)
+        big_w, z = np.array(run.states[1:]).reshape(-1, 2).T
+        with np.errstate(all="ignore"):  # checked below
+            scale = np.exp(-g * x)
+            log_nodes = (big_w / scale, _phi_inv_many(z, series.phi_exp) / scale / ts, z * ts**-c)
+        nodes = np.concatenate((nodes, log_nodes), axis=1)
         t_nodes.extend(ts_new)
-        # nodes hold (w, v): undo the scaling of (W, Z)
-        states.extend((big_w * t**g, z * t**-c)
-                      for t, (big_w, z) in zip(ts_new, run.states[1:]))
         steps = run.steps
+        finite = np.isfinite(nodes)
+        if not finite.all():
+            k = int(np.argmin(finite.all(axis=0)))
+            names = ", ".join(np.array(["w", "t w'", "v = Z t^-c"])[~finite[:, k]])
+            raise IntegrationError(f"the node at t = {t_nodes[k]!r} leaves the float range in "
+                                   f"{names}", (t_nodes[k - 1], *nodes[::2, k - 1].tolist()))
 
-    traj = Trajectory._build(problem, params, cfg, t_nodes, states, series, steps, g,
+    traj = Trajectory._build(problem, params, cfg, t_nodes, nodes, series, steps, g,
                              termination, tuple(stats))
     if termination == "truncated":
         raise TruncatedTrajectoryError(
@@ -910,8 +914,6 @@ def integrate(params: Params, problem: ProblemClass,
 #: of its step, and samples of the series segment, equally spaced in ``tau``.
 ROW_SAMPLES = 8
 SERIES_SAMPLES = 16
-_ROW_FRACTIONS = np.arange(ROW_SAMPLES + 1) / ROW_SAMPLES
-_ROW_BASIS = _dense_basis(_ROW_FRACTIONS)
 #: Headroom factor of the sign-change guard over the estimated dense-output error.
 GUARD_FACTOR = 50.0
 #: Relative t-tolerance to which roots are refined.
@@ -949,9 +951,13 @@ class Trajectory:
     node ``k + 1``, at the fraction ``theta`` of it in ``x = ln t``.
     ``_steps`` holds its ``(x0, h, y0, F0, ..., F6)`` of ``(W, Z) = (w t^-g,
     v t^c)``, two floats each, and ``_table`` the same as an ``(m, 18)``
-    array.  :meth:`_row_point` (one point) and :meth:`_read` (arrays) give
-    ``(x, W, Y = t w' t^-g, t^-g)`` with :func:`_dense`; ``_folds`` holds the
-    folds that :func:`pfold.curve.turning_points` located by :meth:`_roots`."""
+    array.  :meth:`_row_point` (one point) and :meth:`_read` (arrays, also
+    the scan's ``_samples``) give ``(x, W, Y = t w' t^-g, scale = t^-g)`` with
+    :func:`_dense`, on the rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
+    = (W, Y) / scale`` is the one rescale back, also of the nodes ``ws``,
+    ``wprimes`` (the series nodes at ``scale = 1``); ``vs`` is ``Z t^-c``.
+    ``_folds`` holds the folds that :func:`pfold.curve.turning_points`
+    located by :meth:`_roots`."""
 
     problem: ProblemClass
     params: Params
@@ -971,19 +977,17 @@ class Trajectory:
     _folds: tuple | None = field(default=None, repr=False, compare=False)
 
     @classmethod
-    def _build(cls, problem, params, cfg, t_nodes, states, series, steps, g, termination,
+    def _build(cls, problem, params, cfg, t_nodes, nodes, series, steps, g, termination,
                stats):
-        phi_exp, n = 1.0 / (params.p - 1.0), params.n
-        wv = np.asarray(states, dtype=float)
-        wp = [_phi_inv(v / t ** (n - 1.0), phi_exp) for t, (_, v) in zip(t_nodes, states)]
+        ws, wprimes, vs = nodes
         return cls(
             problem=problem,
             params=params,
             config=cfg,
             ts=np.asarray(t_nodes, dtype=float),
-            ws=wv[:, 0],
-            wprimes=np.asarray(wp, dtype=float),
-            vs=wv[:, 1],
+            ws=ws,
+            wprimes=wprimes,
+            vs=vs,
             termination=termination,
             stats=stats,
             _t_list=t_nodes,
@@ -1014,33 +1018,26 @@ class Trajectory:
         on first use."""
         table, ser = self._table, self._series
         m = len(table)
-        wz = None
         t_hi = self._series_end if m else self.t_end
         theta = np.linspace(max(self.t_start**ser.sigma, _TAU_MIN), t_hi**ser.sigma,
                             SERIES_SAMPLES + 1)
         theta = theta[:-1] if m else theta  # the first row starts there
         row = np.full(len(theta), -1)
         if m:
-            coefs = table[:, 2:].reshape(m, 8, 2)
-            wz = _ROW_BASIS @ coefs
-            # the last row may reach past the end (a zero of w)
-            span = min(1.0, (math.log(self.t_end) - table[-1, 0]) / table[-1, 1])
-            if span < 1.0:
-                wz[-1] = _dense_basis(span * _ROW_FRACTIONS) @ coefs[-1]
             # a row's end is the next row's start, except for the last row
-            wz = np.concatenate((wz[:, :-1].reshape(-1, 2), wz[-1:, -1]))
             index = np.arange(m * ROW_SAMPLES + 1)
             steps = np.minimum(index // ROW_SAMPLES, m - 1)
             fractions = (index - steps * ROW_SAMPLES) / ROW_SAMPLES
-            fractions[-ROW_SAMPLES - 1:] *= span
+            # the last row may reach past the end (a zero of w)
+            fractions[-ROW_SAMPLES - 1:] *= min(
+                1.0, (math.log(self.t_end) - table[-1, 0]) / table[-1, 1])
             row, theta = np.concatenate((row, steps)), np.concatenate((theta, fractions))
-        return self._read(row, theta, wz)
+        return self._read(row, theta)
 
-    def _read(self, row: np.ndarray, theta: np.ndarray, wz: np.ndarray | None = None) -> _Samples:
-        """:class:`_Samples` at the parameters ``theta`` of the rows ``row``;
-        ``wz``: the ``(W, Z)`` of the points off the series, if known, else
-        :func:`_dense` on arrays, the arithmetic of :meth:`_row_point`."""
-        phi_exp, ser = 1.0 / (self.params.p - 1.0), self._series
+    def _read(self, row: np.ndarray, theta: np.ndarray) -> _Samples:
+        """:class:`_Samples` at the parameters ``theta`` of the rows ``row``: the
+        arithmetic of :meth:`_row_point` on arrays."""
+        ser = self._series
         on_series = row < 0
         on_rows = ~on_series
         tau, s, k = theta[on_series], theta[on_rows], row[on_rows]
@@ -1052,24 +1049,24 @@ class Trajectory:
             w, big_v = ser.slope_form(tau)
             scale_ser = scale[on_series]
             big_w[on_series] = w * scale_ser
-            y[on_series] = tau * _phi_inv_many(big_v, phi_exp) * scale_ser
-        big_w[on_rows], z = _dense(self._table[k].T, s) if wz is None else wz.T
-        y[on_rows] = _phi_inv_many(z, phi_exp)
+            y[on_series] = tau * _phi_inv_many(big_v, ser.phi_exp) * scale_ser
+        big_w[on_rows], z = _dense(self._table[k].T, s)
+        y[on_rows] = _phi_inv_many(z, ser.phi_exp)
         return _Samples(row, theta, x, big_w, y, scale)
 
     def _row_point(self, row: int, theta: float) -> tuple[float, float, float, float]:
         """``(x, W, Y, t^-g)`` of :attr:`_samples` at the parameter ``theta``
         of dense row ``row``."""
-        phi_exp, g = 1.0 / (self.params.p - 1.0), self._g
+        ser, g = self._series, self._g
         if row < 0:
-            w, big_v = self._series.slope_form(theta)
-            x = math.log(theta) / self._series.sigma
+            w, big_v = ser.slope_form(theta)
+            x = math.log(theta) / ser.sigma
             scale = math.exp(-g * x)
-            return x, w * scale, theta * _phi_inv(big_v, phi_exp) * scale, scale
+            return x, w * scale, theta * _phi_inv(big_v, ser.phi_exp) * scale, scale
         step = self._steps[row]
         big_w, z = _dense(step, theta)
         x = step[0] + theta * step[1]
-        return x, big_w, _phi_inv(z, phi_exp), math.exp(-g * x)
+        return x, big_w, _phi_inv(z, ser.phi_exp), math.exp(-g * x)
 
     def _guard(self, w, t_wprime, coeff_sum: float, scale):
         """Noise floor of a functional linear in ``w`` and ``t w'``, whose
@@ -1173,9 +1170,8 @@ class Trajectory:
         else:
             row = min(max(k - 2, 0), len(self._steps) - 1)
             theta = (math.log(t) - self._steps[row][0]) / self._steps[row][1]
-        _, big_w, y, _ = self._row_point(row, theta)
-        tg = t**self._g
-        return big_w * tg, y * tg / t
+        _, big_w, y, scale = self._row_point(row, theta)
+        return big_w / scale, y / scale / t
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized dense ``(w, w')``; exact at stored nodes."""
@@ -1194,8 +1190,7 @@ class Trajectory:
         k = row[on_rows]
         theta[on_rows] = (np.log(t[on_rows]) - self._table[:, 0][k]) / self._table[:, 1][k]
         smp = self._read(row, theta)
-        tg = t**self._g
-        w, wp = smp.big_w * tg, smp.y * tg / t
+        w, wp = smp.big_w / smp.scale, smp.y / smp.scale / t
         # stored nodes win bitwise over the interpolant
         node = np.minimum(idx, len(self.ts) - 1)
         exact = self.ts[node] == ts

@@ -306,6 +306,25 @@ class TestOutOfFloatRange:
         assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.parametrize("argv", [
+        ("--class", "gelfand", "-p", "2", "-n", "3", "--t-max", "1e200"),
+        ("--class", "gelfand", "-p", "2", "-n", "3", "--t-max", "1e300"),
+        # v ~ t^1.995 leaves the floats near t = 1e154
+        ("--class", "mems", "-p", "1.01", "-n", "3", "-q", "2", "--t-max", "1e300"),
+    ], ids=["gelfand-1e200", "gelfand-1e300", "mems-1e300"])
+    def test_horizon_near_the_top_of_the_floats(self, run_cli, argv):
+        proc = run_cli("turns", *argv, "--format", "json")
+        assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr
+        if proc.returncode == 3:
+            assert proc.stderr.startswith("numerical failure: the node at t = ")
+            assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+        else:  # a non-finite value would be written as a quoted string
+            doc = json.loads(proc.stdout)
+            assert all(isinstance(x, float) for row in doc["rows"] for x in row[:3])
+            assert doc["summary"]["t_end"] == float(argv[-1])
+        if argv[1] == "mems":
+            assert proc.returncode == 3 and proc.stderr.rstrip().endswith("in v = Z t^-c")
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
         # series coefficients that underflow to 0 as p nears 1

@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from pfold import (
     CurvePoint,
+    IntegrationError,
     IntegratorConfig,
     Params,
     ProblemClass,
@@ -647,6 +648,17 @@ class TestShootingCheck:
         lam, u0 = curve_values(G, GELFAND3, 1e-4, w)
         assert lam < 1e-7 and 0 <= u0 < 1e-8
         assert shooting_check(GELFAND3, G, CurvePoint(1e-4, lam, u0, 0.0)) < 1e-7
+
+    def test_near_p_one(self):
+        # gelfand (1.001, 3, 0): the point at t = 3 checks to 1.23e-13; at t = 10
+        # the slope u' ~ -(g0 r/3)^1000, g0 = 10.0, and kappa leave the floats
+        params = Params(p=1.001, n=3, alpha=0)
+        traj = integrate(params, G)
+        points = [CurvePoint(t, *curve_values(G, params, t, traj.eval(t)[0]), 0.0)
+                  for t in (3.0, 10.0)]
+        assert shooting_check(params, G, points[0]) <= 1.3e-13
+        with pytest.raises(IntegrationError, match="leaves the float range"):
+            shooting_check(params, G, points[1])
 
     def test_mems_center_value_validation(self):
         with pytest.raises(ValueError):

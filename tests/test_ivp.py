@@ -101,7 +101,7 @@ def _check_startup_series(params, problem):
     traj = integrate(params, problem, IntegratorConfig(t_max=2.0))
     assert traj.stats[0] == PhaseStats("series", 1, 0, 0)
     t1, w1, v1 = traj.ts[1], traj.ws[1], traj.vs[1]
-    assert t1 <= series.reach() and (w1, v1) == series.state(t1)
+    assert t1 <= series.reach() and (w1, traj.wprimes[1], v1) == series.state(t1)
     source = _source(params, problem)
     for t in np.geomspace(traj.t_start, t1, 12):
         w, wp, wpp = _series_derivatives(series, t)
@@ -340,6 +340,12 @@ class TestIntegrate:
         (Params(p=2, n=3, alpha=0, q=1.0001), J, None, ivp.IntegrationError, r"t1\^-g"),
         # t_start^(n-1) underflows to 0
         (GELFAND3, G, IntegratorConfig(t_start=1e-300), InvalidParamsError, r"t_start\^\(n-1\)"),
+        # v ~ t^1.995 leaves the floats at a node near t = 1e154
+        (Params(p=1.01, n=3, alpha=0, q=2), M, IntegratorConfig(t_max=1e300), ivp.IntegrationError,
+         r"node at t = \S+e\+154 leaves the float range in v = Z t\^-c$"),
+        # t w' ~ 2.5 w ~ t^2.5 leaves them first, near t = 1e123
+        (Params(p=1.5, n=2, alpha=0, q=0.1), M, IntegratorConfig(t_max=1e300),
+         ivp.IntegrationError, r"node at t = \S+e\+123 leaves the float range in t w'$"),
     ])
     def test_out_of_float_range_is_named(self, params, problem, config, error, match):
         with pytest.raises(error, match=match):
@@ -928,12 +934,15 @@ SERIES_ONLY = (JL_ZERO, J, IntegratorConfig(t_max=1.65))
 class TestSamples:
     """The dense samples on which pfold.curve locates folds and crossings."""
 
-    @pytest.fixture(params=["gelfand3", "mems", "jl", "jl_zero", "truncated", "series_only"])
+    @pytest.fixture(params=["gelfand3", "mems", "jl", "jl_zero", "truncated", "series_only",
+                            "general"])
     def traj(self, request):
         if request.param == "truncated":
             return _truncated_traj()
         if request.param == "series_only":
             return integrate(*SERIES_ONLY)
+        if request.param == "general":  # p != 2, alpha != 0
+            return integrate(Params(p=1.7, n=6, alpha=0.3, q=4), J)
         return request.getfixturevalue(f"{request.param}_traj")
 
     def test_cover_the_range_in_time_order(self, traj):
@@ -957,11 +966,22 @@ class TestSamples:
         assert smp.scale == pytest.approx(t ** -traj._g, rel=1e-13)
 
     def test_row_point_reproduces_the_samples(self, traj):
+        # the scan and the refinement read the same values: on the rows x and
+        # W bit for bit, and Y = phiinv(Z) too at p = 2, where numpy's |Z|^1.0
+        # is exact (else to 1 ulp); the scales differ as numpy's exp and libm's
         smp = traj._samples
-        for i in range(0, len(smp.x), 5):
-            point = traj._row_point(int(smp.row[i]), float(smp.theta[i]))
-            expected = (smp.x[i], smp.big_w[i], smp.y[i], smp.scale[i])
-            assert point == pytest.approx(expected, rel=1e-13, abs=1e-14)
+        points = [traj._row_point(k, s) for k, s in zip(smp.row.tolist(), smp.theta.tolist())]
+        x, big_w, y, scale = map(np.array, zip(*points))
+        rows = smp.row >= 0
+        assert np.array_equal(x[rows], smp.x[rows])
+        assert np.array_equal(big_w[rows], smp.big_w[rows])
+        ulps = np.abs(y[rows] - smp.y[rows]) / np.spacing(np.abs(y[rows]))
+        assert np.all(ulps == 0.0) if traj.params.p == 2.0 else np.all(ulps <= 1.0)
+        assert scale == pytest.approx(smp.scale, rel=np.finfo(float).eps, abs=0.0)
+        # the series: Horner for a point, a power table for the samples
+        for scalar, array in ((x, smp.x), (big_w, smp.big_w), (y, smp.y)):
+            assert scalar[~rows] == pytest.approx(array[~rows], rel=4 * np.finfo(float).eps,
+                                                  abs=0.0)
 
     def test_eval_matches_eval_many(self, traj):
         # the scalar and the vector reader of the same rows: random times, the
@@ -972,9 +992,13 @@ class TestSamples:
                              np.nextafter(traj.ts[1:], 0.0), np.nextafter(traj.ts[:-1], np.inf)))
         w, wp = traj.eval_many(ts)
         scalar = np.array([traj.eval(t) for t in ts.tolist()])
-        scale = np.abs(w) + np.abs(ts * wp)
-        assert np.all(np.abs(scalar[:, 0] - w) <= 1e-13 * scale)
-        assert np.all(np.abs(ts * (scalar[:, 1] - wp)) <= 1e-13 * scale)
+        # both rescale (W, Y) by their own t^-g; with the series' two
+        # summations and numpy's exp and pow against libm's the readers
+        # differ by at most 2.35 eps of |w| + |t w'| (measured over the
+        # sweep cases of seeds 0 and 1 and the spiral cases at t_max = 1e8)
+        bound = 4 * np.finfo(float).eps * (np.abs(w) + np.abs(ts * wp))
+        assert np.all(np.abs(scalar[:, 0] - w) <= bound)
+        assert np.all(np.abs(ts * (scalar[:, 1] - wp)) <= bound)
         w_nodes, wp_nodes = traj.eval_many(traj.ts)
         assert np.array_equal(w_nodes, traj.ws) and np.array_equal(wp_nodes, traj.wprimes)
         assert [traj.eval(t) for t in traj.ts.tolist()] == list(zip(traj.ws, traj.wprimes))
@@ -1003,6 +1027,28 @@ class TestOneReader:
         assert np.array_equal(smp.x, x) and np.array_equal(smp.big_w, big_w)
         # phiinv of an array can round Z's power differently by an ulp
         assert smp.y == pytest.approx(y, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("params,problem", CASES)
+    def test_nodes_are_the_rescaled_stepper_state(self, params, problem, monkeypatch):
+        runs = []  # the log phase's stepper run
+        monkeypatch.setattr(ivp, "_dop853",
+                            lambda *args, **kw: runs.append(_dop853(*args, **kw)) or runs[0])
+        traj = integrate(params, problem)
+        (run,) = runs
+        # every log-phase node: (w, t w') = (W, phiinv(Z)) / t^-g of the stepper's
+        # (W, Z) at its x, with numpy's arithmetic, and v = Z t^-c
+        x, t = np.array(run.xs[1:]), traj.ts[2:]
+        big_w, z = np.array(run.states[1:]).T
+        scale = np.exp(-traj._g * x)
+        y = np.sign(z) * np.abs(z) ** (1.0 / (params.p - 1.0))
+        assert np.array_equal(traj.ws[2:], big_w / scale)
+        assert np.array_equal(traj.wprimes[2:], y / scale / t)
+        assert np.array_equal(traj.vs[2:], z * t ** -_log_phase(params, problem)[2])
+        # which is the array reader's rescale where a row starts on a node
+        rows = np.arange(1, len(traj._steps))
+        smp = traj._read(rows, np.zeros(len(rows)))
+        assert np.array_equal(smp.big_w / smp.scale, traj.ws[2:-1])
+        assert np.array_equal(smp.y / smp.scale / traj.ts[2:-1], traj.wprimes[2:-1])
 
     @pytest.mark.parametrize("params,problem", CASES)
     def test_eval_many_does_not_depend_on_the_batch(self, params, problem):
