@@ -1040,17 +1040,17 @@ class Trajectory:
         ser = self._series
         on_series = row < 0
         on_rows = ~on_series
-        tau, s, k = theta[on_series], theta[on_rows], row[on_rows]
+        tau, s, step = theta[on_series], theta[on_rows], self._table[row[on_rows]].T
         x, big_w, y = np.empty((3, len(theta)))
         x[on_series] = np.log(tau) / ser.sigma
-        x[on_rows] = self._table[:, 0][k] + s * self._table[:, 1][k]
+        x[on_rows] = step[0] + s * step[1]
         scale = np.exp(-self._g * x)
         if len(tau):
             w, big_v = ser.slope_form(tau)
             scale_ser = scale[on_series]
             big_w[on_series] = w * scale_ser
             y[on_series] = tau * _phi_inv_many(big_v, ser.phi_exp) * scale_ser
-        big_w[on_rows], z = _dense(self._table[k].T, s)
+        big_w[on_rows], z = _dense(step, s)
         y[on_rows] = _phi_inv_many(z, ser.phi_exp)
         return _Samples(row, theta, x, big_w, y, scale)
 
