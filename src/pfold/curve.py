@@ -8,6 +8,11 @@ problem is recovered algebraically:
 * ``mems``:     ``lambda = t^(alpha+p) / w^(p+q-1)``, ``u(0) = 1 - 1/w``;
 * ``jl``:       ``lambda = t^(p+alpha) w^(q-p+1)``,   ``u(0) = 1/w - 1``.
 
+With ``k = alpha + p`` and the exponent ``E`` of
+:class:`~pfold.model.ClassSpec`, ``lambda`` is computed as ``exp(k ln t +
+L)``, ``L = w`` for ``exp`` and ``L = E ln w`` for a power: one formula,
+finite wherever ``lambda`` is, also where ``t^k`` alone overflows.
+
 ``lambda'(t)`` has the sign of a class-specific monitor function ``M(t)``
 (a bracket linear in ``w`` and ``t w'``), so folds of the curve are exactly
 the roots of ``M``.  The guiding solution ``w0`` is the zero set of ``M``;
@@ -76,15 +81,9 @@ def _u(spec: ClassSpec, w_r, w_t):
 
 
 def _curve_values(spec: ClassSpec, t, w):
-    k, E = spec.k, spec.E
-    if E is None:
-        lam = t**k * np.exp(w)
-    elif spec.q_power < 0.0:
-        # mems keeps the quotient t^k / w^(p+q-1): t^k w^E rounds differently
-        lam = t**k / w**-E
-    else:
-        lam = t**k * w**E
-    return lam, _u(spec, spec.w_center, w)
+    """``(lambda, u0)``, with ``lambda = exp(k ln t + L)``."""
+    log_f = w if spec.E is None else spec.E * np.log(w)
+    return np.exp(spec.k * np.log(t) + log_f), _u(spec, spec.w_center, w)
 
 
 def curve_values(problem: ProblemClass, params: Params, t, w):
@@ -485,6 +484,5 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> 
         raise _ivp.IntegrationError(f"the radial solution at lambda = {lam!r}, u0 = {u0!r} "
                                     "leaves the float range") from None
     if run.status != "done":
-        raise _ivp.IntegrationError("shooting integration exhausted max_steps",
-                                    (run.xs[-1], *run.states[-1]))
+        raise _ivp.IntegrationError("shooting integration exhausted max_steps")
     return abs(run.states[-1][0])

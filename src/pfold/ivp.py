@@ -16,6 +16,12 @@ differentiated:
 
     ``w' = phiinv(v / t^(n-1))``,  ``v' = -+ t^(n+alpha-1) f(w)``.
 
+The pair ``(w, v)`` itself is stepped in ``t`` only by acceptance row 6 of
+:mod:`pfold.verify` and by :func:`pfold.curve.shooting_check`, which
+shoots the radial problem in the same form.  A :class:`Trajectory` hands
+out ``(t, w, w')`` only: its nodes are ``(t, w, w')``, and ``v``, which
+grows like a power of ``t``, need not fit a double.
+
 ``t = 0`` is a regular singular point, where the regular solution is a
 convergent power series (Joseph & Lundgren 1973).  With
 ``sigma = (alpha+p)/(p-1)``, ``tau = t^sigma`` and ``m = n + alpha``,
@@ -139,22 +145,14 @@ __all__ = [
 
 
 class IntegrationError(RuntimeError):
-    """Integration could not be completed (e.g. step-size underflow).
-
-    ``last_state`` holds the last accepted ``(t, w, v)``.
-    """
-
-    def __init__(self, message: str, last_state: tuple[float, float, float] | None = None):
-        super().__init__(message)
-        self.last_state = last_state
+    """Integration could not be completed (e.g. step-size underflow)."""
 
 
 class TruncatedTrajectoryError(IntegrationError):
     """``max_steps`` was exhausted; ``trajectory`` carries the partial result."""
 
     def __init__(self, message: str, trajectory: "Trajectory"):
-        last = (trajectory.t_end, trajectory.ws[-1], trajectory.vs[-1])
-        super().__init__(message, last)
+        super().__init__(message)
         self.trajectory = trajectory
 
 
@@ -646,8 +644,7 @@ while x != x_end:
         if h_abs < min_step:
             raise IntegrationError(
                 f"integration failed at t-coordinate {x!r}: "
-                "required step size is less than spacing between numbers",
-                (x, w, v),
+                "required step size is less than spacing between numbers"
             )
         # no builtin calls per attempt: min(a, b) is b if b < a else a, max(a, b)
         # is b if b > a else a, and abs(a) is a if a > 0.0 else 0.0 - a
@@ -683,7 +680,7 @@ while x != x_end:
         step_rejected = True
         rejected += 1
     if not (isfinite(w_new) and isfinite(v_new)):
-        raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}", (x, w, v))
+        raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}")
     kw12, kv12 = rhs(x_new, w_new, v_new)
     nfev += 1
     if dense:
@@ -836,9 +833,6 @@ def integrate(params: Params, problem: ProblemClass,
     """
     cfg = (config or IntegratorConfig()).validated()
     validate_params(params, problem)
-    if cfg.t_start ** (params.n - 1.0) == 0.0:  # w' = phiinv(v / t^(n-1)) at t_start
-        raise InvalidParamsError(
-            f"t_start = {cfg.t_start!r} is too small: t_start^(n-1) underflows to 0")
     spec = class_spec(params, problem)
     rhs, g, c, log_step = _log_phase(params, problem)
 
@@ -855,21 +849,22 @@ def integrate(params: Params, problem: ProblemClass,
         t1 = _bisect(lambda t: series.state(t)[0] - _JL_SERIES_FLOOR, cfg.t_start, t1,
                      series.state(cfg.t_start)[0] - _JL_SERIES_FLOOR, 1e-12)
     t_nodes: list[float] = [cfg.t_start, t1]
-    nodes = np.array([series.state(t) for t in t_nodes]).T  # rows w, w', v
+    states = [series.state(t) for t in t_nodes]
+    nodes = np.array(states)[:, :2].T  # rows w, w'
 
     # then one stepped phase in s = ln t, in (W, Z) = (w t^-g, v t^c)
     steps: list = []
     stats: list[PhaseStats] = [PhaseStats("series", 1, 0, 0)]
     termination = "t_max"
     if t1 < cfg.t_max:
-        w, _, v = nodes[:, 1].tolist()
+        w, _, v = states[1]
         # abs_tol holds in the units of (w, v) at t1, where (W, Z) may be tiny
         try:
             scale_w, scale_v = t1**-g, t1**c
         except OverflowError:  # jl: g = -(p+alpha)/(q-p+1) is large as q nears p - 1
             raise IntegrationError(
                 f"the log-phase scales t1^-g, t1^c overflow at t1 = {t1!r} "
-                f"(g = {g:.6g}, c = {c:.6g})", (t1, w, v)) from None
+                f"(g = {g:.6g}, c = {c:.6g})") from None
         try:
             run = _dop853(rhs, math.log(t1), w * scale_w, v * scale_v, math.log(cfg.t_max),
                           cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
@@ -877,7 +872,7 @@ def integrate(params: Params, problem: ProblemClass,
         except OverflowError:  # phiinv(Z) = Z^(1/(p-1)) as p nears 1, or f(W)
             raise IntegrationError(
                 f"the log phase leaves the float range past t1 = {t1!r} "
-                f"(phiinv(Z) = Z^{series.phi_exp:.6g})", (t1, w, v)) from None
+                f"(phiinv(Z) = Z^{series.phi_exp:.6g})") from None
         hs = [row[1] for row in run.steps]
         stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev,
                                 min(hs, default=None), max(hs, default=None)))
@@ -890,16 +885,16 @@ def integrate(params: Params, problem: ProblemClass,
         big_w, z = np.array(run.states[1:]).reshape(-1, 2).T
         with np.errstate(all="ignore"):  # checked below
             scale = np.exp(-g * x)
-            log_nodes = (big_w / scale, _phi_inv_many(z, series.phi_exp) / scale / ts, z * ts**-c)
+            log_nodes = (big_w / scale, _phi_inv_many(z, series.phi_exp) / scale / ts)
         nodes = np.concatenate((nodes, log_nodes), axis=1)
         t_nodes.extend(ts_new)
         steps = run.steps
         finite = np.isfinite(nodes)
         if not finite.all():
             k = int(np.argmin(finite.all(axis=0)))
-            names = ", ".join(np.array(["w", "t w'", "v = Z t^-c"])[~finite[:, k]])
-            raise IntegrationError(f"the node at t = {t_nodes[k]!r} leaves the float range in "
-                                   f"{names}", (t_nodes[k - 1], *nodes[::2, k - 1].tolist()))
+            names = ", ".join(np.array(["w", "t w'"])[~finite[:, k]])
+            raise IntegrationError(
+                f"the node at t = {t_nodes[k]!r} leaves the float range in {names}")
 
     traj = Trajectory._build(problem, params, cfg, t_nodes, nodes, series, steps, g,
                              termination, tuple(stats))
@@ -954,8 +949,9 @@ class Trajectory:
     array.  :meth:`_row_point` (one point) and :meth:`_read` (arrays, also
     the scan's ``_samples``) give ``(x, W, Y = t w' t^-g, scale = t^-g)`` with
     :func:`_dense`, on the rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
-    = (W, Y) / scale`` is the one rescale back, also of the nodes ``ws``,
-    ``wprimes`` (the series nodes at ``scale = 1``); ``vs`` is ``Z t^-c``.
+    = (W, Y) / scale`` is the one rescale back, also of the nodes ``(ts,
+    ws, wprimes)`` (the series nodes at ``scale = 1``); the flux ``v`` is
+    not kept.
     ``_folds`` holds the folds that :func:`pfold.curve.turning_points`
     located by :meth:`_roots`."""
 
@@ -965,7 +961,6 @@ class Trajectory:
     ts: np.ndarray
     ws: np.ndarray
     wprimes: np.ndarray
-    vs: np.ndarray
     termination: str
     stats: tuple[PhaseStats, ...]
     _t_list: list = field(repr=False)
@@ -979,7 +974,7 @@ class Trajectory:
     @classmethod
     def _build(cls, problem, params, cfg, t_nodes, nodes, series, steps, g, termination,
                stats):
-        ws, wprimes, vs = nodes
+        ws, wprimes = nodes
         return cls(
             problem=problem,
             params=params,
@@ -987,7 +982,6 @@ class Trajectory:
             ts=np.asarray(t_nodes, dtype=float),
             ws=ws,
             wprimes=wprimes,
-            vs=vs,
             termination=termination,
             stats=stats,
             _t_list=t_nodes,

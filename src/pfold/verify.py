@@ -223,7 +223,8 @@ def _row_startup(cache, ts):
     tol = 1e-6 * ts
     for problem, params in CLASS_DEFAULTS.items():
         traj = cache.trajectory(params, problem)
-        t1, wa, va = float(traj.ts[1]), float(traj.ws[1]), float(traj.vs[1])
+        t1 = float(traj.ts[1])
+        wa, _, va = traj._series.state(t1)
         start = _ivp.startup_state(params, problem, traj.t_start)
         run = _ivp._dop853(_ivp._flux_rhs(params, problem), start.t, start.w, start.v, t1,
                            1e-13, (1e-300, 1e-300), 10**5, dense=False)

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import subprocess
 import sys
 from types import SimpleNamespace
@@ -287,6 +289,23 @@ class TestVerify:
         assert proc.returncode == 2
 
 
+def _assert_finite_csv(proc):
+    """Every number of a CSV output and of its one-line JSON summary on stderr
+    is finite: ``nan`` and ``inf`` parse as floats, and the summary writes
+    them as quoted strings."""
+    for line in proc.stdout.splitlines()[1:]:
+        for field in line.split(","):
+            try:
+                value = float(field)
+            except ValueError:  # a direction
+                continue
+            assert math.isfinite(value), line
+    if proc.stderr:
+        assert proc.stderr.count("\n") == 1
+        summary = json.loads(proc.stderr)
+        assert not {"nan", "inf", "-inf"} & {v for v in summary.values() if isinstance(v, str)}
+
+
 class TestOutOfFloatRange:
     """Parameters whose exponents leave the float range: one error line, no traceback."""
 
@@ -297,8 +316,6 @@ class TestOutOfFloatRange:
          "numerical failure:"),
         (("turns", "--class", "jl", "-p", "2", "-n", "3", "-q", "1.0001"), 3,
          "numerical failure:"),
-        (("curve", "--class", "gelfand", "-p", "2", "-n", "3", "--t-start", "1e-300"), 2,
-         "error:"),
     ])
     def test_exit_code_and_one_line(self, run_cli, argv, code, prefix):
         proc = run_cli(*argv)
@@ -306,24 +323,56 @@ class TestOutOfFloatRange:
         assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [
-        ("--class", "gelfand", "-p", "2", "-n", "3", "--t-max", "1e200"),
-        ("--class", "gelfand", "-p", "2", "-n", "3", "--t-max", "1e300"),
-        # v ~ t^1.995 leaves the floats near t = 1e154
-        ("--class", "mems", "-p", "1.01", "-n", "3", "-q", "2", "--t-max", "1e300"),
-    ], ids=["gelfand-1e200", "gelfand-1e300", "mems-1e300"])
-    def test_horizon_near_the_top_of_the_floats(self, run_cli, argv):
-        proc = run_cli("turns", *argv, "--format", "json")
-        assert proc.returncode in (0, 3) and "Traceback" not in proc.stderr
-        if proc.returncode == 3:
-            assert proc.stderr.startswith("numerical failure: the node at t = ")
-            assert proc.stderr.count("\n") == 1 and proc.stdout == ""
-        else:  # a non-finite value would be written as a quoted string
-            doc = json.loads(proc.stdout)
-            assert all(isinstance(x, float) for row in doc["rows"] for x in row[:3])
-            assert doc["summary"]["t_end"] == float(argv[-1])
-        if argv[1] == "mems":
-            assert proc.returncode == 3 and proc.stderr.rstrip().endswith("in v = Z t^-c")
+        ("curve", "--class", "gelfand", "-p", "2", "-n", "3"),
+        ("turns", "--class", "gelfand", "-p", "2", "-n", "3"),
+        ("solve", "--class", "gelfand", "-p", "2", "-n", "3"),
+        ("profile", "--class", "gelfand", "-p", "2", "-n", "3"),
+        ("solve", "--class", "mems", "-p", "3", "-n", "8", "-q", "2"),
+    ], ids=["curve-gelfand", "turns-gelfand", "solve-gelfand", "profile-gelfand", "solve-mems"])
+    def test_tiny_t_start_gives_finite_output(self, run_cli, argv):
+        # t_start^(n-1) underflows to 0, which nothing divides by
+        proc = run_cli(*argv, "--t-start", "1e-300", check=True)
+        assert proc.stdout.count("\n") > 1
+        _assert_finite_csv(proc)
+
+    # gelfand at two horizons, then a fixed slice of the parameter box at 1e300:
+    # w or t w' of mems with q = 0.1 really leaves the floats, every other set
+    # answers
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("argv,t_max,failure", [
+        (("--class", "gelfand", "-p", "2", "-n", "3"), 1e200, None),
+        (("--class", "gelfand", "-p", "2", "-n", "3"), 1e300, None),
+        # w and t w' fit up to 1e300; the flux v ~ t^1.995 would not past 1e154
+        (("--class", "mems", "-p", "1.01", "-n", "3", "-q", "2"), 1e300, None),
+        # t w' ~ 2.5 w ~ t^2.5 leaves them first
+        (("--class", "mems", "-p", "1.5", "-n", "2", "-q", "0.1"), 1e300,
+         r"the node at t = 3\.6\d*e\+123 leaves the float range in t w'"),
+        (("--class", "gelfand", "-p", "2", "-n", "6"), 1e300, None),
+        (("--class", "gelfand", "-p", "1.01", "-n", "3"), 1e300, None),
+        (("--class", "gelfand", "-p", "3", "-n", "6"), 1e300, None),
+        (("--class", "mems", "-p", "2", "-n", "3", "-q", "2"), 1e300, None),
+        (("--class", "mems", "-p", "2", "-n", "3", "-q", "0.1"), 1e300,
+         r"the node at t = 8\.9\d*e\+169 leaves the float range in w, t w'"),
+        (("--class", "jl", "-p", "1.5", "-n", "3", "-q", "5"), 1e300, None),
+        (("--class", "jl", "-p", "2", "-n", "6", "-q", "5"), 1e300, None),
+    ], ids=["gelfand-1e200", "gelfand-1e300", "mems-1e300", "mems-small-q-1e300",
+            "gelfand-2-6", "gelfand-1.01-3", "gelfand-3-6", "mems-2-3-2", "mems-2-3-0.1",
+            "jl-1.5-3-5", "jl-2-6-5"])
+    def test_horizon_near_the_top_of_the_floats(self, run_cli, argv, t_max, failure):
+        for command in ("turns", "curve"):
+            proc = run_cli(command, *argv, "--t-max", repr(t_max))
+            if failure:
+                assert proc.returncode == 3 and proc.stdout == ""
+                assert re.fullmatch(f"numerical failure: {failure}\n", proc.stderr)
+                continue
+            assert proc.returncode == 0, proc.stderr
+            _assert_finite_csv(proc)
+            summary = json.loads(proc.stderr)
+            assert summary["termination"] == "t_max"
+            # jl's curve ends at its last row with w above the integration floor
+            assert summary["t_end"] == t_max or (command, argv[1]) == ("curve", "jl")
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [

@@ -100,8 +100,11 @@ def _check_startup_series(params, problem):
 
     traj = integrate(params, problem, IntegratorConfig(t_max=2.0))
     assert traj.stats[0] == PhaseStats("series", 1, 0, 0)
-    t1, w1, v1 = traj.ts[1], traj.ws[1], traj.vs[1]
-    assert t1 <= series.reach() and (w1, traj.wprimes[1], v1) == series.state(t1)
+    # the node holds the series' (w, w') at t1; v is read off the same series
+    t1 = traj.ts[1]
+    w1, wp1, v1 = traj._series.state(t1)
+    assert t1 <= series.reach() and traj._series == series
+    assert (traj.ws[1], traj.wprimes[1]) == (w1, wp1)
     source = _source(params, problem)
     for t in np.geomspace(traj.t_start, t1, 12):
         w, wp, wpp = _series_derivatives(series, t)
@@ -263,10 +266,10 @@ class TestIntegrate:
             a = integrate(params, problem, IntegratorConfig(t_start=1e-6, t_max=2e-6))
             b = integrate(params, problem, IntegratorConfig(t_start=2.5e-7, t_max=2e-6))
             # both end at their node t_max = 2e-6
-            wa, va = a.ws[-1], a.vs[-1]
-            wb, vb = b.ws[-1], b.vs[-1]
+            wa, wpa = a.ws[-1], a.wprimes[-1]
+            wb, wpb = b.ws[-1], b.wprimes[-1]
             assert abs(wa - wb) <= 1e-6 * max(abs(wa), abs(wb))
-            assert abs(va - vb) <= 1e-6 * max(abs(va), abs(vb))
+            assert abs(wpa - wpb) <= 1e-6 * max(abs(wpa), abs(wpb))
 
     def test_self_convergence_under_halved_tolerances(self, gelfand3_traj):
         fine = integrate(GELFAND3, G, IntegratorConfig(rel_tol=0.5e-10, abs_tol=0.5e-12))
@@ -302,9 +305,10 @@ class TestIntegrate:
 
     def test_matches_flux_stepping_in_t(self):
         a = integrate(GELFAND3, G, IntegratorConfig(t_max=100.0))
-        wa, _ = a.eval(100.0)
-        wb = _scipy_flux_reference(a, 100.0).sol(100.0)[0]
+        wa, wpa = a.eval(100.0)
+        wb, wpb = _flux_state(a, _scipy_flux_reference(a, 100.0), 100.0)
         assert wa == pytest.approx(wb, rel=1e-8)
+        assert wpa == pytest.approx(wpb, rel=1e-8)
         assert [s.phase for s in a.stats] == ["series", "log"]
 
     def test_stats_count_the_work(self, gelfand3_traj, mems_traj, jl_zero_traj):
@@ -338,11 +342,11 @@ class TestIntegrate:
         (Params(p=1.0001, n=3, alpha=0, q=0.5), M, None, ivp.IntegrationError, r"log phase"),
         # g = -20000: t1^-g overflows
         (Params(p=2, n=3, alpha=0, q=1.0001), J, None, ivp.IntegrationError, r"t1\^-g"),
-        # t_start^(n-1) underflows to 0
-        (GELFAND3, G, IntegratorConfig(t_start=1e-300), InvalidParamsError, r"t_start\^\(n-1\)"),
-        # v ~ t^1.995 leaves the floats at a node near t = 1e154
-        (Params(p=1.01, n=3, alpha=0, q=2), M, IntegratorConfig(t_max=1e300), ivp.IntegrationError,
-         r"node at t = \S+e\+154 leaves the float range in v = Z t\^-c$"),
+        # mems with a small q: w or t w' leaves the floats at a node, from t = 7e33 on
+        (Params(p=1.01, n=3, alpha=0, q=0.1), M, IntegratorConfig(t_max=1e300),
+         ivp.IntegrationError, r"node at t = \S+e\+33 leaves the float range in t w'$"),
+        (Params(p=2, n=3, alpha=0, q=0.1), M, IntegratorConfig(t_max=1e300),
+         ivp.IntegrationError, r"node at t = \S+e\+169 leaves the float range in w, t w'$"),
         # t w' ~ 2.5 w ~ t^2.5 leaves them first, near t = 1e123
         (Params(p=1.5, n=2, alpha=0, q=0.1), M, IntegratorConfig(t_max=1e300),
          ivp.IntegrationError, r"node at t = \S+e\+123 leaves the float range in t w'$"),
@@ -350,6 +354,19 @@ class TestIntegrate:
     def test_out_of_float_range_is_named(self, params, problem, config, error, match):
         with pytest.raises(error, match=match):
             integrate(params, problem, config)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("params,problem", [(GELFAND3, G), (Params(p=3, n=8, alpha=0, q=2), M)])
+    def test_tiny_t_start_gives_finite_nodes(self, params, problem):
+        # t_start^(n-1) underflows to 0, which nothing divides by; the series
+        # node at t_start is w(0) to double precision
+        traj = integrate(params, problem, IntegratorConfig(t_start=1e-300))
+        assert traj.t_start == 1e-300 and traj.t_end == 1e4
+        assert traj.ws[0] == (1.0 if problem is M else 0.0) and traj.wprimes[0] == 0.0
+        assert np.all(np.isfinite(traj.ws)) and np.all(np.isfinite(traj.wprimes))
+        # and past the series node the trajectory is the one from the default start
+        ref = integrate(params, problem)
+        assert np.array_equal(traj.ts[1:], ref.ts[1:]) and np.array_equal(traj.ws[1:], ref.ws[1:])
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("params,problem,reach", [
@@ -430,15 +447,24 @@ def _scipy_flux_reference(traj, t_end):
     ``rtol = 1e-13`` from the series node of ``traj`` to ``t_end``, stopping
     at a zero of ``w``."""
     rhs = ivp._flux_rhs(traj.params, traj.problem)
+    w1, _, v1 = traj._series.state(traj.ts[1])  # the series node, with its flux
 
     def zero(t, y):
         return y[0]
 
     zero.terminal, zero.direction = True, -1.0
-    sol = solve_ivp(lambda t, y: rhs(t, *y), (traj.ts[1], t_end), [traj.ws[1], traj.vs[1]],
+    sol = solve_ivp(lambda t, y: rhs(t, *y), (traj.ts[1], t_end), [w1, v1],
                     method="DOP853", rtol=1e-13, atol=1e-300, dense_output=True, events=zero)
     assert sol.status in (0, 1), sol.message
     return sol
+
+
+def _flux_state(traj, sol, t):
+    """``(w, w')`` of the flux reference ``sol`` at ``t``: ``w' = phiinv(v / t^(n-1))``."""
+    w, v = sol.sol(t)
+    p, n = traj.params.p, traj.params.n
+    arg = v / t ** (n - 1.0)
+    return w, np.sign(arg) * np.abs(arg) ** (1.0 / (p - 1.0))
 
 
 class TestAgainstScipyDop853:
@@ -453,8 +479,8 @@ class TestAgainstScipyDop853:
     def test_same_steps_and_dense_values(self, params, problem, t_max):
         cfg = IntegratorConfig(t_max=t_max)
         traj = integrate(params, problem, cfg)
-        counts, dense = _scipy_dop853_reference(params, problem, cfg,
-                                                traj.ts[1], traj.ws[1], traj.vs[1])
+        w1, _, v1 = traj._series.state(traj.ts[1])  # the series node, with its flux
+        counts, dense = _scipy_dop853_reference(params, problem, cfg, traj.ts[1], w1, v1)
         assert [s.accepted for s in traj.stats if s.phase != "series"] == counts
         grid = np.geomspace(traj.ts[1], t_max, 500)
         w, wp = traj.eval_many(grid)
@@ -524,7 +550,10 @@ class TestLogPhase:
         assert a.zero_time == pytest.approx(b.t_events[0][0], rel=1e-9)
         # from the series node, where the reference starts
         ts = np.geomspace(a.ts[1], 0.9 * a.zero_time, 20)
-        np.testing.assert_allclose(a.eval_many(ts)[0], b.sol(ts)[0], rtol=1e-8)
+        w, wp = a.eval_many(ts)
+        w_ref, wp_ref = _flux_state(a, b, ts)
+        np.testing.assert_allclose(w, w_ref, rtol=1e-8)
+        np.testing.assert_allclose(wp, wp_ref, rtol=1e-8)
 
 
 def test_stepper_without_dense_output_takes_the_same_steps():
@@ -1036,14 +1065,13 @@ class TestOneReader:
         traj = integrate(params, problem)
         (run,) = runs
         # every log-phase node: (w, t w') = (W, phiinv(Z)) / t^-g of the stepper's
-        # (W, Z) at its x, with numpy's arithmetic, and v = Z t^-c
+        # (W, Z) at its x, with numpy's arithmetic
         x, t = np.array(run.xs[1:]), traj.ts[2:]
         big_w, z = np.array(run.states[1:]).T
         scale = np.exp(-traj._g * x)
         y = np.sign(z) * np.abs(z) ** (1.0 / (params.p - 1.0))
         assert np.array_equal(traj.ws[2:], big_w / scale)
         assert np.array_equal(traj.wprimes[2:], y / scale / t)
-        assert np.array_equal(traj.vs[2:], z * t ** -_log_phase(params, problem)[2])
         # which is the array reader's rescale where a row starts on a node
         rows = np.arange(1, len(traj._steps))
         smp = traj._read(rows, np.zeros(len(rows)))
