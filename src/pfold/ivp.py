@@ -951,7 +951,7 @@ class Trajectory:
     :func:`_dense`, on the rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
     = (W, Y) / scale`` is the one rescale back, also of the nodes ``(ts,
     ws, wprimes)`` (the series nodes at ``scale = 1``); the flux ``v`` is
-    not kept.
+    not kept, as only acceptance row 6 and ``shooting_check`` step ``(w, v)``.
     ``_folds`` holds the folds that :func:`pfold.curve.turning_points`
     located by :meth:`_roots`."""
 
