@@ -202,9 +202,10 @@ class IntersectionRecord:
 
 
 def _w_floor(traj: _ivp.Trajectory) -> float:
-    """Smallest ``w`` of a curve point of a power source, ``10 abs_tol``:
-    ``lambda = t^k w^E`` needs ``w > 0``."""
-    return 10.0 * traj.config.abs_tol
+    """Smallest ``w`` of a curve point of a power source: ``lambda = t^k
+    w^E`` needs ``w > 0``, and a run that ends at a zero of ``w`` keeps
+    ``w > 10 abs_tol``, clear of the zero it was stopped at."""
+    return 10.0 * traj.config.abs_tol if traj.termination == "zero" else 0.0
 
 
 def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
@@ -360,7 +361,8 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
     * ``jl``:      ``u(r) = w(t r)/w(t) - 1``.
 
     ``u(1) = 0`` exactly and ``u`` decreases in ``r``.  A power source needs
-    ``w(t)`` above the floor of :func:`build_curve`, ``10 abs_tol``.
+    ``w(t)`` above the floor of :func:`build_curve`: 0, or ``10 abs_tol`` on
+    a run that ends at a zero of ``w``.
     """
     r = np.asarray(r_grid, dtype=float)
     if np.any(r <= 0.0) or np.any(r > 1.0):

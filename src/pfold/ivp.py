@@ -56,8 +56,10 @@ guiding solution is a fixed point of all three (for ``gelfand``, ``Z`` is
 fixed and ``W`` falls at the constant rate ``alpha + p``), so the stepper
 follows a state that settles instead of one that grows or decays like a
 power of ``t``.  The fixed point's linearization has the eigenvalues
-``r - g``, with ``r`` the characteristic roots, and the step is capped at
-``2 / max |r - g|`` (see :func:`_log_phase`).  A ``jl`` problem with
+``mu = r - g``, with ``r`` the characteristic roots, and the step is capped
+at ``min(5 / max |mu|, 3 / min |mu|, 2 / max |Im r|)``, inside DOP853's
+stability region and where its dense output follows the linear modes (see
+:func:`_log_phase`).  A ``jl`` problem with
 ``q <= p - 1`` has no such scaling and keeps ``g = 0``, with the source
 ``t^(alpha+p) f(W)``.  ``W`` has the sign of ``w``.  At ``t1``, ``(W, Z)``
 differs from ``(w, v)`` by powers of ``t1`` (for ``t1 < 1`` it can be
@@ -203,7 +205,9 @@ class PhaseStats:
     right-hand-side evaluations, dense-output stages included.  A log phase
     with steps gives its smallest and largest accepted step in ``ln t``
     (the last, clipped to ``t_max``, included), read off its dense rows;
-    they are ``None`` otherwise."""
+    they are ``None`` otherwise.  ``capped`` counts the accepted steps
+    that the step cap of :func:`_log_phase` shortened: the rows that end
+    where ``x0 + cap`` does."""
 
     phase: str
     accepted: int
@@ -211,6 +215,7 @@ class PhaseStats:
     nfev: int
     min_step: float | None = None
     max_step: float | None = None
+    capped: int = 0
 
 
 def _phi_inv(s: float, r: float) -> float:
@@ -275,16 +280,36 @@ def _f_source(spec: ClassSpec, w: str) -> str:
     return f"({then} ** e if {first} > 0.0 else 0.0)"
 
 
+# The radii of the log-phase step cap in |h mu| (see _log_phase).
+_STABLE_RADIUS = 5.0
+_DENSE_RADIUS = 3.0
+_SPIN_STEP = 2.0
+
+
 def _log_phase(params: Params, problem: ProblemClass):
     """Right-hand side ``(W, Z)' = rhs(s, W, Z)`` of the log phase, the
     exponents ``(g, c)`` of ``W = w t^-g``, ``Z = v t^c``, and its step cap.
 
-    The linearization at the fixed point has the eigenvalues ``r - g``, with
-    ``r`` the characteristic roots.  Once the state has settled there, the
-    error estimate is rounding noise: the controller would grow the step
-    until the fastest mode turns unstable (``|h (r - g)| > 6.3`` for DOP853)
-    and let rounding errors grow tenfold per step.  The cap
-    ``2 / max |r - g|`` keeps each step well inside the stability region.
+    The linearization at the fixed point has the eigenvalues ``mu = r - g``,
+    with ``r`` the characteristic roots.  Once the state has settled there,
+    the error estimate is rounding noise: the controller would grow the
+    step until the fastest mode turns unstable and let rounding errors grow
+    tenfold per step.  The cap is
+
+        ``min(5 / max |mu|, 3 / min |mu|, 2 / max |Im r|)``,
+
+    rounded down to 8 significant bits, so that the last bits of the roots
+    move no step.  The faster mode stays within DOP853's stability radius:
+    its stability function ``R`` keeps ``|R(h mu)| < 1`` for ``|h mu| <= 5``
+    in the closed left half-plane (Hairer & Wanner, *Solving ODEs* II,
+    Section IV.2), with ``|R(-5)| = 0.057`` and ``|R(5i)| = 0.83``.  The
+    slower mode stays where the dense output follows ``exp(theta h mu)``
+    (to 0.014 for ``|h mu| <= 3``, but 2.3 at ``5i``): a double root or a complex
+    pair couples its two modes, and past that radius the dense rows of
+    gelfand ``(2, 10, 0)`` stray 20 times further from the solution than
+    its nodes.  A spiral, whose sign changes are the folds, turns by at most
+    2 radians per step, where the dense output follows the rotation to
+    4e-4 (0.014 at 3 radians).
     """
     p, n = params.p, params.n
     phi_exp = 1.0 / (p - 1.0)
@@ -304,8 +329,16 @@ def _log_phase(params: Params, problem: ProblemClass):
         rhs = _bind(f"{w_dot} - g * W, c * Z + sgn * {_f_source(spec, 'W')}",
                     phi_exp=phi_exp, g=g, c=c, sgn=sgn, e=e)
 
-    rate = max(abs(r - g) for r in characteristic_quadratic(params, problem).roots)
-    return rhs, g, c, 2.0 / rate if rate > 0.0 else math.inf
+    roots = characteristic_quadratic(params, problem).roots
+    slow, fast = sorted(abs(r - g) for r in roots)
+    spin = max(abs(r.imag) for r in roots)
+    cap = min((radius / rate for radius, rate in
+               ((_STABLE_RADIUS, fast), (_DENSE_RADIUS, slow), (_SPIN_STEP, spin)) if rate > 0.0),
+              default=math.inf)
+    if cap < math.inf:
+        mantissa, exponent = math.frexp(cap)
+        cap = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
+    return rhs, g, c, cap
 
 
 def startup_state(params: Params, problem: ProblemClass, t_start: float) -> State:
@@ -874,8 +907,9 @@ def integrate(params: Params, problem: ProblemClass,
                 f"the log phase leaves the float range past t1 = {t1!r} "
                 f"(phiinv(Z) = Z^{series.phi_exp:.6g})") from None
         hs = [row[1] for row in run.steps]
+        capped = sum(x + h == x + log_step for x, h, *_ in run.steps)
         stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev,
-                                min(hs, default=None), max(hs, default=None)))
+                                min(hs, default=None), max(hs, default=None), capped))
         ts_new = [math.exp(x) for x in run.xs[1:]]
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
         if termination == "t_max":

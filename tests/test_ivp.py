@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import re
@@ -347,9 +348,10 @@ class TestIntegrate:
          ivp.IntegrationError, r"node at t = \S+e\+33 leaves the float range in t w'$"),
         (Params(p=2, n=3, alpha=0, q=0.1), M, IntegratorConfig(t_max=1e300),
          ivp.IntegrationError, r"node at t = \S+e\+169 leaves the float range in w, t w'$"),
-        # t w' ~ 2.5 w ~ t^2.5 leaves them first, near t = 1e123
+        # t w' ~ 2.5 w ~ t^2.5 leaves them near t = 1e123, and w a factor 1.44
+        # later; the first node past both is at 5.7e123
         (Params(p=1.5, n=2, alpha=0, q=0.1), M, IntegratorConfig(t_max=1e300),
-         ivp.IntegrationError, r"node at t = \S+e\+123 leaves the float range in t w'$"),
+         ivp.IntegrationError, r"node at t = \S+e\+123 leaves the float range in w, t w'$"),
     ])
     def test_out_of_float_range_is_named(self, params, problem, config, error, match):
         with pytest.raises(error, match=match):
@@ -419,8 +421,7 @@ def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
             return (phiinv(y[1]), c * y[1] - math.exp((alpha + p) * s + y[0]))
         return (-g * y[0] + phiinv(y[1]), c * y[1] + sgn * source(y[0]))
 
-    # the fixed point's fastest mode has the eigenvalue r - g
-    log_step = 2.0 / max(abs(r - g) for r in characteristic_quadratic(params, problem).roots)
+    log_step = _log_phase(params, problem)[3]  # the step cap, as integrate takes it
     scale = np.array([t1**-g, t1**c])
     x0 = math.log(t1)
     solver = DOP853(rhs, x0, np.array([w1, v1]) * scale, math.log(cfg.t_max),
@@ -487,6 +488,111 @@ class TestAgainstScipyDop853:
         w_ref, wp_ref = dense(grid)
         np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(wp, wp_ref, rtol=1e-11, atol=0.0)
+
+
+def _linear_step(z):
+    """One DOP853 step of ``y' = z y`` (``z`` a number or an array) from
+    ``y = 1`` with ``h = 1``, as the generated loop takes it: the stages ``k_0 .. k_15`` (row 12 of ``_A`` is
+    the weights ``b``, so ``k_12`` is the slope at the step's end) and the
+    dense row ``(x0, h, y0, F0, ..., F6)``, with 0 in the second component."""
+    k = []
+    for row in ivp._A:
+        k.append(z * (1.0 + sum(a * k[j] for j, a in row)))
+    delta = k[12] / z - 1.0
+    f = [delta, k[0] - delta, 2.0 * delta - (k[12] + k[0])]
+    f += [sum(d * k[j] for j, d in row) for row in ivp._D]
+    return [0.0, 1.0, 1.0, 0.0, *(x for fi in f for x in (fi, 0.0))]
+
+
+def _left_half_disc(radius, inner=0.0):
+    """Points ``z`` with ``inner <= |z| <= radius`` and ``Re z <= 0``."""
+    r = np.linspace(inner, radius, 101)[:, None]
+    return (r * np.exp(1j * np.linspace(np.pi / 2, 1.5 * np.pi, 121))[None, :]).ravel()
+
+
+class TestStepCap:
+    """The radii of the log-phase step cap against DOP853's tableau, and the
+    steps the cap costs."""
+
+    def test_stability_radius_from_the_tableau(self):
+        # R(z) = 1 + sum_k gamma_k z^k with gamma_k = b^T A^(k-1) 1 over the 12 stages
+        a = np.zeros((12, 12))
+        for s, row in enumerate(ivp._A[:12]):
+            for j, coeff in row:
+                a[s, j] = coeff
+        b = np.zeros(12)
+        for j, coeff in ivp._A[12]:
+            b[j] = coeff
+        gammas = [b @ np.linalg.matrix_power(a, k - 1) @ np.ones(12) for k in range(1, 13)]
+        for k, gamma in enumerate(gammas[:8], 1):
+            assert gamma == pytest.approx(1.0 / math.factorial(k), rel=1e-12)
+        assert gammas[8] != pytest.approx(1.0 / math.factorial(9), rel=1e-3)  # order 8 exactly
+
+        def stability(z):
+            return 1.0 + sum(gamma * z**k for k, gamma in enumerate(gammas, 1))
+
+        # |R| < 1 on the closed left half-disc; near 0, R = e^z + O(z^9) holds it
+        # only to rounding
+        assert np.abs(stability(_left_half_disc(ivp._STABLE_RADIUS, 0.2))).max() < 1.0
+        assert np.abs(stability(_left_half_disc(0.2))).max() <= 1.0 + 4 * np.finfo(float).eps
+        assert abs(stability(-5.0)) == pytest.approx(0.057, abs=5e-4)
+        assert abs(stability(5.0j)) == pytest.approx(0.83, abs=5e-3)
+        # and the region ends before 6 on the imaginary axis and 6.5 on the real one
+        assert abs(stability(6.0j)) > 1.0 and abs(stability(-6.5)) > 1.0
+
+    def test_dense_output_radius_from_the_tableau(self):
+        def worst(zs):
+            z = np.asarray(zs)[np.asarray(zs) != 0, None]
+            thetas = np.linspace(0.0, 1.0, 41)
+            return np.abs(ivp._dense(_linear_step(z), thetas)[0] - np.exp(thetas * z)).max()
+
+        # the rows follow exp(theta z) on the half-disc of the slower mode, and
+        # a spiral's rotation up to the spin bound; not at the stability radius
+        assert worst(_left_half_disc(ivp._DENSE_RADIUS)) < 0.02
+        assert worst(1j * np.linspace(0.0, ivp._SPIN_STEP, 21)) < 5e-4
+        assert worst([1j * ivp._STABLE_RADIUS]) > 1.0
+
+    @pytest.mark.parametrize("params,problem", [
+        (Params(p=2.4283181876816653, n=14.195086345388392, alpha=1.7384374541361232,
+                q=6.8418385362698855), M),
+        (Params(p=2.816833809865096, n=10.629122105121105, alpha=0.0, q=5.480361535293318), J),
+        (Params(p=2.244400300483457, n=8.178583820804674, alpha=1.2465334954912453,
+                q=9.016045346294081), J),
+        (Params(p=3.2054414640128357, n=11.963847754132011, alpha=0.0, q=9.642221379215627), J),
+    ], ids=["mems-7", "jl-11", "jl-12", "jl-16"])
+    def test_an_ulp_of_the_roots_moves_no_node(self, params, problem, monkeypatch):
+        # sweep seed-0 cases whose nodes hung on the last bit of an unrounded cap
+        ref = integrate(params, problem)
+        cap = _log_phase(params, problem)[3]
+        assert math.frexp(cap)[0] * 256.0 == int(math.frexp(cap)[0] * 256.0)  # 8 bits
+        quadratic = ivp.characteristic_quadratic
+        for toward in (math.inf, -math.inf):
+            def nudged(params, problem, toward=toward):
+                quad = quadratic(params, problem)
+                roots = tuple(complex(math.nextafter(r.real, toward), r.imag) for r in quad.roots)
+                return dataclasses.replace(quad, roots=roots)
+
+            monkeypatch.setattr(ivp, "characteristic_quadratic", nudged)
+            assert _log_phase(params, problem)[3] == cap
+            traj = integrate(params, problem)
+            for name in ("ts", "ws", "wprimes", "_table"):
+                assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+    @pytest.mark.parametrize("n,p,accepted,capped,folds", [
+        (10.0, 2.0, 61, 13, []),  # double root: the dense radius binds
+        (9.0, 2.0, 57, 12, [54.619701777383405]),  # damped spiral
+        (13.75, 2.5, 105, 19, []),  # real roots: the stability radius binds
+    ], ids=["double-root", "damped", "real-root"])
+    def test_step_budget(self, n, p, accepted, capped, folds):
+        # accepted steps at 2 / max |r - g|: 69, 64 and 141, with the same folds
+        traj = integrate(Params(p=p, n=n, alpha=0), G, IntegratorConfig(t_max=1e8))
+        log = traj.stats[1]
+        assert (log.accepted, log.capped) == (accepted, capped)
+        rows = np.array(traj._steps)[:, :2]
+        cap = _log_phase(traj.params, G)[3]
+        assert log.capped == np.count_nonzero(rows.sum(1) == rows[:, 0] + cap)
+        t_stars = [fold.t_star for fold in pfold.curve.turning_points(traj)]
+        assert t_stars == pytest.approx(folds, rel=1e-9)
 
 
 def _guiding_log_state(params, problem, t):
