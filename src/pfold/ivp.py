@@ -907,7 +907,7 @@ def integrate(params: Params, problem: ProblemClass,
                 f"the log phase leaves the float range past t1 = {t1!r} "
                 f"(phiinv(Z) = Z^{series.phi_exp:.6g})") from None
         hs = [row[1] for row in run.steps]
-        capped = sum(x + h == x + log_step for x, h, *_ in run.steps)
+        capped = sum(row[0] + row[1] == row[0] + log_step for row in run.steps)
         stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev,
                                 min(hs, default=None), max(hs, default=None), capped))
         ts_new = [math.exp(x) for x in run.xs[1:]]
