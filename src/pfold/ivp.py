@@ -304,12 +304,12 @@ def _log_phase(params: Params, problem: ProblemClass):
     in the closed left half-plane (Hairer & Wanner, *Solving ODEs* II,
     Section IV.2), with ``|R(-5)| = 0.057`` and ``|R(5i)| = 0.83``.  The
     slower mode stays where the dense output follows ``exp(theta h mu)``
-    (to 0.014 for ``|h mu| <= 3``, but 2.3 at ``5i``): a double root or a complex
-    pair couples its two modes, and past that radius the dense rows of
-    gelfand ``(2, 10, 0)`` stray 20 times further from the solution than
-    its nodes.  A spiral, whose sign changes are the folds, turns by at most
-    2 radians per step, where the dense output follows the rotation to
-    4e-4 (0.014 at 3 radians).
+    (to 0.014 for ``|h mu| <= 3``, but 2.3 at ``5i``): a double root or a
+    complex pair couples its two modes, and past that radius the dense rows
+    of gelfand ``(2, 10, 0)`` stray 20 times further from the solution than
+    its nodes.  A spiral, whose sign changes are the folds, turns by at
+    most 2 radians per step, where the dense output follows the rotation
+    to 4e-4 (0.014 at 3 radians).
     """
     p, n = params.p, params.n
     phi_exp = 1.0 / (p - 1.0)

@@ -491,10 +491,11 @@ class TestAgainstScipyDop853:
 
 
 def _linear_step(z):
-    """One DOP853 step of ``y' = z y`` (``z`` a number or an array) from
-    ``y = 1`` with ``h = 1``, as the generated loop takes it: the stages ``k_0 .. k_15`` (row 12 of ``_A`` is
-    the weights ``b``, so ``k_12`` is the slope at the step's end) and the
-    dense row ``(x0, h, y0, F0, ..., F6)``, with 0 in the second component."""
+    """The dense row ``(x0, h, y0, F0, ..., F6)`` of one DOP853 step of
+    ``y' = z y`` (``z`` a number or an array) from ``y = 1`` with ``h = 1``,
+    with 0 in the second component, as the generated loop forms it from the
+    stages ``k_0 .. k_15``; row 12 of ``_A`` is the weights ``b``, so
+    ``k_12`` is the slope at the step's end."""
     k = []
     for row in ivp._A:
         k.append(z * (1.0 + sum(a * k[j] for j, a in row)))
@@ -569,7 +570,9 @@ class TestStepCap:
         for toward in (math.inf, -math.inf):
             def nudged(params, problem, toward=toward):
                 quad = quadratic(params, problem)
-                roots = tuple(complex(math.nextafter(r.real, toward), r.imag) for r in quad.roots)
+                roots = tuple(complex(math.nextafter(r.real, toward),
+                                      math.nextafter(r.imag, toward) if r.imag else 0.0)
+                              for r in quad.roots)
                 return dataclasses.replace(quad, roots=roots)
 
             monkeypatch.setattr(ivp, "characteristic_quadratic", nudged)
