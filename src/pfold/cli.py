@@ -262,7 +262,7 @@ def _cmd_profile(settings: dict) -> int:
             raise InvalidParamsError(f"--r-min must lie in (0, 1), got {r_min!r}")
         if settings["r_points"] < 2:
             raise InvalidParamsError("--r-points must be at least 2")
-        if t_eval > cfg.t_max or t_eval * r_min < cfg.t_start:
+        if not (cfg.t_start <= t_eval * r_min and t_eval <= cfg.t_max):
             raise InvalidParamsError(
                 f"profile needs t_start <= t*r <= t_max for r in [{r_min!r}, 1], "
                 f"got t = {t_eval!r}"

@@ -365,9 +365,9 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
     a run that ends at a zero of ``w``.
     """
     r = np.asarray(r_grid, dtype=float)
-    if np.any(r <= 0.0) or np.any(r > 1.0):
+    if not np.all((0.0 < r) & (r <= 1.0)):
         raise ValueError("r_grid must lie in (0, 1]")
-    if t * r.max() > traj.t_end * (1.0 + 1e-12) or t * r.min() < traj.t_start * (1.0 - 1e-12):
+    if not traj.t_start * (1.0 - 1e-12) <= t * r.min() <= t * r.max() <= traj.t_end * (1.0 + 1e-12):
         raise ValueError("t * r_grid leaves the trajectory range")
     # w(t r) and w(t) in one read, so that r = 1 gives u = 0 exactly
     w, _ = traj.eval_many(np.minimum(t * np.append(r, 1.0), traj.t_end))
@@ -487,4 +487,4 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> 
                                     "leaves the float range") from None
     if run.status != "done":
         raise _ivp.IntegrationError("shooting integration exhausted max_steps")
-    return abs(run.states[-1][0])
+    return abs(run.end[1])

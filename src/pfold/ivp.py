@@ -77,12 +77,14 @@ It steps the two-component state in plain floats.  The step-size
 controller uses the initial step rule of Section II.4, a safety factor of
 0.9, step factors clamped to [0.2, 10], the error exponent -1/8, DOP853's
 combined err5/err3 error norm and a minimum step of 10 ulp.  The dense
-output of all steps is kept as one table of interpolation rows, which every
-reader of :class:`Trajectory` reads with the row polynomial :func:`_dense`, in
-the units ``(W, Y = t w' t^-g)`` and with ``scale = t^-g``: one time, an
-array of times, or the fixed fractions of every row that event location
-samples.  ``(w, t w') = (W, Y) / scale`` is the one way back, for the nodes
-too.  Events are located on these rows (Section II.6) by
+output of all steps is kept as one table of interpolation rows.  Each row
+starts at its step's node, so the table and the run's last node are the
+run's whole record, and the log-phase nodes are read off them.  Every
+reader of :class:`Trajectory` reads the rows with the row polynomial
+:func:`_dense`, in the units ``(W, Y = t w' t^-g)`` and with ``scale =
+t^-g``: one time, an array of times, or the fixed fractions of every row
+that event location samples.  ``(w, t w') = (W, Y) / scale`` is the one way
+back, for the nodes too.  Events are located on these rows (Section II.6) by
 :meth:`Trajectory._roots`, which guards the sign changes of a functional
 and refines each root on its row by Illinois regula falsi;
 :mod:`pfold.curve` states the functionals.
@@ -186,12 +188,11 @@ class IntegratorConfig:
     max_steps: int = 100_000
 
     def validated(self) -> "IntegratorConfig":
-        if not (0.0 < self.t_start < self.t_max):
-            raise InvalidParamsError(
-                f"need 0 < t_start < t_max, got t_start = {self.t_start!r}, t_max = {self.t_max!r}"
-            )
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise InvalidParamsError("tolerances must be positive")
+        if not (0.0 < self.t_start < self.t_max < math.inf):
+            raise InvalidParamsError(f"need 0 < t_start < t_max < inf, got t_start = "
+                                     f"{self.t_start!r}, t_max = {self.t_max!r}")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise InvalidParamsError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise InvalidParamsError("max_steps must be >= 1")
         return self
@@ -597,16 +598,18 @@ def _term_sum(terms, k: str) -> str:
 class _Run:
     """Result of one :func:`_dop853` run.
 
-    ``xs`` and ``states`` hold the nodes (the start included) and ``(w, v)``
-    there; ``steps`` holds one dense row per accepted step (none without
-    dense output), ``(x0, h, w0, v0, F0w, F0v, ..., F6w, F6v)``.  ``status`` is ``"done"``
-    (``x_end`` reached), ``"zero"`` (stopped at a zero of ``w``, which is
-    then the last node) or ``"budget"`` (out of steps).
+    ``steps`` holds one dense row per accepted step (none without dense
+    output), ``(x0, h, w0, v0, F0w, F0v, ..., F6w, F6v)``, which starts at
+    its step's node: the rows are the run's only record of its nodes but
+    the last, ``end = (x, w, v)``.  ``status`` is ``"done"`` (``end`` at
+    ``x_end``), ``"zero"`` (stopped at a zero of ``w``, which is ``end``)
+    or ``"budget"`` (out of steps; ``end`` is the last accepted state, the
+    start if none was).
     """
 
-    xs: list
-    states: list
     steps: list
+    end: tuple
+    accepted: int
     rejected: int
     nfev: int
     status: str
@@ -640,8 +643,6 @@ def _dense_zero(step, x_end: float) -> tuple[float, tuple[float, float]]:
 # estimators; {dense} for the dense-output stages 13-15 and the rows
 # f3w, f3v, ..., f6v.  The slope at the end of the step is stage 12.
 _LOOP = """\
-xs = [x]
-states = [(w, v)]
 steps = []
 atol_w, atol_v = atol
 kw0, kv0 = rhs(x, w, v)
@@ -661,10 +662,10 @@ else:
     h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
 h_abs = min(100.0 * h0, h1, interval, max_step)
 nfev = 2
-rejected = 0
+accepted = rejected = 0
 status = "done"
 while x != x_end:
-    if len(xs) > budget:
+    if accepted >= budget:
         status = "budget"
         break
     min_step = 10.0 * (nextafter(x, inf) - x)
@@ -726,15 +727,13 @@ while x != x_end:
                 f3w, f3v, f4w, f4v, f5w, f5v, f6w, f6v]
         steps.append(step)
         if w > 0.0 and w_new <= 0.0:
-            x_zero, state = _dense_zero(step, x_new)
-            xs.append(x_zero)
-            states.append(state)
+            x, (w, v) = _dense_zero(step, x_new)
+            accepted += 1
             status = "zero"
             break
     x, w, v, kw0, kv0 = x_new, w_new, v_new, kw12, kv12
-    xs.append(x)
-    states.append((w, v))
-return _Run(xs, states, steps, rejected, nfev, status)
+    accepted += 1
+return _Run(steps, (x, w, v), accepted, rejected, nfev, status)
 """
 # what the generated code uses besides the builtins
 _LOOP_GLOBALS = dict(exp=math.exp, sqrt=math.sqrt,
@@ -820,7 +819,8 @@ def _dop853(rhs: _Rhs, x: float, w: float, v: float, x_end: float, rtol: float,
     zero, bisected on the step's interpolant; only ``jl``'s can, as
     ``gelfand``'s ``w`` stays below 0 (``v' < 0``) and ``mems``' above 1 (``v'
     > 0``), and ``W = w t^-g`` has the sign of ``w``.  Without ``dense`` the
-    run skips the three dense-output stages and keeps no rows (``steps``)."""
+    run skips the three dense-output stages and keeps no rows (``steps``):
+    it records its last node (``end``) and its counts only."""
     return _program(rhs.form).loop(*rhs.values, x, w, v, x_end, rtol, atol, budget, dense,
                                    max_step)
 
@@ -886,7 +886,7 @@ def integrate(params: Params, problem: ProblemClass,
     nodes = np.array(states)[:, :2].T  # rows w, w'
 
     # then one stepped phase in s = ln t, in (W, Z) = (w t^-g, v t^c)
-    steps: list = []
+    table = np.empty((0, 18))
     stats: list[PhaseStats] = [PhaseStats("series", 1, 0, 0)]
     termination = "t_max"
     if t1 < cfg.t_max:
@@ -906,23 +906,24 @@ def integrate(params: Params, problem: ProblemClass,
             raise IntegrationError(
                 f"the log phase leaves the float range past t1 = {t1!r} "
                 f"(phiinv(Z) = Z^{series.phi_exp:.6g})") from None
-        hs = [row[1] for row in run.steps]
-        capped = sum(row[0] + row[1] == row[0] + log_step for row in run.steps)
-        stats.append(PhaseStats("log", len(run.steps), run.rejected, run.nfev,
-                                min(hs, default=None), max(hs, default=None), capped))
-        ts_new = [math.exp(x) for x in run.xs[1:]]
+        table = np.array(run.steps, dtype=float).reshape(run.accepted, 18)
+        x0, h = table[:, 0], table[:, 1]
+        step_range = (float(h.min()), float(h.max())) if run.accepted else (None, None)
+        stats.append(PhaseStats("log", run.accepted, run.rejected, run.nfev, *step_range,
+                                int(np.count_nonzero(x0 + h == x0 + log_step))))
+        # the log nodes: the start of every row but the first (which starts at
+        # t1), then the end of the run, unless it took no step
+        x, big_w, z = np.vstack((table[1:, [0, 2, 3]], run.end))[:run.accepted].T
+        ts_new = [math.exp(x_k) for x_k in x.tolist()]
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
         if termination == "t_max":
             ts_new[-1] = cfg.t_max
         # (w, t w') = (W, Y) / scale, Y = phiinv(Z), as eval_many reads the rows
-        x, ts = np.array(run.xs[1:]), np.array(ts_new)
-        big_w, z = np.array(run.states[1:]).reshape(-1, 2).T
         with np.errstate(all="ignore"):  # checked below
             scale = np.exp(-g * x)
-            log_nodes = (big_w / scale, _phi_inv_many(z, series.phi_exp) / scale / ts)
+            log_nodes = (big_w / scale, _phi_inv_many(z, series.phi_exp) / scale / ts_new)
         nodes = np.concatenate((nodes, log_nodes), axis=1)
         t_nodes.extend(ts_new)
-        steps = run.steps
         finite = np.isfinite(nodes)
         if not finite.all():
             k = int(np.argmin(finite.all(axis=0)))
@@ -930,8 +931,10 @@ def integrate(params: Params, problem: ProblemClass,
             raise IntegrationError(
                 f"the node at t = {t_nodes[k]!r} leaves the float range in {names}")
 
-    traj = Trajectory._build(problem, params, cfg, t_nodes, nodes, series, steps, g,
-                             termination, tuple(stats))
+    ws, wprimes = nodes
+    traj = Trajectory(problem, params, cfg, np.array(t_nodes), ws, wprimes, termination,
+                      tuple(stats), _series=series, _series_end=t1 if len(table) else math.inf,
+                      _table=table, _g=g)
     if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
@@ -978,10 +981,11 @@ class Trajectory:
     series ``_series`` at ``theta = tau``, from node 0 to node 1 at
     ``_series_end`` (everywhere without steps), and row ``k`` step ``k`` from
     node ``k + 1``, at the fraction ``theta`` of it in ``x = ln t``.
-    ``_steps`` holds its ``(x0, h, y0, F0, ..., F6)`` of ``(W, Z) = (w t^-g,
-    v t^c)``, two floats each, and ``_table`` the same as an ``(m, 18)``
-    array.  :meth:`_row_point` (one point) and :meth:`_read` (arrays, also
-    the scan's ``_samples``) give ``(x, W, Y = t w' t^-g, scale = t^-g)`` with
+    Row ``k`` of the ``(m, 18)`` array ``_table`` holds its ``(x0, h, y0,
+    F0, ..., F6)`` of ``(W, Z) = (w t^-g, v t^c)``, two floats each; the
+    stepper's run is kept there only, as each row starts at its node.
+    :meth:`_row_point` (one point) and :meth:`_read` (arrays, also the
+    scan's ``_samples``) give ``(x, W, Y = t w' t^-g, scale = t^-g)`` with
     :func:`_dense`, on the rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
     = (W, Y) / scale`` is the one rescale back, also of the nodes ``(ts,
     ws, wprimes)`` (the series nodes at ``scale = 1``); the flux ``v`` is
@@ -997,34 +1001,11 @@ class Trajectory:
     wprimes: np.ndarray
     termination: str
     stats: tuple[PhaseStats, ...]
-    _t_list: list = field(repr=False)
     _series: _Series = field(repr=False)
     _series_end: float = field(repr=False)
-    _steps: list = field(repr=False)
     _table: np.ndarray = field(repr=False)
     _g: float = field(repr=False)
     _folds: tuple | None = field(default=None, repr=False, compare=False)
-
-    @classmethod
-    def _build(cls, problem, params, cfg, t_nodes, nodes, series, steps, g, termination,
-               stats):
-        ws, wprimes = nodes
-        return cls(
-            problem=problem,
-            params=params,
-            config=cfg,
-            ts=np.asarray(t_nodes, dtype=float),
-            ws=ws,
-            wprimes=wprimes,
-            termination=termination,
-            stats=stats,
-            _t_list=t_nodes,
-            _series=series,
-            _series_end=t_nodes[1] if steps else math.inf,
-            _steps=steps,
-            _table=np.asarray(steps, dtype=float).reshape(len(steps), 18),
-            _g=g,
-        )
 
     @property
     def t_start(self) -> float:
@@ -1091,7 +1072,7 @@ class Trajectory:
             x = math.log(theta) / ser.sigma
             scale = math.exp(-g * x)
             return x, w * scale, theta * _phi_inv(big_v, ser.phi_exp) * scale, scale
-        step = self._steps[row]
+        step = self._table[row].tolist()
         big_w, z = _dense(step, theta)
         x = step[0] + theta * step[1]
         return x, big_w, _phi_inv(z, ser.phi_exp), math.exp(-g * x)
@@ -1185,26 +1166,26 @@ class Trajectory:
     def eval(self, t: float) -> tuple[float, float]:
         """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes."""
         t = float(t)
-        nodes = self._t_list
-        lo, hi = nodes[0], nodes[-1]
+        lo, hi = self.t_start, self.t_end
         if t < lo - 1e-12 * lo or t > hi + 1e-12 * hi:
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
-        k = bisect_left(nodes, t)
-        if k < len(nodes) and nodes[k] == t:
+        k = bisect_left(self.ts, t)
+        if k < len(self.ts) and self.ts[k] == t:
             return float(self.ws[k]), float(self.wprimes[k])
         if t < self._series_end:
             t = max(t, _TAU_MIN ** (1.0 / self._series.sigma))  # as in eval_many
             row, theta = -1, t**self._series.sigma
         else:
-            row = min(max(k - 2, 0), len(self._steps) - 1)
-            theta = (math.log(t) - self._steps[row][0]) / self._steps[row][1]
+            row = min(max(k - 2, 0), len(self._table) - 1)
+            x0, h = self._table[row, :2].tolist()
+            theta = (math.log(t) - x0) / h
         _, big_w, y, scale = self._row_point(row, theta)
         return big_w / scale, y / scale / t
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized dense ``(w, w')``; exact at stored nodes."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
-        lo, hi = self._t_list[0], self._t_list[-1]
+        lo, hi = self.t_start, self.t_end
         if np.any(ts < lo - 1e-12 * lo) or np.any(ts > hi + 1e-12 * hi):
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)

@@ -228,7 +228,7 @@ def _row_startup(cache, ts):
         start = _ivp.startup_state(params, problem, traj.t_start)
         run = _ivp._dop853(_ivp._flux_rhs(params, problem), start.t, start.w, start.v, t1,
                            1e-13, (1e-300, 1e-300), 10**5, dense=False)
-        wb, vb = run.states[-1]
+        _, wb, vb = run.end
         dw = abs(wa - wb) / max(abs(wa), abs(wb), 1e-300)
         dv = abs(va - vb) / max(abs(va), abs(vb), 1e-300)
         yield (problem.value, dw <= tol and dv <= tol,

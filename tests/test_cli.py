@@ -212,6 +212,10 @@ class TestProfile:
         proc = run_cli("profile", "--class", "mems", "-p", "2", "-q", "2", "-n", "3",
                        "--t", "1e9")
         assert proc.returncode == 2
+        # NaN fails the range check too, rather than printing a profile of NaNs
+        proc = run_cli("profile", "--class", "gelfand", "-p", "2", "-n", "3", "--t", "nan")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: profile needs") and proc.stderr.count("\n") == 1
 
     def test_past_a_zero_of_w_exit_2(self, run_cli):
         # --t 1e3 is clamped to the zero of w at t = 9.922
@@ -308,6 +312,14 @@ def _assert_finite_csv(proc):
 
 class TestOutOfFloatRange:
     """Parameters whose exponents leave the float range: one error line, no traceback."""
+
+    @pytest.mark.parametrize("flag", ["--t-max", "--rel-tol", "--abs-tol"])
+    def test_infinite_setting_exit_2(self, run_cli, flag):
+        # --t-max inf stepped for seconds and overflowed exp at the nodes;
+        # --rel-tol inf and --abs-tol inf found no fold
+        proc = run_cli("turns", "--class", "gelfand", "-p", "2", "-n", "3", flag, "inf")
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv,code,prefix", [
         # phiinv(Z) = Z^10000 overflows in the log phase

@@ -405,7 +405,7 @@ class TestEventLocation:
         # bracket spans several rows; the root is refined on the row that holds it
         traj = gelfand3_traj
         k = len(traj.ts) // 2
-        step = traj._steps[k - 1]  # row k - 1 starts at node k
+        step = traj._table[k - 1].tolist()  # row k - 1 starts at node k
         x_root = step[0] + 0.3 * step[1]
         cfg = traj.config
         width = 1.5 * step[1]
@@ -570,6 +570,10 @@ class TestProfile:
             profile(gelfand3_traj, 1e3, np.array([0.5, 1.5]))
         with pytest.raises(ValueError):
             profile(gelfand3_traj, 2e4, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):  # NaN fails both range checks
+            profile(gelfand3_traj, math.nan, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError):
+            profile(gelfand3_traj, 1e3, np.array([math.nan, 1.0]))
 
     def test_singular_profile_matches_guiding_scaling(self):
         r = np.geomspace(0.1, 1.0, 8)

@@ -127,7 +127,7 @@ def _check_startup_series(params, problem):
     start = startup_state(params, problem, 1e-8)
     ref = _loop_dop853(rhs, 1e-8, start.w, start.v, t1, 3e-14, (1e-300, 1e-300), 10**6,
                        dense=False)
-    w_ref, v_ref = ref.states[-1]
+    _, w_ref, v_ref = ref.end
     assert abs(w1 - w_ref) <= 1e-10 * abs(w_ref - series.w_center)
     assert abs(v1 - v_ref) <= 1e-10 * abs(v_ref)
 
@@ -292,6 +292,12 @@ class TestIntegrate:
             integrate(GELFAND3, G, IntegratorConfig(t_start=1.0, t_max=0.5))
         with pytest.raises(InvalidParamsError):
             integrate(GELFAND3, G, IntegratorConfig(rel_tol=-1e-10))
+        # an infinite horizon or tolerance is no setting (t_max = inf overflowed
+        # exp at the nodes; rel_tol = inf found no fold)
+        for bad in (dict(t_max=math.inf), dict(rel_tol=math.inf), dict(abs_tol=math.inf),
+                    dict(t_max=math.nan), dict(abs_tol=math.nan)):
+            with pytest.raises(InvalidParamsError):
+                integrate(GELFAND3, G, IntegratorConfig(**bad))
         # the startup series reaches t = 1.36 here
         with pytest.raises(InvalidParamsError, match="reach"):
             integrate(GELFAND3, G, IntegratorConfig(t_start=3.0))
@@ -591,7 +597,7 @@ class TestStepCap:
         traj = integrate(Params(p=p, n=n, alpha=0), G, IntegratorConfig(t_max=1e8))
         log = traj.stats[1]
         assert (log.accepted, log.capped) == (accepted, capped)
-        rows = np.array(traj._steps)[:, :2]
+        rows = traj._table[:, :2]
         cap = _log_phase(traj.params, G)[3]
         assert log.capped == np.count_nonzero(rows.sum(1) == rows[:, 0] + cap)
         t_stars = [fold.t_star for fold in pfold.curve.turning_points(traj)]
@@ -670,13 +676,12 @@ def test_stepper_without_dense_output_takes_the_same_steps():
     args = (rhs, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 10_000)
     full = _dop853(*args)
     bare = _dop853(*args, dense=False)
-    assert bare.xs == full.xs and bare.states == full.states
-    assert bare.rejected == full.rejected > 0
-    assert bare.steps == [] and len(full.steps) == len(full.xs) - 1
-    accepted = len(bare.xs) - 1
+    assert bare.end == full.end and bare.status == full.status == "done"
+    assert bare.accepted == full.accepted and bare.rejected == full.rejected > 0
+    assert bare.steps == [] and len(full.steps) == full.accepted
     # per accepted step the end point is still evaluated; the 3 dense stages are not
-    assert full.nfev == 2 + 15 * accepted + 11 * full.rejected
-    assert bare.nfev == 2 + 12 * accepted + 11 * bare.rejected
+    assert full.nfev == 2 + 15 * full.accepted + 11 * full.rejected
+    assert bare.nfev == 2 + 12 * bare.accepted + 11 * bare.rejected
 
 
 # The DOP853 loop as it was written before it was generated from the tableau:
@@ -742,17 +747,15 @@ def _loop_initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol):
 def _loop_dop853(rhs, x, w, v, x_end, rtol, atol, budget, watch_zero=False, dense=True,
                  max_step=math.inf):
     """``ivp._dop853`` with loops over the tableau and calls of ``rhs``."""
-    xs = [x]
-    states = [(w, v)]
     steps = []
     atol_w, atol_v = atol
     fw, fv = rhs(x, w, v)
     h_abs = _loop_initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol)
     nfev = 2
-    rejected = 0
+    accepted = rejected = 0
     status = "done"
     while x != x_end:
-        if len(xs) > budget:
+        if accepted >= budget:
             status = "budget"
             break
         min_step = 10.0 * (math.nextafter(x, math.inf) - x)
@@ -802,14 +805,13 @@ def _loop_dop853(rhs, x, w, v, x_end, rtol, atol, budget, watch_zero=False, dens
             steps.append(step)
             if watch_zero and w > 0.0 and w_new <= 0.0:
                 x_zero = _bisect(lambda xx: ivp._dense(step, (xx - x) / h)[0], x, x_new, w)
-                xs.append(x_zero)
-                states.append(ivp._dense(step, (x_zero - x) / h))
+                x, (w, v) = x_zero, ivp._dense(step, (x_zero - x) / h)
+                accepted += 1
                 status = "zero"
                 break
         x, w, v, fw, fv = x_new, w_new, v_new, fw_new, fv_new
-        xs.append(x)
-        states.append((w, v))
-    return ivp._Run(xs, states, steps, rejected, nfev, status)
+        accepted += 1
+    return ivp._Run(steps, (x, w, v), accepted, rejected, nfev, status)
 
 
 def _phi_inv(s, r):
@@ -916,7 +918,7 @@ class TestStraightLineStages:
                 # dense run watches for a zero of w
                 assert repr(new) == repr(_loop_dop853(*args, **dict(kwargs, dense=dense),
                                                       watch_zero=dense))
-                assert len(new.steps) == (len(new.xs) - 1 if dense else 0)
+                assert len(new.steps) == (new.accepted if dense else 0)
         if case == "jl-zero":  # the zero watch stopped the run
             (args, kwargs), = calls
             assert _dop853(*args, **kwargs).status == "zero"
@@ -962,9 +964,9 @@ class TestStraightLineStages:
                 run = ivp._straight_line(rhs.form).loop(*args)
             (step,), (base_step,) = run.steps, base.steps
             if table == "_STEP_STAGES":  # a_70: the step moves
-                assert run.states[1] != base.states[1]
+                assert run.end != base.end
             else:  # d_50: the same step, another F5
-                assert run.states == base.states and step[:14] == base_step[:14]
+                assert run.end == base.end and step[:14] == base_step[:14]
                 assert step[14:16] != base_step[14:16] and step[16:] == base_step[16:]
 
     def test_acceptance_matrix_takes_the_classical_forms(self, monkeypatch):
@@ -1166,26 +1168,59 @@ class TestOneReader:
         # phiinv of an array can round Z's power differently by an ulp
         assert smp.y == pytest.approx(y, rel=1e-15, abs=0.0)
 
-    @pytest.mark.parametrize("params,problem", CASES)
-    def test_nodes_are_the_rescaled_stepper_state(self, params, problem, monkeypatch):
-        runs = []  # the log phase's stepper run
+    @staticmethod
+    def _stepper_run(monkeypatch, params, problem, config=None):
+        """The trajectory of ``integrate`` and its log phase's stepper run."""
+        runs = []
         monkeypatch.setattr(ivp, "_dop853",
                             lambda *args, **kw: runs.append(_dop853(*args, **kw)) or runs[0])
-        traj = integrate(params, problem)
+        try:
+            traj = integrate(params, problem, config)
+        except TruncatedTrajectoryError as exc:
+            traj = exc.trajectory
         (run,) = runs
-        # every log-phase node: (w, t w') = (W, phiinv(Z)) / t^-g of the stepper's
-        # (W, Z) at its x, with numpy's arithmetic
-        x, t = np.array(run.xs[1:]), traj.ts[2:]
-        big_w, z = np.array(run.states[1:]).T
+        return traj, run
+
+    @staticmethod
+    def _assert_nodes_are_the_run(traj, run):
+        """Every log node is the start of a dense row but the first, then the
+        run's end, rescaled: ``(w, t w') = (W, phiinv(Z)) / t^-g`` with numpy's
+        arithmetic and ``t = exp(x)`` with libm's, bit for bit."""
+        assert np.array_equal(traj._table, np.array(run.steps).reshape(-1, 18))
+        nodes = [(row[0], row[2], row[3]) for row in run.steps[1:]] + [run.end]
+        x, big_w, z = np.array(nodes[:run.accepted]).reshape(-1, 3).T
+        t = [math.exp(x_k) for x_k in x.tolist()]
+        if run.status == "done":
+            t[-1] = traj.config.t_max
+        assert traj.ts[2:].tolist() == t
         scale = np.exp(-traj._g * x)
-        y = np.sign(z) * np.abs(z) ** (1.0 / (params.p - 1.0))
+        y = np.sign(z) * np.abs(z) ** (1.0 / (traj.params.p - 1.0))
         assert np.array_equal(traj.ws[2:], big_w / scale)
         assert np.array_equal(traj.wprimes[2:], y / scale / t)
+
+    @pytest.mark.parametrize("params,problem", CASES)
+    def test_nodes_are_the_rescaled_stepper_state(self, params, problem, monkeypatch):
+        traj, run = self._stepper_run(monkeypatch, params, problem)
+        self._assert_nodes_are_the_run(traj, run)
+        if problem is J and params == JL_ZERO:  # the last node is the zero of w, in the last row
+            assert run.status == "zero" and traj.termination == "zero"
+            assert run.steps[-1][0] < run.end[0] and abs(run.end[1]) <= 1e-12
         # which is the array reader's rescale where a row starts on a node
-        rows = np.arange(1, len(traj._steps))
+        rows = np.arange(1, len(traj._table))
         smp = traj._read(rows, np.zeros(len(rows)))
         assert np.array_equal(smp.big_w / smp.scale, traj.ws[2:-1])
         assert np.array_equal(smp.y / smp.scale / traj.ts[2:-1], traj.wprimes[2:-1])
+
+    @pytest.mark.parametrize("max_steps", [1, 2, 12])
+    def test_truncated_nodes_end_at_the_last_accepted_state(self, max_steps, monkeypatch):
+        # max_steps = 1 leaves the log phase no step: no log node, no row
+        traj, run = self._stepper_run(monkeypatch, GELFAND3, G,
+                                      IntegratorConfig(max_steps=max_steps))
+        assert traj.termination == "truncated" and run.status == "budget"
+        assert run.accepted == len(traj._table) == len(traj.ts) - 2 == max_steps - 1
+        self._assert_nodes_are_the_run(traj, run)
+        if max_steps == 1:  # the run ends where it starts, at the series node
+            assert run.end[0] == math.log(traj.ts[1]) and len(traj.ts) == 2
 
     @pytest.mark.parametrize("params,problem", CASES)
     def test_eval_many_does_not_depend_on_the_batch(self, params, problem):
