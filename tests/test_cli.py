@@ -212,7 +212,7 @@ class TestProfile:
         proc = run_cli("profile", "--class", "mems", "-p", "2", "-q", "2", "-n", "3",
                        "--t", "1e9")
         assert proc.returncode == 2
-        # NaN fails the range check too, rather than printing a profile of NaNs
+        # NaN fails the range check too
         proc = run_cli("profile", "--class", "gelfand", "-p", "2", "-n", "3", "--t", "nan")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: profile needs") and proc.stderr.count("\n") == 1
@@ -315,8 +315,7 @@ class TestOutOfFloatRange:
 
     @pytest.mark.parametrize("flag", ["--t-max", "--rel-tol", "--abs-tol"])
     def test_infinite_setting_exit_2(self, run_cli, flag):
-        # --t-max inf stepped for seconds and overflowed exp at the nodes;
-        # --rel-tol inf and --abs-tol inf found no fold
+        # a non-finite setting is rejected before any stepping
         proc = run_cli("turns", "--class", "gelfand", "-p", "2", "-n", "3", flag, "inf")
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

@@ -292,8 +292,7 @@ class TestIntegrate:
             integrate(GELFAND3, G, IntegratorConfig(t_start=1.0, t_max=0.5))
         with pytest.raises(InvalidParamsError):
             integrate(GELFAND3, G, IntegratorConfig(rel_tol=-1e-10))
-        # an infinite horizon or tolerance is no setting (t_max = inf overflowed
-        # exp at the nodes; rel_tol = inf found no fold)
+        # the horizon and the tolerances must be finite
         for bad in (dict(t_max=math.inf), dict(rel_tol=math.inf), dict(abs_tol=math.inf),
                     dict(t_max=math.nan), dict(abs_tol=math.nan)):
             with pytest.raises(InvalidParamsError):
