@@ -65,9 +65,9 @@ stability region and where its dense output follows the linear modes (see
 differs from ``(w, v)`` by powers of ``t1`` (for ``t1 < 1`` it can be
 tiny), so the absolute tolerance is applied in the units of ``(w, v)`` at
 ``t1``: ``abs_tol (t1^-g, t1^c)``.  The dense rows hold ``(W, Z)``.  For
-the ``jl`` class, ``w`` may reach zero in finite time; the crossing is
-located by bisection on the dense output and the trajectory is truncated
-there.
+the ``jl`` class, ``w`` may reach zero in finite time: the stepper stops
+after the step on which it does, and the trajectory is truncated at the
+zero of that step's dense row.
 
 The stepper is DOP853, the explicit Runge-Kutta pair of order 8 with
 embedded error estimators of orders 5 and 3 and a 7th-order dense output
@@ -86,8 +86,10 @@ t^-g``: one time, an array of times, or the fixed fractions of every row
 that event location samples.  ``(w, t w') = (W, Y) / scale`` is the one way
 back, for the nodes too.  Events are located on these rows (Section II.6) by
 :meth:`Trajectory._roots`, which guards the sign changes of a functional
-and refines each root on its row by Illinois regula falsi;
-:mod:`pfold.curve` states the functionals.
+and refines each root on its row by Illinois regula falsi
+(:func:`_illinois`, the one root finder, which also places the zero of
+``w`` and the ``jl`` series floor); :mod:`pfold.curve` states the
+functionals.
 
 The whole stepping loop is generated from the coefficient tables, once
 per *form* of the right-hand side, when the form is first used
@@ -476,19 +478,39 @@ def _series(params: Params, problem: ProblemClass) -> _Series:
     return _Series(sigma, m, phi_exp, w_center, tuple(u[:size]), tuple(sgn * x for x in vs[:size]))
 
 
-def _bisect(fn, a: float, b: float, fa: float, rtol: float = 0.0) -> float:
-    """Bisection root of ``fn`` on ``[a, b]``, where ``fn(a) = fa`` and ``fn``
-    changes sign; stops once ``b - a <= rtol * max(|a|, |b|)`` or the
-    bracket cannot be split further (``rtol = 0``: to full precision)."""
-    while (b - a) > rtol * max(abs(a), abs(b)):
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
+def _illinois(fn, a: float, fa: float, xa: float, b: float, fb: float, xb: float,
+              tol: float):
+    """Root of a function between ``a < b``, where its values ``fa``, ``fb``
+    differ in sign, by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
+    ``fn(c)`` returns ``(value, x, point)``: the function's value at ``c``,
+    the measure ``x`` of ``c`` (``xa``, ``xb`` at ``a``, ``b``) and what the
+    caller wants of ``c``.  Stops once the bracket spans at most ``tol`` in
+    ``x``, or at a zero, and returns the ``point`` last evaluated (that of
+    the midpoint if none was); or once the bracket can no longer be split
+    (with ``tol = 0``, full precision), and returns that of the end where
+    ``|value|`` is smaller."""
+    point = None
+    side = 0
+    while xb - xa > tol:
+        c = (a * fb - b * fa) / (fb - fa)
+        if not a < c < b:
+            c = 0.5 * (a + b)
+            if not a < c < b:  # a and b are adjacent floats: the end nearer the root
+                return min(fn(a), fn(b), key=lambda end: abs(end[0]))[2]
+        fc, xc, point = fn(c)
+        if fc == 0.0:
             break
-        if fn(mid) * fa > 0.0:
-            a = mid
+        if (fc > 0.0) == (fb > 0.0):
+            b, xb, fb = c, xc, fc
+            if side < 0:
+                fa *= 0.5
+            side = -1
         else:
-            b = mid
-    return 0.5 * (a + b)
+            a, xa, fa = c, xc, fc
+            if side > 0:
+                fb *= 0.5
+            side = 1
+    return fn(0.5 * (a + b))[2] if point is None else point
 
 
 # DOP853 tableau: nodes c, and for each stage the nonzero coefficients
@@ -602,8 +624,9 @@ class _Run:
     output), ``(x0, h, w0, v0, F0w, F0v, ..., F6w, F6v)``, which starts at
     its step's node: the rows are the run's only record of its nodes but
     the last, ``end = (x, w, v)``.  ``status`` is ``"done"`` (``end`` at
-    ``x_end``), ``"zero"`` (stopped at a zero of ``w``, which is ``end``)
-    or ``"budget"`` (out of steps; ``end`` is the last accepted state, the
+    ``x_end``), ``"zero"`` (stopped after the last row, on which ``w`` fell
+    from positive to zero or below; ``end`` is that row's end) or
+    ``"budget"`` (out of steps; ``end`` is the last accepted state, the
     start if none was).
     """
 
@@ -626,14 +649,6 @@ def _dense(step, s: float) -> tuple[float, float]:
     u = 1.0 - s
     return (w0 + s * (a0 + u * (a1 + s * (a2 + u * (a3 + s * (a4 + u * (a5 + s * a6)))))),
             v0 + s * (b0 + u * (b1 + s * (b2 + u * (b3 + s * (b4 + u * (b5 + s * b6)))))))
-
-
-def _dense_zero(step, x_end: float) -> tuple[float, tuple[float, float]]:
-    """The zero of ``w`` on the dense row ``step``, which ends at ``x_end``
-    and starts at a positive ``w``, by bisection, and ``(w, v)`` there."""
-    x, h = step[0], step[1]
-    x_zero = _bisect(lambda xx: _dense(step, (xx - x) / h)[0], x, x_end, step[2])
-    return x_zero, _dense(step, (x_zero - x) / h)
 
 
 # The body of the DOP853 loop that _straight_line generates, with the
@@ -726,11 +741,9 @@ while x != x_end:
                 2.0 * delta_w - h * (kw12 + kw0), 2.0 * delta_v - h * (kv12 + kv0),
                 f3w, f3v, f4w, f4v, f5w, f5v, f6w, f6v]
         steps.append(step)
-        if w > 0.0 and w_new <= 0.0:
-            x, (w, v) = _dense_zero(step, x_new)
-            accepted += 1
+        if w > 0.0 and w_new <= 0.0:  # w fell to zero on this row: stop after it
+            x_end = x_new
             status = "zero"
-            break
     x, w, v, kw0, kv0 = x_new, w_new, v_new, kw12, kv12
     accepted += 1
 return _Run(steps, (x, w, v), accepted, rejected, nfev, status)
@@ -738,7 +751,7 @@ return _Run(steps, (x, w, v), accepted, rejected, nfev, status)
 # what the generated code uses besides the builtins
 _LOOP_GLOBALS = dict(exp=math.exp, sqrt=math.sqrt,
                      isfinite=math.isfinite, nextafter=math.nextafter, inf=math.inf,
-                     _rms=_rms, _dense_zero=_dense_zero, _Run=_Run,
+                     _rms=_rms, _Run=_Run,
                      IntegrationError=IntegrationError)
 # a line of _LOOP that evaluates the right-hand side
 _RHS_LINE = re.compile(r"(\w+), (\w+) = rhs\((.*)\)")
@@ -815,8 +828,9 @@ def _dop853(rhs: _Rhs, x: float, w: float, v: float, x_end: float, rtol: float,
     The loop compiled for the form of ``rhs`` does the run, with the form
     written into its stages.  ``atol`` holds the absolute tolerances of
     ``w`` and ``v``.  Accepts at most ``budget`` steps of at most
-    ``max_step``.  A ``dense`` run stops where ``w`` falls from positive to
-    zero, bisected on the step's interpolant; only ``jl``'s can, as
+    ``max_step``.  A ``dense`` run stops after the step on which ``w``
+    falls from positive to zero or below, which :func:`integrate` refines
+    on that step's row; only ``jl``'s can, as
     ``gelfand``'s ``w`` stays below 0 (``v' < 0``) and ``mems``' above 1 (``v'
     > 0``), and ``W = w t^-g`` has the sign of ``w``.  Without ``dense`` the
     run skips the three dense-output stages and keeps no rows (``steps``):
@@ -879,8 +893,10 @@ def integrate(params: Params, problem: ProblemClass,
     t1 = min(reach, cfg.t_max)
     # jl: w falls towards the zero of a power source, where the curve ends
     if spec.q_power is not None and spec.sgn < 0.0 and series.state(t1)[0] < _JL_SERIES_FLOOR:
-        t1 = _bisect(lambda t: series.state(t)[0] - _JL_SERIES_FLOOR, cfg.t_start, t1,
-                     series.state(cfg.t_start)[0] - _JL_SERIES_FLOOR, 1e-12)
+        def above(t):  # w - 1/2, in ln t to 1e-12
+            return series.state(t)[0] - _JL_SERIES_FLOOR, math.log(t), t
+
+        t1 = _illinois(above, cfg.t_start, *above(cfg.t_start)[:2], t1, *above(t1)[:2], 1e-12)
     t_nodes: list[float] = [cfg.t_start, t1]
     states = [series.state(t) for t in t_nodes]
     nodes = np.array(states)[:, :2].T  # rows w, w'
@@ -907,13 +923,22 @@ def integrate(params: Params, problem: ProblemClass,
                 f"the log phase leaves the float range past t1 = {t1!r} "
                 f"(phiinv(Z) = Z^{series.phi_exp:.6g})") from None
         table = np.array(run.steps, dtype=float).reshape(run.accepted, 18)
+        end = run.end
+        if run.status == "zero":  # the zero of W on the last row, to full precision
+            row = run.steps[-1]
+
+            def on_row(s):  # at the fraction s of the row
+                big_w, z = _dense(row, s)
+                return big_w, s, (row[0] + s * row[1], big_w, z)
+
+            end = _illinois(on_row, 0.0, row[2], 0.0, 1.0, end[1], 1.0, 0.0)
         x0, h = table[:, 0], table[:, 1]
         step_range = (float(h.min()), float(h.max())) if run.accepted else (None, None)
         stats.append(PhaseStats("log", run.accepted, run.rejected, run.nfev, *step_range,
                                 int(np.count_nonzero(x0 + h == x0 + log_step))))
         # the log nodes: the start of every row but the first (which starts at
         # t1), then the end of the run, unless it took no step
-        x, big_w, z = np.vstack((table[1:, [0, 2, 3]], run.end))[:run.accepted].T
+        x, big_w, z = np.vstack((table[1:, [0, 2, 3]], end))[:run.accepted].T
         ts_new = [math.exp(x_k) for x_k in x.tolist()]
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
         if termination == "t_max":
@@ -1087,37 +1112,6 @@ class Trajectory:
         state_err = cfg.rel_tol * (np.abs(w) + np.abs(t_wprime) + scale) + cfg.abs_tol * scale
         return GUARD_FACTOR * coeff_sum * state_err
 
-    def _illinois(self, fn, row: int, ta: float, tb: float, xa: float, xb: float, fa: float,
-                  fb: float):
-        """Root of ``fn`` on dense row ``row`` between the parameters ``ta < tb``
-        (at ``x = ln t`` of ``xa``, ``xb``), where its values ``fa``, ``fb``
-        differ in sign: Illinois regula falsi until the bracket spans at most
-        ``ROOT_RTOL`` in ``ln t``.  Returns the last point evaluated, as
-        :meth:`_row_point` gives it."""
-        point = None
-        side = 0
-        while xb - xa > ROOT_RTOL:
-            tc = (ta * fb - tb * fa) / (fb - fa)
-            if not ta < tc < tb:
-                tc = 0.5 * (ta + tb)
-            point = self._row_point(row, tc)
-            fc = fn(*point[:3])
-            if fc == 0.0:
-                break
-            if (fc > 0.0) == (fb > 0.0):
-                tb, xb, fb = tc, point[0], fc
-                if side < 0:
-                    fa *= 0.5
-                side = -1
-            else:
-                ta, xa, fa = tc, point[0], fc
-                if side > 0:
-                    fb *= 0.5
-                side = 1
-        if point is None:
-            point = self._row_point(row, 0.5 * (ta + tb))
-        return point
-
     def _roots(self, fn, coeff_sum: float | None = None, x_min: float = -math.inf):
         """Roots of ``fn(x, W, Y)`` past ``x_min``, in time order.
 
@@ -1149,8 +1143,13 @@ class Trajectory:
             row = int(rows[lo])
             end = self._series_end**self._series.sigma if row < 0 else 1.0  # of row lo
             t_hi = float(theta[hi]) if rows[hi] == row else end
-            point = self._illinois(fn, row, float(theta[lo]), t_hi, float(xs[lo]),
-                                   float(xs[hi]), float(vals[lo]), float(vals[hi]))
+
+            def at(theta_c, row=row):  # fn at the parameter theta_c of the row, in ln t
+                point = self._row_point(row, theta_c)
+                return fn(*point[:3]), point[0], point
+
+            point = _illinois(at, float(theta[lo]), float(vals[lo]), float(xs[lo]),
+                              t_hi, float(vals[hi]), float(xs[hi]), ROOT_RTOL)
             if point[0] > x_min:
                 out.append((*point, bool(vals[i] > 0.0)))
         return out

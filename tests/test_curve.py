@@ -30,7 +30,8 @@ from pfold import (
     singular_profile,
     turning_points,
 )
-from pfold.ivp import GUARD_FACTOR, ROOT_RTOL, Trajectory, _bisect
+from pfold import ivp
+from pfold.ivp import GUARD_FACTOR, ROOT_RTOL
 from pfold.model import class_spec
 from pfold.verify import RESIDUAL_SETS
 
@@ -264,6 +265,21 @@ class TestTurningPoints:
 # The fold and crossing scan that event location on the dense rows replaced,
 # kept as an oracle: a log grid of 64 points per decade plus the trajectory
 # nodes, the guard in the units of (w, t w'), and bisection through eval.
+
+def _bisect(fn, a, b, fa, rtol):
+    """Bisection root of ``fn`` on ``[a, b]``, where ``fn(a) = fa`` and ``fn``
+    changes sign; stops once ``b - a <= rtol * max(|a|, |b|)`` or the
+    bracket cannot be split further."""
+    while (b - a) > rtol * max(abs(a), abs(b)):
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if fn(mid) * fa > 0.0:
+            a = mid
+        else:
+            b = mid
+    return 0.5 * (a + b)
+
 
 def _oracle_pairs(traj, t_lo, values_at, coeff_sum):
     decades = math.log10(traj.t_end / t_lo)
@@ -517,13 +533,13 @@ class TestConvergence:
         # call and the report refine no root again
         traj = integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))
         refined = []
-        original = Trajectory._illinois
+        original = ivp._illinois
 
         def spy(*args):
             refined.append(args)
             return original(*args)
 
-        monkeypatch.setattr(Trajectory, "_illinois", spy)
+        monkeypatch.setattr(ivp, "_illinois", spy)
         first = turning_points(traj)
         assert len(first) >= 7 and len(refined) >= len(first)
         expected = list(first)

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from scipy.integrate import DOP853, OdeSolution, quad, solve_ivp
 
 import pfold
 from pfold import ivp
-from pfold.ivp import _bisect, _dop853, _log_phase, _series
+from pfold.ivp import _dop853, _log_phase, _series
 from pfold.model import class_spec
 from pfold.verify import RESIDUAL_SETS, run_acceptance
 from pfold import (
@@ -473,6 +474,68 @@ def _flux_state(traj, sol, t):
     return w, np.sign(arg) * np.abs(arg) ** (1.0 / (p - 1.0))
 
 
+class TestOneRootFinder:
+    """``ivp._illinois`` refines every root: events on the dense rows, the
+    zero of ``w`` that ends a ``jl`` run, and the ``jl`` series floor."""
+
+    @staticmethod
+    def _power(root, k):
+        """``(c - root)^k`` rounded once from its exact value, its measure
+        ``c`` and ``c``."""
+        return lambda c: (float((Fraction(c) - root) ** k), c, c)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_full_precision_is_the_float_nearest_the_root(self, k):
+        # 1/3 lies between two floats; float(1/3) is the nearer
+        fn = self._power(Fraction(1, 3), k)
+        assert ivp._illinois(fn, 0.0, fn(0.0)[0], 0.0, 1.0, fn(1.0)[0], 1.0, 0.0) == 1.0 / 3.0
+        # a bracket that is already two adjacent floats
+        a = 1.0 / 3.0
+        b = math.nextafter(a, 1.0)
+        assert ivp._illinois(fn, a, fn(a)[0], a, b, fn(b)[0], b, 0.0) == a
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_stops_at_the_tolerance(self, k):
+        fn = self._power(Fraction(3, 10), k)
+        root = ivp._illinois(fn, 0.0, fn(0.0)[0], 0.0, 1.0, fn(1.0)[0], 1.0, 1e-6)
+        assert abs(root - 0.3) <= 1e-6
+
+    @pytest.mark.parametrize("params", [params for params, _ in TestStartupSeries.JL_ZEROS])
+    def test_zero_of_w_to_full_precision(self, params):
+        # the zero that ends JL_ZERO and the sweep's jl runs, against a bisection of the
+        # last dense row in x = ln t to two adjacent floats
+        traj = integrate(params, J)
+        assert traj.termination == "zero"
+        row = traj._table[-1].tolist()
+
+        def big_w(x):
+            return ivp._dense(row, (x - row[0]) / row[1])[0]
+
+        a, b = row[0], row[0] + row[1]
+        assert big_w(a) > 0.0 >= big_w(b)
+        while a < 0.5 * (a + b) < b:
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if big_w(mid) > 0.0 else (a, mid)
+        x_zero = min((a, b), key=lambda x: abs(big_w(x)))
+        assert abs(math.log(traj.t_end) - x_zero) <= 4.0 * math.ulp(x_zero)
+        largest = max(abs(big_w(x)) for x in np.linspace(row[0], row[0] + row[1], 33).tolist())
+        assert abs(traj.ws[-1] * traj.t_end**-traj._g) <= 1e-15 * largest
+
+    def test_series_floor(self):
+        # sweep case jl-6: w falls below 1/2 within the series' reach
+        params = TestStartupSeries.JL_ZEROS[1][0]
+        traj = integrate(params, J)
+        t1 = traj.ts[1]
+        assert t1 < _series(params, J).reach()
+        assert abs(traj.ws[1] - ivp._JL_SERIES_FLOOR) <= 1e-12
+
+    def test_loop_calls_no_helper_while_stepping(self):
+        rhs = _log_phase(JL_ZERO, J)[0]
+        loop = ivp._program(rhs.form).source.split("while x != x_end:", 1)[1]
+        called = set(re.findall(r"\b(\w+)\(", re.sub(r"#.*", "", loop)))
+        assert called == {"nextafter", "IntegrationError", "sqrt", "isfinite", "append", "_Run"}
+
+
 class TestAgainstScipyDop853:
     """The in-repo stepper takes scipy's steps: same tableau, controller and
     schedule, so only rounding in the error sums separates the two."""
@@ -802,12 +865,9 @@ def _loop_dop853(rhs, x, w, v, x_end, rtol, atol, budget, watch_zero=False, dens
                     2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv),
                     *_loop_dense_rows(rhs, x, h, w, v, ks, fw_new, fv_new)]
             steps.append(step)
-            if watch_zero and w > 0.0 and w_new <= 0.0:
-                x_zero = _bisect(lambda xx: ivp._dense(step, (xx - x) / h)[0], x, x_new, w)
-                x, (w, v) = x_zero, ivp._dense(step, (x_zero - x) / h)
-                accepted += 1
+            if watch_zero and w > 0.0 and w_new <= 0.0:  # stop after this row
+                x_end = x_new
                 status = "zero"
-                break
         x, w, v, fw, fv = x_new, w_new, v_new, fw_new, fv_new
         accepted += 1
     return ivp._Run(steps, (x, w, v), accepted, rejected, nfev, status)
@@ -1184,18 +1244,22 @@ class TestOneReader:
     def _assert_nodes_are_the_run(traj, run):
         """Every log node is the start of a dense row but the first, then the
         run's end, rescaled: ``(w, t w') = (W, phiinv(Z)) / t^-g`` with numpy's
-        arithmetic and ``t = exp(x)`` with libm's, bit for bit."""
+        arithmetic and ``t = exp(x)`` with libm's, bit for bit.  A run that
+        stopped past a zero of ``w`` ends at that zero instead
+        (:class:`TestOneRootFinder`), which is left out here."""
         assert np.array_equal(traj._table, np.array(run.steps).reshape(-1, 18))
         nodes = [(row[0], row[2], row[3]) for row in run.steps[1:]] + [run.end]
-        x, big_w, z = np.array(nodes[:run.accepted]).reshape(-1, 3).T
+        count = run.accepted - (run.status == "zero")
+        x, big_w, z = np.array(nodes[:count]).reshape(-1, 3).T
         t = [math.exp(x_k) for x_k in x.tolist()]
         if run.status == "done":
             t[-1] = traj.config.t_max
-        assert traj.ts[2:].tolist() == t
+        assert traj.ts[2:2 + count].tolist() == t
         scale = np.exp(-traj._g * x)
         y = np.sign(z) * np.abs(z) ** (1.0 / (traj.params.p - 1.0))
-        assert np.array_equal(traj.ws[2:], big_w / scale)
-        assert np.array_equal(traj.wprimes[2:], y / scale / t)
+        assert np.array_equal(traj.ws[2:2 + count], big_w / scale)
+        assert np.array_equal(traj.wprimes[2:2 + count], y / scale / t)
+        assert len(traj.ts) == 2 + run.accepted
 
     @pytest.mark.parametrize("params,problem", CASES)
     def test_nodes_are_the_rescaled_stepper_state(self, params, problem, monkeypatch):
@@ -1203,7 +1267,8 @@ class TestOneReader:
         self._assert_nodes_are_the_run(traj, run)
         if problem is J and params == JL_ZERO:  # the last node is the zero of w, in the last row
             assert run.status == "zero" and traj.termination == "zero"
-            assert run.steps[-1][0] < run.end[0] and abs(run.end[1]) <= 1e-12
+            assert run.steps[-1][0] < math.log(traj.t_end) < run.end[0]
+            assert run.end[1] <= 0.0 < run.steps[-1][2] and abs(traj.ws[-1]) <= 1e-12
         # which is the array reader's rescale where a row starts on a node
         rows = np.arange(1, len(traj._table))
         smp = traj._read(rows, np.zeros(len(rows)))
