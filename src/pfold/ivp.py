@@ -33,7 +33,8 @@ and the coefficients of ``U`` and ``V`` follow one by one from recurrences
 largest ``t <= t_max`` at which its last three nonzero terms stay below
 ``1e-16`` of the leading ones and the powers of ``tau`` in use below
 ``1e300`` (coefficients underflow to 0 as ``p`` nears 1), and for ``jl``
-also lies before ``w`` falls to 1/2.
+also lies before ``w`` falls to 1/2; a ``t1`` with the logarithm of
+``t_max`` is ``t_max``, as the log phase would have no interval.
 The trajectory keeps one node at ``t1`` for this segment, and its dense
 output evaluates the series there.  For 90% of parameter sets drawn over
 ``p`` in [1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in [0, 2] the
@@ -76,7 +77,9 @@ embedded error estimators of orders 5 and 3 and a 7th-order dense output
 It steps the two-component state in plain floats.  The step-size
 controller uses the initial step rule of Section II.4, a safety factor of
 0.9, step factors clamped to [0.2, 10], the error exponent -1/8, DOP853's
-combined err5/err3 error norm and a minimum step of 10 ulp.  The dense
+combined err5/err3 error norm and a minimum step of 10 ulp.  A trial
+stage that leaves the floats (``OverflowError``) rejects the step with the
+factor 0.2, unless that step would fall below the minimum.  The dense
 output of all steps is kept as one table of interpolation rows.  Each row
 starts at its step's node, so the table and the run's last node are the
 run's whole record, and the log-phase nodes are read off them.  Every
@@ -701,8 +704,16 @@ while x != x_end:
         if x_end < x_new:
             x_new = x_end
         h = h_abs = x_new - x
-        {attempt}
         nfev += 11
+        try:
+            {attempt}
+        except OverflowError:  # a stage left the floats: a rejected step, unless too short
+            if 0.2 * h_abs < min_step:
+                raise
+            h_abs *= 0.2
+            step_rejected = True
+            rejected += 1
+            continue
         w_new = w + h * bw
         v_new = v + h * bv
         sw = w if w > 0.0 else 0.0 - w
@@ -897,6 +908,8 @@ def integrate(params: Params, problem: ProblemClass,
             return series.state(t)[0] - _JL_SERIES_FLOOR, math.log(t), t
 
         t1 = _illinois(above, cfg.t_start, *above(cfg.t_start)[:2], t1, *above(t1)[:2], 1e-12)
+    if math.log(t1) == math.log(cfg.t_max):  # no log-phase interval left
+        t1 = cfg.t_max
     t_nodes: list[float] = [cfg.t_start, t1]
     states = [series.state(t) for t in t_nodes]
     nodes = np.array(states)[:, :2].T  # rows w, w'

@@ -23,6 +23,7 @@ import numpy as np
 from . import curve as _curve
 from . import ivp as _ivp
 from .model import (
+    InvalidParamsError,
     Params,
     ProblemClass,
     characteristic_quadratic,
@@ -324,8 +325,11 @@ def run_acceptance(only: str | None = None, tol_scale: float = 1.0) -> list[Chec
     """Run the acceptance matrix and return one result per criterion.
 
     ``only`` filters rows by substring; ``tol_scale`` multiplies every
-    numeric tolerance (counts and boolean criteria are unaffected).
+    numeric tolerance (counts and boolean criteria are unaffected) and must
+    be positive and finite.
     """
+    if not 0.0 < tol_scale < math.inf:
+        raise InvalidParamsError(f"tol_scale must be positive and finite, got {tol_scale!r}")
     cache = _Cache()
     results: list[CheckResult] = []
     for name, fn in _ROWS:

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from pfold import IntegratorConfig, Params, ProblemClass, guard_discarded, ivp
+from pfold import (IntegratorConfig, Params, ProblemClass, characteristic_quadratic,
+                   guard_discarded, ivp)
 from pfold.cli import main
 
 CLI = [sys.executable, "-m", "pfold.cli"]
@@ -292,6 +293,14 @@ class TestVerify:
         proc = run_cli("verify", "--only", "no-such-row")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("scale", ["inf", "nan", "0", "-1"])
+    def test_tol_scale_must_be_positive_and_finite(self, run_cli, scale):
+        # inf once passed every criterion, the strict xfail included
+        proc = run_cli("verify", "--only", "8", "--tol-scale", scale)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: tol_scale must be positive and finite")
+        assert proc.stderr.count("\n") == 1
+
 
 def _assert_finite_csv(proc):
     """Every number of a CSV output and of its one-line JSON summary on stderr
@@ -321,10 +330,12 @@ class TestOutOfFloatRange:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
     @pytest.mark.parametrize("argv,code,prefix", [
-        # phiinv(Z) = Z^10000 overflows in the log phase
-        (("turns", "--class", "gelfand", "-p", "1.0001", "-n", "3"), 3, "numerical failure:"),
-        (("solve", "--class", "mems", "-p", "1.0001", "-n", "3", "-q", "0.5"), 3,
+        # t1^c overflows: c = -1997 at t1 = 0.61, and -496 at t1 = 0.22
+        (("turns", "--class", "mems", "-p", "5", "-n", "2000", "-q", "5"), 3,
          "numerical failure:"),
+        (("solve", "--class", "mems", "-p", "10", "-n", "500", "-q", "5"), 3,
+         "numerical failure:"),
+        # t1^-g overflows, g = -20000
         (("turns", "--class", "jl", "-p", "2", "-n", "3", "-q", "1.0001"), 3,
          "numerical failure:"),
     ])
@@ -333,6 +344,30 @@ class TestOutOfFloatRange:
         assert proc.returncode == code
         assert proc.stderr.startswith(prefix) and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+    @pytest.mark.parametrize("argv,params,problem", [
+        (("--class", "gelfand", "-p", "1.0001", "-n", "3"), Params(p=1.0001, n=3, alpha=0),
+         ProblemClass.GELFAND),
+        (("--class", "mems", "-p", "1.0001", "-n", "3", "-q", "0.5"),
+         Params(p=1.0001, n=3, alpha=0, q=0.5), ProblemClass.MEMS),
+    ], ids=["gelfand", "mems"])
+    def test_near_p_one_reaches_t_max(self, run_cli, argv, params, problem):
+        # phiinv(Z) = Z^10000 overflows in trial stages, which are rejected steps
+        proc = run_cli("turns", *argv, "--format", "json", check=True)
+        doc = json.loads(proc.stdout)
+        assert doc["summary"]["t_end"] == 1e4 and doc["summary"]["termination"] == "t_max"
+        ts = [row[0] for row in doc["rows"]]
+        assert len(ts) > 200
+        spin = abs(characteristic_quadratic(params, problem).roots[0].imag)
+        for a, b in zip(ts[-6:-1], ts[-5:]):
+            assert b / a == pytest.approx(math.exp(math.pi / spin), rel=1e-3)
+
+    def test_empty_log_phase_interval_exit_0(self, run_cli):
+        # the series' reach is one ulp below t_max, with the same logarithm
+        proc = run_cli("turns", "--class", "gelfand", "-p", "1.6213969982196472",
+                       "-n", "11.973479921497532", "--t-max", "3.3306321526638416", check=True)
+        summary = json.loads(proc.stderr)
+        assert summary["termination"] == "t_max" and summary["t_end"] == 3.3306321526638416
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("argv", [

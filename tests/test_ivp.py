@@ -344,9 +344,9 @@ class TestIntegrate:
         assert log.accepted == 0 and log.min_step is None and log.max_step is None
 
     @pytest.mark.parametrize("params,problem,config,error,match", [
-        # 1/(p-1) = 10000: phiinv(Z) = Z^10000 overflows in the log phase
-        (Params(p=1.0001, n=3, alpha=0), G, None, ivp.IntegrationError, r"log phase"),
-        (Params(p=1.0001, n=3, alpha=0, q=0.5), M, None, ivp.IntegrationError, r"log phase"),
+        # c = p - n - g(p-1) = -1997 and -496 with t1 = 0.61 and 0.22: t1^c overflows
+        (Params(p=5, n=2000, alpha=0, q=5), M, None, ivp.IntegrationError, r"t1\^c overflow"),
+        (Params(p=10, n=500, alpha=0, q=5), M, None, ivp.IntegrationError, r"t1\^c overflow"),
         # g = -20000: t1^-g overflows
         (Params(p=2, n=3, alpha=0, q=1.0001), J, None, ivp.IntegrationError, r"t1\^-g"),
         # mems with a small q: w or t w' leaves the floats at a node, from t = 7e33 on
@@ -362,6 +362,46 @@ class TestIntegrate:
     def test_out_of_float_range_is_named(self, params, problem, config, error, match):
         with pytest.raises(error, match=match):
             integrate(params, problem, config)
+
+    @pytest.mark.parametrize("params,problem", [
+        (Params(p=1.0001, n=3, alpha=0), G), (Params(p=1.0001, n=3, alpha=0, q=0.5), M),
+    ], ids=["gelfand", "mems"])
+    def test_near_p_one_reaches_t_max(self, params, problem):
+        # 1/(p-1) = 10000: phiinv(Z) = Z^10000 overflows in trial stages of the
+        # log phase, which are rejected steps; the folds follow the spiral's law
+        traj = integrate(params, problem)
+        assert traj.termination == "t_max" and traj.t_end == 1e4
+        assert traj.stats[1].rejected > 0
+        turns = pfold.turning_points(traj)
+        assert len(turns) > 200
+        r = characteristic_quadratic(params, problem).roots[0]
+        ts = [tp.t_star for tp in turns[-6:]]
+        for a, b in zip(ts[:-1], ts[1:]):
+            assert b / a == pytest.approx(math.exp(math.pi / abs(r.imag)), rel=1e-3)
+
+    def test_overflowing_trial_stage_is_a_rejected_step(self, monkeypatch):
+        # gelfand (1.001, 3, 0) with the step cap scaled by 0.99: Z^1000 of a
+        # trial stage overflows, which once ended the run
+        log_phase = ivp._log_phase
+
+        def scaled(params, problem):
+            rhs, g, c, cap = log_phase(params, problem)
+            return rhs, g, c, 0.99 * cap
+
+        monkeypatch.setattr(ivp, "_log_phase", scaled)
+        traj = integrate(Params(p=1.001, n=3, alpha=0), G)
+        assert traj.termination == "t_max" and traj.t_end == 1e4
+        assert traj.stats[1].rejected > 0
+
+    def test_empty_log_phase_interval_ends_at_the_series(self):
+        # the series' reach is one ulp below t_max, with the same logarithm
+        params = Params(p=1.6213969982196472, n=11.973479921497532, alpha=0)
+        t_max = 3.3306321526638416
+        reach = _series(params, G).reach()
+        assert reach < t_max and math.log(reach) == math.log(t_max)
+        traj = integrate(params, G, IntegratorConfig(t_max=t_max))
+        assert traj.termination == "t_max" and traj.t_end == t_max
+        assert [s.phase for s in traj.stats] == ["series"] and len(traj.ts) == 2
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("params,problem", [(GELFAND3, G), (Params(p=3, n=8, alpha=0, q=2), M)])
@@ -831,8 +871,16 @@ def _loop_dop853(rhs, x, w, v, x_end, rtol, atol, budget, watch_zero=False, dens
                 raise ivp.IntegrationError("step size underflow", (x, w, v))
             x_new = min(x + h_abs, x_end)
             h = h_abs = x_new - x
-            bw, bv, e5w, e5v, e3w, e3v, ks = _loop_attempt(rhs, x, h, w, v, fw, fv)
             nfev += 11
+            try:
+                bw, bv, e5w, e5v, e3w, e3v, ks = _loop_attempt(rhs, x, h, w, v, fw, fv)
+            except OverflowError:  # rejected, unless the step would fall below min_step
+                if 0.2 * h_abs < min_step:
+                    raise
+                h_abs *= 0.2
+                step_rejected = True
+                rejected += 1
+                continue
             w_new = w + h * bw
             v_new = v + h * bv
             sw = atol_w + max(abs(w), abs(w_new)) * rtol
@@ -960,6 +1008,8 @@ class TestStraightLineStages:
         "jl": lambda: _integration(Params(p=2.5, n=5, alpha=0, q=4), J),
         "jl-zero": lambda: _integration(JL_ZERO, J),
         "jl-unscaled": lambda: _integration(JL_UNSCALED, J, 100.0),
+        # trial stages that overflow (Z^10000): rejected steps
+        "gelfand-near-p-one": lambda: _integration(Params(p=1.0001, n=3, alpha=0), G),
         "flux": lambda: lambda: run_acceptance(only="6-startup"),
         "shooting-gelfand": lambda: _shooting(GELFAND3, G),
         "shooting-mems": lambda: _shooting(MEMS233, M),
