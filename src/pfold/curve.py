@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -400,15 +400,7 @@ class ConvergenceReport:
     char_root_real: float
 
     def to_dict(self) -> dict:
-        return {
-            "lambda_inf": self.lambda_inf,
-            "t_eval": self.t_eval,
-            "lambda_at": self.lambda_at,
-            "lambda_gap": self.lambda_gap,
-            "turning_lambda_gaps": list(self.turning_lambda_gaps),
-            "profile_sup_gap": self.profile_sup_gap,
-            "char_root_real": self.char_root_real,
-        }
+        return {**asdict(self), "turning_lambda_gaps": list(self.turning_lambda_gaps)}
 
 
 def convergence(curve: SolutionCurve, t_eval: float | None = None) -> ConvergenceReport:

@@ -20,7 +20,9 @@ The pair ``(w, v)`` itself is stepped in ``t`` only by acceptance row 6 of
 :mod:`pfold.verify` and by :func:`pfold.curve.shooting_check`, which
 shoots the radial problem in the same form.  A :class:`Trajectory` hands
 out ``(t, w, w')`` only: its nodes are ``(t, w, w')``, and ``v``, which
-grows like a power of ``t``, need not fit a double.
+grows like a power of ``t``, need not fit a double.  Nor is it formed
+anywhere else: the startup series hands out ``(w, w', V)``, and row 6 is
+the one place that forms its flux ``t^m V``.
 
 ``t = 0`` is a regular singular point, where the regular solution is a
 convergent power series (Joseph & Lundgren 1973).  With
@@ -36,9 +38,11 @@ largest ``t <= t_max`` at which its last three nonzero terms stay below
 also lies before ``w`` falls to 1/2; a ``t1`` with the logarithm of
 ``t_max`` is ``t_max``, as the log phase would have no interval.
 The trajectory keeps one node at ``t1`` for this segment, and its dense
-output evaluates the series there.  For 90% of parameter sets drawn over
-``p`` in [1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in [0, 2] the
-series reaches ``t = 0.34`` to 2.1, and past 1 for about half.
+output evaluates the series there, in the series' own variables:
+:meth:`Trajectory.eval` and :meth:`Trajectory.eval_many` read ``(w, w')``
+off it with no power of ``t`` but ``tau``.  For 90% of parameter sets
+drawn over ``p`` in [1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in
+[0, 2] the series reaches ``t = 0.34`` to 2.1, and past 1 for about half.
 
 From ``t1`` on, one phase runs in ``s = ln t``, where folds accumulate
 uniformly, in the Emden-Fowler variables of Joseph & Lundgren (1973)
@@ -62,11 +66,14 @@ at ``min(5 / max |mu|, 3 / min |mu|, 2 / max |Im r|)``, inside DOP853's
 stability region and where its dense output follows the linear modes (see
 :func:`_log_phase`).  A ``jl`` problem with
 ``q <= p - 1`` has no such scaling and keeps ``g = 0``, with the source
-``t^(alpha+p) f(W)``.  ``W`` has the sign of ``w``.  At ``t1``, ``(W, Z)``
-differs from ``(w, v)`` by powers of ``t1`` (for ``t1 < 1`` it can be
-tiny), so the absolute tolerance is applied in the units of ``(w, v)`` at
-``t1``: ``abs_tol (t1^-g, t1^c)``.  The dense rows hold ``(W, Z)``.  For
-the ``jl`` class, ``w`` may reach zero in finite time: the stepper stops
+``t^(alpha+p) f(W)``.  ``W`` has the sign of ``w``.  The phase starts
+from the series at ``t1``, as ``W1 = w1 t1^-g`` and ``Z1 = t1^(k - g(p-1))
+V1`` with ``k = alpha + p = m + c``, so that the flux ``t1^m V1``, which
+overflows for large ``n``, is never formed.  ``(W, Z)`` differs from
+``(w, v)`` by powers of ``t1`` (for ``t1 < 1`` it can be tiny), so the
+absolute tolerance is applied in the units of ``(w, v)`` at ``t1``:
+``abs_tol (t1^-g, t1^c)``.  The dense rows hold ``(W, Z)``.  For the
+``jl`` class, ``w`` may reach zero in finite time: the stepper stops
 after the step on which it does, and the trajectory is truncated at the
 zero of that step's dense row.
 
@@ -87,7 +94,9 @@ reader of :class:`Trajectory` reads the rows with the row polynomial
 :func:`_dense`, in the units ``(W, Y = t w' t^-g)`` and with ``scale =
 t^-g``: one time, an array of times, or the fixed fractions of every row
 that event location samples.  ``(w, t w') = (W, Y) / scale`` is the one way
-back, for the nodes too.  Events are located on these rows (Section II.6) by
+back, for the nodes too.  The series enters these units only where their
+functionals are written in them: in the event samples and the root
+refinement.  Events are located on these rows (Section II.6) by
 :meth:`Trajectory._roots`, which guards the sign changes of a functional
 and refines each root on its row by Illinois regula falsi
 (:func:`_illinois`, the one root finder, which also places the zero of
@@ -123,7 +132,7 @@ import math
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -193,6 +202,7 @@ class IntegratorConfig:
     max_steps: int = 100_000
 
     def validated(self) -> "IntegratorConfig":
+        """This configuration with float times and tolerances, once checked."""
         if not (0.0 < self.t_start < self.t_max < math.inf):
             raise InvalidParamsError(f"need 0 < t_start < t_max < inf, got t_start = "
                                      f"{self.t_start!r}, t_max = {self.t_max!r}")
@@ -200,7 +210,12 @@ class IntegratorConfig:
             raise InvalidParamsError("tolerances must be positive and finite")
         if self.max_steps < 1:
             raise InvalidParamsError("max_steps must be >= 1")
-        return self
+        try:  # an int can lie past the largest float
+            return replace(self, **{name: float(getattr(self, name))
+                                    for name in ("t_start", "t_max", "rel_tol", "abs_tol")})
+        except OverflowError:
+            raise InvalidParamsError("t_start, t_max, rel_tol and abs_tol must lie below "
+                                     "the largest float") from None
 
 
 @dataclass(frozen=True)
@@ -416,11 +431,14 @@ class _Series:
     u: tuple
     v: tuple
 
-    def state(self, t: float) -> tuple[float, float, float]:
-        """``(w, w', v)`` at a scalar ``t`` within :meth:`reach`."""
+    def state(self, t):
+        """``(w, w', V)`` at ``t`` within :meth:`reach`, a float or an array:
+        the series in its own variables, whose flux ``t^m V`` need not fit a
+        double."""
         tau = t**self.sigma
         w, big_v = self.slope_form(tau)
-        return w, tau * _phi_inv(big_v, self.phi_exp) / t, t**self.m * big_v
+        phi_inv = _phi_inv_many if isinstance(tau, np.ndarray) else _phi_inv
+        return w, tau * phi_inv(big_v, self.phi_exp) / t, big_v
 
     def slope_form(self, tau):
         """``(w, V)`` at ``tau``, a float or an array (each point summed apart, so
@@ -919,16 +937,18 @@ def integrate(params: Params, problem: ProblemClass,
     stats: list[PhaseStats] = [PhaseStats("series", 1, 0, 0)]
     termination = "t_max"
     if t1 < cfg.t_max:
-        w, _, v = states[1]
-        # abs_tol holds in the units of (w, v) at t1, where (W, Z) may be tiny
+        w, _, big_v = states[1]
+        # abs_tol holds in the units of (w, v) at t1, where (W, Z) may be tiny;
+        # Z = v t^c = t^(k - g(p-1)) V, as m + c = k - g(p-1)
         try:
             scale_w, scale_v = t1**-g, t1**c
+            big_z = t1 ** (spec.k - g * (params.p - 1.0)) * big_v
         except OverflowError:  # jl: g = -(p+alpha)/(q-p+1) is large as q nears p - 1
             raise IntegrationError(
-                f"the log-phase scales t1^-g, t1^c overflow at t1 = {t1!r} "
+                f"the log-phase scales t1^-g, t1^(c+m) or t1^c overflow at t1 = {t1!r} "
                 f"(g = {g:.6g}, c = {c:.6g})") from None
         try:
-            run = _dop853(rhs, math.log(t1), w * scale_w, v * scale_v, math.log(cfg.t_max),
+            run = _dop853(rhs, math.log(t1), w * scale_w, big_z, math.log(cfg.t_max),
                           cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
                           cfg.max_steps - 1, max_step=log_step)
         except OverflowError:  # phiinv(Z) = Z^(1/(p-1)) as p nears 1, or f(W)
@@ -1025,9 +1045,12 @@ class Trajectory:
     :meth:`_row_point` (one point) and :meth:`_read` (arrays, also the
     scan's ``_samples``) give ``(x, W, Y = t w' t^-g, scale = t^-g)`` with
     :func:`_dense`, on the rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
-    = (W, Y) / scale`` is the one rescale back, also of the nodes ``(ts,
-    ws, wprimes)`` (the series nodes at ``scale = 1``); the flux ``v`` is
-    not kept, as only acceptance row 6 and ``shooting_check`` step ``(w, v)``.
+    = (W, Y) / scale`` is the one rescale back from the rows, also of the
+    log nodes.  The series segment and its nodes are read in the series'
+    own variables, ``(w, w')`` of :meth:`_Series.state`, by :meth:`eval` and
+    :meth:`eval_many`; only event location reads it in ``(W, Y)``.  The flux
+    ``v`` is not kept, as only acceptance row 6 and ``shooting_check`` step
+    ``(w, v)``.
     ``_folds`` holds the folds that :func:`pfold.curve.turning_points`
     located by :meth:`_roots`."""
 
@@ -1184,14 +1207,11 @@ class Trajectory:
         k = bisect_left(self.ts, t)
         if k < len(self.ts) and self.ts[k] == t:
             return float(self.ws[k]), float(self.wprimes[k])
-        if t < self._series_end:
-            t = max(t, _TAU_MIN ** (1.0 / self._series.sigma))  # as in eval_many
-            row, theta = -1, t**self._series.sigma
-        else:
-            row = min(max(k - 2, 0), len(self._table) - 1)
-            x0, h = self._table[row, :2].tolist()
-            theta = (math.log(t) - x0) / h
-        _, big_w, y, scale = self._row_point(row, theta)
+        if t < self._series_end:  # the series in its own variables, as in eval_many
+            return self._series.state(max(t, _TAU_MIN ** (1.0 / self._series.sigma)))[:2]
+        row = min(max(k - 2, 0), len(self._table) - 1)
+        x0, h = self._table[row, :2].tolist()
+        _, big_w, y, scale = self._row_point(row, (math.log(t) - x0) / h)
         return big_w / scale, y / scale / t
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
@@ -1202,16 +1222,16 @@ class Trajectory:
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)
         on_rows = ts >= self._series_end
-        row = np.where(on_rows, np.clip(idx - 2, 0, len(self._table) - 1), -1)
-        # where t^sigma falls below the normal floats it no longer tells t
-        # apart, and the series is w_c to double precision: read it at _TAU_MIN
-        t = np.maximum(ts, _TAU_MIN ** (1.0 / self._series.sigma))
-        theta = np.empty_like(ts)
-        theta[~on_rows] = t[~on_rows] ** self._series.sigma
-        k = row[on_rows]
-        theta[on_rows] = (np.log(t[on_rows]) - self._table[:, 0][k]) / self._table[:, 1][k]
-        smp = self._read(row, theta)
-        w, wp = smp.big_w / smp.scale, smp.y / smp.scale / t
+        w, wp = np.empty((2, len(ts)))
+        # the series in its own variables: where t^sigma falls below the normal
+        # floats it no longer tells t apart, and the series is w_c to double
+        # precision, so it is read at _TAU_MIN there
+        t_min = _TAU_MIN ** (1.0 / self._series.sigma)
+        w[~on_rows], wp[~on_rows], _ = self._series.state(np.maximum(ts[~on_rows], t_min))
+        t = ts[on_rows]
+        row = np.clip(idx[on_rows] - 2, 0, len(self._table) - 1)
+        smp = self._read(row, (np.log(t) - self._table[row, 0]) / self._table[row, 1])
+        w[on_rows], wp[on_rows] = smp.big_w / smp.scale, smp.y / smp.scale / t
         # stored nodes win bitwise over the interpolant
         node = np.minimum(idx, len(self.ts) - 1)
         exact = self.ts[node] == ts

@@ -22,7 +22,7 @@ whether the curve spirals through infinitely many folds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
@@ -240,13 +240,9 @@ class ClosedForms:
         return class_spec(self.params, self.problem)
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "coeff": self.coeff,
-            "lambda_inf": self.lambda_inf,
-            "guiding_kind": self.guiding_kind,
-            "notes": list(self.notes),
-        }
+        d = asdict(self)
+        del d["problem"], d["params"]
+        return {**d, "notes": list(self.notes)}
 
 
 # The paper's form of D > 0 in each class, which a ValidityError names, and
@@ -343,12 +339,8 @@ class CharacteristicQuadratic:
     oscillatory: bool
 
     def to_dict(self) -> dict:
-        return {
-            "coefficients": list(self.coefficients),
-            "roots": [{"real": r.real, "imag": r.imag} for r in self.roots],
-            "discriminant": self.discriminant,
-            "oscillatory": self.oscillatory,
-        }
+        return {**asdict(self), "coefficients": list(self.coefficients),
+                "roots": [{"real": r.real, "imag": r.imag} for r in self.roots]}
 
 
 def _solve_monic(b: float, c: float) -> tuple[tuple[complex, complex], float]:
@@ -420,20 +412,9 @@ class ConditionResult:
     expression: str = ""
 
     def to_dict(self) -> dict:
-        d: dict = {
-            "holds": self.holds,
-            "margin": self.margin,
-            "boundary": self.boundary,
-            "expression": self.expression,
-        }
-        if self.threshold is not None:
-            d["threshold"] = self.threshold
-        if self.lower is not None:
-            d["lower"] = self.lower
-        if self.upper is not None:
-            d["upper"] = self.upper
-            if self.lower is not None:
-                d["window"] = f"{self.lower:g}<n<{self.upper:g}"
+        d = {k: v for k, v in asdict(self).items() if k != "name" and v is not None}
+        if self.lower is not None and self.upper is not None:
+            d["window"] = f"{self.lower:g}<n<{self.upper:g}"
         return d
 
 
@@ -485,12 +466,7 @@ class RegimeReport:
     def to_dict(self) -> dict:
         return {
             "problem": self.problem.value,
-            "params": {
-                "p": self.params.p,
-                "q": self.params.q,
-                "alpha": self.params.alpha,
-                "n": self.params.n,
-            },
+            "params": asdict(self.params),
             "conditions": {k: v.to_dict() for k, v in sorted(self.conditions.items())},
             "characteristic": self.quadratic.to_dict() if self.quadratic is not None else None,
             "predicted_infinite_turns": self.predicted_infinite_turns,

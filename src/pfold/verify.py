@@ -225,7 +225,8 @@ def _row_startup(cache, ts):
     for problem, params in CLASS_DEFAULTS.items():
         traj = cache.trajectory(params, problem)
         t1 = float(traj.ts[1])
-        wa, _, va = traj._series.state(t1)
+        wa, _, big_v = traj._series.state(t1)
+        va = t1**traj._series.m * big_v  # the series' flux, which this row steps
         start = _ivp.startup_state(params, problem, traj.t_start)
         run = _ivp._dop853(_ivp._flux_rhs(params, problem), start.t, start.w, start.v, t1,
                            1e-13, (1e-300, 1e-300), 10**5, dense=False)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from pfold import (IntegratorConfig, Params, ProblemClass, characteristic_quadratic,
@@ -71,6 +72,22 @@ class TestAnalyze:
         for name in ("leading_coefficient", "beta_threshold", "decay_exponent"):
             assert doc["conditions"][name]["holds"] is True
 
+    @pytest.mark.parametrize("sub,key", [("analyze", "closed_forms"), ("turns", "lambda_inf")])
+    def test_no_guiding_solution(self, run_cli, sub, key):
+        # n < p: no guiding solution, so no closed forms and no lambda_inf
+        proc = run_cli(sub, "--class", "gelfand", "-p", "2", "-n", "1.5", "--format", "json",
+                       check=True)
+        doc = json.loads(proc.stdout)
+        assert doc.get("summary", doc)[key] is None
+        if sub == "analyze":
+            assert "n > p" in doc["validity_error"]
+
+    def test_infinite_threshold_is_quoted(self, run_cli):
+        # mems with 4q = (p-2)^2: the beta threshold is infinite
+        proc = run_cli("analyze", "--class", "mems", "-p", "4", "-n", "5", "-q", "1", check=True)
+        cond = json.loads(proc.stdout)["conditions"]["beta_threshold"]
+        assert (cond["threshold"], cond["margin"], cond["holds"]) == ("inf", "-inf", False)
+
     def test_sorted_keys(self, run_cli):
         proc = run_cli("analyze", "--class", "gelfand", "-p", "2", "-n", "3", check=True)
         doc = json.loads(proc.stdout)
@@ -105,6 +122,13 @@ class TestSolve:
         assert t == 1e4 and w < 0 and wp < 0
         summary = json.loads(proc.stdout)
         assert summary["termination"] == "t_max"
+
+    def test_jl_zero_ends_with_a_warning(self, run_cli):
+        proc = run_cli("solve", "--class", "jl", "-p", "2", "-n", "5", "-q", "2", "--format",
+                       "json", check=True)
+        summary = json.loads(proc.stdout)["summary"]
+        assert summary["termination"] == "zero"
+        assert summary["warning"].startswith("generating solution reached zero at t = 9.92")
 
     def test_max_steps_exit_3(self, run_cli, tmp_path):
         proc = run_cli("solve", "--class", "gelfand", "-p", "2", "-n", "3",
@@ -218,6 +242,22 @@ class TestProfile:
         assert proc.returncode == 2 and proc.stdout == ""
         assert proc.stderr.startswith("error: profile needs") and proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--r-min", "1", "error: --r-min must lie in (0, 1), got 1.0\n"),
+        ("--r-points", "1", "error: --r-points must be at least 2\n"),
+    ])
+    def test_radius_grid_exit_2(self, run_cli, flag, value, message):
+        proc = run_cli("profile", "--class", "gelfand", "-p", "2", "-n", "3", flag, value)
+        assert proc.returncode == 2 and proc.stdout == "" and proc.stderr == message
+
+    def test_series_segment_of_a_steep_scaling(self, run_cli):
+        # g = -200: the radii t r lie on the series segment, where t^-g underflows
+        proc = run_cli("profile", "--class", "jl", "-p", "2", "-n", "6", "-q", "1.01",
+                       "--t", "0.01", check=True)
+        assert proc.stderr == ""
+        rows = [list(map(float, line.split(","))) for line in proc.stdout.splitlines()[1:]]
+        assert len(rows) == 64 and np.isfinite(rows).all() and rows[-1] == [1.0, 0.0]
+
     def test_past_a_zero_of_w_exit_2(self, run_cli):
         # --t 1e3 is clamped to the zero of w at t = 9.922
         proc = run_cli("profile", "--class", "jl", "-p", "2", "-n", "5", "-q", "2")
@@ -258,6 +298,18 @@ class TestConfigFile:
                         IntegratorConfig(t_max=1e3, rel_tol=1e-9, max_steps=5000),
                         IntegratorConfig()]
         assert type(seen[0].max_steps) is int
+
+    @pytest.mark.parametrize("text,message", [
+        # comments and blank lines are skipped, but still counted
+        ("# a comment\nclass=gelfand\n\np=2\nn\n", "run.cfg:5: expected key=value, got 'n'"),
+        ("class=gelfand\np=two\nn=3\n", "bad config value for p: 'two'"),
+    ], ids=["bare-key", "not-a-number"])
+    def test_malformed_config_exit_2(self, run_cli, tmp_path, text, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        proc = run_cli("analyze", "--config", str(cfg))
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.endswith(message + "\n")
 
     def test_unknown_key_exit_2(self, run_cli, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -361,6 +413,18 @@ class TestOutOfFloatRange:
         spin = abs(characteristic_quadratic(params, problem).roots[0].imag)
         for a, b in zip(ts[-6:-1], ts[-5:]):
             assert b / a == pytest.approx(math.exp(math.pi / spin), rel=1e-3)
+
+    @pytest.mark.parametrize("argv", [
+        ("gelfand", "-p", "2", "-n", "1000"), ("mems", "-p", "2", "-n", "1000", "-q", "2"),
+        ("jl", "-p", "2", "-n", "2000", "-q", "3"),
+    ], ids=["gelfand", "mems", "jl"])
+    def test_large_n_exit_0(self, run_cli, argv):
+        # the series' flux t1^m at its reach overflows; the log phase starts without it
+        proc = run_cli("turns", "--class", *argv)
+        assert proc.returncode == 0 and proc.stdout == "t_star,lambda_star,u0_star,direction\n"
+        assert proc.stderr.count("\n") == 1
+        summary = json.loads(proc.stderr)
+        assert (summary["count"], summary["t_end"]) == (0, 1e4)
 
     def test_empty_log_phase_interval_exit_0(self, run_cli):
         # the series' reach is one ulp below t_max, with the same logarithm

@@ -102,9 +102,10 @@ def _check_startup_series(params, problem):
 
     traj = integrate(params, problem, IntegratorConfig(t_max=2.0))
     assert traj.stats[0] == PhaseStats("series", 1, 0, 0)
-    # the node holds the series' (w, w') at t1; v is read off the same series
+    # the node holds the series' (w, w') at t1; v = t^m V is read off the same series
     t1 = traj.ts[1]
-    w1, wp1, v1 = traj._series.state(t1)
+    w1, wp1, big_v1 = traj._series.state(t1)
+    v1 = t1**series.m * big_v1
     assert t1 <= series.reach() and traj._series == series
     assert (traj.ws[1], traj.wprimes[1]) == (w1, wp1)
     source = _source(params, problem)
@@ -302,6 +303,24 @@ class TestIntegrate:
         with pytest.raises(InvalidParamsError, match="reach"):
             integrate(GELFAND3, G, IntegratorConfig(t_start=3.0))
 
+    @pytest.mark.parametrize("bad,match", [
+        (dict(max_steps=0), "max_steps"),
+        # an int horizon past the largest float
+        (dict(t_max=10**400), "largest float"),
+    ], ids=["max_steps-0", "t_max-past-the-floats"])
+    def test_invalid_config_value(self, bad, match):
+        with pytest.raises(InvalidParamsError, match=match):
+            integrate(GELFAND3, G, IntegratorConfig(**bad))
+
+    def test_integer_horizon_runs_as_its_float(self):
+        # an int too large for int64 once made the node times an object array
+        traj = integrate(GELFAND3, G, IntegratorConfig(t_max=10**300))
+        ref = integrate(GELFAND3, G, IntegratorConfig(t_max=1e300))
+        assert type(traj.config.t_max) is float and traj.t_end == 1e300
+        for a, b in ((traj.ts, ref.ts), (traj.ws, ref.ws), (traj.wprimes, ref.wprimes)):
+            np.testing.assert_array_equal(a, b)
+        assert pfold.turning_points(traj) == pfold.turning_points(ref)
+
     def test_t_start_at_the_series_reach(self):
         # the series segment always holds one node past t_start
         reach = _series(GELFAND3, G).reach()
@@ -489,12 +508,19 @@ def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
     return [len(interps)], dense
 
 
+def _series_node(traj):
+    """``(w, v)`` of the series node of ``traj``, with the flux ``v = t^m V``."""
+    t1 = traj.ts[1]
+    w1, _, big_v1 = traj._series.state(t1)
+    return w1, t1**traj._series.m * big_v1
+
+
 def _scipy_flux_reference(traj, t_end):
     """The flux system ``(w, v)`` stepped in ``t`` by scipy's DOP853 at
     ``rtol = 1e-13`` from the series node of ``traj`` to ``t_end``, stopping
     at a zero of ``w``."""
     rhs = ivp._flux_rhs(traj.params, traj.problem)
-    w1, _, v1 = traj._series.state(traj.ts[1])  # the series node, with its flux
+    w1, v1 = _series_node(traj)
 
     def zero(t, y):
         return y[0]
@@ -588,7 +614,7 @@ class TestAgainstScipyDop853:
     def test_same_steps_and_dense_values(self, params, problem, t_max):
         cfg = IntegratorConfig(t_max=t_max)
         traj = integrate(params, problem, cfg)
-        w1, _, v1 = traj._series.state(traj.ts[1])  # the series node, with its flux
+        w1, v1 = _series_node(traj)
         counts, dense = _scipy_dop853_reference(params, problem, cfg, traj.ts[1], w1, v1)
         assert [s.accepted for s in traj.stats if s.phase != "series"] == counts
         grid = np.geomspace(traj.ts[1], t_max, 500)
@@ -1335,6 +1361,39 @@ class TestOneReader:
         self._assert_nodes_are_the_run(traj, run)
         if max_steps == 1:  # the run ends where it starts, at the series node
             assert run.end[0] == math.log(traj.ts[1]) and len(traj.ts) == 2
+
+    @pytest.mark.parametrize("params,problem", [
+        (GELFAND3, G), (MEMS233, M),
+        # g = -200: t^-g = t^200 underflows to 0 on the series segment
+        (Params(p=2, n=6, alpha=0, q=1.01), J),
+    ], ids=["gelfand", "mems", "jl-g-minus-200"])
+    def test_series_segment_is_read_in_its_own_variables(self, params, problem, recwarn):
+        traj = integrate(params, problem)
+        ts = [2e-6, 1e-3, 0.1]
+        for t in ts:
+            assert traj.eval(t) == traj._series.state(t)[:2]
+        w, wp = traj.eval_many(ts)
+        np.testing.assert_allclose(w, [traj.eval(t)[0] for t in ts], rtol=1e-15)
+        np.testing.assert_allclose(wp, [traj.eval(t)[1] for t in ts], rtol=1e-14)
+        if problem is J:  # w = 1 - t^2/12 + q t^4/384 + ... at p = 2, n = 6
+            t, q = 1e-3, params.q
+            assert traj.eval(t) == pytest.approx(
+                (1.0 - t**2 / 12.0 + q * t**4 / 384.0, -t / 6.0 + q * t**3 / 96.0), rel=1e-12)
+        assert not recwarn.list
+
+    @pytest.mark.parametrize("params,problem", [
+        (Params(p=2, n=1000, alpha=0), G), (Params(p=2, n=1000, alpha=0, q=2), M),
+        (Params(p=2, n=2000, alpha=0, q=3), J),
+    ], ids=["gelfand", "mems", "jl"])
+    def test_large_n_starts_the_log_phase_without_the_flux(self, params, problem):
+        # the flux t1^m V at the series' reach (t1 = 18.7 for gelfand) overflows
+        # for m = 1000; Z = t1^(k - g(p-1)) V does not
+        traj = integrate(params, problem)
+        assert traj.termination == "t_max" and traj.t_end == 1e4
+        with pytest.raises(OverflowError):
+            float(traj.ts[1]) ** (params.n + params.alpha)
+        assert np.isfinite(traj.ws).all() and np.isfinite(traj.wprimes).all()
+        assert pfold.turning_points(traj) == []
 
     @pytest.mark.parametrize("params,problem", CASES)
     def test_eval_many_does_not_depend_on_the_batch(self, params, problem):

@@ -46,6 +46,14 @@ class TestClosedForms:
         assert cf.lambda_inf == pytest.approx(2.0, rel=1e-15)
         assert cf.guiding_kind == "logarithmic"
 
+    def test_to_dict(self):
+        # the fields but the problem and its parameters, the notes as a list
+        cf = closed_forms(Params(p=2, n=4, alpha=0, q=5), J)
+        assert cf.to_dict() == {
+            "beta": 0.5, "coeff": cf.coeff, "lambda_inf": 0.75, "guiding_kind": "power-decay",
+            "notes": ["lambda_inf = coeff**(q-p+1) = 0.75; the exponent-(q-1) variant "
+                      "coeff**(q-1) = 0.7499999999999999 coincides only at p = 2"]}
+
     def test_gelfand_ignores_q(self):
         a = closed_forms(Params(p=2, n=3, alpha=0), G)
         b = closed_forms(Params(p=2, n=3, alpha=0, q=7), G)
@@ -60,6 +68,12 @@ class TestClosedForms:
             closed_forms(Params(p=2, n=2, alpha=0, q=5), J)
         with pytest.raises(ValidityError, match="q - p \\+ 1"):
             closed_forms(Params(p=3, n=5, alpha=0, q=1.5), J)
+
+    @pytest.mark.parametrize("params", [Params(p=math.nan, n=3), Params(p=2, n=math.inf)],
+                             ids=["p-nan", "n-inf"])
+    def test_non_finite_params(self, params):
+        with pytest.raises(InvalidParamsError, match="must be finite"):
+            validate_params(params, G)
 
     def test_param_validation(self):
         with pytest.raises(InvalidParamsError):
@@ -144,6 +158,13 @@ class TestCharacteristicQuadratic:
         assert quad.coefficients == pytest.approx((1.0, 2.0, 3.75))
         assert quad.discriminant == pytest.approx(-11.0, rel=1e-14)
         assert quad.oscillatory
+
+    def test_to_dict(self):
+        # the fields, the coefficients as a list and each root as real and imaginary parts
+        assert characteristic_quadratic(Params(p=2, n=3), G).to_dict() == {
+            "coefficients": [1.0, 1.0, 2.0], "discriminant": -7.0, "oscillatory": True,
+            "roots": [{"real": -0.5, "imag": math.sqrt(7.0) / 2.0},
+                      {"real": -0.5, "imag": -math.sqrt(7.0) / 2.0}]}
 
     def test_real_roots_ascending(self):
         quad = characteristic_quadratic(Params(p=2, n=20, alpha=0), G)
@@ -286,6 +307,33 @@ class TestConditions:
         assert rep.conditions["leading_coefficient"].margin == pytest.approx(8.0)
         assert rep.conditions["decay_exponent"].margin == pytest.approx(1.0)
         assert rep.predicted_infinite_turns
+
+    def test_to_dict(self):
+        # the fields but the name and those that are None; a window adds its range
+        rep = check_conditions(Params(p=2, n=4, alpha=0, q=5), J)
+        window = rep.conditions["classical_window"]
+        assert window.to_dict() == {
+            "holds": True, "margin": 1.0, "boundary": False, "expression": window.expression,
+            "lower": 3.0, "upper": window.upper, "window": "3<n<11.4721"}
+        assert rep.conditions["supercritical"].to_dict() == {
+            "holds": True, "margin": 2.0, "boundary": False,
+            "expression": "q > (np - n + p + p alpha)/(n - p), n > p", "threshold": 3.0}
+        doc = rep.to_dict()
+        assert doc["params"] == {"p": 2.0, "n": 4.0, "alpha": 0.0, "q": 5.0}
+        assert doc["problem"] == "jl" and doc["notes"] == []
+        assert doc["characteristic"] == rep.quadratic.to_dict()
+        assert list(doc["conditions"]) == sorted(rep.conditions)
+
+    @pytest.mark.parametrize("problem,params,name,expected", [
+        # 4q = (p-2)^2: the threshold's denominator vanishes
+        (M, Params(p=4, n=5, alpha=0, q=1), "beta_threshold",
+         {"threshold": math.inf, "margin": -math.inf, "holds": False}),
+        (J, Params(p=2, n=2, alpha=0, q=5), "classical_supercritical",
+         {"margin": -4.0, "holds": False}),
+    ], ids=["mems-infinite-threshold", "jl-classical-supercritical"])
+    def test_edge_margins(self, problem, params, name, expected):
+        cond = check_conditions(params, problem).conditions[name].to_dict()
+        assert {key: cond.get(key) for key in expected} == expected
 
     def test_report_always_produced(self):
         # q - p + 1 <= 0 breaks the jl scaling, but the report must not raise
