@@ -40,7 +40,7 @@ also lies before ``w`` falls to 1/2; a ``t1`` with the logarithm of
 The trajectory keeps one node at ``t1`` for this segment, and its dense
 output evaluates the series there, in the series' own variables:
 :meth:`Trajectory.eval` and :meth:`Trajectory.eval_many` read ``(w, w')``
-off it with no power of ``t`` but ``tau``.  For 90% of parameter sets
+off it without the scale ``t^-g``.  For 90% of parameter sets
 drawn over ``p`` in [1.5, 4], ``n - p`` in [0.05, 12] and ``alpha`` in
 [0, 2] the series reaches ``t = 0.34`` to 2.1, and past 1 for about half.
 

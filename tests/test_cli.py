@@ -245,7 +245,7 @@ class TestProfile:
     @pytest.mark.parametrize("flag,value,message", [
         ("--r-min", "1", "error: --r-min must lie in (0, 1), got 1.0\n"),
         ("--r-points", "1", "error: --r-points must be at least 2\n"),
-    ])
+    ], ids=["r-min", "r-points"])
     def test_radius_grid_exit_2(self, run_cli, flag, value, message):
         proc = run_cli("profile", "--class", "gelfand", "-p", "2", "-n", "3", flag, value)
         assert proc.returncode == 2 and proc.stdout == "" and proc.stderr == message

@@ -7,6 +7,7 @@ from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from pfold import (
+    ConvergenceReport,
     CurvePoint,
     IntegrationError,
     IntegratorConfig,
@@ -510,6 +511,15 @@ class TestConvergence:
         assert all(a > b for a, b in zip(gaps[:-1], gaps[1:]))
         # the radial profile approaches -(p + alpha) ln r
         assert rep.profile_sup_gap == pytest.approx(0.105173, rel=1e-2)
+
+    def test_to_dict(self):
+        # the fields, the fold gaps as a list
+        rep = ConvergenceReport(lambda_inf=2.0, t_eval=1e3, lambda_at=2.05, lambda_gap=0.05,
+                                turning_lambda_gaps=(1.3, 0.3), profile_sup_gap=0.1,
+                                char_root_real=-0.5)
+        assert rep.to_dict() == {
+            "lambda_inf": 2.0, "t_eval": 1e3, "lambda_at": 2.05, "lambda_gap": 0.05,
+            "turning_lambda_gaps": [1.3, 0.3], "profile_sup_gap": 0.1, "char_root_real": -0.5}
 
     def test_mems_profile_limit(self, mems_traj):
         rep = convergence(build_curve(mems_traj), t_eval=1e3)
