@@ -186,6 +186,14 @@ def _zero_warning(traj: _ivp.Trajectory, what: str) -> str:
             f"{what} truncated")
 
 
+def _lambda_inf(traj: _ivp.Trajectory) -> float | None:
+    """The guiding solution's ``lambda_inf``, or None where there is none."""
+    try:
+        return closed_forms(traj.params, traj.problem).lambda_inf
+    except ValidityError:
+        return None
+
+
 def _cmd_analyze(settings: dict) -> int:
     params, problem = _require_problem(settings)
     doc = check_conditions(params, problem).to_dict()
@@ -215,14 +223,13 @@ def _cmd_solve(settings: dict) -> int:
 
 def _cmd_curve(settings: dict) -> int:
     traj = _integrate(settings)
-    cf = closed_forms(traj.params, traj.problem)
-    curve = _curve.build_curve(traj, cf, samples_per_decade=settings["samples_per_decade"])
+    curve = _curve.build_curve(traj, samples_per_decade=settings["samples_per_decade"])
     summary = {
         "termination": traj.termination,
         "rows": len(curve.t),
         "t_end": curve.t_end,
         "lambda_end": float(curve.lam[-1]),
-        "lambda_inf": cf.lambda_inf,
+        "lambda_inf": _lambda_inf(traj),
     }
     if curve.truncated:
         summary["warning"] = _zero_warning(traj, "curve")
@@ -245,11 +252,8 @@ def _cmd_turns(settings: dict) -> int:
         "oscillatory": report.oscillatory,
         "t_end": traj.t_end,
         "termination": traj.termination,
+        "lambda_inf": _lambda_inf(traj),
     }
-    try:
-        summary["lambda_inf"] = closed_forms(traj.params, traj.problem).lambda_inf
-    except ValidityError:
-        summary["lambda_inf"] = None
     _emit_table(settings, _out.TURNING_HEADER, turns, summary)
     return EXIT_OK
 

@@ -155,11 +155,12 @@ class SolutionCurve:
     """Log-uniformly sampled solution curve with its source trajectory.
 
     The samples are held once, as the read-only columns ``t``, ``lam``,
-    ``u0`` and ``monitor``; :attr:`points` reads them as rows."""
+    ``u0`` and ``monitor``; :attr:`points` reads them as rows.
+    ``closed_forms`` are those :func:`build_curve` was given, or None."""
 
     problem: ProblemClass
     params: Params
-    closed_forms: ClosedForms
+    closed_forms: ClosedForms | None
     t: np.ndarray
     lam: np.ndarray
     u0: np.ndarray
@@ -215,10 +216,9 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     The number of rows is ``round(samples_per_decade * decades) + 1`` where
     ``decades = log10(t_end / t_start)``.  For ``jl`` runs truncated at a
     zero of ``w``, samples with ``w`` at or below the integration floor are
-    dropped and the curve is marked ``truncated``.
+    dropped and the curve is marked ``truncated``.  The curve needs no
+    guiding solution: ``cf``, if given, is kept on it for :func:`convergence`.
     """
-    if cf is None:
-        cf = closed_forms(traj.params, traj.problem)
     t_lo, t_hi = traj.t_start, traj.t_end
     if not t_hi > t_lo:
         raise ValueError("trajectory covers an empty range")
@@ -228,7 +228,7 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
         raise ValueError("requested sampling produces fewer than two points")
     grid = np.geomspace(t_lo, t_hi, count)
     w, wp = traj.eval_many(grid)
-    spec = cf.spec
+    spec = class_spec(traj.params, traj.problem)
     keep = slice(None) if spec.E is None else w > _w_floor(traj)
     t, w, wp = grid[keep], w[keep], wp[keep]
     if not len(t):
@@ -365,9 +365,10 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
     a run that ends at a zero of ``w``.
     """
     r = np.asarray(r_grid, dtype=float)
-    if not np.all((0.0 < r) & (r <= 1.0)):
+    r_lo, r_hi = r.min(), r.max()
+    if not 0.0 < r_lo <= r_hi <= 1.0:
         raise ValueError("r_grid must lie in (0, 1]")
-    if not traj.t_start * (1.0 - 1e-12) <= t * r.min() <= t * r.max() <= traj.t_end * (1.0 + 1e-12):
+    if not traj.t_start * (1.0 - 1e-12) <= t * r_lo <= t * r_hi <= traj.t_end * (1.0 + 1e-12):
         raise ValueError("t * r_grid leaves the trajectory range")
     # w(t r) and w(t) in one read, so that r = 1 gives u = 0 exactly
     w, _ = traj.eval_many(np.minimum(t * np.append(r, 1.0), traj.t_end))
@@ -403,6 +404,11 @@ class ConvergenceReport:
         return {**asdict(self), "turning_lambda_gaps": list(self.turning_lambda_gaps)}
 
 
+# the radii at which convergence compares the profile with the singular one
+_CONVERGENCE_RADII = np.geomspace(0.1, 1.0, 64)
+_CONVERGENCE_RADII.flags.writeable = False
+
+
 def convergence(curve: SolutionCurve, t_eval: float | None = None) -> ConvergenceReport:
     """Convergence report at ``t_eval`` (default: end of the curve).
 
@@ -410,8 +416,10 @@ def convergence(curve: SolutionCurve, t_eval: float | None = None) -> Convergenc
     ``turning_lambda_gaps`` lists ``|lambda* - lambda_inf|`` over all folds
     (eventually decreasing when the regime is oscillatory);
     ``profile_sup_gap`` is the sup-distance of the radial profile at
-    ``t_eval`` from the explicit singular profile over 64 log-spaced radii
-    in [0.1, 1].  The real part of the characteristic roots is included
+    ``t_eval`` from the explicit singular profile over the 64 log-spaced
+    radii in [0.1, 1] of ``_CONVERGENCE_RADII``.  A curve built without
+    closed forms gets them here, and without a guiding solution raises
+    :class:`~pfold.model.ValidityError`.  The real part of the characteristic roots is included
     since it sets the expected decay rate ``t^(Re r - g)`` of both gaps
     (``g`` as in :class:`ConvergenceReport`).
     """
@@ -421,13 +429,14 @@ def convergence(curve: SolutionCurve, t_eval: float | None = None) -> Convergenc
     if t_eval is None:
         t_eval = traj.t_end
     cf = curve.closed_forms
+    if cf is None:
+        cf = closed_forms(curve.params, curve.problem)
     w_t, _ = traj.eval(t_eval)
     lam, _ = curve_values(curve.problem, curve.params, t_eval, w_t)
     turns = turning_points(traj)
     gaps = tuple(abs(tp.lambda_star - cf.lambda_inf) for tp in turns)
-    r = np.geomspace(0.1, 1.0, 64)
-    _, u = profile(traj, t_eval, r)
-    sup_gap = float(np.max(np.abs(u - singular_profile(cf, r))))
+    _, u = profile(traj, t_eval, _CONVERGENCE_RADII)
+    sup_gap = float(np.max(np.abs(u - singular_profile(cf, _CONVERGENCE_RADII))))
     quad = characteristic_quadratic(curve.params, curve.problem)
     return ConvergenceReport(
         lambda_inf=cf.lambda_inf,

@@ -98,10 +98,10 @@ back, for the nodes too.  The series enters these units only where their
 functionals are written in them: in the event samples and the root
 refinement.  Events are located on these rows (Section II.6) by
 :meth:`Trajectory._roots`, which guards the sign changes of a functional
-and refines each root on its row by Illinois regula falsi
-(:func:`_illinois`, the one root finder, which also places the zero of
-``w`` and the ``jl`` series floor); :mod:`pfold.curve` states the
-functionals.
+and refines each root on its row, gathered from the table once, by regula
+falsi with Anderson & Bjorck's scaling (:func:`_regula_falsi`, the one root
+finder, which also places the zero of ``w`` and the ``jl`` series floor);
+:mod:`pfold.curve` states the functionals.
 
 The whole stepping loop is generated from the coefficient tables, once
 per *form* of the right-hand side, when the form is first used
@@ -499,17 +499,20 @@ def _series(params: Params, problem: ProblemClass) -> _Series:
     return _Series(sigma, m, phi_exp, w_center, tuple(u[:size]), tuple(sgn * x for x in vs[:size]))
 
 
-def _illinois(fn, a: float, fa: float, xa: float, b: float, fb: float, xb: float,
-              tol: float):
+def _regula_falsi(fn, a: float, fa: float, xa: float, b: float, fb: float, xb: float,
+                  tol: float):
     """Root of a function between ``a < b``, where its values ``fa``, ``fb``
-    differ in sign, by Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971).
-    ``fn(c)`` returns ``(value, x, point)``: the function's value at ``c``,
-    the measure ``x`` of ``c`` (``xa``, ``xb`` at ``a``, ``b``) and what the
-    caller wants of ``c``.  Stops once the bracket spans at most ``tol`` in
-    ``x``, or at a zero, and returns the ``point`` last evaluated (that of
-    the midpoint if none was); or once the bracket can no longer be split
-    (with ``tol = 0``, full precision), and returns that of the end where
-    ``|value|`` is smaller."""
+    differ in sign, by regula falsi with Anderson & Bjorck's scaling (BIT 13,
+    1973): where an end is kept twice in a row, its value is scaled by ``m =
+    1 - f(c)/f(e)``, with ``e`` the end that the new point ``c`` replaces
+    (0.5, Illinois' factor of Dowell & Jarratt, BIT 11, 1971, where ``m <=
+    0``).  ``fn(c)`` returns ``(value, x, point)``: the function's value at
+    ``c``, the measure ``x`` of ``c`` (``xa``, ``xb`` at ``a``, ``b``) and
+    what the caller wants of ``c``.  Stops once the bracket spans at most
+    ``tol`` in ``x``, or at a zero, and returns the ``point`` last evaluated
+    (that of the midpoint if none was); or once the bracket can no longer be
+    split (with ``tol = 0``, full precision), and returns that of the end
+    where ``|value|`` is smaller."""
     point = None
     side = 0
     while xb - xa > tol:
@@ -522,14 +525,16 @@ def _illinois(fn, a: float, fa: float, xa: float, b: float, fb: float, xb: float
         if fc == 0.0:
             break
         if (fc > 0.0) == (fb > 0.0):
-            b, xb, fb = c, xc, fc
             if side < 0:
-                fa *= 0.5
+                m = 1.0 - fc / fb
+                fa *= m if m > 0.0 else 0.5
+            b, xb, fb = c, xc, fc
             side = -1
         else:
-            a, xa, fa = c, xc, fc
             if side > 0:
-                fb *= 0.5
+                m = 1.0 - fc / fa
+                fb *= m if m > 0.0 else 0.5
+            a, xa, fa = c, xc, fc
             side = 1
     return fn(0.5 * (a + b))[2] if point is None else point
 
@@ -925,7 +930,7 @@ def integrate(params: Params, problem: ProblemClass,
         def above(t):  # w - 1/2, in ln t to 1e-12
             return series.state(t)[0] - _JL_SERIES_FLOOR, math.log(t), t
 
-        t1 = _illinois(above, cfg.t_start, *above(cfg.t_start)[:2], t1, *above(t1)[:2], 1e-12)
+        t1 = _regula_falsi(above, cfg.t_start, *above(cfg.t_start)[:2], t1, *above(t1)[:2], 1e-12)
     if math.log(t1) == math.log(cfg.t_max):  # no log-phase interval left
         t1 = cfg.t_max
     t_nodes: list[float] = [cfg.t_start, t1]
@@ -964,7 +969,7 @@ def integrate(params: Params, problem: ProblemClass,
                 big_w, z = _dense(row, s)
                 return big_w, s, (row[0] + s * row[1], big_w, z)
 
-            end = _illinois(on_row, 0.0, row[2], 0.0, 1.0, end[1], 1.0, 0.0)
+            end = _regula_falsi(on_row,0.0, row[2], 0.0, 1.0, end[1], 1.0, 0.0)
         x0, h = table[:, 0], table[:, 1]
         step_range = (float(h.min()), float(h.max())) if run.accepted else (None, None)
         stats.append(PhaseStats("log", run.accepted, run.rejected, run.nfev, *step_range,
@@ -1042,7 +1047,7 @@ class Trajectory:
     Row ``k`` of the ``(m, 18)`` array ``_table`` holds its ``(x0, h, y0,
     F0, ..., F6)`` of ``(W, Z) = (w t^-g, v t^c)``, two floats each; the
     stepper's run is kept there only, as each row starts at its node.
-    :meth:`_row_point` (one point) and :meth:`_read` (arrays, also the
+    :meth:`_row_reader` (points of one row) and :meth:`_read` (arrays, also the
     scan's ``_samples``) give ``(x, W, Y = t w' t^-g, scale = t^-g)`` with
     :func:`_dense`, on the rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
     = (W, Y) / scale`` is the one rescale back from the rows, also of the
@@ -1106,7 +1111,7 @@ class Trajectory:
 
     def _read(self, row: np.ndarray, theta: np.ndarray) -> _Samples:
         """:class:`_Samples` at the parameters ``theta`` of the rows ``row``: the
-        arithmetic of :meth:`_row_point` on arrays."""
+        arithmetic of :meth:`_row_reader` on arrays."""
         ser = self._series
         on_series = row < 0
         on_rows = ~on_series
@@ -1124,19 +1129,26 @@ class Trajectory:
         y[on_rows] = _phi_inv_many(z, ser.phi_exp)
         return _Samples(row, theta, x, big_w, y, scale)
 
-    def _row_point(self, row: int, theta: float) -> tuple[float, float, float, float]:
-        """``(x, W, Y, t^-g)`` of :attr:`_samples` at the parameter ``theta``
-        of dense row ``row``."""
+    def _row_reader(self, row: int):
+        """The reader ``point(theta)`` of dense row ``row``, gathered once: the
+        ``(x, W, Y, t^-g)`` of :attr:`_samples` at the parameter ``theta``."""
         ser, g = self._series, self._g
+        sigma, phi_exp = ser.sigma, ser.phi_exp
         if row < 0:
-            w, big_v = ser.slope_form(theta)
-            x = math.log(theta) / ser.sigma
-            scale = math.exp(-g * x)
-            return x, w * scale, theta * _phi_inv(big_v, ser.phi_exp) * scale, scale
+            def point(theta):
+                w, big_v = ser.slope_form(theta)
+                x = math.log(theta) / sigma
+                scale = math.exp(-g * x)
+                return x, w * scale, theta * _phi_inv(big_v, phi_exp) * scale, scale
+            return point
         step = self._table[row].tolist()
-        big_w, z = _dense(step, theta)
-        x = step[0] + theta * step[1]
-        return x, big_w, _phi_inv(z, ser.phi_exp), math.exp(-g * x)
+        x0, h = step[0], step[1]
+
+        def point(theta):
+            big_w, z = _dense(step, theta)
+            x = x0 + theta * h
+            return x, big_w, _phi_inv(z, phi_exp), math.exp(-g * x)
+        return point
 
     def _guard(self, w, t_wprime, coeff_sum: float, scale):
         """Noise floor of a functional linear in ``w`` and ``t w'``, whose
@@ -1155,8 +1167,9 @@ class Trajectory:
         ``W = w t^-g``, ``Y = t w' t^-g``, evaluated on :attr:`_samples`.
         With ``coeff_sum``, only samples whose value clears :meth:`_guard`
         count.  Each sign change between consecutive counted samples is
-        refined on the dense row that holds it: a bracket that spans several
-        rows goes to the first row whose end values differ in sign.  Returns
+        refined by :func:`_regula_falsi` on the dense row that holds it, read
+        by one :meth:`_row_reader`: a bracket that spans several rows goes to
+        the first row whose end values differ in sign.  Returns
         ``(x, W, Y, t^-g, positive_before)`` per root.
         """
         smp = self._samples
@@ -1180,12 +1193,12 @@ class Trajectory:
             end = self._series_end**self._series.sigma if row < 0 else 1.0  # of row lo
             t_hi = float(theta[hi]) if rows[hi] == row else end
 
-            def at(theta_c, row=row):  # fn at the parameter theta_c of the row, in ln t
-                point = self._row_point(row, theta_c)
-                return fn(*point[:3]), point[0], point
+            def at(theta_c, read=self._row_reader(row)):  # fn at theta_c of the row, in ln t
+                point = x, big_w, y, _ = read(theta_c)
+                return fn(x, big_w, y), x, point
 
-            point = _illinois(at, float(theta[lo]), float(vals[lo]), float(xs[lo]),
-                              t_hi, float(vals[hi]), float(xs[hi]), ROOT_RTOL)
+            point = _regula_falsi(at, float(theta[lo]), float(vals[lo]), float(xs[lo]),
+                                  t_hi, float(vals[hi]), float(xs[hi]), ROOT_RTOL)
             if point[0] > x_min:
                 out.append((*point, bool(vals[i] > 0.0)))
         return out
@@ -1211,23 +1224,26 @@ class Trajectory:
             return self._series.state(max(t, _TAU_MIN ** (1.0 / self._series.sigma)))[:2]
         row = min(max(k - 2, 0), len(self._table) - 1)
         x0, h = self._table[row, :2].tolist()
-        _, big_w, y, scale = self._row_point(row, (math.log(t) - x0) / h)
+        _, big_w, y, scale = self._row_reader(row)((math.log(t) - x0) / h)
         return big_w / scale, y / scale / t
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized dense ``(w, w')``; exact at stored nodes."""
+        """Vectorized dense ``(w, w')``; exact at stored nodes.  The series is
+        read only where some ``t`` lies on its segment."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         lo, hi = self.t_start, self.t_end
-        if np.any(ts < lo - 1e-12 * lo) or np.any(ts > hi + 1e-12 * hi):
+        t_lo, t_hi = (ts.min(), ts.max()) if len(ts) else (lo, hi)
+        if t_lo < lo - 1e-12 * lo or t_hi > hi + 1e-12 * hi:
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)
         on_rows = ts >= self._series_end
         w, wp = np.empty((2, len(ts)))
-        # the series in its own variables: where t^sigma falls below the normal
-        # floats it no longer tells t apart, and the series is w_c to double
-        # precision, so it is read at _TAU_MIN there
-        t_min = _TAU_MIN ** (1.0 / self._series.sigma)
-        w[~on_rows], wp[~on_rows], _ = self._series.state(np.maximum(ts[~on_rows], t_min))
+        if not t_lo >= self._series_end:  # some t on the series segment, or a NaN
+            # the series in its own variables: where t^sigma falls below the normal
+            # floats it no longer tells t apart, and the series is w_c to double
+            # precision, so it is read at _TAU_MIN there
+            t_min = _TAU_MIN ** (1.0 / self._series.sigma)
+            w[~on_rows], wp[~on_rows], _ = self._series.state(np.maximum(ts[~on_rows], t_min))
         t = ts[on_rows]
         row = np.clip(idx[on_rows] - 2, 0, len(self._table) - 1)
         smp = self._read(row, (np.log(t) - self._table[row, 0]) / self._table[row, 1])

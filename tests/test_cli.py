@@ -72,15 +72,27 @@ class TestAnalyze:
         for name in ("leading_coefficient", "beta_threshold", "decay_exponent"):
             assert doc["conditions"][name]["holds"] is True
 
-    @pytest.mark.parametrize("sub,key", [("analyze", "closed_forms"), ("turns", "lambda_inf")])
+    # admissible sets without a guiding solution, with the condition each misses
+    NO_GUIDING = [(("gelfand", "-p", "2", "-n", "1.5"), "n > p"),
+                  (("mems", "-p", "2", "-n", "1", "-q", "3"), "(p-1)(beta-1) + n - 1 > 0"),
+                  (("jl", "-p", "2", "-n", "6", "-q", "1.01"), "(n-p) beta^(p-1)"),
+                  (("jl", "-p", "3", "-n", "5", "-q", "1.5"), "q - p + 1 > 0")]
+
+    @pytest.mark.parametrize("sub,key", [("analyze", "closed_forms"), ("turns", "lambda_inf"),
+                                         ("curve", "lambda_inf")])
     def test_no_guiding_solution(self, run_cli, sub, key):
-        # n < p: no guiding solution, so no closed forms and no lambda_inf
-        proc = run_cli(sub, "--class", "gelfand", "-p", "2", "-n", "1.5", "--format", "json",
-                       check=True)
-        doc = json.loads(proc.stdout)
-        assert doc.get("summary", doc)[key] is None
-        if sub == "analyze":
-            assert "n > p" in doc["validity_error"]
+        # no guiding solution, so no closed forms and no lambda_inf; the
+        # curve is still finite (the jl runs end at their zero)
+        for argv, condition in self.NO_GUIDING:
+            proc = run_cli(sub, "--class", *argv, "--format", "json", check=True)
+            doc = json.loads(proc.stdout)
+            assert doc.get("summary", doc)[key] is None
+            if sub == "analyze":
+                assert condition in doc["validity_error"]
+            if sub == "curve":
+                assert len(doc["rows"]) == doc["summary"]["rows"] > 2
+                assert np.all(np.isfinite(doc["rows"]))
+                assert ("warning" in doc["summary"]) == (argv[0] == "jl")
 
     def test_infinite_threshold_is_quoted(self, run_cli):
         # mems with 4q = (p-2)^2: the beta threshold is infinite

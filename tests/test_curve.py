@@ -29,11 +29,12 @@ from pfold import (
     profile,
     shooting_check,
     singular_profile,
+    startup_state,
     turning_points,
 )
 from pfold import ivp
 from pfold.ivp import GUARD_FACTOR, ROOT_RTOL
-from pfold.model import class_spec
+from pfold.model import ValidityError, class_spec
 from pfold.verify import RESIDUAL_SETS
 
 from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233
@@ -120,6 +121,22 @@ class TestBuildCurve:
                 points[len(rows)]
             for col in columns:
                 assert col.dtype == np.float64 and not col.flags.writeable
+
+
+    def test_without_a_guiding_solution(self, gelfand3_traj):
+        # gelfand n < p has no guiding solution: the curve needs none, and the
+        # convergence report, which compares with it, raises
+        traj = integrate(Params(p=2, n=1.5, alpha=0), G)
+        curve = build_curve(traj)
+        assert curve.closed_forms is None and len(curve.t) == 501
+        assert all(np.isfinite(col).all() for col in (curve.lam, curve.u0, curve.monitor))
+        with pytest.raises(ValidityError, match="n > p"):
+            convergence(curve)
+        # the report computes the closed forms a curve was built without
+        cf = closed_forms(GELFAND3, G)
+        assert build_curve(gelfand3_traj, cf).closed_forms is cf
+        assert (convergence(build_curve(gelfand3_traj), 1e3)
+                == convergence(build_curve(gelfand3_traj, cf), 1e3))
 
 
 class TestMonitor:
@@ -437,6 +454,94 @@ class TestEventLocation:
         assert roots[0][0] == pytest.approx(x_root, abs=ROOT_RTOL)
 
 
+class TestRefinementCost:
+    """Event refinement, counted: row evaluations per refined root, and no
+    series read by ``eval_many`` where no time lies on the series segment."""
+
+    # the benchmark's spiral cases, unperturbed, at its horizon
+    SPIRAL = [(GELFAND3, G), (GELFAND10, G), (MEMS233, M), (JL454, J),
+              (Params(p=3, n=5, alpha=1), G), (Params(p=2, n=9, alpha=0), G),
+              (Params(p=2.5, n=13.75, alpha=0), G)]
+
+    def test_evaluations_per_root(self, monkeypatch):
+        # Anderson-Bjorck's scaling takes 4.09 evaluations per root over the
+        # 101 folds, crossings and extrema here; Illinois' halving took 5.14
+        refined = []
+        original = ivp._regula_falsi
+
+        def spy(fn, *args):
+            calls = []
+            refined.append(calls)
+            return original(lambda c: calls.append(c) or fn(c), *args)
+
+        for params, problem in self.SPIRAL:
+            traj = integrate(params, problem, IntegratorConfig(t_max=1e8))
+            with monkeypatch.context() as patch:
+                patch.setattr(ivp, "_regula_falsi", spy)
+                turning_points(traj)
+                intersections(traj)
+        evaluations = sum(map(len, refined))
+        assert len(refined) > 90
+        assert evaluations <= 4.3 * len(refined)
+
+    def test_eval_many_past_the_series_reads_no_series(self, gelfand3_traj, monkeypatch):
+        traj = gelfand3_traj
+        curve = build_curve(traj)  # its grid starts on the series segment
+        states = []
+        original = ivp._Series.state
+        monkeypatch.setattr(ivp._Series, "state",
+                            lambda self, t: states.append(t) or original(self, t))
+        traj.eval_many(np.geomspace(traj._series_end, traj.t_end, 50))
+        profile(traj, 1e3, np.geomspace(0.1, 1.0, 64))
+        convergence(curve, t_eval=1e3)
+        assert states == []
+        traj.eval_many([traj.t_start, traj.t_end])
+        assert len(states) == 1
+
+
+class TestCriticalExponent:
+    """jl at the critical exponent ``q = (np - n + p + p alpha)/(n - p)``,
+    where the regular solution is the Talenti bubble ``w = (1 + c
+    t^sigma)^-m``: ``sigma = (alpha+p)/(p-1)``, ``m = (n-p)/(alpha+p)`` and
+    ``c = kappa/m``, with ``w ~ 1 - kappa t^sigma`` of the startup series.
+    ``lambda = t^(alpha+p) w^(q-p+1)`` has one fold, at ``c t*^sigma = p -
+    1``, where ``lambda* = ((p-1)/c)^(p-1) p^-p``.  The horizon is 100: the
+    computed bubble drifts past 1e-3 by ``t = 1e4`` on two of these sets."""
+
+    @staticmethod
+    def _bubble(p, n, alpha):
+        q = (n * p - n + p + p * alpha) / (n - p)
+        params = Params(p=p, n=n, alpha=alpha, q=q)
+        sigma, m = (alpha + p) / (p - 1.0), (n - p) / (alpha + p)
+        kappa = 1.0 - startup_state(params, J, 1.0).w
+        return params, sigma, m, kappa / m
+
+    @pytest.mark.parametrize("p,n,alpha", [(2, 3, 0), (2, 5, 0), (3, 5, 0), (4, 9, 0.5),
+                                           (2.5, 7, 1.3)])
+    def test_one_fold_on_the_bubble(self, p, n, alpha):
+        params, sigma, m, c = self._bubble(p, n, alpha)
+        traj = integrate(params, J, IntegratorConfig(t_max=100.0))
+        assert traj.termination == "t_max"
+        (fold,) = turning_points(traj)
+        # measured: at most 4.8e-11, 2.2e-10 and 3.6e-9 (w, absolute)
+        assert fold.lambda_star == pytest.approx(((p - 1) / c) ** (p - 1) * p**-p, rel=1e-9)
+        assert fold.t_star == pytest.approx(((p - 1) / c) ** (1 / sigma), rel=1e-8)
+        t = np.array([1.0, 10.0, 100.0])
+        w, _ = traj.eval_many(t)
+        assert w == pytest.approx((1.0 + c * t**sigma) ** -m, rel=0.0, abs=1e-7)
+
+    def test_the_bubble_solves_the_equation(self):
+        # (2, 3, 0, 5): c = 1/3, and w = (1 + t^2/3)^(-1/2) solves
+        # w'' + (2/t) w' + w^5 = 0 exactly
+        import sympy as sp
+
+        t = sp.symbols("t", positive=True)
+        w = (1 + t**2 / 3) ** sp.Rational(-1, 2)
+        assert sp.simplify(sp.diff(w, t, 2) + 2 / t * sp.diff(w, t) + w**5) == 0
+        _, sigma, m, c = self._bubble(2.0, 3.0, 0.0)
+        assert (sigma, m) == (2.0, 0.5) and c == pytest.approx(1 / 3, rel=1e-15)
+
+
 class TestRealRootFolds:
     """Outside the oscillation window the characteristic roots are real and
     the curve is monotone, so no fold may be reported, out to t = 1e8."""
@@ -543,13 +648,13 @@ class TestConvergence:
         # call and the report refine no root again
         traj = integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))
         refined = []
-        original = ivp._illinois
+        original = ivp._regula_falsi
 
         def spy(*args):
             refined.append(args)
             return original(*args)
 
-        monkeypatch.setattr(ivp, "_illinois", spy)
+        monkeypatch.setattr(ivp, "_regula_falsi", spy)
         first = turning_points(traj)
         assert len(first) >= 7 and len(refined) >= len(first)
         expected = list(first)

@@ -541,7 +541,7 @@ def _flux_state(traj, sol, t):
 
 
 class TestOneRootFinder:
-    """``ivp._illinois`` refines every root: events on the dense rows, the
+    """``ivp._regula_falsi`` refines every root: events on the dense rows, the
     zero of ``w`` that ends a ``jl`` run, and the ``jl`` series floor."""
 
     @staticmethod
@@ -554,16 +554,16 @@ class TestOneRootFinder:
     def test_full_precision_is_the_float_nearest_the_root(self, k):
         # 1/3 lies between two floats; float(1/3) is the nearer
         fn = self._power(Fraction(1, 3), k)
-        assert ivp._illinois(fn, 0.0, fn(0.0)[0], 0.0, 1.0, fn(1.0)[0], 1.0, 0.0) == 1.0 / 3.0
+        assert ivp._regula_falsi(fn, 0.0, fn(0.0)[0], 0.0, 1.0, fn(1.0)[0], 1.0, 0.0) == 1.0 / 3.0
         # a bracket that is already two adjacent floats
         a = 1.0 / 3.0
         b = math.nextafter(a, 1.0)
-        assert ivp._illinois(fn, a, fn(a)[0], a, b, fn(b)[0], b, 0.0) == a
+        assert ivp._regula_falsi(fn, a, fn(a)[0], a, b, fn(b)[0], b, 0.0) == a
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_stops_at_the_tolerance(self, k):
         fn = self._power(Fraction(3, 10), k)
-        root = ivp._illinois(fn, 0.0, fn(0.0)[0], 0.0, 1.0, fn(1.0)[0], 1.0, 1e-6)
+        root = ivp._regula_falsi(fn, 0.0, fn(0.0)[0], 0.0, 1.0, fn(1.0)[0], 1.0, 1e-6)
         assert abs(root - 0.3) <= 1e-6
 
     @pytest.mark.parametrize("params", [params for params, _ in TestStartupSeries.JL_ZEROS])
@@ -1245,7 +1245,7 @@ class TestSamples:
         # W bit for bit, and Y = phiinv(Z) too at p = 2, where numpy's |Z|^1.0
         # is exact (else to 1 ulp); the scales differ as numpy's exp and libm's
         smp = traj._samples
-        points = [traj._row_point(k, s) for k, s in zip(smp.row.tolist(), smp.theta.tolist())]
+        points = [traj._row_reader(k)(s) for k, s in zip(smp.row.tolist(), smp.theta.tolist())]
         x, big_w, y, scale = map(np.array, zip(*points))
         rows = smp.row >= 0
         assert np.array_equal(x[rows], smp.x[rows])
@@ -1297,7 +1297,7 @@ class TestOneReader:
         rng = np.random.default_rng(7)
         row, theta = rng.integers(0, len(traj._table), 400), rng.random(400)
         smp = traj._read(row, theta)
-        x, big_w, y, _ = map(np.array, zip(*(traj._row_point(k, s)
+        x, big_w, y, _ = map(np.array, zip(*(traj._row_reader(k)(s)
                                               for k, s in zip(row.tolist(), theta.tolist()))))
         assert np.array_equal(smp.x, x) and np.array_equal(smp.big_w, big_w)
         # phiinv of an array can round Z's power differently by an ulp
