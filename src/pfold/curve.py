@@ -417,11 +417,11 @@ def convergence(curve: SolutionCurve, t_eval: float | None = None) -> Convergenc
     (eventually decreasing when the regime is oscillatory);
     ``profile_sup_gap`` is the sup-distance of the radial profile at
     ``t_eval`` from the explicit singular profile over the 64 log-spaced
-    radii in [0.1, 1] of ``_CONVERGENCE_RADII``.  A curve built without
-    closed forms gets them here, and without a guiding solution raises
-    :class:`~pfold.model.ValidityError`.  The real part of the characteristic roots is included
-    since it sets the expected decay rate ``t^(Re r - g)`` of both gaps
-    (``g`` as in :class:`ConvergenceReport`).
+    radii in [0.1, 1] of ``_CONVERGENCE_RADII``.  The real part of the
+    characteristic roots is included since it sets the expected decay rate
+    ``t^(Re r - g)`` of both gaps (``g`` as in :class:`ConvergenceReport`).
+    A curve built without closed forms gets them here; without a guiding
+    solution this raises :class:`~pfold.model.ValidityError`.
     """
     traj = curve.trajectory
     if traj.t_end < 1e3:

@@ -930,7 +930,8 @@ def integrate(params: Params, problem: ProblemClass,
         def above(t):  # w - 1/2, in ln t to 1e-12
             return series.state(t)[0] - _JL_SERIES_FLOOR, math.log(t), t
 
-        t1 = _regula_falsi(above, cfg.t_start, *above(cfg.t_start)[:2], t1, *above(t1)[:2], 1e-12)
+        t1 = _regula_falsi(above, cfg.t_start, *above(cfg.t_start)[:2], t1, *above(t1)[:2],
+                           1e-12)
     if math.log(t1) == math.log(cfg.t_max):  # no log-phase interval left
         t1 = cfg.t_max
     t_nodes: list[float] = [cfg.t_start, t1]
@@ -969,7 +970,7 @@ def integrate(params: Params, problem: ProblemClass,
                 big_w, z = _dense(row, s)
                 return big_w, s, (row[0] + s * row[1], big_w, z)
 
-            end = _regula_falsi(on_row,0.0, row[2], 0.0, 1.0, end[1], 1.0, 0.0)
+            end = _regula_falsi(on_row, 0.0, row[2], 0.0, 1.0, end[1], 1.0, 0.0)
         x0, h = table[:, 0], table[:, 1]
         step_range = (float(h.min()), float(h.max())) if run.accepted else (None, None)
         stats.append(PhaseStats("log", run.accepted, run.rejected, run.nfev, *step_range,

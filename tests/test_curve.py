@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy as sp
 from hypothesis import assume, given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
@@ -121,7 +122,6 @@ class TestBuildCurve:
                 points[len(rows)]
             for col in columns:
                 assert col.dtype == np.float64 and not col.flags.writeable
-
 
     def test_without_a_guiding_solution(self, gelfand3_traj):
         # gelfand n < p has no guiding solution: the curve needs none, and the
@@ -523,18 +523,16 @@ class TestCriticalExponent:
         traj = integrate(params, J, IntegratorConfig(t_max=100.0))
         assert traj.termination == "t_max"
         (fold,) = turning_points(traj)
-        # measured: at most 4.8e-11, 2.2e-10 and 3.6e-9 (w, absolute)
+        # measured: at most 4.8e-11 (lambda*), 2.2e-10 (t*) and 3.7e-9 (w), relative
         assert fold.lambda_star == pytest.approx(((p - 1) / c) ** (p - 1) * p**-p, rel=1e-9)
         assert fold.t_star == pytest.approx(((p - 1) / c) ** (1 / sigma), rel=1e-8)
         t = np.array([1.0, 10.0, 100.0])
         w, _ = traj.eval_many(t)
-        assert w == pytest.approx((1.0 + c * t**sigma) ** -m, rel=0.0, abs=1e-7)
+        assert w == pytest.approx((1.0 + c * t**sigma) ** -m, rel=1e-7)
 
     def test_the_bubble_solves_the_equation(self):
         # (2, 3, 0, 5): c = 1/3, and w = (1 + t^2/3)^(-1/2) solves
         # w'' + (2/t) w' + w^5 = 0 exactly
-        import sympy as sp
-
         t = sp.symbols("t", positive=True)
         w = (1 + t**2 / 3) ** sp.Rational(-1, 2)
         assert sp.simplify(sp.diff(w, t, 2) + 2 / t * sp.diff(w, t) + w**5) == 0
