@@ -1213,7 +1213,13 @@ class Trajectory:
         return int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
 
     def eval(self, t: float) -> tuple[float, float]:
-        """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes."""
+        """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes.
+
+        Elsewhere it reads the same row polynomial as :meth:`eval_many` in
+        scalar arithmetic, so the two may differ in the last bits: on gelfand
+        (2, 3, 0), (2, 10, 0) and (3, 5, 1), mems (2, 3, 0, 2) and jl (2, 4, 0,
+        5) run to ``t = 1e8``, 31 to 56 of 400 log-uniform random times
+        differed, by at most 4e-16 relative."""
         t = float(t)
         lo, hi = self.t_start, self.t_end
         if t < lo - 1e-12 * lo or t > hi + 1e-12 * hi:
@@ -1230,7 +1236,8 @@ class Trajectory:
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Vectorized dense ``(w, w')``; exact at stored nodes.  The series is
-        read only where some ``t`` lies on its segment."""
+        read only where some ``t`` lies on its segment.  Away from the nodes it
+        may differ from :meth:`eval` in the last bits (see there)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         lo, hi = self.t_start, self.t_end
         t_lo, t_hi = (ts.min(), ts.max()) if len(ts) else (lo, hi)

@@ -393,7 +393,7 @@ def characteristic_quadratic(params: Params, problem: ProblemClass) -> Character
 
 @dataclass(frozen=True)
 class ConditionResult:
-    """Outcome of one named inequality.
+    """Outcome of one inequality, named by its key in ``RegimeReport.conditions``.
 
     ``margin`` is signed so that positive means the condition holds
     strictly; ``boundary`` is set when ``|margin| <= 1e-14``, in which case
@@ -402,7 +402,6 @@ class ConditionResult:
     conditions carry the comparison ``threshold``.
     """
 
-    name: str
     holds: bool
     margin: float
     boundary: bool = False
@@ -412,17 +411,16 @@ class ConditionResult:
     expression: str = ""
 
     def to_dict(self) -> dict:
-        d = {k: v for k, v in asdict(self).items() if k != "name" and v is not None}
+        d = {k: v for k, v in asdict(self).items() if v is not None}
         if self.lower is not None and self.upper is not None:
             d["window"] = f"{self.lower:g}<n<{self.upper:g}"
         return d
 
 
-def _condition(name: str, margin: float, *, threshold=None, lower=None, upper=None,
+def _condition(margin: float, *, threshold=None, lower=None, upper=None,
                expression: str = "") -> ConditionResult:
     boundary = abs(margin) <= BOUNDARY_TOL
     return ConditionResult(
-        name=name,
         holds=(margin > 0.0) and not boundary,
         margin=margin,
         boundary=boundary,
@@ -433,9 +431,8 @@ def _condition(name: str, margin: float, *, threshold=None, lower=None, upper=No
     )
 
 
-def _window(name: str, value: float, lower: float, upper: float, expression: str) -> ConditionResult:
+def _window(value: float, lower: float, upper: float, expression: str) -> ConditionResult:
     return _condition(
-        name,
         min(value - lower, upper - value),
         lower=lower,
         upper=upper,
@@ -478,10 +475,7 @@ def _gelfand_conditions(params: Params) -> dict[str, ConditionResult]:
     p, n, alpha = params.p, params.n, params.alpha
     upper = (p * p + 3.0 * p + 4.0 * alpha) / (p - 1.0)
     return {
-        "dimension_window": _window(
-            "dimension_window", n, p, upper,
-            "p < n < (p^2 + 3p + 4 alpha)/(p - 1)",
-        )
+        "dimension_window": _window(n, p, upper, "p < n < (p^2 + 3p + 4 alpha)/(p - 1)")
     }
 
 
@@ -491,21 +485,17 @@ def _mems_conditions(params: Params) -> dict[str, ConditionResult]:
     conds: dict[str, ConditionResult] = {}
 
     conds["guiding_positive"] = _condition(
-        "guiding_positive",
         (p - 1.0) * (beta - 1.0) + n - 1.0,
         expression="(p-1)(beta-1) + n - 1 > 0",
     )
 
     lead = 4.0 * q - (p - 2.0) ** 2
-    conds["leading_coefficient"] = _condition(
-        "leading_coefficient", lead, expression="4q - (p-2)^2 > 0",
-    )
+    conds["leading_coefficient"] = _condition(lead, expression="4q - (p-2)^2 > 0")
 
     big_a = (p - 1.0) * lead
     big_b = (4.0 * q - 2.0 * (p - 1.0) * (p - 2.0)) * (n - p)
     big_c = (p - 1.0) * (n - p) ** 2
     conds["oscillation"] = _condition(
-        "oscillation",
         big_a * beta**2 + big_b * beta - big_c,
         expression="A beta^2 + B beta - C > 0 with A = 4(p-1)q - (p-1)(p-2)^2, "
         "B = 4q(n-p) - 2(p-1)(p-2)(n-p), C = (p-1)(n-p)^2",
@@ -518,7 +508,6 @@ def _mems_conditions(params: Params) -> dict[str, ConditionResult]:
     else:
         rhs = math.inf
     conds["beta_threshold"] = _condition(
-        "beta_threshold",
         beta - rhs,
         threshold=rhs,
         expression="beta > [(p-n)(2q - p^2 + 3p - 2) + 2|n-p| sqrt(q(p+q-1))]"
@@ -526,7 +515,6 @@ def _mems_conditions(params: Params) -> dict[str, ConditionResult]:
     )
 
     conds["decay_exponent"] = _condition(
-        "decay_exponent",
         (p - 1.0) * (beta - 1.0) + n - 1.0 - beta,
         expression="(p-1)(beta-1) + n - 1 > beta",
     )
@@ -538,7 +526,6 @@ def _mems_conditions(params: Params) -> dict[str, ConditionResult]:
     else:
         upper = math.inf
     conds["sufficient_window"] = _condition(
-        "sufficient_window",
         min(m1, lead, n - p, upper - n),
         lower=p,
         upper=upper,
@@ -556,14 +543,12 @@ def _jl_conditions(params: Params) -> dict[str, ConditionResult]:
     if n > p:
         threshold = (n * p - n + p + p * alpha) / (n - p)
         conds["supercritical"] = _condition(
-            "supercritical",
             q - threshold,
             threshold=threshold,
             expression="q > (np - n + p + p alpha)/(n - p), n > p",
         )
     else:
         conds["supercritical"] = _condition(
-            "supercritical",
             n * (q - p + 1.0) - p * (q + 1.0 + alpha),
             expression="q > (np - n + p + p alpha)/(n - p), n > p",
         )
@@ -575,7 +560,6 @@ def _jl_conditions(params: Params) -> dict[str, ConditionResult]:
         gamma = (p - 2.0) ** 2 * beta**2 + 4.0 * q * beta**2
         disc = theta**2 - 4.0 * gamma
         conds["oscillation"] = _condition(
-            "oscillation",
             theta * (n - p) - (n - p) ** 2 - gamma,
             expression="(n-p)^2 - theta (n-p) + gamma < 0 with "
             "theta = 2 beta (p-2) + 4 q beta/(p-1), gamma = (p-2)^2 beta^2 + 4 q beta^2",
@@ -583,13 +567,11 @@ def _jl_conditions(params: Params) -> dict[str, ConditionResult]:
         if disc >= 0.0:
             half = (theta + math.sqrt(disc)) / 2.0
             conds["dimension_upper"] = _condition(
-                "dimension_upper",
                 half - (n - p),
                 threshold=p + half,
                 expression="n - p < (theta + sqrt(theta^2 - 4 gamma))/2",
             )
             conds["dimension_window"] = _window(
-                "dimension_window",
                 n,
                 p * (q + 1.0 + alpha) / (q - p + 1.0),
                 p + half,
@@ -598,37 +580,33 @@ def _jl_conditions(params: Params) -> dict[str, ConditionResult]:
         else:
             for name in ("dimension_upper", "dimension_window"):
                 conds[name] = _condition(
-                    name, disc, expression="no real oscillation window (theta^2 - 4 gamma < 0)",
+                    disc, expression="no real oscillation window (theta^2 - 4 gamma < 0)",
                 )
     else:
         for name in ("oscillation", "dimension_upper", "dimension_window"):
             conds[name] = _condition(
-                name, q - p + 1.0, expression="q - p + 1 > 0 required",
+                q - p + 1.0, expression="q - p + 1 > 0 required",
             )
 
     if p == 2.0 and alpha == 0.0:
         upper = 4.0 * q / (q - 1.0) + 4.0 * math.sqrt(q / (q - 1.0))
         if n > 2.0:
             conds["classical_supercritical"] = _condition(
-                "classical_supercritical",
                 q - (n + 2.0) / (n - 2.0),
                 threshold=(n + 2.0) / (n - 2.0),
                 expression="q > (n+2)/(n-2), n > 2",
             )
         else:
             conds["classical_supercritical"] = _condition(
-                "classical_supercritical",
                 q * (n - 2.0) - (n + 2.0),
                 expression="q > (n+2)/(n-2), n > 2",
             )
         conds["classical_dimension_upper"] = _condition(
-            "classical_dimension_upper",
             upper - (n - 2.0),
             threshold=2.0 + upper,
             expression="n - 2 < 4q/(q-1) + 4 sqrt(q/(q-1))",
         )
         conds["classical_window"] = _window(
-            "classical_window",
             n,
             (2.0 + 2.0 * q) / (q - 1.0),
             2.0 + upper,

@@ -16,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from pfold import ivp
+from pfold import Params, ProblemClass, curve, ivp
 from pfold.verify import KNOWN_FAILING, run_acceptance
 
 EXPECTED_CHECKS = [
@@ -95,6 +95,16 @@ def test_criterion(check_id):
     result = _matrix()[check_id]
     print(result.line())
     assert result.passed, result.detail
+
+
+def test_shooting_on_the_general_radial_form():
+    # row 7 shoots at p = 2, alpha = 0 only; gelfand (3, 5, 1) runs the general
+    # radial form: its curve point at t = 1 shoots to u(1) = 0
+    params, problem = Params(p=3, n=5, alpha=1), ProblemClass.GELFAND
+    w, _ = ivp.integrate(params, problem).eval(1.0)
+    lam, u0 = curve.curve_values(problem, params, 1.0, w)
+    point = curve.CurvePoint(t=1.0, lam=lam, u0=u0, monitor=0.0)
+    assert curve.shooting_check(params, problem, point) < 1e-6
 
 
 def test_startup_row_catches_a_wrong_series_coefficient(monkeypatch):

@@ -65,6 +65,13 @@ class TestAnalyze:
         assert doc["predicted_infinite_turns"] is False
         assert doc["conditions"]["classical_window"]["holds"] is False
 
+    def test_jl_inside_window(self, run_cli):
+        proc = run_cli("analyze", "--class", "jl", "-p", "2", "-q", "5", "-n", "4", check=True)
+        doc = json.loads(proc.stdout)
+        assert doc["predicted_infinite_turns"] is True
+        assert doc["conditions"]["classical_window"]["holds"] is True
+        assert doc["closed_forms"]["lambda_inf"] == 0.75
+
     def test_mems_conditions_hold(self, run_cli):
         proc = run_cli("analyze", "--class", "mems", "-p", "2", "-q", "2", "-a", "0",
                        "-n", "3", check=True)
@@ -114,6 +121,11 @@ class TestAnalyze:
     def test_missing_class_exit_2(self, run_cli):
         proc = run_cli("analyze", "-p", "2", "-n", "3")
         assert proc.returncode == 2
+        # with the class but without p or n
+        for argv, message in ((("-n", "3"), "error: -p is required\n"),
+                              (("-p", "2"), "error: -n is required\n")):
+            proc = run_cli("analyze", "--class", "gelfand", *argv)
+            assert proc.returncode == 2 and proc.stdout == "" and proc.stderr == message
 
     def test_malformed_flag_exit_2(self, run_cli):
         proc = run_cli("analyze", "--class", "nosuch", "-p", "2", "-n", "3")
@@ -134,6 +146,13 @@ class TestSolve:
         assert t == 1e4 and w < 0 and wp < 0
         summary = json.loads(proc.stdout)
         assert summary["termination"] == "t_max"
+
+    def test_trajectory_json_file(self, run_cli, tmp_path):
+        out = tmp_path / "traj.json"
+        proc = run_cli("solve", "--class", "mems", "-p", "2", "-q", "2", "-n", "3",
+                       "--format", "json", "-o", str(out), check=True)
+        assert json.loads(out.read_text())["header"] == ["t", "w", "wprime"]
+        assert json.loads(proc.stdout)["termination"] == "t_max"
 
     def test_jl_zero_ends_with_a_warning(self, run_cli):
         proc = run_cli("solve", "--class", "jl", "-p", "2", "-n", "5", "-q", "2", "--format",
@@ -234,6 +253,29 @@ class TestTurns:
         traj = ivp.integrate(params, ProblemClass.GELFAND)
         assert discarded == guard_discarded(traj) >= 1
 
+    def test_real_root_case_to_1e300(self, run_cli):
+        # steps to 1e300 at the stability radius, with no fold
+        proc = run_cli("turns", "--class", "gelfand", "-p", "2.5", "-n", "13.75",
+                       "--t-max", "1e300", check=True)
+        assert proc.stdout == "t_star,lambda_star,u0_star,direction\n"
+        summary = json.loads(proc.stderr)
+        assert (summary["count"], summary["t_end"]) == (0, 1e300)
+
+    def test_late_folds_to_1e8(self, run_cli):
+        # late folds located on many dense rows, past row boundaries
+        proc = run_cli("turns", "--class", "mems", "-p", "2", "-q", "2", "-n", "3",
+                       "--t-max", "1e8", check=True)
+        summary = json.loads(proc.stderr)
+        assert summary["count"] == proc.stdout.count("\n") - 1 > 0
+        assert summary["alternating_directions"] is True
+
+    def test_jl_without_scaling_ends_at_its_zero(self, run_cli):
+        # q <= p - 1: the log phase runs without scaling (g = 0) and ends at a zero of w
+        proc = run_cli("turns", "--class", "jl", "-p", "3", "-n", "5", "-a", "0.5", "-q", "1.5",
+                       "--t-max", "100", "--format", "json", check=True)
+        summary = json.loads(proc.stdout)["summary"]
+        assert (summary["count"], summary["termination"]) == (0, "zero")
+
 
 class TestProfile:
     def test_boundary_row(self, run_cli, tmp_path):
@@ -244,6 +286,16 @@ class TestProfile:
         assert lines[0] == "r,u"
         assert lines[-1] == "1,0"
         assert len(lines) == 1 + 64
+
+    @pytest.mark.parametrize("argv", [("gelfand", "-p", "3", "-n", "5", "-a", "1"),
+                                      ("jl", "-p", "2", "-q", "5", "-n", "4")],
+                             ids=["gelfand-3-5-1", "jl-2-4-5"])
+    def test_boundary_row_at_the_default_t(self, run_cli, argv):
+        # u(1) = 0 exactly: w(t r) and w(t) come from one dense read
+        proc = run_cli("profile", "--class", *argv, check=True)
+        lines = proc.stdout.splitlines()
+        assert (lines[0], len(lines), lines[-1]) == ("r,u", 1 + 64, "1,0")
+        assert proc.stderr == ""
 
     def test_range_check_exit_2(self, run_cli):
         proc = run_cli("profile", "--class", "mems", "-p", "2", "-q", "2", "-n", "3",
@@ -303,9 +355,10 @@ class TestConfigFile:
         cfg = tmp_path / "run.cfg"
         cfg.write_text("class=gelfand\np=2\nn=3\nt_max=1e5\nrel-tol=1e-9\nmax_steps=5000\n")
         out = str(tmp_path / "traj.csv")
-        run_cli("solve", "--config", str(cfg), "-o", out, check=True)
-        run_cli("solve", "--config", str(cfg), "--t-max", "1e3", "-o", out, check=True)
-        run_cli("solve", "--class", "gelfand", "-p", "2", "-n", "3", "-o", out, check=True)
+        ends = [json.loads(run_cli("solve", *argv, "-o", out, check=True).stdout)["t_end"]
+                for argv in (("--config", str(cfg)), ("--config", str(cfg), "--t-max", "1e3"),
+                             ("--class", "gelfand", "-p", "2", "-n", "3"))]
+        assert ends == [1e5, 1e3, 1e4]
         assert seen == [IntegratorConfig(t_max=1e5, rel_tol=1e-9, max_steps=5000),
                         IntegratorConfig(t_max=1e3, rel_tol=1e-9, max_steps=5000),
                         IntegratorConfig()]
@@ -343,6 +396,14 @@ class TestConfigFile:
 
 
 class TestVerify:
+    def test_full_matrix(self, run_cli):
+        # exit 1 with one failure: the known expected failure only
+        proc = run_cli("verify")
+        lines = proc.stdout.splitlines()
+        assert proc.returncode == 1 and "39/40 criteria passed" in lines
+        failed = [line.split()[1] for line in lines if line.startswith("[FAIL]")]
+        assert failed == ["1-gelfand-spiral/lambda-gap-1e3"]
+
     def test_only_filter_passes(self, run_cli):
         proc = run_cli("verify", "--only", "8-condition")
         assert proc.returncode == 0

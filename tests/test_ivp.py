@@ -1194,6 +1194,8 @@ class TestEval:
             gelfand3_traj.eval(1e-7)
         with pytest.raises(ValueError):
             gelfand3_traj.eval(2e4)
+        with pytest.raises(ValueError):
+            gelfand3_traj.eval_many([2e4])
 
 
 def _truncated_traj():
