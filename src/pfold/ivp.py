@@ -57,10 +57,16 @@ for ``jl`` (:func:`~pfold.model.beta_exponent`) and the bracket ``D`` of
     ``W' = phiinv(Z)``,  ``Z' = (p-n) Z - exp((alpha+p) s + W)``   (``gelfand``).
 
 Self-similarity makes the ``mems`` and ``jl`` systems autonomous, and the
-guiding solution is a fixed point of all three (for ``gelfand``, ``Z`` is
-fixed and ``W`` falls at the constant rate ``alpha + p``), so the stepper
-follows a state that settles instead of one that grows or decays like a
-power of ``t``.  The fixed point's linearization has the eigenvalues
+guiding solution is their fixed point, so the stepper follows a state that
+settles instead of one that grows or decays like a power of ``t``.  For
+``gelfand``, ``Z`` is fixed on the guide but ``W`` falls at the constant
+rate ``k = alpha + p``; where the guide exists (``n > p``), ``gelfand``
+steps ``lambda = t^k e^W`` in place of ``W`` (:func:`_lambda_phase`):
+
+    ``lambda' = lambda (k + phiinv(Z))``,  ``Z' = (p-n) Z - lambda``,
+
+autonomous, free of ``exp`` and at rest at ``(lambda_inf, -k^(p-1))``.
+The fixed point's linearization has the eigenvalues
 ``mu = r - g``, with ``r`` the characteristic roots, and the step is capped
 at ``min(5 / max |mu|, 3 / min |mu|, 2 / max |Im r|)``, inside DOP853's
 stability region and where its dense output follows the linear modes (see
@@ -72,7 +78,13 @@ V1`` with ``k = alpha + p = m + c``, so that the flux ``t1^m V1``, which
 overflows for large ``n``, is never formed.  ``(W, Z)`` differs from
 ``(w, v)`` by powers of ``t1`` (for ``t1 < 1`` it can be tiny), so the
 absolute tolerance is applied in the units of ``(w, v)`` at ``t1``:
-``abs_tol (t1^-g, t1^c)``.  The dense rows hold ``(W, Z)``.  For the
+``abs_tol (t1^-g, t1^c)``; ``lambda``'s error is held relative (absolute
+tolerance 0), which holds ``w``'s to ``rel_tol``.  ``gelfand`` keeps ``W``
+where ``w1`` has not moved from 0 by more than ``rel_tol`` (near ``p =
+1`` every series coefficient underflows and ``w1 = 0``), as ``ln lambda -
+k s`` resolves ``w`` only to the rounding of ``k s``, and steps ``W`` from
+``t1`` again where ``lambda`` leaves the floats (an ``alpha`` in the
+thousands).  The dense rows hold ``(W, Z)``, or ``(lambda, Z)``.  For the
 ``jl`` class, ``w`` may reach zero in finite time: the stepper stops
 after the step on which it does, and the trajectory is truncated at the
 zero of that step's dense row.
@@ -93,7 +105,9 @@ run's whole record, and the log-phase nodes are read off them.  Every
 reader of :class:`Trajectory` reads the rows with the row polynomial
 :func:`_dense`, in the units ``(W, Y = t w' t^-g)`` and with ``scale =
 t^-g``: one time, an array of times, or the fixed fractions of every row
-that event location samples.  ``(w, t w') = (W, Y) / scale`` is the one way
+that event location samples.  A row of ``lambda`` is read as ``W = ln
+lambda - k s``, with numpy's ``log`` for one point too, whose last bit
+can differ from libm's.  ``(w, t w') = (W, Y) / scale`` is the one way
 back, for the nodes too.  The series enters these units only where their
 functionals are written in them: in the event samples and the root
 refinement.  Events are located on these rows (Section II.6) by
@@ -360,6 +374,28 @@ def _log_phase(params: Params, problem: ProblemClass):
         mantissa, exponent = math.frexp(cap)
         cap = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
     return rhs, g, c, cap
+
+
+def _lambda_phase(params: Params, problem: ProblemClass) -> _Rhs | None:
+    """Right-hand side ``(lambda, Z)' = rhs(s, lambda, Z)`` of ``gelfand``'s
+    log phase in ``lambda = t^k e^W``, ``k = alpha + p``, where it has a fixed
+    point (``n > p``); None elsewhere.
+
+    From ``W' = phiinv(Z)``, ``lambda' = lambda (k + phiinv(Z))``, and the
+    source ``exp(k s + W)`` of ``Z' = c Z - exp(k s + W)`` is ``lambda``
+    itself.  The system is autonomous, and the guiding solution, along which
+    ``W`` falls at the rate ``k``, is its fixed point ``(lambda_inf, Z0) =
+    ((n-p) k^(p-1), -k^(p-1))``.  The Jacobian there, ``((0, lambda_inf
+    phiinv'(Z0)), (sgn, c))``, has the characteristic polynomial of the
+    ``(W, Z)`` form along the guide, so the step cap of :func:`_log_phase`
+    holds.  For ``n <= p``, ``lambda`` has no rest point to settle at and
+    falls towards 0, where ``ln lambda`` loses ``W``."""
+    spec = class_spec(params, problem)
+    if spec.E is not None or not params.n > params.p:
+        return None
+    phi_exp = 1.0 / (params.p - 1.0)
+    return _bind(f"W * (k + {_phi_inv_source('Z', phi_exp)}), c * Z + sgn * W",
+                 phi_exp=phi_exp, k=spec.k, c=params.p - params.n, sgn=spec.sgn)
 
 
 def startup_state(params: Params, problem: ProblemClass, t_start: float) -> State:
@@ -864,9 +900,11 @@ def _dop853(rhs: _Rhs, x: float, w: float, v: float, x_end: float, rtol: float,
     ``w`` and ``v``.  Accepts at most ``budget`` steps of at most
     ``max_step``.  A ``dense`` run stops after the step on which ``w``
     falls from positive to zero or below, which :func:`integrate` refines
-    on that step's row; only ``jl``'s can, as
-    ``gelfand``'s ``w`` stays below 0 (``v' < 0``) and ``mems``' above 1 (``v'
-    > 0``), and ``W = w t^-g`` has the sign of ``w``.  Without ``dense`` the
+    on that step's row; only ``jl``'s ``W`` can, as ``W = w t^-g`` has the
+    sign of ``w``, ``mems``' ``w`` stays above 1 (``v' > 0``), ``gelfand``'s
+    ``w`` below 0 (``v' < 0``), and its ``lambda = t^k e^W`` is positive (a
+    run of ``lambda`` that reaches 0 all the same has left the floats, and
+    :func:`integrate` steps ``W`` instead).  Without ``dense`` the
     run skips the three dense-output stages and keeps no rows (``steps``):
     it records its last node (``end``) and its counts only."""
     return _program(rhs.form).loop(*rhs.values, x, w, v, x_end, rtol, atol, budget, dense,
@@ -940,6 +978,7 @@ def integrate(params: Params, problem: ProblemClass,
 
     # then one stepped phase in s = ln t, in (W, Z) = (w t^-g, v t^c)
     table = np.empty((0, 18))
+    lam_k = None  # the rows hold (W, Z), or gelfand's (lambda, Z) with lambda = t^k e^W
     stats: list[PhaseStats] = [PhaseStats("series", 1, 0, 0)]
     termination = "t_max"
     if t1 < cfg.t_max:
@@ -953,14 +992,33 @@ def integrate(params: Params, problem: ProblemClass,
             raise IntegrationError(
                 f"the log-phase scales t1^-g, t1^(c+m) or t1^c overflow at t1 = {t1!r} "
                 f"(g = {g:.6g}, c = {c:.6g})") from None
-        try:
-            run = _dop853(rhs, math.log(t1), w * scale_w, big_z, math.log(cfg.t_max),
-                          cfg.rel_tol, (cfg.abs_tol * scale_w, cfg.abs_tol * scale_v),
-                          cfg.max_steps - 1, max_step=log_step)
-        except OverflowError:  # phiinv(Z) = Z^(1/(p-1)) as p nears 1, or f(W)
-            raise IntegrationError(
-                f"the log phase leaves the float range past t1 = {t1!r} "
-                f"(phiinv(Z) = Z^{series.phi_exp:.6g})") from None
+        x1, x_end, atol_z = math.log(t1), math.log(cfg.t_max), cfg.abs_tol * scale_v
+        run = None
+        lam_rhs = _lambda_phase(params, problem)
+        # gelfand steps lambda = t^k e^W once w has moved from 0 by t1: ln lambda -
+        # k x resolves w only to the rounding of k x, and w1 = 0 where every
+        # series coefficient underflows.  lambda's error is held relative, which
+        # holds w's to rel_tol: lambda may fall by decades (from 3e3 to 6e-11 on
+        # gelfand (2, 3, 100)), where an absolute tolerance would let it reach 0.
+        # Where it leaves the floats all the same (alpha = 5000), step (W, Z)
+        if lam_rhs is not None and abs(w) > cfg.rel_tol:
+            try:
+                run = _dop853(lam_rhs, x1, math.exp(spec.k * x1 + w), big_z, x_end, cfg.rel_tol,
+                              (0.0, atol_z), cfg.max_steps - 1, max_step=log_step)
+                if run.status == "zero":  # lambda fell to 0 or below
+                    run = None
+            except (OverflowError, ZeroDivisionError, IntegrationError):
+                run = None  # lambda overflowed, or underflowed (its error norm divides by 0)
+        lam_k = None if run is None else spec.k
+        if run is None:  # step (W, Z)
+            try:
+                run = _dop853(rhs, x1, w * scale_w, big_z, x_end, cfg.rel_tol,
+                              (cfg.abs_tol * scale_w, atol_z), cfg.max_steps - 1,
+                              max_step=log_step)
+            except OverflowError:  # phiinv(Z) = Z^(1/(p-1)) as p nears 1, or f(W)
+                raise IntegrationError(
+                    f"the log phase leaves the float range past t1 = {t1!r} "
+                    f"(phiinv(Z) = Z^{series.phi_exp:.6g})") from None
         table = np.array(run.steps, dtype=float).reshape(run.accepted, 18)
         end = run.end
         if run.status == "zero":  # the zero of W on the last row, to full precision
@@ -977,7 +1035,7 @@ def integrate(params: Params, problem: ProblemClass,
                                 int(np.count_nonzero(x0 + h == x0 + log_step))))
         # the log nodes: the start of every row but the first (which starts at
         # t1), then the end of the run, unless it took no step
-        x, big_w, z = np.vstack((table[1:, [0, 2, 3]], end))[:run.accepted].T
+        x, first, z = np.vstack((table[1:, [0, 2, 3]], end))[:run.accepted].T
         ts_new = [math.exp(x_k) for x_k in x.tolist()]
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
         if termination == "t_max":
@@ -985,6 +1043,7 @@ def integrate(params: Params, problem: ProblemClass,
         # (w, t w') = (W, Y) / scale, Y = phiinv(Z), as eval_many reads the rows
         with np.errstate(all="ignore"):  # checked below
             scale = np.exp(-g * x)
+            big_w = first if lam_k is None else np.log(first) - lam_k * x
             log_nodes = (big_w / scale, _phi_inv_many(z, series.phi_exp) / scale / ts_new)
         nodes = np.concatenate((nodes, log_nodes), axis=1)
         t_nodes.extend(ts_new)
@@ -998,7 +1057,7 @@ def integrate(params: Params, problem: ProblemClass,
     ws, wprimes = nodes
     traj = Trajectory(problem, params, cfg, np.array(t_nodes), ws, wprimes, termination,
                       tuple(stats), _series=series, _series_end=t1 if len(table) else math.inf,
-                      _table=table, _g=g)
+                      _table=table, _g=g, _lam_k=lam_k)
     if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
@@ -1046,11 +1105,14 @@ class Trajectory:
     ``_series_end`` (everywhere without steps), and row ``k`` step ``k`` from
     node ``k + 1``, at the fraction ``theta`` of it in ``x = ln t``.
     Row ``k`` of the ``(m, 18)`` array ``_table`` holds its ``(x0, h, y0,
-    F0, ..., F6)`` of ``(W, Z) = (w t^-g, v t^c)``, two floats each; the
+    F0, ..., F6)`` of ``(W, Z) = (w t^-g, v t^c)``, two floats each, or of
+    ``(lambda, Z)`` with ``lambda = t^k e^W`` where ``_lam_k`` is ``k`` (a
+    ``gelfand`` run with a fixed point; see :func:`integrate`); the
     stepper's run is kept there only, as each row starts at its node.
     :meth:`_row_reader` (points of one row) and :meth:`_read` (arrays, also the
     scan's ``_samples``) give ``(x, W, Y = t w' t^-g, scale = t^-g)`` with
-    :func:`_dense`, on the rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
+    :func:`_dense` and ``W = ln lambda - k x`` off ``lambda`` rows, on the
+    rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
     = (W, Y) / scale`` is the one rescale back from the rows, also of the
     log nodes.  The series segment and its nodes are read in the series'
     own variables, ``(w, w')`` of :meth:`_Series.state`, by :meth:`eval` and
@@ -1072,6 +1134,7 @@ class Trajectory:
     _series_end: float = field(repr=False)
     _table: np.ndarray = field(repr=False)
     _g: float = field(repr=False)
+    _lam_k: float | None = field(repr=False)
     _folds: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
@@ -1126,7 +1189,9 @@ class Trajectory:
             scale_ser = scale[on_series]
             big_w[on_series] = w * scale_ser
             y[on_series] = tau * _phi_inv_many(big_v, ser.phi_exp) * scale_ser
-        big_w[on_rows], z = _dense(step, s)
+        first, z = _dense(step, s)
+        k = self._lam_k
+        big_w[on_rows] = first if k is None else np.log(first) - k * x[on_rows]
         y[on_rows] = _phi_inv_many(z, ser.phi_exp)
         return _Samples(row, theta, x, big_w, y, scale)
 
@@ -1144,6 +1209,13 @@ class Trajectory:
             return point
         step = self._table[row].tolist()
         x0, h = step[0], step[1]
+        k = self._lam_k
+        if k is not None:  # gelfand's lambda (g = 0), by numpy's log as the arrays
+            def point(theta):
+                lam, z = _dense(step, theta)
+                x = x0 + theta * h
+                return x, float(np.log(lam)) - k * x, _phi_inv(z, phi_exp), 1.0
+            return point
 
         def point(theta):
             big_w, z = _dense(step, theta)

@@ -558,30 +558,26 @@ def _jl_conditions(params: Params) -> dict[str, ConditionResult]:
         beta = (p + alpha) / (q - p + 1.0)
         theta = 2.0 * beta * (p - 2.0) + 4.0 * q * beta / (p - 1.0)
         gamma = (p - 2.0) ** 2 * beta**2 + 4.0 * q * beta**2
-        disc = theta**2 - 4.0 * gamma
+        # theta^2 - 4 gamma as the product it equals, > 0 with q - p + 1 > 0: the
+        # difference cancels, and rounds below 0 where q is a few ulps above p - 1
+        disc = 16.0 * q * beta**2 * (q - p + 1.0) / (p - 1.0) ** 2
         conds["oscillation"] = _condition(
             theta * (n - p) - (n - p) ** 2 - gamma,
             expression="(n-p)^2 - theta (n-p) + gamma < 0 with "
             "theta = 2 beta (p-2) + 4 q beta/(p-1), gamma = (p-2)^2 beta^2 + 4 q beta^2",
         )
-        if disc >= 0.0:
-            half = (theta + math.sqrt(disc)) / 2.0
-            conds["dimension_upper"] = _condition(
-                half - (n - p),
-                threshold=p + half,
-                expression="n - p < (theta + sqrt(theta^2 - 4 gamma))/2",
-            )
-            conds["dimension_window"] = _window(
-                n,
-                p * (q + 1.0 + alpha) / (q - p + 1.0),
-                p + half,
-                "p(q + 1 + alpha)/(q - p + 1) < n < p + (theta + sqrt(theta^2 - 4 gamma))/2",
-            )
-        else:
-            for name in ("dimension_upper", "dimension_window"):
-                conds[name] = _condition(
-                    disc, expression="no real oscillation window (theta^2 - 4 gamma < 0)",
-                )
+        half = (theta + math.sqrt(disc)) / 2.0
+        conds["dimension_upper"] = _condition(
+            half - (n - p),
+            threshold=p + half,
+            expression="n - p < (theta + sqrt(theta^2 - 4 gamma))/2",
+        )
+        conds["dimension_window"] = _window(
+            n,
+            p * (q + 1.0 + alpha) / (q - p + 1.0),
+            p + half,
+            "p(q + 1 + alpha)/(q - p + 1) < n < p + (theta + sqrt(theta^2 - 4 gamma))/2",
+        )
     else:
         for name in ("oscillation", "dimension_upper", "dimension_window"):
             conds[name] = _condition(

@@ -467,30 +467,38 @@ def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
     steps it: the Emden-Fowler system in ``ln t`` from the state
     ``(w1, v1)`` at the end ``t1`` of the series segment, with the same step
     cap and the absolute tolerance in the units of ``(w, v)`` at ``t1``.
+    Gelfand with ``n > p`` steps ``(lambda, Z)``, ``lambda = t^k e^W``
+    (``w1`` has moved from 0 in every case here).
 
     Returns the accepted steps per stepped phase and a vectorized ``(w, w')``
     on ``[t1, t_max]``.
     """
     p, n, alpha, q = params.p, params.n, params.alpha, params.q
+    k = alpha + p
     sgn = 1.0 if problem is M else -1.0
     source = {G: math.exp, M: lambda w: w**-q, J: lambda w: max(w, 0.0) ** q}[problem]
     g = 0.0 if problem is G else sgn * closed_forms(params, problem).beta
     c = p - n - g * (p - 1.0)
+    lam = problem is G and n > p
 
     def phiinv(s):
         return math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s else 0.0
 
     def rhs(s, y):
-        # W = w t^-g, Z = v t^c
+        # W = w t^-g (or lambda = t^k e^W), Z = v t^c
+        if lam:
+            return (y[0] * (k + phiinv(y[1])), c * y[1] - y[0])
         if problem is G:
-            return (phiinv(y[1]), c * y[1] - math.exp((alpha + p) * s + y[0]))
+            return (phiinv(y[1]), c * y[1] - math.exp(k * s + y[0]))
         return (-g * y[0] + phiinv(y[1]), c * y[1] + sgn * source(y[0]))
 
     log_step = _log_phase(params, problem)[3]  # the step cap, as integrate takes it
-    scale = np.array([t1**-g, t1**c])
+    # abs_tol in the units of (w, v) at t1; lambda's error is held relative
     x0 = math.log(t1)
-    solver = DOP853(rhs, x0, np.array([w1, v1]) * scale, math.log(cfg.t_max),
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol * scale, max_step=log_step)
+    start = np.array([math.exp(k * x0 + w1) if lam else w1 * t1**-g, v1 * t1**c])
+    atol = cfg.abs_tol * np.array([0.0 if lam else t1**-g, t1**c])
+    solver = DOP853(rhs, x0, start, math.log(cfg.t_max),
+                    rtol=cfg.rel_tol, atol=atol, max_step=log_step)
     xs, interps = [x0], []
     while solver.status == "running":
         solver.step()
@@ -501,6 +509,8 @@ def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
 
     def dense(ts):
         big_w, z = sol(np.log(ts))
+        if lam:
+            big_w = np.log(big_w) - k * np.log(ts)
         w, v = big_w * ts**g, z * ts**-c
         arg = v / ts ** (n - 1.0)
         return w, np.sign(arg) * np.abs(arg) ** (1.0 / (p - 1.0))
@@ -715,14 +725,21 @@ class TestStepCap:
             for name in ("ts", "ws", "wprimes", "_table"):
                 assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
+    # the damped fold stepped in (W, Z): at rel_tol = 1e-13 and abs_tol = 1e-15,
+    # and at the default tolerances
+    TIGHT_FOLD, W_ROWS_FOLD = 54.619705477447596, 54.61970177737423
+
     @pytest.mark.parametrize("n,p,accepted,capped,folds", [
-        (10.0, 2.0, 61, 13, []),  # double root: the dense radius binds
-        (9.0, 2.0, 57, 12, [54.619701777383405]),  # damped spiral
-        (13.75, 2.5, 105, 19, []),  # real roots: the stability radius binds
+        (10.0, 2.0, 52, 14, []),  # double root: the dense radius binds
+        (9.0, 2.0, 49, 12, [54.61970697516527]),  # damped spiral
+        (13.75, 2.5, 74, 19, []),  # real roots: the stability radius binds
     ], ids=["double-root", "damped", "real-root"])
     def test_step_budget(self, n, p, accepted, capped, folds):
-        # accepted steps at 2 / max |r - g|: 69, 64 and 141, with the same folds
+        # gelfand steps (lambda, Z) here; stepping (W, Z) took 61/13, 57/12 and
+        # 105/19 steps; at 2 / max |r - g|, 59, 56 and 110 (69, 64 and 141 in
+        # (W, Z)), with the same folds
         traj = integrate(Params(p=p, n=n, alpha=0), G, IntegratorConfig(t_max=1e8))
+        assert traj._lam_k == p
         log = traj.stats[1]
         assert (log.accepted, log.capped) == (accepted, capped)
         rows = traj._table[:, :2]
@@ -730,6 +747,10 @@ class TestStepCap:
         assert log.capped == np.count_nonzero(rows.sum(1) == rows[:, 0] + cap)
         t_stars = [fold.t_star for fold in pfold.curve.turning_points(traj)]
         assert t_stars == pytest.approx(folds, rel=1e-9)
+        # lambda rows put the fold 2.7e-8 from the tight run, (W, Z) rows 6.8e-8
+        for t_star in t_stars:
+            err = abs(t_star / self.TIGHT_FOLD - 1.0)
+            assert err < 3e-8 and err < abs(self.W_ROWS_FOLD / self.TIGHT_FOLD - 1.0)
 
 
 def _guiding_log_state(params, problem, t):
@@ -752,6 +773,9 @@ class TestLogPhase:
     @pytest.mark.parametrize("params,problem", CASES)
     def test_guiding_solution_is_a_fixed_point(self, params, problem):
         rhs, *_ = _log_phase(params, problem)
+        # every gelfand set here has n > p, and with it the (lambda, Z) form
+        lam_rhs = ivp._lambda_phase(params, problem)
+        assert (lam_rhs is None) == (problem is not G)
         p, n, alpha = params.p, params.n, params.alpha
         source = _source(params, problem)
         for t in (0.5, 1.0, 7.0, 1e3, 1e6):
@@ -765,23 +789,36 @@ class TestLogPhase:
             dw_expected = -(alpha + p) if problem is G else 0.0
             assert abs(dw - dw_expected) <= 1e-12 * dw_scale
             assert abs(dz) <= 1e-12 * dz_scale
+            if lam_rhs is not None:  # lambda = t^k e^W0 rests at lambda_inf with Z = Z0
+                lam = t ** (alpha + p) * math.exp(big_w)
+                assert lam == pytest.approx(closed_forms(params, G).lambda_inf, rel=1e-12)
+                assert z == pytest.approx(-((alpha + p) ** (p - 1.0)), rel=1e-14)
+                dlam, dz = lam_rhs(math.log(t), lam, z)
+                assert abs(dlam) <= 1e-12 * (alpha + p) * lam
+                assert abs(dz) <= 1e-12 * (abs(c * z) + lam)
 
     @pytest.mark.parametrize("params,problem", CASES)
     def test_linearization_has_the_shifted_characteristic_roots(self, params, problem):
         rhs, g, *_ = _log_phase(params, problem)
         s = 0.7
         _, big_w, z = _guiding_log_state(params, problem, math.exp(s))
-        jac = np.empty((2, 2))
-        for i, h in enumerate((1e-6 * abs(big_w), 1e-6 * abs(z))):
-            up = rhs(s, big_w + h * (i == 0), z + h * (i == 1))
-            down = rhs(s, big_w - h * (i == 0), z - h * (i == 1))
-            jac[:, i] = (np.array(up) - np.array(down)) / (2.0 * h)
-        eig = sorted(np.linalg.eigvals(jac), key=lambda r: (r.real, r.imag))
+        # (W, Z) on the guide, and gelfand's (lambda, Z) at its fixed point
+        forms = [(rhs, big_w)]
+        if problem is G:
+            lam = math.exp((params.alpha + params.p) * s + big_w)
+            forms.append((ivp._lambda_phase(params, G), lam))
         roots = sorted((r - g for r in characteristic_quadratic(params, problem).roots),
                        key=lambda r: (r.real, r.imag))
         scale = max(abs(r) for r in roots)
-        for a, b in zip(eig, roots):
-            assert abs(a - b) <= 1e-6 * scale
+        for rhs, first in forms:
+            jac = np.empty((2, 2))
+            for i, h in enumerate((1e-6 * abs(first), 1e-6 * abs(z))):
+                up = rhs(s, first + h * (i == 0), z + h * (i == 1))
+                down = rhs(s, first - h * (i == 0), z - h * (i == 1))
+                jac[:, i] = (np.array(up) - np.array(down)) / (2.0 * h)
+            eig = sorted(np.linalg.eigvals(jac), key=lambda r: (r.real, r.imag))
+            for a, b in zip(eig, roots):
+                assert abs(a - b) <= 1e-6 * scale
 
     def test_jl_without_scaling_matches_flux_stepping_in_t(self):
         # q <= p - 1 has no fixed point: the log phase keeps g = 0 and t^(alpha+p) f(W)
@@ -799,9 +836,46 @@ class TestLogPhase:
         np.testing.assert_allclose(wp, wp_ref, rtol=1e-8)
 
 
+@pytest.mark.parametrize("params,lam,folds", [
+    (GELFAND3, True, 4), (Params(p=3, n=5, alpha=1), True, 5),
+    (Params(p=2.5, n=13.75, alpha=0), True, 0),
+    (Params(p=2, n=1.5, alpha=0), False, 1),  # n < p: no fixed point
+    (Params(p=1.001, n=3, alpha=0), False, 92),  # w(t1) = 0: every coefficient underflows
+], ids=["2-3-0", "3-5-1", "real-root", "no-fixed-point", "near-p-one"])
+def test_gelfand_steps_lambda_where_it_has_a_fixed_point(monkeypatch, params, lam, folds):
+    # the fold counts and terminations are those of stepping (W, Z) throughout
+    trajs = []
+    (args, _), = _dop853_calls(monkeypatch, lambda: trajs.append(integrate(params, G)))
+    traj, = trajs
+    assert args[0] == (ivp._lambda_phase(params, G) if lam else _log_phase(params, G)[0])
+    assert traj._lam_k == (params.alpha + params.p if lam else None)
+    # w has moved from 0 by t1, but near p = 1, where the series is w(0) = 0
+    assert traj.ws[1] == 0.0 if params.p == 1.001 else abs(traj.ws[1]) > traj.config.rel_tol
+    assert traj.termination == "t_max" and traj.t_end == 1e4
+    assert len(pfold.turning_points(traj)) == folds
+
+
+def test_gelfand_steps_w_where_lambda_leaves_the_floats(monkeypatch):
+    # k = 5002: lambda = t^k e^W falls below the floats on its first swing (its
+    # relative error norm divides by 0), and the log phase steps (W, Z) from t1
+    params = Params(p=2, n=3, alpha=5000)
+    trajs = []
+    calls = _dop853_calls(monkeypatch, lambda: trajs.append(integrate(params, G)))
+    assert [args[0] for args, _ in calls] == [ivp._lambda_phase(params, G),
+                                              _log_phase(params, G)[0]]
+    traj, = trajs
+    assert traj._lam_k is None and traj.termination == "t_max"
+    assert len(pfold.turning_points(traj)) == 57
+    # the run of (W, Z) alone
+    monkeypatch.setattr(ivp, "_lambda_phase", lambda params, problem: None)
+    ref = integrate(params, G)
+    for name in ("ts", "ws", "wprimes", "_table"):
+        assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+
+
 def test_stepper_without_dense_output_takes_the_same_steps():
-    rhs, *_ = _log_phase(GELFAND3, G)
-    args = (rhs, 0.0, -0.3, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 10_000)
+    rhs = ivp._lambda_phase(GELFAND3, G)  # (lambda, Z)
+    args = (rhs, 0.0, 0.7, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 10_000)
     full = _dop853(*args)
     bare = _dop853(*args, dense=False)
     assert bare.end == full.end and bare.status == full.status == "done"
@@ -954,8 +1028,8 @@ def _phi_inv(s, r):
 def _closures(params, problem, lam):
     """The right-hand sides as they were written before they became forms:
     closures that call ``_phi_inv`` and ``f``.  ``log`` is that of the log
-    phase, ``flux`` that of the flux system in ``t`` and ``shooting`` that
-    of the radial BVP at ``lam``."""
+    phase (and ``lambda`` gelfand's in ``(lambda, Z)``), ``flux`` that of the
+    flux system in ``t`` and ``shooting`` that of the radial BVP at ``lam``."""
     p, n, alpha = params.p, params.n, params.alpha
     phi_exp = 1.0 / (p - 1.0)
     spec = class_spec(params, problem)
@@ -970,6 +1044,9 @@ def _closures(params, problem, lam):
 
         def log(s, big_w, z):
             return _phi_inv(z, phi_exp), c * z + sgn * math.exp(k * s + big_w)
+
+        def lam_log(s, lam, z):
+            return lam * (k + _phi_inv(z, phi_exp)), c * z + sgn * lam
     else:
         c = p - n - g * (p - 1.0)
 
@@ -983,7 +1060,10 @@ def _closures(params, problem, lam):
         return (_phi_inv(v / r ** (n - 1.0), phi_exp),
                 -lam * r ** (n + alpha - 1.0) * f(w_c - sgn * u))
 
-    return {"log": log, "flux": flux, "shooting": shooting}
+    closures = {"log": log, "flux": flux, "shooting": shooting}
+    if spec.E is None:
+        closures["lambda"] = lam_log
+    return closures
 
 
 def _dop853_calls(monkeypatch, call):
@@ -1066,7 +1146,10 @@ class TestStraightLineStages:
                               lambda: pfold.curve.shooting_check(params, problem, point))
         forms = {"log": _log_phase(params, problem)[0], "flux": ivp._flux_rhs(params, problem),
                  "shooting": calls[0][0][0]}
+        if problem is G:  # every gelfand set here has n > p
+            forms["lambda"] = ivp._lambda_phase(params, problem)
         closures = _closures(params, problem, point.lam)
+        assert closures.keys() == forms.keys()
         rng = np.random.default_rng(4)
         w_c = class_spec(params, problem).w_center
         # W <= 0 (the power clamp), u = w_c (a zero argument of f), -0.0 and Z = 0;
@@ -1322,13 +1405,16 @@ class TestOneReader:
     def _assert_nodes_are_the_run(traj, run):
         """Every log node is the start of a dense row but the first, then the
         run's end, rescaled: ``(w, t w') = (W, phiinv(Z)) / t^-g`` with numpy's
-        arithmetic and ``t = exp(x)`` with libm's, bit for bit.  A run that
-        stopped past a zero of ``w`` ends at that zero instead
-        (:class:`TestOneRootFinder`), which is left out here."""
+        arithmetic and ``t = exp(x)`` with libm's, bit for bit, where ``W =
+        ln lambda - k x`` for rows of ``lambda``.  A run that stopped past a
+        zero of ``w`` ends at that zero instead (:class:`TestOneRootFinder`),
+        which is left out here."""
         assert np.array_equal(traj._table, np.array(run.steps).reshape(-1, 18))
         nodes = [(row[0], row[2], row[3]) for row in run.steps[1:]] + [run.end]
         count = run.accepted - (run.status == "zero")
         x, big_w, z = np.array(nodes[:count]).reshape(-1, 3).T
+        if traj._lam_k is not None:
+            big_w = np.log(big_w) - traj._lam_k * x
         t = [math.exp(x_k) for x_k in x.tolist()]
         if run.status == "done":
             t[-1] = traj.config.t_max

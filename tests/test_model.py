@@ -299,6 +299,25 @@ class TestConditions:
         assert not rep.conditions["dimension_upper"].holds
         assert not rep.predicted_infinite_turns
 
+    @pytest.mark.parametrize("p,n,q", [
+        # q a few ulps above p - 1, where theta^2 - 4 gamma as a difference rounds below 0
+        (3.7, 9.0, 2.7000000000000006), (4.2, 12.0, 3.2000000000000015),
+        (2.0, 12.0, 5.0), (3.0, 7.0, 2.5),
+    ])
+    def test_jl_dimension_bound_against_exact_arithmetic(self, p, n, q):
+        # theta^2 - 4 gamma = 16 q beta^2 (q - p + 1)/(p - 1)^2 > 0 with q - p + 1 > 0
+        P, N, Q = (sp.Rational(x) for x in (p, n, q))
+        beta = P / (Q - P + 1)
+        theta = 2 * beta * (P - 2) + 4 * Q * beta / (P - 1)
+        gamma = (P - 2) ** 2 * beta**2 + 4 * Q * beta**2
+        upper = P + (theta + sp.sqrt(theta**2 - 4 * gamma)) / 2
+        conds = check_conditions(Params(p=p, n=n, alpha=0, q=q), J).conditions
+        bound, window = conds["dimension_upper"], conds["dimension_window"]
+        assert bound.threshold == pytest.approx(float(upper), rel=1e-14)
+        assert window.upper == bound.threshold
+        assert bound.holds == (N < upper)
+        assert window.holds == (P * (Q + 1) / (Q - P + 1) < N < upper)
+
     def test_mems_example_margins(self):
         rep = check_conditions(Params(p=2, n=3, alpha=0, q=2), M)
         bt = rep.conditions["beta_threshold"]
