@@ -388,8 +388,9 @@ def _lambda_phase(params: Params, problem: ProblemClass) -> _Rhs | None:
     ((n-p) k^(p-1), -k^(p-1))``.  The Jacobian there, ``((0, lambda_inf
     phiinv'(Z0)), (sgn, c))``, has the characteristic polynomial of the
     ``(W, Z)`` form along the guide, so the step cap of :func:`_log_phase`
-    holds.  For ``n <= p``, ``lambda`` has no rest point to settle at and
-    falls towards 0, where ``ln lambda`` loses ``W``."""
+    holds.  For ``n <= p``, ``lambda`` has no rest point and falls towards
+    0: on ``(2, 1.5, 0)`` it took 1085 steps to ``t = 1e4``, against 24 in
+    ``(W, Z)``, and it underflows before ``1e8``."""
     spec = class_spec(params, problem)
     if spec.E is not None or not params.n > params.p:
         return None

@@ -467,8 +467,8 @@ def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
     steps it: the Emden-Fowler system in ``ln t`` from the state
     ``(w1, v1)`` at the end ``t1`` of the series segment, with the same step
     cap and the absolute tolerance in the units of ``(w, v)`` at ``t1``.
-    Gelfand with ``n > p`` steps ``(lambda, Z)``, ``lambda = t^k e^W``
-    (``w1`` has moved from 0 in every case here).
+    Gelfand steps ``(lambda, Z)``, ``lambda = t^k e^W``, where ``n > p``
+    and ``|w1| > rel_tol``.
 
     Returns the accepted steps per stepped phase and a vectorized ``(w, w')``
     on ``[t1, t_max]``.
@@ -479,7 +479,7 @@ def _scipy_dop853_reference(params, problem, cfg, t1, w1, v1):
     source = {G: math.exp, M: lambda w: w**-q, J: lambda w: max(w, 0.0) ** q}[problem]
     g = 0.0 if problem is G else sgn * closed_forms(params, problem).beta
     c = p - n - g * (p - 1.0)
-    lam = problem is G and n > p
+    lam = problem is G and n > p and abs(w1) > cfg.rel_tol
 
     def phiinv(s):
         return math.copysign(abs(s) ** (1.0 / (p - 1.0)), s) if s else 0.0
@@ -620,6 +620,7 @@ class TestAgainstScipyDop853:
     @pytest.mark.parametrize("params,problem", [
         (GELFAND3, G), (GELFAND10, G), (MEMS233, M), (JL454, J),
         (Params(p=3, n=5, alpha=1), G),
+        (Params(p=2, n=1.5, alpha=0), G),  # no fixed point: (W, Z)
     ])
     def test_same_steps_and_dense_values(self, params, problem, t_max):
         cfg = IntegratorConfig(t_max=t_max)
