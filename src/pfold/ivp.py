@@ -61,7 +61,7 @@ guiding solution is their fixed point, so the stepper follows a state that
 settles instead of one that grows or decays like a power of ``t``.  For
 ``gelfand``, ``Z`` is fixed on the guide but ``W`` falls at the constant
 rate ``k = alpha + p``; where the guide exists (``n > p``), ``gelfand``
-steps ``lambda = t^k e^W`` in place of ``W`` (:func:`_lambda_phase`):
+steps ``lambda = t^k e^W`` in place of ``W`` (:func:`_log_phase`):
 
     ``lambda' = lambda (k + phiinv(Z))``,  ``Z' = (p-n) Z - lambda``,
 
@@ -323,7 +323,17 @@ _SPIN_STEP = 2.0
 
 def _log_phase(params: Params, problem: ProblemClass):
     """Right-hand side ``(W, Z)' = rhs(s, W, Z)`` of the log phase, the
-    exponents ``(g, c)`` of ``W = w t^-g``, ``Z = v t^c``, and its step cap.
+    exponents ``(g, c)`` of ``W = w t^-g``, ``Z = v t^c``, its step cap, and
+    ``gelfand``'s right-hand side ``(lambda, Z)' = rhs(s, lambda, Z)`` in
+    ``lambda = t^k e^W`` where it has a fixed point (``n > p``), else None.
+
+    ``lambda``'s rest point ``(lambda_inf, Z0)`` is the guiding solution,
+    along which ``W`` falls at the rate ``k``.  Its Jacobian ``((0,
+    lambda_inf phiinv'(Z0)), (sgn, c))`` has the roots ``r - g`` of the ``(W,
+    Z)`` form along the guide, so the step cap holds for both forms.  For
+    ``n <= p``, ``lambda`` has no rest point and falls towards 0: on ``(2,
+    1.5, 0)`` it took 1085 steps to ``t = 1e4``, against 24 in ``(W, Z)``,
+    and it underflows before ``1e8``.
 
     The linearization at the fixed point has the eigenvalues ``mu = r - g``,
     with ``r`` the characteristic roots.  Once the state has settled there,
@@ -356,10 +366,14 @@ def _log_phase(params: Params, problem: ProblemClass):
         c = p - n
         rhs = _bind(f"{w_dot}, c * Z + sgn * exp(k * X) * {_f_source(spec, 'W')}",
                     phi_exp=phi_exp, c=c, sgn=sgn, k=k, e=e)
-        return rhs, 0.0, c, math.inf
+        return rhs, 0.0, c, math.inf, None
     c = -guiding_bracket(params, g)  # p - n - g(p-1): the fixed point has D Z = sgn f(W)
+    lam_rhs = None
     if spec.E is None:
         rhs = _bind(f"{w_dot}, c * Z + sgn * exp(k * X + W)", phi_exp=phi_exp, c=c, sgn=sgn, k=k)
+        if n > p:
+            lam_rhs = _bind(f"W * (k + {w_dot}), c * Z + sgn * W", phi_exp=phi_exp, k=k, c=c,
+                            sgn=sgn)
     else:
         rhs = _bind(f"{w_dot} - g * W, c * Z + sgn * {_f_source(spec, 'W')}",
                     phi_exp=phi_exp, g=g, c=c, sgn=sgn, e=e)
@@ -373,30 +387,7 @@ def _log_phase(params: Params, problem: ProblemClass):
     if cap < math.inf:
         mantissa, exponent = math.frexp(cap)
         cap = math.ldexp(math.floor(mantissa * 256.0) / 256.0, exponent)
-    return rhs, g, c, cap
-
-
-def _lambda_phase(params: Params, problem: ProblemClass) -> _Rhs | None:
-    """Right-hand side ``(lambda, Z)' = rhs(s, lambda, Z)`` of ``gelfand``'s
-    log phase in ``lambda = t^k e^W``, ``k = alpha + p``, where it has a fixed
-    point (``n > p``); None elsewhere.
-
-    From ``W' = phiinv(Z)``, ``lambda' = lambda (k + phiinv(Z))``, and the
-    source ``exp(k s + W)`` of ``Z' = c Z - exp(k s + W)`` is ``lambda``
-    itself.  The system is autonomous, and the guiding solution, along which
-    ``W`` falls at the rate ``k``, is its fixed point ``(lambda_inf, Z0) =
-    ((n-p) k^(p-1), -k^(p-1))``.  The Jacobian there, ``((0, lambda_inf
-    phiinv'(Z0)), (sgn, c))``, has the characteristic polynomial of the
-    ``(W, Z)`` form along the guide, so the step cap of :func:`_log_phase`
-    holds.  For ``n <= p``, ``lambda`` has no rest point and falls towards
-    0: on ``(2, 1.5, 0)`` it took 1085 steps to ``t = 1e4``, against 24 in
-    ``(W, Z)``, and it underflows before ``1e8``."""
-    spec = class_spec(params, problem)
-    if spec.E is not None or not params.n > params.p:
-        return None
-    phi_exp = 1.0 / (params.p - 1.0)
-    return _bind(f"W * (k + {_phi_inv_source('Z', phi_exp)}), c * Z + sgn * W",
-                 phi_exp=phi_exp, k=spec.k, c=params.p - params.n, sgn=spec.sgn)
+    return rhs, g, c, cap, lam_rhs
 
 
 def startup_state(params: Params, problem: ProblemClass, t_start: float) -> State:
@@ -954,7 +945,7 @@ def integrate(params: Params, problem: ProblemClass,
     cfg = (config or IntegratorConfig()).validated()
     validate_params(params, problem)
     spec = class_spec(params, problem)
-    rhs, g, c, log_step = _log_phase(params, problem)
+    rhs, g, c, log_step, lam_rhs = _log_phase(params, problem)
 
     # the series segment [t_start, t1]: one node at the series' reach
     series = _series(params, problem)
@@ -995,7 +986,6 @@ def integrate(params: Params, problem: ProblemClass,
                 f"(g = {g:.6g}, c = {c:.6g})") from None
         x1, x_end, atol_z = math.log(t1), math.log(cfg.t_max), cfg.abs_tol * scale_v
         run = None
-        lam_rhs = _lambda_phase(params, problem)
         # gelfand steps lambda = t^k e^W once w has moved from 0 by t1: ln lambda -
         # k x resolves w only to the rounding of k x, and w1 = 0 where every
         # series coefficient underflows.  lambda's error is held relative, which
@@ -1209,18 +1199,12 @@ class Trajectory:
                 return x, w * scale, theta * _phi_inv(big_v, phi_exp) * scale, scale
             return point
         step = self._table[row].tolist()
-        x0, h = step[0], step[1]
-        k = self._lam_k
-        if k is not None:  # gelfand's lambda (g = 0), by numpy's log as the arrays
-            def point(theta):
-                lam, z = _dense(step, theta)
-                x = x0 + theta * h
-                return x, float(np.log(lam)) - k * x, _phi_inv(z, phi_exp), 1.0
-            return point
+        x0, h, k = step[0], step[1], self._lam_k
 
-        def point(theta):
-            big_w, z = _dense(step, theta)
+        def point(theta):  # W off lambda rows by numpy's log, as on arrays
+            first, z = _dense(step, theta)
             x = x0 + theta * h
+            big_w = first if k is None else float(np.log(first)) - k * x
             return x, big_w, _phi_inv(z, phi_exp), math.exp(-g * x)
         return point
 

@@ -21,11 +21,8 @@ PROFILE_HEADER = ("r", "u")
 
 
 def format_float(x: float) -> str:
-    """17-significant-digit decimal rendering of a float."""
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
+    """17-significant-digit decimal rendering of a float; ``nan``, ``inf`` and
+    ``-inf`` for the non-finite values (a NaN of either sign is ``nan``)."""
     return "%.17g" % x
 
 

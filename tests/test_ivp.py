@@ -377,6 +377,11 @@ class TestIntegrate:
         # later; the first node past both is at 5.7e123
         (Params(p=1.5, n=2, alpha=0, q=0.1), M, IntegratorConfig(t_max=1e300),
          ivp.IntegrationError, r"node at t = \S+e\+123 leaves the float range in w, t w'$"),
+        # 1/(p-1) = 10000: Z^10000 overflows in a dense-output stage of an
+        # accepted step, which no rejection catches
+        (Params(p=1.0001, n=1, alpha=100, q=0.1), M, None, ivp.IntegrationError,
+         r"log phase leaves the float range past t1 = 1\.0006841694262782 "
+         r"\(phiinv\(Z\) = Z\^10000\)$"),
     ])
     def test_out_of_float_range_is_named(self, params, problem, config, error, match):
         with pytest.raises(error, match=match):
@@ -404,8 +409,8 @@ class TestIntegrate:
         log_phase = ivp._log_phase
 
         def scaled(params, problem):
-            rhs, g, c, cap = log_phase(params, problem)
-            return rhs, g, c, 0.99 * cap
+            rhs, g, c, cap, lam_rhs = log_phase(params, problem)
+            return rhs, g, c, 0.99 * cap, lam_rhs
 
         monkeypatch.setattr(ivp, "_log_phase", scaled)
         traj = integrate(Params(p=1.001, n=3, alpha=0), G)
@@ -773,9 +778,8 @@ class TestLogPhase:
 
     @pytest.mark.parametrize("params,problem", CASES)
     def test_guiding_solution_is_a_fixed_point(self, params, problem):
-        rhs, *_ = _log_phase(params, problem)
         # every gelfand set here has n > p, and with it the (lambda, Z) form
-        lam_rhs = ivp._lambda_phase(params, problem)
+        rhs, *_, lam_rhs = _log_phase(params, problem)
         assert (lam_rhs is None) == (problem is not G)
         p, n, alpha = params.p, params.n, params.alpha
         source = _source(params, problem)
@@ -800,14 +804,14 @@ class TestLogPhase:
 
     @pytest.mark.parametrize("params,problem", CASES)
     def test_linearization_has_the_shifted_characteristic_roots(self, params, problem):
-        rhs, g, *_ = _log_phase(params, problem)
+        rhs, g, *_, lam_rhs = _log_phase(params, problem)
         s = 0.7
         _, big_w, z = _guiding_log_state(params, problem, math.exp(s))
         # (W, Z) on the guide, and gelfand's (lambda, Z) at its fixed point
         forms = [(rhs, big_w)]
         if problem is G:
             lam = math.exp((params.alpha + params.p) * s + big_w)
-            forms.append((ivp._lambda_phase(params, G), lam))
+            forms.append((lam_rhs, lam))
         roots = sorted((r - g for r in characteristic_quadratic(params, problem).roots),
                        key=lambda r: (r.real, r.imag))
         scale = max(abs(r) for r in roots)
@@ -848,7 +852,9 @@ def test_gelfand_steps_lambda_where_it_has_a_fixed_point(monkeypatch, params, la
     trajs = []
     (args, _), = _dop853_calls(monkeypatch, lambda: trajs.append(integrate(params, G)))
     traj, = trajs
-    assert args[0] == (ivp._lambda_phase(params, G) if lam else _log_phase(params, G)[0])
+    rhs, *_, lam_rhs = _log_phase(params, G)
+    assert (lam_rhs is None) == (params.n <= params.p)
+    assert args[0] == (lam_rhs if lam else rhs)
     assert traj._lam_k == (params.alpha + params.p if lam else None)
     # w has moved from 0 by t1, but near p = 1, where the series is w(0) = 0
     assert traj.ws[1] == 0.0 if params.p == 1.001 else abs(traj.ws[1]) > traj.config.rel_tol
@@ -856,26 +862,42 @@ def test_gelfand_steps_lambda_where_it_has_a_fixed_point(monkeypatch, params, la
     assert len(pfold.turning_points(traj)) == folds
 
 
-def test_gelfand_steps_w_where_lambda_leaves_the_floats(monkeypatch):
+@pytest.mark.parametrize("params,falls_to_zero,folds", [
     # k = 5002: lambda = t^k e^W falls below the floats on its first swing (its
-    # relative error norm divides by 0), and the log phase steps (W, Z) from t1
-    params = Params(p=2, n=3, alpha=5000)
+    # relative error norm divides by 0)
+    (Params(p=2, n=3, alpha=5000), False, 57),
+    # the lambda run stops as though lambda fell to 0 or below
+    (GELFAND3, True, 4),
+], ids=["leaves-the-floats", "falls-to-zero"])
+def test_gelfand_steps_w_where_lambda_leaves_the_floats(monkeypatch, params, falls_to_zero,
+                                                        folds):
+    # the log phase drops the lambda run and steps (W, Z) from t1
+    rhs, *_, lam_rhs = _log_phase(params, G)
+    if falls_to_zero:
+        original = ivp._dop853
+
+        def stopped(form, *args, **kwargs):
+            run = original(form, *args, **kwargs)
+            return dataclasses.replace(run, status="zero") if form == lam_rhs else run
+
+        monkeypatch.setattr(ivp, "_dop853", stopped)
     trajs = []
     calls = _dop853_calls(monkeypatch, lambda: trajs.append(integrate(params, G)))
-    assert [args[0] for args, _ in calls] == [ivp._lambda_phase(params, G),
-                                              _log_phase(params, G)[0]]
+    assert [args[0] for args, _ in calls] == [lam_rhs, rhs]
     traj, = trajs
     assert traj._lam_k is None and traj.termination == "t_max"
-    assert len(pfold.turning_points(traj)) == 57
+    assert len(pfold.turning_points(traj)) == folds
     # the run of (W, Z) alone
-    monkeypatch.setattr(ivp, "_lambda_phase", lambda params, problem: None)
+    log_phase = ivp._log_phase
+    monkeypatch.setattr(ivp, "_log_phase",
+                        lambda params, problem: (*log_phase(params, problem)[:4], None))
     ref = integrate(params, G)
     for name in ("ts", "ws", "wprimes", "_table"):
         assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
 
 
 def test_stepper_without_dense_output_takes_the_same_steps():
-    rhs = ivp._lambda_phase(GELFAND3, G)  # (lambda, Z)
+    rhs = _log_phase(GELFAND3, G)[4]  # (lambda, Z)
     args = (rhs, 0.0, 0.7, -0.2, math.log(1e4), 1e-10, (1e-12, 1e-12), 10_000)
     full = _dop853(*args)
     bare = _dop853(*args, dense=False)
@@ -1145,10 +1167,10 @@ class TestStraightLineStages:
         point = _curve_point(params, problem)
         calls = _dop853_calls(monkeypatch,
                               lambda: pfold.curve.shooting_check(params, problem, point))
-        forms = {"log": _log_phase(params, problem)[0], "flux": ivp._flux_rhs(params, problem),
-                 "shooting": calls[0][0][0]}
+        rhs, *_, lam_rhs = _log_phase(params, problem)
+        forms = {"log": rhs, "flux": ivp._flux_rhs(params, problem), "shooting": calls[0][0][0]}
         if problem is G:  # every gelfand set here has n > p
-            forms["lambda"] = ivp._lambda_phase(params, problem)
+            forms["lambda"] = lam_rhs
         closures = _closures(params, problem, point.lam)
         assert closures.keys() == forms.keys()
         rng = np.random.default_rng(4)
@@ -1249,21 +1271,6 @@ def test_import_leaves_scipy_unloaded():
 
 
 class TestEval:
-    def test_nodes_bitwise(self, gelfand3_traj):
-        traj = gelfand3_traj
-        for k in (0, 1, len(traj.ts) // 2, len(traj.ts) - 1):
-            w, wp = traj.eval(float(traj.ts[k]))
-            assert w == traj.ws[k]
-            assert wp == traj.wprimes[k]
-        w_arr, wp_arr = traj.eval_many(traj.ts)
-        assert np.array_equal(w_arr, traj.ws)
-        assert np.array_equal(wp_arr, traj.wprimes)
-
-    def test_endpoint(self, gelfand3_traj):
-        w, wp = gelfand3_traj.eval(gelfand3_traj.t_end)
-        assert w == gelfand3_traj.ws[-1]
-        assert wp == gelfand3_traj.wprimes[-1]
-
     def test_midpoints_against_reintegration(self, gelfand3_traj, gelfand3_fine_traj):
         rng = np.random.default_rng(7)
         ks = rng.integers(1, len(gelfand3_traj.ts) - 1, size=50)

@@ -2,6 +2,8 @@ import io
 import json
 import math
 
+import numpy as np
+
 from pfold.output import format_float, json_dumps, write_csv
 
 
@@ -10,8 +12,9 @@ def test_format_float_seventeen_significant_digits():
     assert format_float(0.1) == "0.10000000000000001"
     assert format_float(10.0 / 9.0) == "1.1111111111111112"
     assert float(format_float(math.pi)) == math.pi
-    assert format_float(float("nan")) == "nan"
-    assert format_float(float("-inf")) == "-inf"
+    # the non-finite values as %.17g writes them, numpy's too; a NaN has no sign
+    for x, text in (("nan", "nan"), ("-nan", "nan"), ("inf", "inf"), ("-inf", "-inf")):
+        assert format_float(float(x)) == format_float(np.float64(x)) == text
 
 
 def test_json_sorted_keys_and_quoted_nonfinite():
