@@ -471,7 +471,7 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> 
     sigma = (alpha + p) / (p - 1.0)
     # (u, v)' = (phiinv(v / r^(n-1)), -lam r^(n+alpha-1) f(w_c - sgn u))
     rhs = _ivp._radial_rhs(params, spec, -lam, w_c, sgn)
-    try:  # as p nears 1, kappa and the slope u' ~ -(g0 r/(n+alpha))^(1/(p-1)) overflow
+    try:  # as p nears 1, kappa ~ (g0/(n+alpha))^(1/(p-1)) overflows
         kappa = (p - 1.0) / (alpha + p) * (g0 / (n + alpha)) ** (1.0 / (p - 1.0))
         # startup radius: keep the series correction below ~1e-10 of the scale
         if kappa > 0.0:
@@ -481,11 +481,11 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> 
             r_start = 1e-6
         u_start = u0 - kappa * r_start**sigma
         v_start = -g0 * r_start ** (n + alpha) / (n + alpha)
-        run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, 1e-12, (1e-14, 1e-14), 200_000,
-                           dense=False)
     except OverflowError:
         raise _ivp.IntegrationError(f"the radial solution at lambda = {lam!r}, u0 = {u0!r} "
                                     "leaves the float range") from None
+    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, 1e-12, (1e-14, 1e-14), 200_000,
+                       dense=False)
     if run.status != "done":
         raise _ivp.IntegrationError("shooting integration exhausted max_steps")
     return abs(run.end[1])

@@ -96,9 +96,10 @@ embedded error estimators of orders 5 and 3 and a 7th-order dense output
 It steps the two-component state in plain floats.  The step-size
 controller uses the initial step rule of Section II.4, a safety factor of
 0.9, step factors clamped to [0.2, 10], the error exponent -1/8, DOP853's
-combined err5/err3 error norm and a minimum step of 10 ulp.  A trial
-stage that leaves the floats (``OverflowError``) rejects the step with the
-factor 0.2, unless that step would fall below the minimum.  The dense
+combined err5/err3 error norm and a minimum step of 10 ulp.  Any stage of
+a step attempt that leaves the floats (``OverflowError``), trial, end slope
+or dense output, rejects the step with the factor 0.2, as an infinite error
+would; a step too short to shrink fails with the step-size error.  The dense
 output of all steps is kept as one table of interpolation rows.  Each row
 starts at its step's node, so the table and the run's last node are the
 run's whole record, and the log-phase nodes are read off them.  Every
@@ -756,47 +757,43 @@ while x != x_end:
             x_new = x_end
         h = h_abs = x_new - x
         nfev += 11
-        try:
+        try:  # every stage of the attempt: one that leaves the floats rejects the step
             {attempt}
-        except OverflowError:  # a stage left the floats: a rejected step, unless too short
-            if 0.2 * h_abs < min_step:
-                raise
-            h_abs *= 0.2
-            step_rejected = True
-            rejected += 1
-            continue
-        w_new = w + h * bw
-        v_new = v + h * bv
-        sw = w if w > 0.0 else 0.0 - w
-        size = w_new if w_new > 0.0 else 0.0 - w_new
-        sw = atol_w + (size if size > sw else sw) * rtol
-        sv = v if v > 0.0 else 0.0 - v
-        size = v_new if v_new > 0.0 else 0.0 - v_new
-        sv = atol_v + (size if size > sv else sv) * rtol
-        e5w /= sw
-        e5v /= sv
-        e3w /= sw
-        e3v /= sv
-        n5 = e5w * e5w + e5v * e5v
-        n3 = e3w * e3w + e3v * e3v
-        err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)
-        if err < 1.0:
-            # min(10.0, factor), or min(1.0, factor) after a rejection
-            factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
-            cap = 1.0 if step_rejected else 10.0
-            h_abs *= factor if factor < cap else cap
-            break
+            w_new = w + h * bw
+            v_new = v + h * bv
+            sw = w if w > 0.0 else 0.0 - w
+            size = w_new if w_new > 0.0 else 0.0 - w_new
+            sw = atol_w + (size if size > sw else sw) * rtol
+            sv = v if v > 0.0 else 0.0 - v
+            size = v_new if v_new > 0.0 else 0.0 - v_new
+            sv = atol_v + (size if size > sv else sv) * rtol
+            e5w /= sw
+            e5v /= sv
+            e3w /= sw
+            e3v /= sv
+            n5 = e5w * e5w + e5v * e5v
+            n3 = e3w * e3w + e3v * e3v
+            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / sqrt((n5 + 0.01 * n3) * 2.0)
+            if err < 1.0:
+                if not (isfinite(w_new) and isfinite(v_new)):
+                    raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}")
+                nfev += 1
+                kw12, kv12 = rhs(x_new, w_new, v_new)
+                if dense:
+                    nfev += 3
+                    {dense}
+                # min(10.0, factor), or min(1.0, factor) after a rejection
+                factor = 10.0 if err == 0.0 else 0.9 * err ** -0.125
+                cap = 1.0 if step_rejected else 10.0
+                h_abs *= factor if factor < cap else cap
+                break
+        except OverflowError:  # an infinite error: the step shrinks by the factor 0.2
+            err = inf
         factor = 0.9 * err ** -0.125
         h_abs *= factor if factor > 0.2 else 0.2
         step_rejected = True
         rejected += 1
-    if not (isfinite(w_new) and isfinite(v_new)):
-        raise IntegrationError(f"non-finite state at t-coordinate {x_new!r}")
-    kw12, kv12 = rhs(x_new, w_new, v_new)
-    nfev += 1
     if dense:
-        nfev += 3
-        {dense}
         delta_w = w_new - w
         delta_v = v_new - v
         step = [x, h, w, v, delta_w, delta_v, h * kw0 - delta_w, h * kv0 - delta_v,
@@ -898,9 +895,17 @@ def _dop853(rhs: _Rhs, x: float, w: float, v: float, x_end: float, rtol: float,
     run of ``lambda`` that reaches 0 all the same has left the floats, and
     :func:`integrate` steps ``W`` instead).  Without ``dense`` the
     run skips the three dense-output stages and keeps no rows (``steps``):
-    it records its last node (``end``) and its counts only."""
-    return _program(rhs.form).loop(*rhs.values, x, w, v, x_end, rtol, atol, budget, dense,
-                                   max_step)
+    it records its last node (``end``) and its counts only.  A stage of a
+    step attempt that leaves the floats rejects the step; a slope at ``x``
+    or of the initial-step probe that does raises :class:`IntegrationError`
+    naming ``x``, so no ``OverflowError`` leaves the run."""
+    try:
+        return _program(rhs.form).loop(*rhs.values, x, w, v, x_end, rtol, atol, budget, dense,
+                                       max_step)
+    except OverflowError:  # the first slope, or the initial-step probe
+        raise IntegrationError(
+            f"the right-hand side leaves the float range at the start, t-coordinate {x!r}"
+        ) from None
 
 
 def _radial_rhs(params: Params, spec: ClassSpec, coeff: float, w_c: float, s: float) -> _Rhs:
@@ -999,17 +1004,11 @@ def integrate(params: Params, problem: ProblemClass,
                 if run.status == "zero":  # lambda fell to 0 or below
                     run = None
             except (OverflowError, ZeroDivisionError, IntegrationError):
-                run = None  # lambda overflowed, or underflowed (its error norm divides by 0)
+                run = None  # its start overflowed, or it left the floats (0 divides its norm)
         lam_k = None if run is None else spec.k
         if run is None:  # step (W, Z)
-            try:
-                run = _dop853(rhs, x1, w * scale_w, big_z, x_end, cfg.rel_tol,
-                              (cfg.abs_tol * scale_w, atol_z), cfg.max_steps - 1,
-                              max_step=log_step)
-            except OverflowError:  # phiinv(Z) = Z^(1/(p-1)) as p nears 1, or f(W)
-                raise IntegrationError(
-                    f"the log phase leaves the float range past t1 = {t1!r} "
-                    f"(phiinv(Z) = Z^{series.phi_exp:.6g})") from None
+            run = _dop853(rhs, x1, w * scale_w, big_z, x_end, cfg.rel_tol,
+                          (cfg.abs_tol * scale_w, atol_z), cfg.max_steps - 1, max_step=log_step)
         table = np.array(run.steps, dtype=float).reshape(run.accepted, 18)
         end = run.end
         if run.status == "zero":  # the zero of W on the last row, to full precision

@@ -611,6 +611,16 @@ def _jl_conditions(params: Params) -> dict[str, ConditionResult]:
     return conds
 
 
+# each class's conditions, and the names of those whose conjunction predicts
+# infinitely many turns
+_CONDITIONS = {
+    ProblemClass.GELFAND: (_gelfand_conditions, ("dimension_window",)),
+    ProblemClass.MEMS: (_mems_conditions,
+                        ("leading_coefficient", "beta_threshold", "decay_exponent")),
+    ProblemClass.JOSEPH_LUNDGREN: (_jl_conditions, ("supercritical", "dimension_upper")),
+}
+
+
 def check_conditions(params: Params, problem: ProblemClass) -> RegimeReport:
     """Evaluate every named condition of the class, with signed margins.
 
@@ -629,24 +639,14 @@ def check_conditions(params: Params, problem: ProblemClass) -> RegimeReport:
         notes_degenerate = ()
     notes: list[str] = list(notes_degenerate)
 
-    if problem is ProblemClass.GELFAND:
-        conds = _gelfand_conditions(params)
-        predicted = conds["dimension_window"].holds
-    elif problem is ProblemClass.MEMS:
-        conds = _mems_conditions(params)
-        predicted = (
-            conds["leading_coefficient"].holds
-            and conds["beta_threshold"].holds
-            and conds["decay_exponent"].holds
+    build, sufficient = _CONDITIONS[problem]
+    conds = build(params)
+    predicted = all(conds[name].holds for name in sufficient)
+    if predicted and problem is ProblemClass.MEMS and params.n < 3.0:
+        notes.append(
+            "infinite-turn prediction for mems with n < 3 relies on an "
+            "n >= 3 step in its derivation; treat as unverified"
         )
-        if predicted and params.n < 3.0:
-            notes.append(
-                "infinite-turn prediction for mems with n < 3 relies on an "
-                "n >= 3 step in its derivation; treat as unverified"
-            )
-    else:
-        conds = _jl_conditions(params)
-        predicted = conds["supercritical"].holds and conds["dimension_upper"].holds
 
     return RegimeReport(
         problem=problem,

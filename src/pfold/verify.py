@@ -5,7 +5,7 @@ property and yields ``(criterion, passed, detail)`` once per criterion,
 which ``run_acceptance`` turns into a :class:`CheckResult` under the row's
 name.  The rows are independent and deterministic; ``run_acceptance``
 evaluates them in the fixed order of ``_ROWS`` and shares trajectories
-through a small cache.
+through one memoized :func:`~pfold.ivp.integrate` per call.
 
 Known limitation: in row 1 the curve value at t = 1e3 is
 lambda = 2.0533104876..., so the pinned gap bound 0.05 is exceeded by
@@ -15,6 +15,7 @@ suite); the criterion is evaluated as pinned and reported honestly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -83,37 +84,19 @@ class CheckResult:
         return f"[{status}] {self.check_id} :: {self.detail}"
 
 
-class _Cache:
-    """Memoized trajectories keyed by (problem, params, config); each keeps its
-    turning points."""
-
-    def __init__(self):
-        self._traj: dict = {}
-
-    def trajectory(self, params, problem, config=None) -> _ivp.Trajectory:
-        cfg = config or _ivp.IntegratorConfig()
-        key = (problem, params, cfg)
-        if key not in self._traj:
-            self._traj[key] = _ivp.integrate(params, problem, cfg)
-        return self._traj[key]
-
-    def turns(self, params, problem, config=None):
-        return _curve.turning_points(self.trajectory(params, problem, config))
-
-
-def _lambda_at(cache, params, problem, t):
-    traj = cache.trajectory(params, problem)
+def _lambda_at(trajectory, params, problem, t):
+    traj = trajectory(params, problem)
     w, _ = traj.eval(t)
     lam, _ = _curve.curve_values(problem, params, t, w)
     return lam
 
 
-def _row_gelfand_spiral(cache, ts):
-    lam = _lambda_at(cache, GELFAND3, ProblemClass.GELFAND, 1e3)
+def _row_gelfand_spiral(trajectory, ts):
+    lam = _lambda_at(trajectory, GELFAND3, ProblemClass.GELFAND, 1e3)
     tol = 0.05 * ts
     yield ("lambda-gap-1e3", abs(lam - 2.0) <= tol,
            f"|lambda(1e3) - 2| = {abs(lam - 2.0):.6g} (tol {tol:g}, lambda = {lam!r})")
-    turns = cache.turns(GELFAND3, ProblemClass.GELFAND)
+    turns = _curve.turning_points(trajectory(GELFAND3, ProblemClass.GELFAND))
     yield ("turn-count", len(turns) >= 4,
            f"{len(turns)} turning points on (0, 1e4] (need >= 4)")
     signs = [math.copysign(1.0, tp.lambda_star - 2.0) for tp in turns]
@@ -126,7 +109,7 @@ def _row_gelfand_spiral(cache, ts):
            f"|lambda* - 2| = {[f'{g:.5g}' for g in gaps]}")
 
 
-def _row_gelfand_boundary(cache, ts):
+def _row_gelfand_boundary(trajectory, ts):
     quad = characteristic_quadratic(GELFAND10, ProblemClass.GELFAND)
     double_root = (
         quad.discriminant == 0.0
@@ -136,7 +119,7 @@ def _row_gelfand_boundary(cache, ts):
     )
     yield ("double-root", double_root,
            f"discriminant = {quad.discriminant!r}, roots = {quad.roots}")
-    turns = cache.turns(GELFAND10, ProblemClass.GELFAND)
+    turns = _curve.turning_points(trajectory(GELFAND10, ProblemClass.GELFAND))
     yield ("no-turns", len(turns) == 0,
            f"{len(turns)} turning points on (0, 1e4] (need 0)")
     cond = check_conditions(GELFAND10, ProblemClass.GELFAND).conditions["dimension_window"]
@@ -145,20 +128,20 @@ def _row_gelfand_boundary(cache, ts):
            f"{cond.lower:g}<n<{cond.upper:g}")
 
 
-def _row_mems(cache, ts):
+def _row_mems(trajectory, ts):
     rep = check_conditions(MEMS233, ProblemClass.MEMS)
     names = ("leading_coefficient", "beta_threshold", "decay_exponent")
     ok = all(rep.conditions[k].holds for k in names)
     yield ("conditions-hold", ok,
            ", ".join(f"{k}: margin {rep.conditions[k].margin:.6g}" for k in names))
-    lam = _lambda_at(cache, MEMS233, ProblemClass.MEMS, 1e3)
+    lam = _lambda_at(trajectory, MEMS233, ProblemClass.MEMS, 1e3)
     tol = 0.02 * ts
     yield ("lambda-gap-1e3", abs(lam - 10.0 / 9.0) <= tol,
            f"|lambda(1e3) - 10/9| = {abs(lam - 10.0/9.0):.6g} (tol {tol:g})")
-    turns = cache.turns(MEMS233, ProblemClass.MEMS)
+    turns = _curve.turning_points(trajectory(MEMS233, ProblemClass.MEMS))
     yield ("turn-count", len(turns) >= 3,
            f"{len(turns)} turning points (need >= 3)")
-    traj = cache.trajectory(MEMS233, ProblemClass.MEMS)
+    traj = trajectory(MEMS233, ProblemClass.MEMS)
     cf = closed_forms(MEMS233, ProblemClass.MEMS)
     rec = _curve.intersections(traj, cf)
     interlaced = _curve.check_interlacing(rec.times, [tp.t_star for tp in turns])
@@ -175,14 +158,14 @@ def _row_mems(cache, ts):
            f"sup gap to 1 - r^(2/3) at t = 1e3: {rep_c.profile_sup_gap:.6g} (tol {tolp:g})")
 
 
-def _row_jl(cache, ts):
+def _row_jl(trajectory, ts):
     rep = check_conditions(JL454, ProblemClass.JOSEPH_LUNDGREN)
     sc = rep.conditions["supercritical"]
     cw = rep.conditions["classical_window"]
     yield ("conditions-hold", sc.holds and cw.holds,
            f"supercritical: q = 5 vs threshold {sc.threshold:g}; window "
            f"{cw.lower:g}<n<{cw.upper:g} at n = 4")
-    traj = cache.trajectory(JL454, ProblemClass.JOSEPH_LUNDGREN)
+    traj = trajectory(JL454, ProblemClass.JOSEPH_LUNDGREN)
     w_end = traj.eval(traj.t_end)[0]
     yield ("no-zero-event", traj.termination == "t_max" and w_end > 0.0,
            f"termination = {traj.termination}, w(t_end) = {w_end:.6g}")
@@ -194,16 +177,16 @@ def _row_jl(cache, ts):
     yield ("pohozaev", nonpos and noninc,
            f"max P = {pvals.max():.6g}, max increment = {np.diff(pvals).max():.3g} "
            "on [0.1, 100]")
-    lam = _lambda_at(cache, JL454, ProblemClass.JOSEPH_LUNDGREN, 1e3)
+    lam = _lambda_at(trajectory, JL454, ProblemClass.JOSEPH_LUNDGREN, 1e3)
     tol = 0.02 * ts
     yield ("lambda-gap-1e3", abs(lam - 0.75) <= tol,
            f"|lambda(1e3) - 0.75| = {abs(lam - 0.75):.6g} (tol {tol:g})")
-    turns = cache.turns(JL454, ProblemClass.JOSEPH_LUNDGREN)
+    turns = _curve.turning_points(trajectory(JL454, ProblemClass.JOSEPH_LUNDGREN))
     yield ("turn-count", len(turns) >= 3,
            f"{len(turns)} turning points (need >= 3)")
 
 
-def _row_residuals(cache, ts):
+def _row_residuals(trajectory, ts):
     grid = np.geomspace(0.1, 100.0, 200)
     tol = 1e-8 * ts
     for problem, param_sets in RESIDUAL_SETS.items():
@@ -218,12 +201,12 @@ def _row_residuals(cache, ts):
                    f"max |residual| on [0.1, 100] = {worst:.3g} (tol {tol:g})")
 
 
-def _row_startup(cache, ts):
+def _row_startup(trajectory, ts):
     # the startup series at its node t1 against tight stepping from the
     # two-term start at t_start, which shares only the series' leading terms
     tol = 1e-6 * ts
     for problem, params in CLASS_DEFAULTS.items():
-        traj = cache.trajectory(params, problem)
+        traj = trajectory(params, problem)
         t1 = float(traj.ts[1])
         wa, _, big_v = traj._series.state(t1)
         va = t1**traj._series.m * big_v  # the series' flux, which this row steps
@@ -238,7 +221,7 @@ def _row_startup(cache, ts):
                f"t1 = {t1:.6g}: dw = {dw:.3g}, dv = {dv:.3g} (tol {tol:g})")
 
 
-def _row_shooting(cache, ts):
+def _row_shooting(trajectory, ts):
     tol = 1e-6 * ts
     cases = (
         (GELFAND3, ProblemClass.GELFAND),
@@ -247,7 +230,7 @@ def _row_shooting(cache, ts):
         (JL454, ProblemClass.JOSEPH_LUNDGREN),
     )
     for params, problem in cases:
-        traj = cache.trajectory(params, problem)
+        traj = trajectory(params, problem)
         worst = 0.0
         for t in np.geomspace(0.1, 100.0, 5):
             w, _ = traj.eval(float(t))
@@ -259,7 +242,7 @@ def _row_shooting(cache, ts):
                f"max shooting residual |u(1)| over 5 points = {worst:.3g} (tol {tol:g})")
 
 
-def _row_conditions(cache, ts):
+def _row_conditions(trajectory, ts):
     tol = 1e-12 * ts
     cond = check_conditions(GELFAND3, ProblemClass.GELFAND).conditions["dimension_window"]
     ok = abs(cond.lower - 2.0) <= tol and abs(cond.upper - 10.0) <= tol
@@ -281,7 +264,7 @@ def _row_conditions(cache, ts):
            f"threshold = {thr!r} vs (-4 + 2 sqrt 6)/8 = {ref!r}")
 
 
-def _row_self_convergence(cache, ts):
+def _row_self_convergence(trajectory, ts):
     tol = 1e-6 * ts
     fine = _ivp.IntegratorConfig(rel_tol=0.5e-10, abs_tol=0.5e-12)
     cases = (
@@ -290,8 +273,8 @@ def _row_self_convergence(cache, ts):
         (JL454, ProblemClass.JOSEPH_LUNDGREN),
     )
     for params, problem in cases:
-        coarse_turns = cache.turns(params, problem)
-        fine_turns = cache.turns(params, problem, fine)
+        coarse_turns = _curve.turning_points(trajectory(params, problem))
+        fine_turns = _curve.turning_points(trajectory(params, problem, fine))
         if len(coarse_turns) != len(fine_turns):
             yield (problem.value, False,
                    f"turn count changed: {len(coarse_turns)} vs {len(fine_turns)}")
@@ -331,12 +314,14 @@ def run_acceptance(only: str | None = None, tol_scale: float = 1.0) -> list[Chec
     """
     if not 0.0 < tol_scale < math.inf:
         raise InvalidParamsError(f"tol_scale must be positive and finite, got {tol_scale!r}")
-    cache = _Cache()
+    # each call integrates afresh; the rows share its trajectories, which
+    # keep their turning points
+    trajectory = functools.cache(_ivp.integrate)
     results: list[CheckResult] = []
     for name, fn in _ROWS:
         if only and only not in name:
             continue
         results.extend(CheckResult(row=name, criterion=criterion, passed=bool(passed),
                                    detail=detail)
-                       for criterion, passed, detail in fn(cache, tol_scale))
+                       for criterion, passed, detail in fn(trajectory, tol_scale))
     return results

@@ -800,6 +800,13 @@ class TestShootingCheck:
         assert lam < 1e-7 and 0 <= u0 < 1e-8
         assert shooting_check(GELFAND3, G, CurvePoint(1e-4, lam, u0, 0.0)) < 1e-7
 
+    @pytest.mark.parametrize("params,problem", [(GELFAND3, G), (MEMS233, M), (JL454, J)],
+                             ids=["gelfand", "mems", "jl"])
+    @pytest.mark.parametrize("u0", [0.0, 0.25])
+    def test_zero_lambda_keeps_the_center_value(self, params, problem, u0):
+        # lambda = 0: no source, kappa = 0 and u = u0 throughout, so |u(1)| = |u0|
+        assert shooting_check(params, problem, CurvePoint(1.0, 0.0, u0, 0.0)) == u0
+
     def test_near_p_one(self):
         # gelfand (1.001, 3, 0): the point at t = 3 checks to 7.98e-15, a figure
         # that follows the steps (1.2e-13 to 3.3e-13 with the step cap scaled by

@@ -377,11 +377,10 @@ class TestIntegrate:
         # later; the first node past both is at 5.7e123
         (Params(p=1.5, n=2, alpha=0, q=0.1), M, IntegratorConfig(t_max=1e300),
          ivp.IntegrationError, r"node at t = \S+e\+123 leaves the float range in w, t w'$"),
-        # 1/(p-1) = 10000: Z^10000 overflows in a dense-output stage of an
-        # accepted step, which no rejection catches
+        # 1/(p-1) = 10000: the steps whose stages overflow (Z^10000) are
+        # rejected, until t w' ~ Z^10000 itself leaves the floats at a node
         (Params(p=1.0001, n=1, alpha=100, q=0.1), M, None, ivp.IntegrationError,
-         r"log phase leaves the float range past t1 = 1\.0006841694262782 "
-         r"\(phiinv\(Z\) = Z\^10000\)$"),
+         r"node at t = 1\.9629207315103925 leaves the float range in t w'$"),
     ])
     def test_out_of_float_range_is_named(self, params, problem, config, error, match):
         with pytest.raises(error, match=match):
@@ -416,6 +415,31 @@ class TestIntegrate:
         traj = integrate(Params(p=1.001, n=3, alpha=0), G)
         assert traj.termination == "t_max" and traj.t_end == 1e4
         assert traj.stats[1].rejected > 0
+
+    def test_overflowing_dense_stage_is_a_rejected_step(self, monkeypatch):
+        # mems (1.0001, 1, 100, 0.1): Z^10000 overflows in the end slope or a
+        # dense-output stage of steps whose trial stages fit the floats, which
+        # once ended the run at t1; the run returns, and the nodes are checked
+        runs = []
+        original = ivp._dop853
+
+        def spy(*args, **kwargs):
+            runs.append((args, original(*args, **kwargs)))
+            return runs[-1][1]
+
+        monkeypatch.setattr(ivp, "_dop853", spy)
+        with pytest.raises(ivp.IntegrationError, match="node at t = "):
+            integrate(Params(p=1.0001, n=1, alpha=100, q=0.1), M)
+        (args, run), = runs
+        assert run.rejected > 0 and run.end[0] > args[1]  # past ln t1
+        # an overflow after the 11 trial stages of an attempt
+        assert run.nfev > 2 + 15 * run.accepted + 11 * run.rejected
+
+    def test_overflowing_first_slope_is_an_integration_error(self):
+        # phiinv(10) = 10^10000 at the start: no step to shrink
+        rhs = _log_phase(Params(p=1.0001, n=3, alpha=0), G)[0]
+        with pytest.raises(ivp.IntegrationError, match=r"t-coordinate 0\.0$"):
+            _dop853(rhs, 0.0, 0.0, 10.0, 1.0, 1e-10, (1e-12, 1e-12), 10)
 
     def test_empty_log_phase_interval_ends_at_the_series(self):
         # the series' reach is one ulp below t_max, with the same logarithm
@@ -969,8 +993,7 @@ def _loop_initial_step(rhs, x, w, v, fw, fv, x_end, max_step, rtol, atol):
     return min(100.0 * h0, h1, interval, max_step)
 
 
-def _loop_dop853(rhs, x, w, v, x_end, rtol, atol, budget, watch_zero=False, dense=True,
-                 max_step=math.inf):
+def _loop_dop853(rhs, x, w, v, x_end, rtol, atol, budget, dense=True, max_step=math.inf):
     """``ivp._dop853`` with loops over the tableau and calls of ``rhs``."""
     steps = []
     atol_w, atol_v = atol
@@ -995,48 +1018,44 @@ def _loop_dop853(rhs, x, w, v, x_end, rtol, atol, budget, watch_zero=False, dens
             x_new = min(x + h_abs, x_end)
             h = h_abs = x_new - x
             nfev += 11
-            try:
+            try:  # a stage of the attempt that overflows is an infinite error
                 bw, bv, e5w, e5v, e3w, e3v, ks = _loop_attempt(rhs, x, h, w, v, fw, fv)
-            except OverflowError:  # rejected, unless the step would fall below min_step
-                if 0.2 * h_abs < min_step:
-                    raise
-                h_abs *= 0.2
-                step_rejected = True
-                rejected += 1
-                continue
-            w_new = w + h * bw
-            v_new = v + h * bv
-            sw = atol_w + max(abs(w), abs(w_new)) * rtol
-            sv = atol_v + max(abs(v), abs(v_new)) * rtol
-            e5w /= sw
-            e5v /= sv
-            e3w /= sw
-            e3v /= sv
-            n5 = e5w * e5w + e5v * e5v
-            n3 = e3w * e3w + e3v * e3v
-            err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
-            if err < 1.0:
-                factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
-                if step_rejected:
-                    factor = min(1.0, factor)
-                h_abs *= factor
-                break
+                w_new = w + h * bw
+                v_new = v + h * bv
+                sw = atol_w + max(abs(w), abs(w_new)) * rtol
+                sv = atol_v + max(abs(v), abs(v_new)) * rtol
+                e5w /= sw
+                e5v /= sv
+                e3w /= sw
+                e3v /= sv
+                n5 = e5w * e5w + e5v * e5v
+                n3 = e3w * e3w + e3v * e3v
+                err = 0.0 if n5 == 0.0 and n3 == 0.0 else h * n5 / math.sqrt((n5 + 0.01 * n3) * 2.0)
+                if err < 1.0:
+                    if not (math.isfinite(w_new) and math.isfinite(v_new)):
+                        raise ivp.IntegrationError("non-finite state", (x, w, v))
+                    nfev += 1
+                    fw_new, fv_new = rhs(x_new, w_new, v_new)
+                    if dense:
+                        nfev += 3
+                        rows = _loop_dense_rows(rhs, x, h, w, v, ks, fw_new, fv_new)
+                    factor = 10.0 if err == 0.0 else min(10.0, 0.9 * err ** -0.125)
+                    if step_rejected:
+                        factor = min(1.0, factor)
+                    h_abs *= factor
+                    break
+            except OverflowError:
+                err = math.inf
             h_abs *= max(0.2, 0.9 * err ** -0.125)
             step_rejected = True
             rejected += 1
-        if not (math.isfinite(w_new) and math.isfinite(v_new)):
-            raise ivp.IntegrationError("non-finite state", (x, w, v))
-        fw_new, fv_new = rhs(x_new, w_new, v_new)
-        nfev += 1
         if dense:
-            nfev += 3
             delta_w = w_new - w
             delta_v = v_new - v
-            step = [x, h, w, v, delta_w, delta_v, h * fw - delta_w, h * fv - delta_v,
-                    2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv),
-                    *_loop_dense_rows(rhs, x, h, w, v, ks, fw_new, fv_new)]
-            steps.append(step)
-            if watch_zero and w > 0.0 and w_new <= 0.0:  # stop after this row
+            steps.append([x, h, w, v, delta_w, delta_v, h * fw - delta_w, h * fv - delta_v,
+                          2.0 * delta_w - h * (fw_new + fw), 2.0 * delta_v - h * (fv_new + fv),
+                          *rows])
+            if w > 0.0 and w_new <= 0.0:  # stop after this row
                 x_end = x_new
                 status = "zero"
         x, w, v, fw, fv = x_new, w_new, v_new, fw_new, fv_new
@@ -1154,8 +1173,7 @@ class TestStraightLineStages:
                 new = _dop853(*args, **dict(kwargs, dense=dense))
                 # repr tells every float apart, 0.0 from -0.0 included; a
                 # dense run watches for a zero of w
-                assert repr(new) == repr(_loop_dop853(*args, **dict(kwargs, dense=dense),
-                                                      watch_zero=dense))
+                assert repr(new) == repr(_loop_dop853(*args, **dict(kwargs, dense=dense)))
                 assert len(new.steps) == (new.accepted if dense else 0)
         if case == "jl-zero":  # the zero watch stopped the run
             (args, kwargs), = calls
