@@ -3,6 +3,10 @@ and config-file keys of ``_SETTINGS``.  Data is written as CSV (default) or
 JSON to ``-o`` or stdout; outputs are byte-deterministic for identical inputs.
 
 Exit codes: 0 success, 2 invalid parameters or flags, 3 numerical failure.
+
+Only the subcommands that step, read or verify a trajectory import
+:mod:`pfold.ivp`, :mod:`pfold.curve` and :mod:`pfold.verify`, and with them
+numpy, inside their handlers: ``analyze`` and every ``--help`` run without.
 """
 
 from __future__ import annotations
@@ -11,15 +15,12 @@ import argparse
 import io
 import sys
 from dataclasses import fields
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-import numpy as np
-
-from . import curve as _curve
-from . import ivp as _ivp
 from . import output as _out
-from . import verify as _verify
 from .model import (
+    IntegrationError,
+    IntegratorConfig,
     InvalidParamsError,
     Params,
     ProblemClass,
@@ -27,6 +28,9 @@ from .model import (
     check_conditions,
     closed_forms,
 )
+
+if TYPE_CHECKING:
+    from .ivp import Trajectory
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -53,7 +57,7 @@ _SETTINGS = {
     "alpha": _Setting(("-a", "--alpha"), float, 0.0),
     "n": _Setting(("-n",), float),
     **{f.name: _Setting(("--" + f.name.replace("_", "-"),), type(f.default), f.default)
-       for f in fields(_ivp.IntegratorConfig)},
+       for f in fields(IntegratorConfig)},
     "out": _Setting(("-o", "--out"), str),
     "format": _Setting(("--format",), str, "csv", choices=("csv", "json")),
     "samples_per_decade": _Setting(("--samples-per-decade",), int, 50, "curve"),
@@ -138,15 +142,16 @@ def _require_problem(settings: dict) -> tuple[Params, ProblemClass]:
 
 
 def _integrate(settings: dict,
-               check: Callable[[_ivp.IntegratorConfig], None] | None = None) -> _ivp.Trajectory:
+               check: Callable[[IntegratorConfig], None] | None = None) -> Trajectory:
     """The prologue of the subcommands that integrate: read the problem,
     build its integrator config, let ``check`` reject it, and integrate."""
+    from .ivp import integrate
+
     params, problem = _require_problem(settings)
-    cfg = _ivp.IntegratorConfig(**{f.name: settings[f.name]
-                                   for f in fields(_ivp.IntegratorConfig)})
+    cfg = IntegratorConfig(**{f.name: settings[f.name] for f in fields(IntegratorConfig)})
     if check is not None:
         check(cfg)
-    return _ivp.integrate(params, problem, cfg)
+    return integrate(params, problem, cfg)
 
 
 def _write(settings: dict, text: str) -> None:
@@ -181,12 +186,12 @@ def _emit_table(settings: dict, header, rows, summary: dict | None = None) -> No
         stream.write(_out.json_dumps(summary) + "\n")
 
 
-def _zero_warning(traj: _ivp.Trajectory, what: str) -> str:
+def _zero_warning(traj: Trajectory, what: str) -> str:
     return (f"generating solution reached zero at t = {_out.format_float(traj.t_end)}; "
             f"{what} truncated")
 
 
-def _lambda_inf(traj: _ivp.Trajectory) -> float | None:
+def _lambda_inf(traj: Trajectory) -> float | None:
     """The guiding solution's ``lambda_inf``, or None where there is none."""
     try:
         return closed_forms(traj.params, traj.problem).lambda_inf
@@ -222,6 +227,8 @@ def _cmd_solve(settings: dict) -> int:
 
 
 def _cmd_curve(settings: dict) -> int:
+    from . import curve as _curve
+
     traj = _integrate(settings)
     curve = _curve.build_curve(traj, samples_per_decade=settings["samples_per_decade"])
     summary = {
@@ -239,6 +246,8 @@ def _cmd_curve(settings: dict) -> int:
 
 
 def _cmd_turns(settings: dict) -> int:
+    from . import curve as _curve
+
     traj = _integrate(settings)
     turns = _curve.turning_points(traj)
     report = check_conditions(traj.params, traj.problem)
@@ -259,9 +268,13 @@ def _cmd_turns(settings: dict) -> int:
 
 
 def _cmd_profile(settings: dict) -> int:
+    import numpy as np
+
+    from . import curve as _curve
+
     t_eval, r_min = settings["t"], settings["r_min"]
 
-    def check(cfg: _ivp.IntegratorConfig) -> None:
+    def check(cfg: IntegratorConfig) -> None:
         if not 0.0 < r_min < 1.0:
             raise InvalidParamsError(f"--r-min must lie in (0, 1), got {r_min!r}")
         if settings["r_points"] < 2:
@@ -280,6 +293,8 @@ def _cmd_profile(settings: dict) -> int:
 
 
 def _cmd_verify(settings: dict) -> int:
+    from . import verify as _verify
+
     only = settings["only"]
     results = _verify.run_acceptance(only=only, tol_scale=settings["tol_scale"])
     if not results:
@@ -319,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:  # InvalidParamsError, ValidityError, file errors
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except _ivp.IntegrationError as exc:
+    except IntegrationError as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return EXIT_NUMERICAL
 

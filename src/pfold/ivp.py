@@ -138,6 +138,10 @@ from its first term, which is what a loop over the table gives from
 the operations of the function it replaces in the same order, so the
 rounding, and with it every step and every result, stays that of a loop
 over the tables that calls the right-hand side.
+
+The controls :class:`~pfold.model.IntegratorConfig` and the error
+:class:`~pfold.model.IntegrationError` are defined in :mod:`pfold.model`,
+which loads no numpy, and re-exported here.
 """
 
 from __future__ import annotations
@@ -147,13 +151,15 @@ import math
 import re
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .model import (
     ClassSpec,
+    IntegrationError,
+    IntegratorConfig,
     InvalidParamsError,
     Params,
     ProblemClass,
@@ -177,10 +183,6 @@ __all__ = [
 ]
 
 
-class IntegrationError(RuntimeError):
-    """Integration could not be completed (e.g. step-size underflow)."""
-
-
 class TruncatedTrajectoryError(IntegrationError):
     """``max_steps`` was exhausted; ``trajectory`` carries the partial result."""
 
@@ -196,41 +198,6 @@ class State:
     t: float
     w: float
     v: float
-
-
-@dataclass(frozen=True)
-class IntegratorConfig:
-    """Integration controls.
-
-    The state at ``t_start`` comes from the startup series, so ``t_start``
-    may lie anywhere below the series' reach (mostly between 0.3 and 2;
-    :func:`integrate` rejects a ``t_start`` at or beyond it), and the trajectory
-    past the series segment does not depend on it.  Beyond the series
-    segment the stepper runs in ``s = ln t``, in the Emden-Fowler variables
-    described in the module docstring.
-    """
-
-    t_start: float = 1e-6
-    t_max: float = 1e4
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-    max_steps: int = 100_000
-
-    def validated(self) -> "IntegratorConfig":
-        """This configuration with float times and tolerances, once checked."""
-        if not (0.0 < self.t_start < self.t_max < math.inf):
-            raise InvalidParamsError(f"need 0 < t_start < t_max < inf, got t_start = "
-                                     f"{self.t_start!r}, t_max = {self.t_max!r}")
-        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
-            raise InvalidParamsError("tolerances must be positive and finite")
-        if self.max_steps < 1:
-            raise InvalidParamsError("max_steps must be >= 1")
-        try:  # an int can lie past the largest float
-            return replace(self, **{name: float(getattr(self, name))
-                                    for name in ("t_start", "t_max", "rel_tol", "abs_tol")})
-        except OverflowError:
-            raise InvalidParamsError("t_start, t_max, rel_tol and abs_tol must lie below "
-                                     "the largest float") from None
 
 
 @dataclass(frozen=True)

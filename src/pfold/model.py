@@ -17,17 +17,21 @@ IVP: the explicit guiding solution ``w0`` that ``w`` approaches as
 from one bracket ``D`` (:func:`guiding_bracket`), and the named inequality
 conditions that decide whether the characteristic roots are complex, i.e.
 whether the curve spirals through infinitely many folds.
+
+It also holds the integrator's controls, :class:`IntegratorConfig`, and its
+error, :class:`IntegrationError`, which :mod:`pfold.ivp` re-exports: the
+command line reads both without loading :mod:`pfold.ivp`.  This module needs
+no numpy except in :func:`guiding_eval` and :func:`guiding_curvature`, which
+take arrays and import it where they run.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = [
     "ProblemClass",
@@ -63,6 +67,10 @@ class ValidityError(ValueError):
 
     The message names the inequality that failed.
     """
+
+
+class IntegrationError(RuntimeError):
+    """Integration could not be completed (e.g. step-size underflow)."""
 
 
 class ProblemClass(str, Enum):
@@ -101,6 +109,41 @@ class Params:
         object.__setattr__(self, "alpha", float(self.alpha))
         if self.q is not None:
             object.__setattr__(self, "q", float(self.q))
+
+
+@dataclass(frozen=True)
+class IntegratorConfig:
+    """Integration controls.
+
+    The state at ``t_start`` comes from the startup series, so ``t_start``
+    may lie anywhere below the series' reach (mostly between 0.3 and 2;
+    :func:`~pfold.ivp.integrate` rejects a ``t_start`` at or beyond it), and
+    the trajectory past the series segment does not depend on it.  Beyond the
+    series segment the stepper runs in ``s = ln t``, in the Emden-Fowler
+    variables described in the docstring of :mod:`pfold.ivp`.
+    """
+
+    t_start: float = 1e-6
+    t_max: float = 1e4
+    rel_tol: float = 1e-10
+    abs_tol: float = 1e-12
+    max_steps: int = 100_000
+
+    def validated(self) -> "IntegratorConfig":
+        """This configuration with float times and tolerances, once checked."""
+        if not (0.0 < self.t_start < self.t_max < math.inf):
+            raise InvalidParamsError(f"need 0 < t_start < t_max < inf, got t_start = "
+                                     f"{self.t_start!r}, t_max = {self.t_max!r}")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise InvalidParamsError("tolerances must be positive and finite")
+        if self.max_steps < 1:
+            raise InvalidParamsError("max_steps must be >= 1")
+        try:  # an int can lie past the largest float
+            return replace(self, **{name: float(getattr(self, name))
+                                    for name in ("t_start", "t_max", "rel_tol", "abs_tol")})
+        except OverflowError:
+            raise InvalidParamsError("t_start, t_max, rel_tol and abs_tol must lie below "
+                                     "the largest float") from None
 
 
 # What tells the classes apart: the sign sgn of the source in the generating
@@ -258,6 +301,14 @@ _TEXTS = {
 }
 
 
+def _power(x: float, y: float) -> float:
+    """``x ** y``, or inf where it leaves the floats (and for ``0.0 ** y``, ``y < 0``)."""
+    try:
+        return x ** y
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
 def closed_forms(params: Params, problem: ProblemClass) -> ClosedForms:
     """Compute guiding-solution constants and the curve limit ``lambda_inf``.
 
@@ -268,22 +319,28 @@ def closed_forms(params: Params, problem: ProblemClass) -> ClosedForms:
     and ``-beta``, ``D > 0`` reads ``n > p`` for ``gelfand``,
     ``(p-1)(beta-1) + n - 1 > 0`` for ``mems`` and, times ``beta^(p-1)``,
     ``(n-p) beta^(p-1) - (p-1) beta^p > 0`` for ``jl``: the inequality that
-    a :class:`ValidityError` names when it fails.
+    a :class:`ValidityError` names when it fails.  It also raises one, naming
+    the float range, where ``lambda_inf`` rounds to 0 or inf, or ``coeff`` to
+    inf; a ``coeff`` that underflows is reported as 0.
     """
     validate_params(params, problem)
     spec = class_spec(params, problem)
     beta = beta_exponent(params, problem)
     D = guiding_bracket(params, spec.g)
-    lam = beta ** (params.p - 1.0) * D
+    lam = _power(beta, params.p - 1.0) * D
     validity, note = _TEXTS[problem]
     if not D > 0.0:
         raise ValidityError(f"{problem.value} guiding solution requires "
                             + validity.format(n=params.n, p=params.p, D=D, lam=lam))
+    coeff = lam if spec.E is None else _power(lam, 1.0 / spec.E)
+    if not (0.0 < lam < math.inf and coeff < math.inf):
+        raise ValidityError(f"{problem.value} guiding solution leaves the float range: "
+                            f"lambda_inf = {lam!r}, coeff = {coeff!r}")
     if spec.E is None:
-        coeff, notes = lam, ()
+        notes = ()
     else:  # the note's variant has the exponent q - 1 with the sign s of f's power
-        coeff = lam ** (1.0 / spec.E)
-        notes = (note.format(lam=lam, variant=coeff ** (_FACTS[problem][2] * (params.q - 1.0))),)
+        variant = _power(coeff, _FACTS[problem][2] * (params.q - 1.0))
+        notes = (note.format(lam=lam, variant=variant),)
     # the guiding solution w0 = coeff t^g (gelfand: ln coeff - (alpha+p) ln t)
     kind = "logarithmic" if spec.E is None else "power-growth" if spec.g > 0.0 else "power-decay"
     return ClosedForms(problem=problem, params=params, beta=beta, coeff=coeff, lambda_inf=lam,
@@ -295,6 +352,8 @@ def guiding_eval(cf: ClosedForms, t):
 
     Accepts a scalar or an array; returns ``(w0, w0prime)`` of matching shape.
     """
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("guiding solution is defined for t > 0 only")
@@ -312,6 +371,8 @@ def guiding_eval(cf: ClosedForms, t):
 
 def guiding_curvature(cf: ClosedForms, t):
     """Exact second derivative of the guiding solution at ``t > 0``."""
+    import numpy as np
+
     t = np.asarray(t, dtype=float)
     if np.any(t <= 0.0):
         raise ValueError("guiding solution is defined for t > 0 only")
@@ -489,14 +550,14 @@ def _mems_conditions(params: Params) -> dict[str, ConditionResult]:
         expression="(p-1)(beta-1) + n - 1 > 0",
     )
 
-    lead = 4.0 * q - (p - 2.0) ** 2
+    lead = 4.0 * q - _power(p - 2.0, 2)
     conds["leading_coefficient"] = _condition(lead, expression="4q - (p-2)^2 > 0")
 
     big_a = (p - 1.0) * lead
     big_b = (4.0 * q - 2.0 * (p - 1.0) * (p - 2.0)) * (n - p)
-    big_c = (p - 1.0) * (n - p) ** 2
+    big_c = (p - 1.0) * _power(n - p, 2)
     conds["oscillation"] = _condition(
-        big_a * beta**2 + big_b * beta - big_c,
+        big_a * _power(beta, 2) + big_b * beta - big_c,
         expression="A beta^2 + B beta - C > 0 with A = 4(p-1)q - (p-1)(p-2)^2, "
         "B = 4q(n-p) - 2(p-1)(p-2)(n-p), C = (p-1)(n-p)^2",
     )
@@ -557,12 +618,13 @@ def _jl_conditions(params: Params) -> dict[str, ConditionResult]:
     if scaling_ok:
         beta = (p + alpha) / (q - p + 1.0)
         theta = 2.0 * beta * (p - 2.0) + 4.0 * q * beta / (p - 1.0)
-        gamma = (p - 2.0) ** 2 * beta**2 + 4.0 * q * beta**2
+        beta2 = _power(beta, 2)
+        gamma = _power(p - 2.0, 2) * beta2 + 4.0 * q * beta2
         # theta^2 - 4 gamma as the product it equals, > 0 with q - p + 1 > 0: the
         # difference cancels, and rounds below 0 where q is a few ulps above p - 1
-        disc = 16.0 * q * beta**2 * (q - p + 1.0) / (p - 1.0) ** 2
+        disc = 16.0 * q * beta2 * (q - p + 1.0) / _power(p - 1.0, 2)
         conds["oscillation"] = _condition(
-            theta * (n - p) - (n - p) ** 2 - gamma,
+            theta * (n - p) - _power(n - p, 2) - gamma,
             expression="(n-p)^2 - theta (n-p) + gamma < 0 with "
             "theta = 2 beta (p-2) + 4 q beta/(p-1), gamma = (p-2)^2 beta^2 + 4 q beta^2",
         )
@@ -624,7 +686,9 @@ _CONDITIONS = {
 def check_conditions(params: Params, problem: ProblemClass) -> RegimeReport:
     """Evaluate every named condition of the class, with signed margins.
 
-    Always returns a report; no exceptions beyond parameter validation.
+    Always returns a report; no exceptions beyond parameter validation.  A
+    square that leaves the floats is inf, so that a margin past the float
+    range reads inf or nan.
     Margins are oriented so that positive means the inequality holds
     strictly; a margin within ``1e-14`` of zero is reported as boundary
     and does not count as holding.

@@ -1,16 +1,19 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from pfold import (IntegratorConfig, Params, ProblemClass, characteristic_quadratic,
-                   guard_discarded, ivp)
-from pfold.cli import main
+import pfold
+from pfold import (IntegratorConfig, Params, ProblemClass, characteristic_quadratic, curve,
+                   guard_discarded, ivp, model)
+from pfold.cli import _COMMANDS, _lambda_inf, main
 
 CLI = [sys.executable, "-m", "pfold.cli"]
 
@@ -494,6 +497,38 @@ class TestOutOfFloatRange:
         for a, b in zip(ts[-6:-1], ts[-5:]):
             assert b / a == pytest.approx(math.exp(math.pi / spin), rel=1e-3)
 
+    # lambda_inf = beta^(p-1) D and coeff = lambda_inf^(1/E) in floats: beta^(p-1)
+    # overflows where D < 0 (gelfand, jl), lambda_inf overflows or underflows to 0
+    # (mems); then the squares of the conditions leave the floats past 3e154
+    @pytest.mark.parametrize("argv,validity_error", [
+        (("gelfand", "-p", "147", "-n", "2.19"),
+         "gelfand guiding solution requires n > p, got n = 2.19, p = 147.0"),
+        (("gelfand", "-p", "143.86", "-n", "3"),
+         "gelfand guiding solution requires n > p, got n = 3.0, p = 143.86"),
+        (("mems", "-p", "1070", "-n", "121", "-a", "1350", "-q", "0.259"),
+         "mems guiding solution leaves the float range: lambda_inf = inf, coeff = 0.0"),
+        (("mems", "-p", "480", "-n", "866", "-q", "2460"),
+         "mems guiding solution leaves the float range: lambda_inf = 0.0, coeff = inf"),
+        (("jl", "-p", "634", "-n", "17.2", "-a", "0.00275", "-q", "799"),
+         "jl guiding solution requires (n-p) beta^(p-1) - (p-1) beta^p > 0, got -inf"),
+        (("mems", "-p", "4e154", "-n", "3", "-q", "2"),
+         "mems guiding solution requires (p-1)(beta-1) + n - 1 > 0, got 0.0"),
+        (("jl", "-p", "4e154", "-n", "3", "-q", "4e154"),
+         "jl guiding solution requires (n-p) beta^(p-1) - (p-1) beta^p > 0, got -inf"),
+    ], ids=["gelfand-147", "gelfand-143.86", "mems-lambda-inf", "mems-lambda-zero",
+            "jl-634", "mems-squares", "jl-squares"])
+    def test_analyze_past_the_float_range(self, run_cli, argv, validity_error):
+        proc = run_cli("analyze", "--class", *argv)
+        assert proc.returncode == 0 and proc.stderr == ""
+        doc = json.loads(proc.stdout)
+        assert doc["closed_forms"] is None and doc["validity_error"] == validity_error
+        assert doc["predicted_infinite_turns"] is False
+
+    def test_lambda_inf_is_null_past_the_float_range(self):
+        traj = SimpleNamespace(params=Params(p=480, n=866, alpha=0, q=2460),
+                               problem=ProblemClass.MEMS)
+        assert _lambda_inf(traj) is None
+
     @pytest.mark.parametrize("argv", [
         ("gelfand", "-p", "2", "-n", "1000"), ("mems", "-p", "2", "-n", "1000", "-q", "2"),
         ("jl", "-p", "2", "-n", "2000", "-q", "3"),
@@ -573,3 +608,94 @@ class TestOutOfFloatRange:
         assert doc["summary"]["predicted_infinite_turns"] is True
         # a non-finite value would be written as a quoted string
         assert all(isinstance(x, float) for row in doc["rows"] for x in row[:3])
+
+
+def _fresh(code: str) -> str:
+    """The last line ``code`` prints in a fresh interpreter that imports this pfold."""
+    src = str(Path(pfold.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+# a module set to None in sys.modules is one that cannot be imported
+_LOADED = ("import sys\nprint(sorted({name.split('.')[0] for name, module in sys.modules.items()\n"
+           "                   if module is not None} & {'numpy', 'scipy'}))")
+_SETS = {"gelfand": dict(p=2, n=3), "mems": dict(p=2, n=3, q=2), "jl": dict(p=2, n=4, q=5)}
+
+
+def _cli(*argv: str) -> str:
+    """Code that runs ``pfold`` with ``argv`` in process; ``--help`` exits."""
+    return (f"from pfold.cli import main\ntry:\n    main({list(argv)!r})\n"
+            "except SystemExit:\n    pass")
+
+
+def _analyze(problem: str) -> str:
+    return _cli("analyze", "--class", problem,
+                *(arg for key, value in _SETS[problem].items() for arg in (f"-{key}", str(value))))
+
+
+def _model_api(problem: str) -> str:
+    return ("from pfold import Params, ProblemClass, characteristic_quadratic, check_conditions, "
+            f"closed_forms\nargs = Params(**{_SETS[problem]!r}), ProblemClass({problem!r})\n"
+            "for f in (characteristic_quadratic, check_conditions, closed_forms):\n"
+            "    f(*args).to_dict()")
+
+
+# case id: (code, the top-level packages of numpy and scipy that it loads)
+_COLD = {
+    "import-pfold": ("import pfold", []),
+    **{f"model-{problem}": (_model_api(problem), []) for problem in _SETS},
+    **{f"analyze-{problem}": (_analyze(problem), []) for problem in _SETS},
+    "help": (_cli("--help"), []),
+    **{f"{sub}-help": (_cli(sub, "--help"), []) for sub in _COMMANDS},
+    "integrate": ("import pfold\n"
+                  "pfold.integrate(pfold.Params(p=2, n=3), pfold.ProblemClass('gelfand'))",
+                  ["numpy"]),
+}
+
+
+class TestColdStart:
+    """What a fresh interpreter loads: numpy only where a trajectory is stepped."""
+
+    @pytest.mark.parametrize("code,loaded", list(_COLD.values()), ids=list(_COLD))
+    def test_modules_loaded(self, code, loaded):
+        assert _fresh(f"{code}\n{_LOADED}") == repr(loaded)
+
+
+class TestPublicNames:
+    """``pfold.<name>`` resolves the public names of ``model``, ``ivp`` and ``curve``."""
+
+    def test_names_resolve_to_the_modules_objects(self):
+        # in a fresh interpreter, where ivp and curve load on first access
+        code = ("import importlib, pfold\n"
+                "lazy = {s: getattr(pfold, s) for s in ('ivp', 'curve')}\n"
+                "mods = {s: importlib.import_module('pfold.' + s)\n"
+                "        for s in ('model', 'ivp', 'curve', 'output', 'verify', 'cli')}\n"
+                "bad = [s for s in lazy if lazy[s] is not mods[s]]\n"
+                "bad += [n for s in ('model', 'ivp', 'curve') for n in mods[s].__all__\n"
+                "        if getattr(pfold, n) is not getattr(mods[s], n)]\n"
+                "bad += [s for s in mods if getattr(pfold, s) is not mods[s]]\n"
+                "print(bad)")
+        assert _fresh(code) == "[]"
+
+    def test_star_import_binds_the_modules_names(self):
+        # dir() lists them before they load
+        code = ("import pfold\nlisted = set(dir(pfold))\n"
+                "ns = {}\nexec('from pfold import *', ns)\nns.pop('__builtins__')\n"
+                "print(sorted(ns), listed >= set(ns), all(ns[n] is getattr(pfold, n) for n in ns))")
+        names = sorted({*model.__all__, *ivp.__all__, *curve.__all__, "model", "ivp", "curve"})
+        assert _fresh(code) == f"{names!r} True True"
+
+    def test_unknown_name_is_an_attribute_error(self):
+        # without importing ivp: the fallback of ``from pfold import verify`` needs the error
+        code = ("import sys, pfold\nmissing = []\n"
+                "for name in ('nosuch', '_private', '__wrapped__', 'verify'):\n"
+                "    try:\n        getattr(pfold, name)\n"
+                "    except AttributeError:\n        missing.append(name)\n"
+                "before = 'pfold.ivp' in sys.modules\n"
+                "from pfold import verify\n"
+                "print(missing, before, verify is sys.modules['pfold.verify'])")
+        assert _fresh(code) == "['nosuch', '_private', '__wrapped__', 'verify'] False True"

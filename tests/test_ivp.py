@@ -1,11 +1,7 @@
 import dataclasses
 import math
-import os
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1276,16 +1272,6 @@ class TestPhiInvSource:
             assert self._outcome(ivp._phi_inv, s, phi_exp) == want, s
             for form in forms:
                 assert self._outcome(form, s, 1.0) == want, s
-
-
-def test_import_leaves_scipy_unloaded():
-    src = str(Path(pfold.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, pfold; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
 
 
 class TestEval:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -68,6 +69,25 @@ class TestClosedForms:
             closed_forms(Params(p=2, n=2, alpha=0, q=5), J)
         with pytest.raises(ValidityError, match="q - p \\+ 1"):
             closed_forms(Params(p=3, n=5, alpha=0, q=1.5), J)
+
+    @pytest.mark.parametrize("params,problem,values", [
+        # lambda_inf = beta^(p-1) D overflows, and underflows to 0
+        (Params(p=200, n=300, alpha=0), G, "lambda_inf = inf, coeff = inf"),
+        (Params(p=1070, n=121, alpha=1350, q=0.259), M, "lambda_inf = inf, coeff = 0.0"),
+        (Params(p=480, n=866, alpha=0, q=2460), M, "lambda_inf = 0.0, coeff = inf"),
+        # coeff = lambda_inf^(1/E) overflows, E = q - p + 1 = 1e-4
+        (Params(p=2, n=30000, alpha=0, q=1.0001), J,
+         "lambda_inf = 199959999.99997798, coeff = inf"),
+    ], ids=["gelfand-lambda-inf", "mems-lambda-inf", "mems-lambda-zero", "jl-coeff-inf"])
+    def test_guiding_solution_past_the_float_range(self, params, problem, values):
+        message = f"{problem.value} guiding solution leaves the float range: {values}"
+        with pytest.raises(ValidityError, match=f"^{re.escape(message)}$"):
+            closed_forms(params, problem)
+
+    def test_underflowing_coefficient_is_zero(self):
+        # coeff = lambda_inf^(1/E) with E = -(p+q-1) = -0.002 is about 1e-490
+        cf = closed_forms(Params(p=1.001, n=10, alpha=0, q=0.001), M)
+        assert cf.coeff == 0.0 and cf.lambda_inf == pytest.approx(9.5587290459517, rel=1e-12)
 
     @pytest.mark.parametrize("params", [Params(p=math.nan, n=3), Params(p=2, n=math.inf)],
                              ids=["p-nan", "n-inf"])
@@ -359,6 +379,17 @@ class TestConditions:
         rep = check_conditions(Params(p=2.5, n=5, alpha=0, q=1.2), J)
         assert not rep.predicted_infinite_turns
         assert not rep.conditions["oscillation"].holds
+
+    @pytest.mark.parametrize("params,problem", [
+        (Params(p=4e154, n=3, alpha=0, q=2), M), (Params(p=2, n=4e154, alpha=0, q=2), M),
+        (Params(p=2, n=4e154, alpha=0, q=5), J), (Params(p=4e154, n=3, alpha=0, q=4e154), J),
+        (Params(p=2, n=3, alpha=1e200, q=5), J),
+    ], ids=["mems-p", "mems-n", "jl-n", "jl-p-q", "jl-alpha"])
+    def test_report_past_the_float_range(self, params, problem):
+        # (p-2)^2, (n-p)^2 or beta^2 leaves the floats: the margins read inf or nan
+        rep = check_conditions(params, problem)
+        assert not rep.predicted_infinite_turns
+        assert any(not math.isfinite(c.margin) for c in rep.conditions.values())
 
     def test_classical_trio_only_at_p2_alpha0(self):
         rep = check_conditions(Params(p=2.5, n=5, alpha=0, q=4), J)
