@@ -17,9 +17,9 @@ _LAZY = {
     "ivp": ("State", "IntegratorConfig", "PhaseStats", "Trajectory", "IntegrationError",
             "TruncatedTrajectoryError", "startup_state", "integrate", "residual", "pohozaev"),
     "curve": ("CurvePoint", "SolutionCurve", "TurningPoint", "IntersectionRecord",
-              "ConvergenceReport", "curve_values", "monitor", "build_curve", "turning_points",
-              "guard_discarded", "intersections", "check_interlacing", "convergence",
-              "profile", "singular_profile", "shooting_check"),
+              "ConvergenceReport", "FoldAnswer", "curve_values", "monitor", "build_curve",
+              "turning_points", "fold_answer", "intersections", "check_interlacing",
+              "convergence", "profile", "singular_profile", "shooting_check"),
 }
 _OWNER = {name: module for module, names in _LAZY.items() for name in names}
 

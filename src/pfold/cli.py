@@ -191,14 +191,6 @@ def _zero_warning(traj: Trajectory, what: str) -> str:
             f"{what} truncated")
 
 
-def _lambda_inf(traj: Trajectory) -> float | None:
-    """The guiding solution's ``lambda_inf``, or None where there is none."""
-    try:
-        return closed_forms(traj.params, traj.problem).lambda_inf
-    except ValidityError:
-        return None
-
-
 def _cmd_analyze(settings: dict) -> int:
     params, problem = _require_problem(settings)
     doc = check_conditions(params, problem).to_dict()
@@ -236,7 +228,7 @@ def _cmd_curve(settings: dict) -> int:
         "rows": len(curve.t),
         "t_end": curve.t_end,
         "lambda_end": float(curve.lam[-1]),
-        "lambda_inf": _lambda_inf(traj),
+        "lambda_inf": _curve._lambda_inf(traj),
     }
     if curve.truncated:
         summary["warning"] = _zero_warning(traj, "curve")
@@ -248,22 +240,8 @@ def _cmd_curve(settings: dict) -> int:
 def _cmd_turns(settings: dict) -> int:
     from . import curve as _curve
 
-    traj = _integrate(settings)
-    turns = _curve.turning_points(traj)
-    report = check_conditions(traj.params, traj.problem)
-    directions = [tp.direction for tp in turns]
-    alternating = all(a != b for a, b in zip(directions[:-1], directions[1:]))
-    summary = {
-        "count": len(turns),
-        "guard_discarded": _curve.guard_discarded(traj),
-        "alternating_directions": alternating if len(turns) >= 2 else None,
-        "predicted_infinite_turns": report.predicted_infinite_turns,
-        "oscillatory": report.oscillatory,
-        "t_end": traj.t_end,
-        "termination": traj.termination,
-        "lambda_inf": _lambda_inf(traj),
-    }
-    _emit_table(settings, _out.TURNING_HEADER, turns, summary)
+    answer = _curve.fold_answer(_integrate(settings))
+    _emit_table(settings, _out.TURNING_HEADER, answer.folds, answer.to_dict())
     return EXIT_OK
 
 

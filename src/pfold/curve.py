@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -45,7 +45,9 @@ from .model import (
     ClosedForms,
     Params,
     ProblemClass,
+    ValidityError,
     characteristic_quadratic,
+    check_conditions,
     class_spec,
     closed_forms,
     guiding_eval,
@@ -57,11 +59,12 @@ __all__ = [
     "TurningPoint",
     "IntersectionRecord",
     "ConvergenceReport",
+    "FoldAnswer",
     "curve_values",
     "monitor",
     "build_curve",
     "turning_points",
-    "guard_discarded",
+    "fold_answer",
     "intersections",
     "check_interlacing",
     "convergence",
@@ -273,14 +276,54 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
     return list(traj._folds)
 
 
-def guard_discarded(traj: _ivp.Trajectory) -> int:
-    """Sign changes of the monitor that the guard of :func:`turning_points`
-    threw away: those between consecutive dense samples, minus the folds.
-    Each fold brackets an odd number of them, so the count is ``>= 0``; it
-    counts both rounding noise and real folds too close to the guiding
-    solution to resolve."""
+@dataclass(frozen=True)
+class FoldAnswer:
+    """The fold answer of one run: its folds, as :func:`turning_points` gives
+    them, and what else tells how far to trust their count.
+
+    ``guard_discarded`` counts the sign changes of the monitor that the
+    guard threw away: those between consecutive dense samples, minus the
+    folds.  Each fold brackets an odd number of them, so the count is ``>=
+    0``; it counts both rounding noise and real folds too close to the
+    guiding solution to resolve.  ``predicted_infinite_turns`` and
+    ``oscillatory`` are those of :func:`~pfold.model.check_conditions`, and
+    ``lambda_inf`` is the guiding solution's, or None where there is none.
+    """
+
+    folds: tuple[TurningPoint, ...]
+    guard_discarded: int
+    predicted_infinite_turns: bool
+    oscillatory: bool
+    t_end: float
+    termination: str
+    lambda_inf: float | None
+
+    def to_dict(self) -> dict:
+        """The summary of ``pfold turns``: the fields, with the folds as their
+        count and whether their directions alternate (None below two folds)."""
+        directions = [tp.direction for tp in self.folds]
+        alternating = all(a != b for a, b in zip(directions[:-1], directions[1:]))
+        return {"count": len(directions),
+                "alternating_directions": alternating if len(directions) >= 2 else None,
+                **{f.name: getattr(self, f.name) for f in fields(self)[1:]}}
+
+
+def _lambda_inf(traj: _ivp.Trajectory) -> float | None:
+    """The guiding solution's ``lambda_inf``, or None where there is none."""
+    try:
+        return closed_forms(traj.params, traj.problem).lambda_inf
+    except ValidityError:
+        return None
+
+
+def fold_answer(traj: _ivp.Trajectory) -> FoldAnswer:
+    """The :class:`FoldAnswer` of ``traj``, with the folds kept on it."""
+    folds = tuple(turning_points(traj))
     monitor_fn = _log_monitor(class_spec(traj.params, traj.problem))
-    return traj._sign_changes(monitor_fn) - len(turning_points(traj))
+    report = check_conditions(traj.params, traj.problem)
+    return FoldAnswer(folds, traj._sign_changes(monitor_fn) - len(folds),
+                      report.predicted_infinite_turns, report.oscillatory, traj.t_end,
+                      traj.termination, _lambda_inf(traj))
 
 
 def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,

@@ -1140,7 +1140,8 @@ class Trajectory:
         x, big_w, y = np.empty((3, len(theta)))
         x[on_series] = np.log(tau) / ser.sigma
         x[on_rows] = step[0] + s * step[1]
-        scale = np.exp(-self._g * x)
+        with np.errstate(over="ignore"):  # t^-g past the floats is inf, as on the nodes
+            scale = np.exp(-self._g * x)
         if len(tau):
             w, big_v = ser.slope_form(tau)
             scale_ser = scale[on_series]
@@ -1171,7 +1172,11 @@ class Trajectory:
             first, z = _dense(step, theta)
             x = x0 + theta * h
             big_w = first if k is None else float(np.log(first)) - k * x
-            return x, big_w, _phi_inv(z, phi_exp), math.exp(-g * x)
+            try:
+                scale = math.exp(-g * x)
+            except OverflowError:  # t^-g past the floats: inf, as in _read
+                scale = math.inf
+            return x, big_w, _phi_inv(z, phi_exp), scale
         return point
 
     def _guard(self, w, t_wprime, coeff_sum: float, scale):
@@ -1198,18 +1203,19 @@ class Trajectory:
         """
         smp = self._samples
         vals = fn(smp.x, smp.big_w, smp.y)
+        sign = np.sign(vals)  # a product of two values could overflow or round to 0
         floor = (-math.inf if coeff_sum is None
                  else self._guard(smp.big_w, smp.y, coeff_sum, smp.scale))
         idx = np.flatnonzero(np.abs(vals) > floor)
         a, b = idx[:-1], idx[1:]
-        pick = (vals[a] * vals[b] < 0.0) & (smp.x[b] > x_min)
+        pick = (sign[a] * sign[b] < 0.0) & (smp.x[b] > x_min)
         rows, theta, xs = smp.row, smp.theta, smp.x
         out = []
         for i, j in zip(a[pick].tolist(), b[pick].tolist()):
             lo, hi = i, j
             for k in range(i + 1, j + 1):
                 if rows[k] != rows[k - 1]:  # sample k starts a row, where the row of lo ends
-                    if vals[lo] * vals[k] <= 0.0:
+                    if sign[lo] * sign[k] <= 0.0:
                         hi = k
                         break
                     lo = k
@@ -1231,9 +1237,9 @@ class Trajectory:
         """Sign changes of ``fn(x, W, Y)`` between consecutive nonzero samples of
         :attr:`_samples`: all that :meth:`_roots` sees before its guard."""
         smp = self._samples
-        vals = fn(smp.x, smp.big_w, smp.y)
-        vals = vals[vals != 0.0]
-        return int(np.count_nonzero(vals[:-1] * vals[1:] < 0.0))
+        sign = np.sign(fn(smp.x, smp.big_w, smp.y))
+        sign = sign[sign != 0.0]
+        return int(np.count_nonzero(sign[:-1] * sign[1:] < 0.0))
 
     def eval(self, t: float) -> tuple[float, float]:
         """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes.

@@ -12,14 +12,10 @@ import pytest
 
 import pfold
 from pfold import (IntegratorConfig, Params, ProblemClass, characteristic_quadratic, curve,
-                   guard_discarded, ivp, model)
-from pfold.cli import _COMMANDS, _lambda_inf, main
+                   ivp, model)
+from pfold.cli import _COMMANDS, main
 
 CLI = [sys.executable, "-m", "pfold.cli"]
-
-# A RuntimeWarning fails the test: the installed ``pfold`` would print it to
-# stderr, which several tests assert to be empty or one line
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 @pytest.fixture
@@ -258,7 +254,23 @@ class TestTurns:
                        repr(params.n), "--format", "json", check=True)
         discarded = json.loads(proc.stdout)["summary"]["guard_discarded"]
         traj = ivp.integrate(params, ProblemClass.GELFAND)
-        assert discarded == guard_discarded(traj) >= 1
+        assert discarded == curve.fold_answer(traj).guard_discarded >= 1
+
+    @pytest.mark.parametrize("argv,params,problem", [
+        (("gelfand", "-p", "2", "-n", "10"), Params(p=2, n=10, alpha=0), ProblemClass.GELFAND),
+        # no guiding solution: lambda_inf is None
+        (("gelfand", "-p", "2", "-n", "1.5"), Params(p=2, n=1.5, alpha=0), ProblemClass.GELFAND),
+        (("jl", "-p", "2", "-n", "5", "-q", "2"), Params(p=2, n=5, alpha=0, q=2),
+         ProblemClass.JOSEPH_LUNDGREN),
+        (("gelfand", "-p", "2.9163914331524685", "-n", "8.342952000081926"),
+         Params(p=2.9163914331524685, n=8.342952000081926, alpha=0), ProblemClass.GELFAND),
+    ], ids=["no-fold", "no-guiding-solution", "ends-at-zero", "guard-discards"])
+    def test_summary_is_the_fold_answer(self, run_cli, argv, params, problem):
+        proc = run_cli("turns", "--class", *argv, "--format", "json", check=True)
+        doc = json.loads(proc.stdout)
+        answer = curve.fold_answer(ivp.integrate(params, problem))
+        assert answer.to_dict() == doc["summary"]
+        assert [list(tp) for tp in answer.folds] == doc["rows"]
 
     def test_real_root_case_to_1e300(self, run_cli):
         # steps to 1e300 at the stability radius, with no fold
@@ -527,7 +539,7 @@ class TestOutOfFloatRange:
     def test_lambda_inf_is_null_past_the_float_range(self):
         traj = SimpleNamespace(params=Params(p=480, n=866, alpha=0, q=2460),
                                problem=ProblemClass.MEMS)
-        assert _lambda_inf(traj) is None
+        assert curve._lambda_inf(traj) is None
 
     @pytest.mark.parametrize("argv", [
         ("gelfand", "-p", "2", "-n", "1000"), ("mems", "-p", "2", "-n", "1000", "-q", "2"),
@@ -540,6 +552,13 @@ class TestOutOfFloatRange:
         assert proc.stderr.count("\n") == 1
         summary = json.loads(proc.stderr)
         assert (summary["count"], summary["t_end"]) == (0, 1e4)
+
+    def test_scale_past_the_float_range_exit_0(self, run_cli):
+        # t^-g = t^2 leaves the floats past t = 1.34e154, where the samples read it as inf
+        proc = run_cli("turns", "--class", "jl", "-p", "2", "-n", "6", "-q", "2",
+                       "--t-max", "1e300", check=True)
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr)["termination"] == "t_max"
 
     def test_empty_log_phase_interval_exit_0(self, run_cli):
         # the series' reach is one ulp below t_max, with the same logarithm
@@ -580,9 +599,13 @@ class TestOutOfFloatRange:
          r"the node at t = 9\.3\d*e\+169 leaves the float range in w, t w'"),
         (("--class", "jl", "-p", "1.5", "-n", "3", "-q", "5"), 1e300, None),
         (("--class", "jl", "-p", "2", "-n", "6", "-q", "5"), 1e300, None),
+        # the monitor passes about 1e154, where a product of two samples overflows
+        (("--class", "gelfand", "-p", "2", "-n", "1"), 1e300, None),
+        (("--class", "mems", "-p", "1.5937332984652182", "-n", "1", "-q", "32.8988743489788"),
+         2.793289255295866e+243, None),
     ], ids=["gelfand-1e200", "gelfand-1e300", "mems-1e300", "mems-small-q-1e300",
             "gelfand-2-6", "gelfand-1.01-3", "gelfand-3-6", "mems-2-3-2", "mems-2-3-0.1",
-            "jl-1.5-3-5", "jl-2-6-5"])
+            "jl-1.5-3-5", "jl-2-6-5", "gelfand-2-1", "mems-1.59-1"])
     def test_horizon_near_the_top_of_the_floats(self, run_cli, argv, t_max, failure):
         for command in ("turns", "curve"):
             proc = run_cli(command, *argv, "--t-max", repr(t_max))

@@ -22,7 +22,7 @@ from pfold import (
     closed_forms,
     convergence,
     curve_values,
-    guard_discarded,
+    fold_answer,
     guiding_eval,
     integrate,
     intersections,
@@ -77,7 +77,6 @@ class TestBuildCurve:
         assert all(pt.lam > 0.0 for pt in curve.points)
         assert curve.t_end < jl_zero_traj.t_end
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("params", [Params(p=2, n=6, alpha=0, q=5),
                                         Params(p=1.5, n=3, alpha=0, q=5)], ids=["2-6", "1.5-3"])
     def test_jl_curve_to_the_top_of_the_floats(self, params):
@@ -258,8 +257,9 @@ class TestTurningPoints:
     def test_guard_discarded(self):
         # sweep case gelfand-12 misses a late fold near t = 4844 under the guard
         late = integrate(Params(p=2.9163914331524685, n=8.342952000081926, alpha=0), G)
-        assert guard_discarded(late) >= 1
-        assert guard_discarded(integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))) == 0
+        assert fold_answer(late).guard_discarded >= 1
+        spiral = integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))
+        assert fold_answer(spiral).guard_discarded == 0
 
     @pytest.mark.parametrize("params,problem", [
         (GELFAND3, G), (MEMS233, M), (JL454, J), (Params(p=3, n=5, alpha=1), G),
@@ -599,6 +599,12 @@ class TestIntersections:
         with pytest.raises(ValueError):
             intersections(mems_traj, t_min=mems_traj.t_start)
 
+    def test_past_the_float_range(self):
+        # t^-g = t^2 leaves the floats past t = 1.34e154, where the gap reads
+        # W and Y, as the nodes do
+        traj = integrate(Params(p=2, n=6, alpha=0, q=2), J, IntegratorConfig(t_max=1e300))
+        assert len(intersections(traj).times) >= 1
+
     def test_check_interlacing_rejects_double_events(self):
         assert check_interlacing([1.0, 3.0], [2.0])
         assert not check_interlacing([1.0, 2.0], [3.0])
@@ -643,7 +649,7 @@ class TestConvergence:
 
     def test_reuses_the_folds_of_the_trajectory(self, monkeypatch):
         # the folds are refined once per trajectory: a second turning_points
-        # call and the report refine no root again
+        # call, the report and the fold answer refine no root again
         traj = integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))
         refined = []
         original = ivp._regula_falsi
@@ -660,6 +666,7 @@ class TestConvergence:
         count = len(refined)
         assert turning_points(traj) == expected
         rep = convergence(build_curve(traj), t_eval=1e3)
+        assert fold_answer(traj).folds == tuple(expected)
         assert len(refined) == count
         assert rep.turning_lambda_gaps == tuple(abs(tp.lambda_star - 2.0) for tp in expected)
         # the same folds as on a trajectory that has located none yet
