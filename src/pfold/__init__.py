@@ -4,7 +4,9 @@ p-Laplace problems (Gelfand, MEMS, and Joseph-Lundgren type nonlinearities).
 The closed forms of :mod:`pfold.model` load with the package.  The public
 names of :mod:`pfold.ivp` and :mod:`pfold.curve`, which step and read
 trajectories with numpy, load with their module on first access (PEP 562),
-so that ``import pfold`` and ``pfold analyze`` run without numpy.
+so that ``import pfold`` and ``pfold analyze`` run without numpy.  The table
+``_LAZY`` is the one list of those names: each module's ``__all__`` is
+read from it.
 """
 
 from . import model
@@ -12,10 +14,11 @@ from .model import *  # noqa: F401,F403
 
 __version__ = "0.1.0"
 
-# The ``__all__`` of each module that loads on first access.
+# The public names of each module that loads on first access, and the one
+# list of them: ``ivp.__all__`` and ``curve.__all__`` are read from here.
 _LAZY = {
-    "ivp": ("State", "IntegratorConfig", "PhaseStats", "Trajectory", "IntegrationError",
-            "TruncatedTrajectoryError", "startup_state", "integrate", "residual", "pohozaev"),
+    "ivp": ("State", "PhaseStats", "Trajectory", "TruncatedTrajectoryError",
+            "startup_state", "integrate", "residual", "pohozaev"),
     "curve": ("CurvePoint", "SolutionCurve", "TurningPoint", "IntersectionRecord",
               "ConvergenceReport", "FoldAnswer", "curve_values", "monitor", "build_curve",
               "turning_points", "fold_answer", "intersections", "check_interlacing",

@@ -141,16 +141,13 @@ def _require_problem(settings: dict) -> tuple[Params, ProblemClass]:
     return params, ProblemClass(settings["problem"])
 
 
-def _integrate(settings: dict,
-               check: Callable[[IntegratorConfig], None] | None = None) -> Trajectory:
+def _integrate(settings: dict) -> Trajectory:
     """The prologue of the subcommands that integrate: read the problem,
-    build its integrator config, let ``check`` reject it, and integrate."""
+    build its integrator config, and integrate."""
     from .ivp import integrate
 
     params, problem = _require_problem(settings)
     cfg = IntegratorConfig(**{f.name: settings[f.name] for f in fields(IntegratorConfig)})
-    if check is not None:
-        check(cfg)
     return integrate(params, problem, cfg)
 
 
@@ -251,19 +248,16 @@ def _cmd_profile(settings: dict) -> int:
     from . import curve as _curve
 
     t_eval, r_min = settings["t"], settings["r_min"]
-
-    def check(cfg: IntegratorConfig) -> None:
-        if not 0.0 < r_min < 1.0:
-            raise InvalidParamsError(f"--r-min must lie in (0, 1), got {r_min!r}")
-        if settings["r_points"] < 2:
-            raise InvalidParamsError("--r-points must be at least 2")
-        if not (cfg.t_start <= t_eval * r_min and t_eval <= cfg.t_max):
-            raise InvalidParamsError(
-                f"profile needs t_start <= t*r <= t_max for r in [{r_min!r}, 1], "
-                f"got t = {t_eval!r}"
-            )
-
-    traj = _integrate(settings, check)
+    if not 0.0 < r_min < 1.0:
+        raise InvalidParamsError(f"--r-min must lie in (0, 1), got {r_min!r}")
+    if settings["r_points"] < 2:
+        raise InvalidParamsError("--r-points must be at least 2")
+    if not (settings["t_start"] <= t_eval * r_min and t_eval <= settings["t_max"]):
+        raise InvalidParamsError(
+            f"profile needs t_start <= t*r <= t_max for r in [{r_min!r}, 1], "
+            f"got t = {t_eval!r}"
+        )
+    traj = _integrate(settings)
     r = np.geomspace(r_min, 1.0, settings["r_points"])
     r, u = _curve.profile(traj, min(t_eval, traj.t_end), r)
     _emit_table(settings, _out.PROFILE_HEADER, zip(r.tolist(), u.tolist()))

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import ivp as _ivp
+from . import _LAZY, ivp as _ivp
 from .model import (
     ClassSpec,
     ClosedForms,
@@ -53,25 +53,7 @@ from .model import (
     guiding_eval,
 )
 
-__all__ = [
-    "CurvePoint",
-    "SolutionCurve",
-    "TurningPoint",
-    "IntersectionRecord",
-    "ConvergenceReport",
-    "FoldAnswer",
-    "curve_values",
-    "monitor",
-    "build_curve",
-    "turning_points",
-    "fold_answer",
-    "intersections",
-    "check_interlacing",
-    "convergence",
-    "profile",
-    "singular_profile",
-    "shooting_check",
-]
+__all__ = list(_LAZY["curve"])
 
 
 def _u(spec: ClassSpec, w_r, w_t):
@@ -236,7 +218,8 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     t, w, wp = grid[keep], w[keep], wp[keep]
     if not len(t):
         raise ValueError("no curve points with positive w in range")
-    lam, u0 = _curve_values(spec, t, w)
+    with np.errstate(over="ignore"):  # a subnormal w gives u0 = inf
+        lam, u0 = _curve_values(spec, t, w)
     mon = _monitor(spec, t, w, wp)
     for col in (t, lam, u0, mon):
         col.flags.writeable = False
@@ -421,7 +404,8 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
         zero = f"; w reaches zero at t = {traj.zero_time!r}" if traj.zero_time else ""
         raise ValueError(f"profile needs w(t) > {floor:g}, got "
                          f"w = {w[-1]:.3g} at t = {t!r}{zero}")
-    return r, _u(spec, w[:-1], w[-1])
+    with np.errstate(over="ignore"):  # a subnormal w(t) gives u = inf
+        return r, _u(spec, w[:-1], w[-1])
 
 
 @dataclass(frozen=True)

@@ -141,7 +141,8 @@ over the tables that calls the right-hand side.
 
 The controls :class:`~pfold.model.IntegratorConfig` and the error
 :class:`~pfold.model.IntegrationError` are defined in :mod:`pfold.model`,
-which loads no numpy, and re-exported here.
+which loads no numpy, and imported here; :mod:`pfold` resolves them from
+:mod:`pfold.model`.
 """
 
 from __future__ import annotations
@@ -156,6 +157,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _LAZY
 from .model import (
     ClassSpec,
     IntegrationError,
@@ -169,18 +171,7 @@ from .model import (
     validate_params,
 )
 
-__all__ = [
-    "State",
-    "IntegratorConfig",
-    "PhaseStats",
-    "Trajectory",
-    "IntegrationError",
-    "TruncatedTrajectoryError",
-    "startup_state",
-    "integrate",
-    "residual",
-    "pohozaev",
-]
+__all__ = list(_LAZY["ivp"])
 
 
 class TruncatedTrajectoryError(IntegrationError):

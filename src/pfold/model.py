@@ -19,10 +19,10 @@ conditions that decide whether the characteristic roots are complex, i.e.
 whether the curve spirals through infinitely many folds.
 
 It also holds the integrator's controls, :class:`IntegratorConfig`, and its
-error, :class:`IntegrationError`, which :mod:`pfold.ivp` re-exports: the
-command line reads both without loading :mod:`pfold.ivp`.  This module needs
-no numpy except in :func:`guiding_eval` and :func:`guiding_curvature`, which
-take arrays and import it where they run.
+error, :class:`IntegrationError`, which :mod:`pfold` resolves from here and
+:mod:`pfold.ivp` imports: the command line reads both without loading
+:mod:`pfold.ivp`.  This module needs no numpy except in :func:`guiding_eval`
+and :func:`guiding_curvature`, which take arrays and import it where they run.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ __all__ = [
     "Params",
     "ClassSpec",
     "class_spec",
+    "IntegratorConfig",
+    "IntegrationError",
     "ClosedForms",
     "ConditionResult",
     "RegimeReport",

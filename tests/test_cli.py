@@ -332,6 +332,9 @@ class TestProfile:
     def test_radius_grid_exit_2(self, run_cli, flag, value, message):
         proc = run_cli("profile", "--class", "gelfand", "-p", "2", "-n", "3", flag, value)
         assert proc.returncode == 2 and proc.stdout == "" and proc.stderr == message
+        # the grid is checked before the problem is read
+        proc = run_cli("profile", flag, value)
+        assert proc.returncode == 2 and proc.stderr == message
 
     def test_series_segment_of_a_steep_scaling(self, run_cli):
         # g = -200: the radii t r lie on the series segment, where t^-g underflows
@@ -555,10 +558,14 @@ class TestOutOfFloatRange:
 
     def test_scale_past_the_float_range_exit_0(self, run_cli):
         # t^-g = t^2 leaves the floats past t = 1.34e154, where the samples read it as inf
-        proc = run_cli("turns", "--class", "jl", "-p", "2", "-n", "6", "-q", "2",
-                       "--t-max", "1e300", check=True)
-        assert proc.stderr.count("\n") == 1
-        assert json.loads(proc.stderr)["termination"] == "t_max"
+        jl = ("--class", "jl", "-p", "2", "-n", "6", "-q", "2", "--t-max", "1e300")
+        for command in ("turns", "curve"):
+            proc = run_cli(command, *jl, check=True)
+            assert proc.stderr.count("\n") == 1
+            assert json.loads(proc.stderr)["termination"] == "t_max"
+        # a subnormal w gives u0 = inf on the curve's last rows and u = inf here
+        proc = run_cli("profile", *jl, "--t", "1.318e154", "--r-min", "1e-155", check=True)
+        assert proc.stderr == "" and proc.stdout.splitlines()[1].endswith(",inf")
 
     def test_empty_log_phase_interval_exit_0(self, run_cli):
         # the series' reach is one ulp below t_max, with the same logarithm
@@ -672,6 +679,7 @@ _COLD = {
     "import-pfold": ("import pfold", []),
     **{f"model-{problem}": (_model_api(problem), []) for problem in _SETS},
     **{f"analyze-{problem}": (_analyze(problem), []) for problem in _SETS},
+    "integrator-config": ("from pfold import IntegratorConfig, IntegrationError", []),
     "help": (_cli("--help"), []),
     **{f"{sub}-help": (_cli(sub, "--help"), []) for sub in _COMMANDS},
     "integrate": ("import pfold\n"
@@ -711,6 +719,14 @@ class TestPublicNames:
                 "print(sorted(ns), listed >= set(ns), all(ns[n] is getattr(pfold, n) for n in ns))")
         names = sorted({*model.__all__, *ivp.__all__, *curve.__all__, "model", "ivp", "curve"})
         assert _fresh(code) == f"{names!r} True True"
+
+    def test_names_are_filed_under_their_defining_module(self):
+        # model's by its star import, the others lazily; pfold.ivp imports model's two
+        owners = {"model": model.__all__, **pfold._LAZY}
+        misfiled = [n for owner, names in owners.items() for n in names
+                    if getattr(pfold, n).__module__ != "pfold." + owner]
+        assert misfiled == []
+        assert ivp.IntegratorConfig is pfold.IntegratorConfig
 
     def test_unknown_name_is_an_attribute_error(self):
         # without importing ivp: the fallback of ``from pfold import verify`` needs the error
