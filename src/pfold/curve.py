@@ -86,12 +86,6 @@ def _monitor(spec: ClassSpec, t, w, wprime):
     return spec.k * w + spec.E * t * wprime
 
 
-def _log_monitor(spec: ClassSpec):
-    """The monitor in the log-phase variables, ``M t^-g = k W + E Y`` (``k +
-    Y`` for ``exp``), as a functional ``fn(x, W, Y)`` of the dense samples."""
-    return lambda x, big_w, y: _monitor(spec, 1.0, big_w, y)
-
-
 def monitor(problem: ProblemClass, params: Params, t, w, wprime):
     """Monitor function ``M(t)`` whose sign equals the sign of ``lambda'(t)``:
     ``(alpha + p) w + E t w'`` for a power source, ``(alpha + p) + t w'`` for
@@ -135,7 +129,7 @@ class _CurveRows(Sequence):
         return map(CurvePoint, *(col.tolist() for col in self._columns))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SolutionCurve:
     """Log-uniformly sampled solution curve with its source trajectory.
 
@@ -241,22 +235,25 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
     refined on the dense output.
 
     Directions alternate along the returned (time-ordered) sequence.  The
-    folds are located on the first call and kept on the trajectory; each
-    call returns a new list of them.
+    folds are located on the first call and kept on the trajectory, with the
+    sign changes the guard discarded; each call returns a new list of them.
     """
     if traj._folds is None:
         spec = class_spec(traj.params, traj.problem)
         # the magnitudes of the monitor's coefficients on w and t w'
         coeff_sum = 1.0 if spec.E is None else spec.k + abs(spec.E)
+        # the monitor in the log-phase variables, M t^-g = k W + E Y (k + Y for exp)
+        roots, discarded = traj._roots(lambda x, big_w, y: _monitor(spec, 1.0, big_w, y),
+                                       coeff_sum)
         folds = []
-        for x, big_w, _, scale, positive in traj._roots(_log_monitor(spec), coeff_sum):
+        for x, big_w, _, scale, positive in roots:
             t_star = math.exp(x)
             lam, u0 = curve_values(traj.problem, traj.params, t_star, big_w / scale)
             direction = "right-to-left" if positive else "left-to-right"
             folds.append(TurningPoint(t_star=t_star, lambda_star=lam, u0_star=u0,
                                       direction=direction))
-        traj._folds = tuple(folds)
-    return list(traj._folds)
+        traj._folds = tuple(folds), discarded
+    return list(traj._folds[0])
 
 
 @dataclass(frozen=True)
@@ -302,9 +299,8 @@ def _lambda_inf(traj: _ivp.Trajectory) -> float | None:
 def fold_answer(traj: _ivp.Trajectory) -> FoldAnswer:
     """The :class:`FoldAnswer` of ``traj``, with the folds kept on it."""
     folds = tuple(turning_points(traj))
-    monitor_fn = _log_monitor(class_spec(traj.params, traj.problem))
     report = check_conditions(traj.params, traj.problem)
-    return FoldAnswer(folds, traj._sign_changes(monitor_fn) - len(folds),
+    return FoldAnswer(folds, traj._folds[1],
                       report.predicted_infinite_turns, report.oscillatory, traj.t_end,
                       traj.termination, _lambda_inf(traj))
 
@@ -332,10 +328,10 @@ def intersections(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     def gap(x, big_w, y):  # P t^-g
         return big_w - (big_w0 + slope * x)
 
-    crossings = [x for x, *_ in traj._roots(gap, 1.0, math.log(t_min))]
+    x_min = math.log(t_min)
+    crossings = [x for x, *_ in traj._roots(gap, 1.0)[0] if x > x_min]
     # the extrema: roots of P' t^(1-g) = Y - Y0, unguarded, between the crossings
-    extrema = (traj._roots(lambda x, big_w, y: y - y0, None, crossings[0])
-               if len(crossings) > 1 else [])
+    extrema = traj._roots(lambda x, big_w, y: y - y0)[0] if len(crossings) > 1 else []
     ext_x = [x for x, *_ in extrema]
     extrema_times: list[float] = []
     extrema_abs: list[float] = []

@@ -1037,7 +1037,7 @@ class _Samples(NamedTuple):
     scale: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class Trajectory:
     """Dense numerical solution of a generating IVP on ``[t_start, t_end]``.
 
@@ -1068,7 +1068,7 @@ class Trajectory:
     ``v`` is not kept, as only acceptance row 6 and ``shooting_check`` step
     ``(w, v)``.
     ``_folds`` holds the folds that :func:`pfold.curve.turning_points`
-    located by :meth:`_roots`."""
+    located by :meth:`_roots`, and the sign changes its guard discarded."""
 
     problem: ProblemClass
     params: Params
@@ -1083,7 +1083,7 @@ class Trajectory:
     _table: np.ndarray = field(repr=False)
     _g: float = field(repr=False)
     _lam_k: float | None = field(repr=False)
-    _folds: tuple | None = field(default=None, repr=False, compare=False)
+    _folds: tuple | None = field(default=None, repr=False)
 
     @property
     def t_start(self) -> float:
@@ -1180,26 +1180,28 @@ class Trajectory:
         state_err = cfg.rel_tol * (np.abs(w) + np.abs(t_wprime) + scale) + cfg.abs_tol * scale
         return GUARD_FACTOR * coeff_sum * state_err
 
-    def _roots(self, fn, coeff_sum: float | None = None, x_min: float = -math.inf):
-        """Roots of ``fn(x, W, Y)`` past ``x_min``, in time order.
+    def _roots(self, fn, coeff_sum: float | None = None):
+        """Roots of ``fn(x, W, Y)`` in time order, and the sign changes that
+        its guard discarded.
 
         ``fn`` is a functional of ``x = ln t`` and of the log-phase variables
-        ``W = w t^-g``, ``Y = t w' t^-g``, evaluated on :attr:`_samples`.
-        With ``coeff_sum``, only samples whose value clears :meth:`_guard`
-        count.  Each sign change between consecutive counted samples is
-        refined by :func:`_regula_falsi` on the dense row that holds it, read
-        by one :meth:`_row_reader`: a bracket that spans several rows goes to
-        the first row whose end values differ in sign.  Returns
-        ``(x, W, Y, t^-g, positive_before)`` per root.
+        ``W = w t^-g``, ``Y = t w' t^-g``, evaluated once on :attr:`_samples`.
+        A sample counts where its value is nonzero and, with ``coeff_sum``,
+        clears :meth:`_guard`.  Each sign change between consecutive counted
+        samples is refined by :func:`_regula_falsi` on the dense row that
+        holds it, read by one :meth:`_row_reader`: a bracket that spans
+        several rows goes to the first row whose end values differ in sign.
+        Returns the ``(x, W, Y, t^-g, positive_before)`` of each root, and the
+        number of sign changes between consecutive nonzero samples that are
+        not roots.
         """
         smp = self._samples
         vals = fn(smp.x, smp.big_w, smp.y)
         sign = np.sign(vals)  # a product of two values could overflow or round to 0
-        floor = (-math.inf if coeff_sum is None
-                 else self._guard(smp.big_w, smp.y, coeff_sum, smp.scale))
+        floor = 0.0 if coeff_sum is None else self._guard(smp.big_w, smp.y, coeff_sum, smp.scale)
         idx = np.flatnonzero(np.abs(vals) > floor)
         a, b = idx[:-1], idx[1:]
-        pick = (sign[a] * sign[b] < 0.0) & (smp.x[b] > x_min)
+        pick = sign[a] * sign[b] < 0.0
         rows, theta, xs = smp.row, smp.theta, smp.x
         out = []
         for i, j in zip(a[pick].tolist(), b[pick].tolist()):
@@ -1220,17 +1222,9 @@ class Trajectory:
 
             point = _regula_falsi(at, float(theta[lo]), float(vals[lo]), float(xs[lo]),
                                   t_hi, float(vals[hi]), float(xs[hi]), ROOT_RTOL)
-            if point[0] > x_min:
-                out.append((*point, bool(vals[i] > 0.0)))
-        return out
-
-    def _sign_changes(self, fn) -> int:
-        """Sign changes of ``fn(x, W, Y)`` between consecutive nonzero samples of
-        :attr:`_samples`: all that :meth:`_roots` sees before its guard."""
-        smp = self._samples
-        sign = np.sign(fn(smp.x, smp.big_w, smp.y))
-        sign = sign[sign != 0.0]
-        return int(np.count_nonzero(sign[:-1] * sign[1:] < 0.0))
+            out.append((*point, bool(vals[i] > 0.0)))
+        nonzero = sign[sign != 0.0]
+        return out, int(np.count_nonzero(nonzero[:-1] * nonzero[1:] < 0.0)) - len(out)
 
     def eval(self, t: float) -> tuple[float, float]:
         """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes.
@@ -1242,7 +1236,7 @@ class Trajectory:
         differed, by at most 4e-16 relative."""
         t = float(t)
         lo, hi = self.t_start, self.t_end
-        if t < lo - 1e-12 * lo or t > hi + 1e-12 * hi:
+        if not lo - 1e-12 * lo <= t <= hi + 1e-12 * hi:
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         k = bisect_left(self.ts, t)
         if k < len(self.ts) and self.ts[k] == t:
@@ -1261,12 +1255,12 @@ class Trajectory:
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
         lo, hi = self.t_start, self.t_end
         t_lo, t_hi = (ts.min(), ts.max()) if len(ts) else (lo, hi)
-        if t_lo < lo - 1e-12 * lo or t_hi > hi + 1e-12 * hi:
+        if not lo - 1e-12 * lo <= t_lo <= t_hi <= hi + 1e-12 * hi:
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)
         on_rows = ts >= self._series_end
         w, wp = np.empty((2, len(ts)))
-        if not t_lo >= self._series_end:  # some t on the series segment, or a NaN
+        if t_lo < self._series_end:  # some t on the series segment
             # the series in its own variables: where t^sigma falls below the normal
             # floats it no longer tells t apart, and the series is w_c to double
             # precision, so it is read at _TAU_MIN there

@@ -33,7 +33,7 @@ from pfold import (
     startup_state,
     turning_points,
 )
-from pfold import ivp
+from pfold import curve as curve_module, ivp
 from pfold.ivp import GUARD_FACTOR, ROOT_RTOL
 from pfold.model import ValidityError, class_spec
 from pfold.verify import RESIDUAL_SETS
@@ -48,6 +48,14 @@ class TestBuildCurve:
         curve = build_curve(gelfand3_traj)
         for pt in curve.points[:: len(curve.points) // 20]:
             assert pt.lam * math.exp(pt.u0) == pytest.approx(pt.t**2, rel=1e-14)
+
+    def test_records_compare_by_identity(self):
+        # numpy fields make field-wise == ambiguous and hash impossible
+        a, b = integrate(GELFAND3, G), integrate(GELFAND3, G)
+        curve_a, curve_b = build_curve(a), build_curve(b)
+        for x, y in ((a, b), (curve_a, curve_b)):
+            assert x == x and x != y
+            assert len({x, y}) == 2
 
     def test_mems_algebraic_identity(self, mems_traj):
         curve = build_curve(mems_traj)
@@ -261,6 +269,22 @@ class TestTurningPoints:
         spiral = integrate(GELFAND3, G, IntegratorConfig(t_max=1e8))
         assert fold_answer(spiral).guard_discarded == 0
 
+    def test_fold_answer_scans_the_samples_once(self, monkeypatch):
+        # the folds and guard_discarded come from one evaluation of the monitor
+        # on the dense samples; refinement calls it on floats
+        traj = integrate(GELFAND3, G)
+        sizes = []
+        original = curve_module._monitor
+
+        def spy(spec, t, w, wprime):
+            if isinstance(w, np.ndarray):
+                sizes.append(len(w))
+            return original(spec, t, w, wprime)
+
+        monkeypatch.setattr(curve_module, "_monitor", spy)
+        fold_answer(traj)
+        assert sizes == [len(traj._samples.x)]
+
     @pytest.mark.parametrize("params,problem", [
         (GELFAND3, G), (MEMS233, M), (JL454, J), (Params(p=3, n=5, alpha=1), G),
     ], ids=["gelfand-2-3-0", "mems-2-3-0-2", "jl-2-4-0-5", "gelfand-3-5-1"])
@@ -428,11 +452,22 @@ class TestEventLocation:
         b = int(np.flatnonzero(smp.row == row)[0])
         x_b = smp.x[b]
         x_root = x_b + offset * (smp.x[b + 1] - x_b if offset > 0 else x_b - smp.x[b - 1])
-        roots = traj._roots(lambda x, big_w, y: x - x_root)
+        roots, _ = traj._roots(lambda x, big_w, y: x - x_root)
         assert len(roots) == 1
         x, big_w, _, _, positive = roots[0]
         assert x == pytest.approx(x_root, abs=ROOT_RTOL) and not positive
         assert big_w == pytest.approx(traj.eval(math.exp(x))[0], rel=1e-12)
+
+    def test_root_on_a_sample(self, gelfand3_traj):
+        # an unguarded scan skips the zero sample, so its neighbours bracket
+        # the root, and the sign change is a root, not a discarded one
+        traj = gelfand3_traj
+        smp = traj._samples
+        k = int(np.flatnonzero(smp.row == 15)[4])
+        assert smp.row[k - 1] == smp.row[k + 1] == 15
+        roots, discarded = traj._roots(lambda x, big_w, y: x - smp.x[k])
+        assert len(roots) == 1 and discarded == 0
+        assert roots[0][0] == pytest.approx(smp.x[k], abs=ROOT_RTOL)
 
     def test_bracket_spanning_rows(self, gelfand3_traj):
         # the guard hides every sample within 1.5 steps of the root, so its
@@ -449,7 +484,7 @@ class TestEventLocation:
 
         hidden = np.abs(traj._samples.x - x_root) < width
         assert len(set(traj._samples.row[hidden].tolist())) >= 3
-        roots = traj._roots(fn, width / (GUARD_FACTOR * cfg.rel_tol))
+        roots, _ = traj._roots(fn, width / (GUARD_FACTOR * cfg.rel_tol))
         assert len(roots) == 1
         assert roots[0][0] == pytest.approx(x_root, abs=ROOT_RTOL)
 

@@ -1297,6 +1297,12 @@ class TestEval:
         with pytest.raises(ValueError):
             gelfand3_traj.eval_many([2e4])
 
+    def test_nan_time_rejected(self, gelfand3_traj):
+        with pytest.raises(ValueError):
+            gelfand3_traj.eval(math.nan)
+        with pytest.raises(ValueError):
+            gelfand3_traj.eval_many([1.0, math.nan])
+
 
 def _truncated_traj():
     with pytest.raises(TruncatedTrajectoryError) as info:
@@ -1623,6 +1629,10 @@ class TestPohozaev:
     def test_wrong_class_rejected(self, gelfand3_traj):
         with pytest.raises(ValueError):
             pohozaev(gelfand3_traj, 1.0)
+
+    def test_nan_time_rejected(self, jl_traj):
+        with pytest.raises(ValueError):
+            pohozaev(jl_traj, math.nan)
 
 
 class TestFluxIdentity:
