@@ -408,7 +408,8 @@ class _Series:
     With ``tau = t^sigma``, ``sigma = (alpha+p)/(p-1)`` and ``m = n+alpha``,
     ``w = w_c + tau U(tau)`` and ``v = t^m V(tau)``, where ``U`` and ``V``
     are power series in ``tau`` with the coefficients ``u`` and ``v``;
-    ``phi_exp = 1/(p-1)``.
+    ``phi_exp = 1/(p-1)``.  :meth:`read` and :meth:`point` decode it as a
+    segment of a :class:`Trajectory`, with the ``g`` of its log phase.
     """
 
     sigma: float
@@ -417,6 +418,21 @@ class _Series:
     w_center: float
     u: tuple
     v: tuple
+
+    def read(self, tau: np.ndarray, g: float):
+        """The ``(x, W, Y, t^-g)`` of :meth:`point` at the array ``tau``."""
+        x = np.log(tau) / self.sigma
+        with np.errstate(over="ignore"):  # t^-g past the floats is inf, as on the nodes
+            scale = np.exp(-g * x)
+        w, big_v = self.slope_form(tau)
+        return x, w * scale, tau * _phi_inv_many(big_v, self.phi_exp) * scale, scale
+
+    def point(self, tau: float, g: float):
+        """``(x = ln t, W = w t^-g, Y = t w' t^-g, t^-g)`` at one ``tau``."""
+        w, big_v = self.slope_form(tau)
+        x = math.log(tau) / self.sigma
+        scale = math.exp(-g * x)
+        return x, w * scale, tau * _phi_inv(big_v, self.phi_exp) * scale, scale
 
     def state(self, t):
         """``(w, w', V)`` at ``t`` within :meth:`reach`, a float or an array:
@@ -932,8 +948,7 @@ def integrate(params: Params, problem: ProblemClass,
     nodes = np.array(states)[:, :2].T  # rows w, w'
 
     # then one stepped phase in s = ln t, in (W, Z) = (w t^-g, v t^c)
-    table = np.empty((0, 18))
-    lam_k = None  # the rows hold (W, Z), or gelfand's (lambda, Z) with lambda = t^k e^W
+    rows = _Rows(np.empty((0, 18)), g, series.phi_exp, None)
     stats: list[PhaseStats] = [PhaseStats("series", 1, 0, 0)]
     termination = "t_max"
     if t1 < cfg.t_max:
@@ -968,6 +983,7 @@ def integrate(params: Params, problem: ProblemClass,
             run = _dop853(rhs, x1, w * scale_w, big_z, x_end, cfg.rel_tol,
                           (cfg.abs_tol * scale_w, atol_z), cfg.max_steps - 1, max_step=log_step)
         table = np.array(run.steps, dtype=float).reshape(run.accepted, 18)
+        rows = _Rows(table, g, series.phi_exp, lam_k)
         end = run.end
         if run.status == "zero":  # the zero of W on the last row, to full precision
             row = run.steps[-1]
@@ -991,7 +1007,7 @@ def integrate(params: Params, problem: ProblemClass,
         # (w, t w') = (W, Y) / scale, Y = phiinv(Z), as eval_many reads the rows
         with np.errstate(all="ignore"):  # checked below
             scale = np.exp(-g * x)
-            big_w = first if lam_k is None else np.log(first) - lam_k * x
+            big_w = rows.big_w(x, first)
             log_nodes = (big_w / scale, _phi_inv_many(z, series.phi_exp) / scale / ts_new)
         nodes = np.concatenate((nodes, log_nodes), axis=1)
         t_nodes.extend(ts_new)
@@ -1004,13 +1020,55 @@ def integrate(params: Params, problem: ProblemClass,
 
     ws, wprimes = nodes
     traj = Trajectory(problem, params, cfg, np.array(t_nodes), ws, wprimes, termination,
-                      tuple(stats), _series=series, _series_end=t1 if len(table) else math.inf,
-                      _table=table, _g=g, _lam_k=lam_k)
+                      tuple(stats), _series=series, _rows=rows)
     if termination == "truncated":
         raise TruncatedTrajectoryError(
             f"max_steps = {cfg.max_steps} exhausted at t = {traj.t_end!r}", traj
         )
     return traj
+
+
+class _Rows(NamedTuple):
+    """The stepper's dense rows, from node 1 on: row ``k`` of the ``(m, 18)``
+    ``table`` holds step ``k``'s ``(x0, h, y0, F0, ..., F6)``, two floats
+    each, of ``(W, Z) = (w t^-g, v t^c)``, or of ``(lambda, Z)`` with
+    ``lambda = t^k e^W`` where ``lam_k`` is ``k`` (see :func:`integrate`).
+    :meth:`read` (arrays) and :meth:`reader` (one row) read them with
+    :func:`_dense` at the fraction ``s`` of a step, alike in ``x`` and ``W``."""
+
+    table: np.ndarray
+    g: float
+    phi_exp: float
+    lam_k: float | None
+
+    def big_w(self, x, first):
+        """``W`` from a row's first component: itself, or ``ln lambda - k x``."""
+        return first if self.lam_k is None else np.log(first) - self.lam_k * x
+
+    def read(self, row: np.ndarray, s: np.ndarray):
+        """The ``(x, W, Y, t^-g)`` of :meth:`reader` at the arrays ``row``, ``s``."""
+        step = self.table[row].T
+        x = step[0] + s * step[1]
+        with np.errstate(over="ignore"):  # t^-g past the floats is inf, as on the nodes
+            scale = np.exp(-self.g * x)
+        first, z = _dense(step, s)
+        return x, self.big_w(x, first), _phi_inv_many(z, self.phi_exp), scale
+
+    def reader(self, row: int):
+        """Row ``row``'s reader ``point(s) -> (x, W, Y, t^-g)``, gathered once."""
+        step = self.table[row].tolist()
+        x0, h, g, k, phi_exp = step[0], step[1], self.g, self.lam_k, self.phi_exp
+
+        def point(s):  # W off lambda rows by numpy's log, as on arrays
+            first, z = _dense(step, s)
+            x = x0 + s * h
+            big_w = first if k is None else float(np.log(first)) - k * x
+            try:
+                scale = math.exp(-g * x)
+            except OverflowError:  # t^-g past the floats: inf, as in read
+                scale = math.inf
+            return x, big_w, _phi_inv(z, phi_exp), scale
+        return point
 
 
 #: Samples per dense row in :attr:`Trajectory._samples`, at equal fractions
@@ -1048,25 +1106,17 @@ class Trajectory:
     for partial data carried by :class:`TruncatedTrajectoryError`.
     ``stats`` holds the work of each integration phase, in order.
 
-    Dense output is read on a row at a parameter ``theta``: row -1 is the
-    series ``_series`` at ``theta = tau``, from node 0 to node 1 at
-    ``_series_end`` (everywhere without steps), and row ``k`` step ``k`` from
-    node ``k + 1``, at the fraction ``theta`` of it in ``x = ln t``.
-    Row ``k`` of the ``(m, 18)`` array ``_table`` holds its ``(x0, h, y0,
-    F0, ..., F6)`` of ``(W, Z) = (w t^-g, v t^c)``, two floats each, or of
-    ``(lambda, Z)`` with ``lambda = t^k e^W`` where ``_lam_k`` is ``k`` (a
-    ``gelfand`` run with a fixed point; see :func:`integrate`); the
-    stepper's run is kept there only, as each row starts at its node.
-    :meth:`_row_reader` (points of one row) and :meth:`_read` (arrays, also the
-    scan's ``_samples``) give ``(x, W, Y = t w' t^-g, scale = t^-g)`` with
-    :func:`_dense` and ``W = ln lambda - k x`` off ``lambda`` rows, on the
-    rows ``x`` and ``W`` bit for bit alike.  ``(w, t w')
-    = (W, Y) / scale`` is the one rescale back from the rows, also of the
-    log nodes.  The series segment and its nodes are read in the series'
-    own variables, ``(w, w')`` of :meth:`_Series.state`, by :meth:`eval` and
-    :meth:`eval_many`; only event location reads it in ``(W, Y)``.  The flux
-    ``v`` is not kept, as only acceptance row 6 and ``shooting_check`` step
-    ``(w, v)``.
+    Dense output is read on a row at a parameter ``theta``, by its segment's
+    decoder: row -1 is the series ``_series`` at ``theta = tau``, from node
+    0 to node 1, and row ``k >= 0`` row ``k`` of the stepper's ``_rows``, at
+    the fraction ``theta`` of its step; the stepper's run is kept there
+    only, as each row starts at its node.  Both decoders give ``(x, W, Y =
+    t w' t^-g, scale = t^-g)``, and ``(w, t w') = (W, Y) / scale`` is the one
+    rescale back from the rows, also of the log nodes.  The series segment
+    and its nodes are read in the series' own variables, ``(w, w')`` of
+    :meth:`_Series.state`, by :meth:`eval` and :meth:`eval_many`; only event
+    location reads it in ``(W, Y)``.  The flux ``v`` is not kept, as only
+    acceptance row 6 and ``shooting_check`` step ``(w, v)``.
     ``_folds`` holds the folds that :func:`pfold.curve.turning_points`
     located by :meth:`_roots`, and the sign changes its guard discarded."""
 
@@ -1079,10 +1129,7 @@ class Trajectory:
     termination: str
     stats: tuple[PhaseStats, ...]
     _series: _Series = field(repr=False)
-    _series_end: float = field(repr=False)
-    _table: np.ndarray = field(repr=False)
-    _g: float = field(repr=False)
-    _lam_k: float | None = field(repr=False)
+    _rows: _Rows = field(repr=False)
     _folds: tuple | None = field(default=None, repr=False)
 
     @property
@@ -1101,74 +1148,23 @@ class Trajectory:
     def _samples(self) -> _Samples:
         """Each dense row at ``ROW_SAMPLES`` equal fractions of its step, the
         series segment at ``SERIES_SAMPLES`` points equally spaced in ``tau``
-        (from ``_TAU_MIN`` at least), and the end of the trajectory; computed
-        on first use."""
-        table, ser = self._table, self._series
-        m = len(table)
-        t_hi = self._series_end if m else self.t_end
-        theta = np.linspace(max(self.t_start**ser.sigma, _TAU_MIN), t_hi**ser.sigma,
-                            SERIES_SAMPLES + 1)
-        theta = theta[:-1] if m else theta  # the first row starts there
-        row = np.full(len(theta), -1)
-        if m:
-            # a row's end is the next row's start, except for the last row
-            index = np.arange(m * ROW_SAMPLES + 1)
-            steps = np.minimum(index // ROW_SAMPLES, m - 1)
-            fractions = (index - steps * ROW_SAMPLES) / ROW_SAMPLES
-            # the last row may reach past the end (a zero of w)
+        from ``_TAU_MIN`` at least (none where the segment lies wholly below),
+        and the end of the trajectory; computed on first use."""
+        ser, rows = self._series, self._rows
+        m = len(rows.table)
+        tau_lo, tau_hi = max(self.t_start**ser.sigma, _TAU_MIN), float(self.ts[1])**ser.sigma
+        tau = np.linspace(tau_lo, tau_hi, (SERIES_SAMPLES + 1) * (tau_lo <= tau_hi))
+        tau = tau[:-1] if m else tau  # the first row starts there
+        # a row's end is the next row's start, except for the last row
+        index = np.arange(m * ROW_SAMPLES + (m > 0))
+        steps = np.minimum(index // ROW_SAMPLES, m - 1)
+        fractions = (index - steps * ROW_SAMPLES) / ROW_SAMPLES
+        if m:  # the last row may reach past the end (a zero of w)
             fractions[-ROW_SAMPLES - 1:] *= min(
-                1.0, (math.log(self.t_end) - table[-1, 0]) / table[-1, 1])
-            row, theta = np.concatenate((row, steps)), np.concatenate((theta, fractions))
-        return self._read(row, theta)
-
-    def _read(self, row: np.ndarray, theta: np.ndarray) -> _Samples:
-        """:class:`_Samples` at the parameters ``theta`` of the rows ``row``: the
-        arithmetic of :meth:`_row_reader` on arrays."""
-        ser = self._series
-        on_series = row < 0
-        on_rows = ~on_series
-        tau, s, step = theta[on_series], theta[on_rows], self._table[row[on_rows]].T
-        x, big_w, y = np.empty((3, len(theta)))
-        x[on_series] = np.log(tau) / ser.sigma
-        x[on_rows] = step[0] + s * step[1]
-        with np.errstate(over="ignore"):  # t^-g past the floats is inf, as on the nodes
-            scale = np.exp(-self._g * x)
-        if len(tau):
-            w, big_v = ser.slope_form(tau)
-            scale_ser = scale[on_series]
-            big_w[on_series] = w * scale_ser
-            y[on_series] = tau * _phi_inv_many(big_v, ser.phi_exp) * scale_ser
-        first, z = _dense(step, s)
-        k = self._lam_k
-        big_w[on_rows] = first if k is None else np.log(first) - k * x[on_rows]
-        y[on_rows] = _phi_inv_many(z, ser.phi_exp)
-        return _Samples(row, theta, x, big_w, y, scale)
-
-    def _row_reader(self, row: int):
-        """The reader ``point(theta)`` of dense row ``row``, gathered once: the
-        ``(x, W, Y, t^-g)`` of :attr:`_samples` at the parameter ``theta``."""
-        ser, g = self._series, self._g
-        sigma, phi_exp = ser.sigma, ser.phi_exp
-        if row < 0:
-            def point(theta):
-                w, big_v = ser.slope_form(theta)
-                x = math.log(theta) / sigma
-                scale = math.exp(-g * x)
-                return x, w * scale, theta * _phi_inv(big_v, phi_exp) * scale, scale
-            return point
-        step = self._table[row].tolist()
-        x0, h, k = step[0], step[1], self._lam_k
-
-        def point(theta):  # W off lambda rows by numpy's log, as on arrays
-            first, z = _dense(step, theta)
-            x = x0 + theta * h
-            big_w = first if k is None else float(np.log(first)) - k * x
-            try:
-                scale = math.exp(-g * x)
-            except OverflowError:  # t^-g past the floats: inf, as in _read
-                scale = math.inf
-            return x, big_w, _phi_inv(z, phi_exp), scale
-        return point
+                1.0, (math.log(self.t_end) - rows.table[-1, 0]) / rows.table[-1, 1])
+        reads = zip(ser.read(tau, rows.g), rows.read(steps, fractions))
+        return _Samples(np.concatenate((np.full(len(tau), -1), steps)),
+                        np.concatenate((tau, fractions)), *map(np.concatenate, reads))
 
     def _guard(self, w, t_wprime, coeff_sum: float, scale):
         """Noise floor of a functional linear in ``w`` and ``t w'``, whose
@@ -1189,7 +1185,7 @@ class Trajectory:
         A sample counts where its value is nonzero and, with ``coeff_sum``,
         clears :meth:`_guard`.  Each sign change between consecutive counted
         samples is refined by :func:`_regula_falsi` on the dense row that
-        holds it, read by one :meth:`_row_reader`: a bracket that spans
+        holds it, read by one reader of its segment: a bracket that spans
         several rows goes to the first row whose end values differ in sign.
         Returns the ``(x, W, Y, t^-g, positive_before)`` of each root, and the
         number of sign changes between consecutive nonzero samples that are
@@ -1212,11 +1208,13 @@ class Trajectory:
                         hi = k
                         break
                     lo = k
-            row = int(rows[lo])
-            end = self._series_end**self._series.sigma if row < 0 else 1.0  # of row lo
+            row = int(rows[lo])  # its reader, and its parameter at its end
+            read, end = ((functools.partial(self._series.point, g=self._rows.g),
+                          float(self.ts[1]) ** self._series.sigma) if row < 0
+                         else (self._rows.reader(row), 1.0))
             t_hi = float(theta[hi]) if rows[hi] == row else end
 
-            def at(theta_c, read=self._row_reader(row)):  # fn at theta_c of the row, in ln t
+            def at(theta_c, read=read):  # fn at theta_c of the row, in ln t
                 point = x, big_w, y, _ = read(theta_c)
                 return fn(x, big_w, y), x, point
 
@@ -1241,41 +1239,45 @@ class Trajectory:
         k = bisect_left(self.ts, t)
         if k < len(self.ts) and self.ts[k] == t:
             return float(self.ws[k]), float(self.wprimes[k])
-        if t < self._series_end:  # the series in its own variables, as in eval_many
+        m = len(self._rows.table)
+        if k < 2 or not m:  # t < ts[1]: the series in its own variables, as in eval_many
             return self._series.state(max(t, _TAU_MIN ** (1.0 / self._series.sigma)))[:2]
-        row = min(max(k - 2, 0), len(self._table) - 1)
-        x0, h = self._table[row, :2].tolist()
-        _, big_w, y, scale = self._row_reader(row)((math.log(t) - x0) / h)
+        row = min(k - 2, m - 1)
+        x0, h = self._rows.table[row, :2].tolist()
+        _, big_w, y, scale = self._rows.reader(row)((math.log(t) - x0) / h)
         return big_w / scale, y / scale / t
 
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized dense ``(w, w')``; exact at stored nodes.  The series is
-        read only where some ``t`` lies on its segment.  Away from the nodes it
-        may differ from :meth:`eval` in the last bits (see there)."""
+        """Vectorized dense ``(w, w')``, in the shape of ``np.atleast_1d(ts)``;
+        exact at stored nodes.  The series is read only where some ``t`` lies
+        on its segment.  Away from the nodes it may differ from :meth:`eval` in
+        the last bits (see there)."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
+        shape, ts = ts.shape, ts.ravel()
         lo, hi = self.t_start, self.t_end
         t_lo, t_hi = (ts.min(), ts.max()) if len(ts) else (lo, hi)
         if not lo - 1e-12 * lo <= t_lo <= t_hi <= hi + 1e-12 * hi:
             raise ValueError(f"t outside trajectory range [{lo!r}, {hi!r}]")
         idx = np.searchsorted(self.ts, ts)
-        on_rows = ts >= self._series_end
+        table = self._rows.table
+        on_rows = (ts >= self.ts[1]) & (len(table) > 0)  # the series ends at node 1
         w, wp = np.empty((2, len(ts)))
-        if t_lo < self._series_end:  # some t on the series segment
+        if not on_rows.all():  # some t on the series segment
             # the series in its own variables: where t^sigma falls below the normal
             # floats it no longer tells t apart, and the series is w_c to double
             # precision, so it is read at _TAU_MIN there
             t_min = _TAU_MIN ** (1.0 / self._series.sigma)
             w[~on_rows], wp[~on_rows], _ = self._series.state(np.maximum(ts[~on_rows], t_min))
         t = ts[on_rows]
-        row = np.clip(idx[on_rows] - 2, 0, len(self._table) - 1)
-        smp = self._read(row, (np.log(t) - self._table[row, 0]) / self._table[row, 1])
-        w[on_rows], wp[on_rows] = smp.big_w / smp.scale, smp.y / smp.scale / t
+        row = np.clip(idx[on_rows] - 2, 0, len(table) - 1)
+        _, big_w, y, scale = self._rows.read(row, (np.log(t) - table[row, 0]) / table[row, 1])
+        w[on_rows], wp[on_rows] = big_w / scale, y / scale / t
         # stored nodes win bitwise over the interpolant
         node = np.minimum(idx, len(self.ts) - 1)
         exact = self.ts[node] == ts
         w[exact] = self.ws[node[exact]]
         wp[exact] = self.wprimes[node[exact]]
-        return w, wp
+        return w.reshape(shape), wp.reshape(shape)
 
 
 def residual(params: Params, problem: ProblemClass, w, wprime, wsecond, t):

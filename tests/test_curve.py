@@ -285,6 +285,23 @@ class TestTurningPoints:
         fold_answer(traj)
         assert sizes == [len(traj._samples.x)]
 
+    @pytest.mark.parametrize("params,problem,t_max", [
+        (Params(p=1.0001, n=3, alpha=0), G, 0.5), (Params(p=2, n=3, alpha=100), G, 1e-4),
+        (Params(p=1.001, n=3, alpha=0, q=2), M, 0.3), (Params(p=1.01, n=4, alpha=0, q=5), J, 5e-4),
+    ], ids=["gelfand-p-near-1", "gelfand-alpha-100", "mems", "jl"])
+    def test_series_segment_below_the_float_range(self, params, problem, t_max):
+        # t_max^sigma < 2.2e-308: the series is w_c to double precision on the
+        # whole run, which takes no sample (a grid up to t_max^sigma ran
+        # backwards to tau = 0, past t_end)
+        traj = integrate(params, problem, IntegratorConfig(t_max=t_max))
+        assert traj.t_end**traj._series.sigma < ivp._TAU_MIN
+        assert [stats.phase for stats in traj.stats] == ["series"]
+        answer = fold_answer(traj)
+        assert (answer.folds, answer.guard_discarded) == ((), 0)
+        assert len(traj._samples.x) == 0
+        intersections(traj)
+        build_curve(traj)
+
     @pytest.mark.parametrize("params,problem", [
         (GELFAND3, G), (MEMS233, M), (JL454, J), (Params(p=3, n=5, alpha=1), G),
     ], ids=["gelfand-2-3-0", "mems-2-3-0-2", "jl-2-4-0-5", "gelfand-3-5-1"])
@@ -474,7 +491,7 @@ class TestEventLocation:
         # bracket spans several rows; the root is refined on the row that holds it
         traj = gelfand3_traj
         k = len(traj.ts) // 2
-        step = traj._table[k - 1].tolist()  # row k - 1 starts at node k
+        step = traj._rows.table[k - 1].tolist()  # row k - 1 starts at node k
         x_root = step[0] + 0.3 * step[1]
         cfg = traj.config
         width = 1.5 * step[1]
@@ -526,7 +543,7 @@ class TestRefinementCost:
         original = ivp._Series.state
         monkeypatch.setattr(ivp._Series, "state",
                             lambda self, t: states.append(t) or original(self, t))
-        traj.eval_many(np.geomspace(traj._series_end, traj.t_end, 50))
+        traj.eval_many(np.geomspace(traj.ts[1], traj.t_end, 50))
         profile(traj, 1e3, np.geomspace(0.1, 1.0, 64))
         convergence(curve, t_eval=1e3)
         assert states == []

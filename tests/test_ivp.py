@@ -605,7 +605,7 @@ class TestOneRootFinder:
         # last dense row in x = ln t to two adjacent floats
         traj = integrate(params, J)
         assert traj.termination == "zero"
-        row = traj._table[-1].tolist()
+        row = traj._rows.table[-1].tolist()
 
         def big_w(x):
             return ivp._dense(row, (x - row[0]) / row[1])[0]
@@ -618,7 +618,7 @@ class TestOneRootFinder:
         x_zero = min((a, b), key=lambda x: abs(big_w(x)))
         assert abs(math.log(traj.t_end) - x_zero) <= 4.0 * math.ulp(x_zero)
         largest = max(abs(big_w(x)) for x in np.linspace(row[0], row[0] + row[1], 33).tolist())
-        assert abs(traj.ws[-1] * traj.t_end**-traj._g) <= 1e-15 * largest
+        assert abs(traj.ws[-1] * traj.t_end**-traj._rows.g) <= 1e-15 * largest
 
     def test_series_floor(self):
         # sweep case jl-6: w falls below 1/2 within the series' reach
@@ -746,8 +746,9 @@ class TestStepCap:
             monkeypatch.setattr(ivp, "characteristic_quadratic", nudged)
             assert _log_phase(params, problem)[3] == cap
             traj = integrate(params, problem)
-            for name in ("ts", "ws", "wprimes", "_table"):
+            for name in ("ts", "ws", "wprimes"):
                 assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+            assert np.array_equal(traj._rows.table, ref._rows.table)
 
     # the damped fold stepped in (W, Z): at rel_tol = 1e-13 and abs_tol = 1e-15,
     # and at the default tolerances
@@ -763,10 +764,10 @@ class TestStepCap:
         # 105/19 steps; at 2 / max |r - g|, 59, 56 and 110 (69, 64 and 141 in
         # (W, Z)), with the same folds
         traj = integrate(Params(p=p, n=n, alpha=0), G, IntegratorConfig(t_max=1e8))
-        assert traj._lam_k == p
+        assert traj._rows.lam_k == p
         log = traj.stats[1]
         assert (log.accepted, log.capped) == (accepted, capped)
-        rows = traj._table[:, :2]
+        rows = traj._rows.table[:, :2]
         cap = _log_phase(traj.params, G)[3]
         assert log.capped == np.count_nonzero(rows.sum(1) == rows[:, 0] + cap)
         t_stars = [fold.t_star for fold in pfold.curve.turning_points(traj)]
@@ -873,7 +874,7 @@ def test_gelfand_steps_lambda_where_it_has_a_fixed_point(monkeypatch, params, la
     rhs, *_, lam_rhs = _log_phase(params, G)
     assert (lam_rhs is None) == (params.n <= params.p)
     assert args[0] == (lam_rhs if lam else rhs)
-    assert traj._lam_k == (params.alpha + params.p if lam else None)
+    assert traj._rows.lam_k == (params.alpha + params.p if lam else None)
     # w has moved from 0 by t1, but near p = 1, where the series is w(0) = 0
     assert traj.ws[1] == 0.0 if params.p == 1.001 else abs(traj.ws[1]) > traj.config.rel_tol
     assert traj.termination == "t_max" and traj.t_end == 1e4
@@ -903,15 +904,16 @@ def test_gelfand_steps_w_where_lambda_leaves_the_floats(monkeypatch, params, fal
     calls = _dop853_calls(monkeypatch, lambda: trajs.append(integrate(params, G)))
     assert [args[0] for args, _ in calls] == [lam_rhs, rhs]
     traj, = trajs
-    assert traj._lam_k is None and traj.termination == "t_max"
+    assert traj._rows.lam_k is None and traj.termination == "t_max"
     assert len(pfold.turning_points(traj)) == folds
     # the run of (W, Z) alone
     log_phase = ivp._log_phase
     monkeypatch.setattr(ivp, "_log_phase",
                         lambda params, problem: (*log_phase(params, problem)[:4], None))
     ref = integrate(params, G)
-    for name in ("ts", "ws", "wprimes", "_table"):
+    for name in ("ts", "ws", "wprimes"):
         assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+    assert np.array_equal(traj._rows.table, ref._rows.table)
 
 
 def test_stepper_without_dense_output_takes_the_same_steps():
@@ -1303,10 +1305,17 @@ class TestEval:
         with pytest.raises(ValueError):
             gelfand3_traj.eval_many([1.0, math.nan])
 
+    def test_eval_many_keeps_the_shape_of_the_times(self, gelfand3_traj):
+        traj = gelfand3_traj
+        ts = np.geomspace(traj.t_start, traj.t_end, 6).reshape(2, 3)  # series and rows
+        for values, flat in zip(traj.eval_many(ts), traj.eval_many(ts.ravel())):
+            assert values.shape == (2, 3) and np.array_equal(values.ravel(), flat)
+        assert [values.shape for values in traj.eval_many(1.0)] == [(1,), (1,)]
 
-def _truncated_traj():
+
+def _truncated_traj(max_steps=30):
     with pytest.raises(TruncatedTrajectoryError) as info:
-        integrate(GELFAND3, G, IntegratorConfig(t_max=1e8, max_steps=30))
+        integrate(GELFAND3, G, IntegratorConfig(t_max=1e8, max_steps=max_steps))
     return info.value.trajectory
 
 
@@ -1317,11 +1326,13 @@ SERIES_ONLY = (JL_ZERO, J, IntegratorConfig(t_max=1.65))
 class TestSamples:
     """The dense samples on which pfold.curve locates folds and crossings."""
 
-    @pytest.fixture(params=["gelfand3", "mems", "jl", "jl_zero", "truncated", "series_only",
-                            "general"])
+    @pytest.fixture(params=["gelfand3", "mems", "jl", "jl_zero", "truncated", "no_steps",
+                            "series_only", "general"])
     def traj(self, request):
         if request.param == "truncated":
             return _truncated_traj()
+        if request.param == "no_steps":  # truncated before its first step: t_end = t1 < t_max
+            return _truncated_traj(max_steps=1)
         if request.param == "series_only":
             return integrate(*SERIES_ONLY)
         if request.param == "general":  # p != 2, alpha != 0
@@ -1330,7 +1341,7 @@ class TestSamples:
 
     def test_cover_the_range_in_time_order(self, traj):
         smp = traj._samples
-        rows = len(traj._table)
+        rows = len(traj._rows.table)
         series = ivp.SERIES_SAMPLES + (rows == 0)
         assert len(smp.x) == series + ivp.ROW_SAMPLES * rows + (rows > 0)
         assert np.all(np.diff(smp.x) > 0.0)
@@ -1346,14 +1357,15 @@ class TestSamples:
         # abs: near the zero of w (jl), w and its rounding error are both tiny
         assert smp.big_w / smp.scale == pytest.approx(w, rel=1e-12, abs=1e-14)
         assert smp.y / smp.scale == pytest.approx(t * wp, rel=1e-12, abs=1e-14)
-        assert smp.scale == pytest.approx(t ** -traj._g, rel=1e-13)
+        assert smp.scale == pytest.approx(t ** -traj._rows.g, rel=1e-13)
 
     def test_row_point_reproduces_the_samples(self, traj):
         # the scan and the refinement read the same values: on the rows x and
         # W bit for bit, and Y = phiinv(Z) too at p = 2, where numpy's |Z|^1.0
         # is exact (else to 1 ulp); the scales differ as numpy's exp and libm's
         smp = traj._samples
-        points = [traj._row_reader(k)(s) for k, s in zip(smp.row.tolist(), smp.theta.tolist())]
+        points = [traj._series.point(s, traj._rows.g) if k < 0 else traj._rows.reader(k)(s)
+                  for k, s in zip(smp.row.tolist(), smp.theta.tolist())]
         x, big_w, y, scale = map(np.array, zip(*points))
         rows = smp.row >= 0
         assert np.array_equal(x[rows], smp.x[rows])
@@ -1368,11 +1380,13 @@ class TestSamples:
 
     def test_eval_matches_eval_many(self, traj):
         # the scalar and the vector reader of the same rows: random times, the
-        # nodes (the row boundaries) and their neighbouring floats
+        # nodes (the row boundaries), their neighbouring floats, and times just
+        # outside the range, within its tolerance
         rng = np.random.default_rng(5)
         lo, hi = traj.t_start, traj.t_end
         ts = np.concatenate((np.exp(rng.uniform(math.log(lo), math.log(hi), 200)),
-                             np.nextafter(traj.ts[1:], 0.0), np.nextafter(traj.ts[:-1], np.inf)))
+                             np.nextafter(traj.ts[1:], 0.0), np.nextafter(traj.ts[:-1], np.inf),
+                             [lo * (1 - 5e-13), hi * (1 + 5e-13)]))
         w, wp = traj.eval_many(ts)
         scalar = np.array([traj.eval(t) for t in ts.tolist()])
         # both rescale (W, Y) by their own t^-g; with the series' two
@@ -1403,13 +1417,13 @@ class TestOneReader:
     def test_read_is_the_row_point(self, params, problem):
         traj = integrate(params, problem)
         rng = np.random.default_rng(7)
-        row, theta = rng.integers(0, len(traj._table), 400), rng.random(400)
-        smp = traj._read(row, theta)
-        x, big_w, y, _ = map(np.array, zip(*(traj._row_reader(k)(s)
+        row, theta = rng.integers(0, len(traj._rows.table), 400), rng.random(400)
+        x_a, big_w_a, y_a, _ = traj._rows.read(row, theta)
+        x, big_w, y, _ = map(np.array, zip(*(traj._rows.reader(k)(s)
                                               for k, s in zip(row.tolist(), theta.tolist()))))
-        assert np.array_equal(smp.x, x) and np.array_equal(smp.big_w, big_w)
+        assert np.array_equal(x_a, x) and np.array_equal(big_w_a, big_w)
         # phiinv of an array can round Z's power differently by an ulp
-        assert smp.y == pytest.approx(y, rel=1e-15, abs=0.0)
+        assert y_a == pytest.approx(y, rel=1e-15, abs=0.0)
 
     @staticmethod
     def _stepper_run(monkeypatch, params, problem, config=None):
@@ -1432,17 +1446,17 @@ class TestOneReader:
         ln lambda - k x`` for rows of ``lambda``.  A run that stopped past a
         zero of ``w`` ends at that zero instead (:class:`TestOneRootFinder`),
         which is left out here."""
-        assert np.array_equal(traj._table, np.array(run.steps).reshape(-1, 18))
+        assert np.array_equal(traj._rows.table, np.array(run.steps).reshape(-1, 18))
         nodes = [(row[0], row[2], row[3]) for row in run.steps[1:]] + [run.end]
         count = run.accepted - (run.status == "zero")
         x, big_w, z = np.array(nodes[:count]).reshape(-1, 3).T
-        if traj._lam_k is not None:
-            big_w = np.log(big_w) - traj._lam_k * x
+        if traj._rows.lam_k is not None:
+            big_w = np.log(big_w) - traj._rows.lam_k * x
         t = [math.exp(x_k) for x_k in x.tolist()]
         if run.status == "done":
             t[-1] = traj.config.t_max
         assert traj.ts[2:2 + count].tolist() == t
-        scale = np.exp(-traj._g * x)
+        scale = np.exp(-traj._rows.g * x)
         y = np.sign(z) * np.abs(z) ** (1.0 / (traj.params.p - 1.0))
         assert np.array_equal(traj.ws[2:2 + count], big_w / scale)
         assert np.array_equal(traj.wprimes[2:2 + count], y / scale / t)
@@ -1457,10 +1471,10 @@ class TestOneReader:
             assert run.steps[-1][0] < math.log(traj.t_end) < run.end[0]
             assert run.end[1] <= 0.0 < run.steps[-1][2] and abs(traj.ws[-1]) <= 1e-12
         # which is the array reader's rescale where a row starts on a node
-        rows = np.arange(1, len(traj._table))
-        smp = traj._read(rows, np.zeros(len(rows)))
-        assert np.array_equal(smp.big_w / smp.scale, traj.ws[2:-1])
-        assert np.array_equal(smp.y / smp.scale / traj.ts[2:-1], traj.wprimes[2:-1])
+        rows = np.arange(1, len(traj._rows.table))
+        _, big_w, y, scale = traj._rows.read(rows, np.zeros(len(rows)))
+        assert np.array_equal(big_w / scale, traj.ws[2:-1])
+        assert np.array_equal(y / scale / traj.ts[2:-1], traj.wprimes[2:-1])
 
     @pytest.mark.parametrize("max_steps", [1, 2, 12])
     def test_truncated_nodes_end_at_the_last_accepted_state(self, max_steps, monkeypatch):
@@ -1468,7 +1482,7 @@ class TestOneReader:
         traj, run = self._stepper_run(monkeypatch, GELFAND3, G,
                                       IntegratorConfig(max_steps=max_steps))
         assert traj.termination == "truncated" and run.status == "budget"
-        assert run.accepted == len(traj._table) == len(traj.ts) - 2 == max_steps - 1
+        assert run.accepted == len(traj._rows.table) == len(traj.ts) - 2 == max_steps - 1
         self._assert_nodes_are_the_run(traj, run)
         if max_steps == 1:  # the run ends where it starts, at the series node
             assert run.end[0] == math.log(traj.ts[1]) and len(traj.ts) == 2
@@ -1633,6 +1647,11 @@ class TestPohozaev:
     def test_nan_time_rejected(self, jl_traj):
         with pytest.raises(ValueError):
             pohozaev(jl_traj, math.nan)
+
+    def test_keeps_the_shape_of_the_times(self, jl_traj):
+        grid = np.geomspace(jl_traj.t_start, jl_traj.t_end, 12)
+        vals = pohozaev(jl_traj, grid.reshape(2, -1))
+        assert vals.shape == (2, 6) and np.array_equal(vals.ravel(), pohozaev(jl_traj, grid))
 
 
 class TestFluxIdentity:
