@@ -482,10 +482,13 @@ def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> 
     solution curve.  Its tolerances, ``rel_tol = 1e-12`` and ``abs_tol =
     1e-14``, are decoupled from the generating integration so the check is
     a genuine cross-validation.  Raises :class:`~pfold.ivp.IntegrationError`
-    where the radial solution leaves the float range, as ``p`` nears 1.
+    where the radial solution leaves the float range, as ``p`` nears 1, and
+    ``ValueError`` unless ``0 <= lambda < inf`` and ``u0`` is finite.
     """
     p, n, alpha = params.p, params.n, params.alpha
     lam, u0 = point.lam, point.u0
+    if not (0.0 <= lam < math.inf and math.isfinite(u0)):
+        raise ValueError(f"shooting needs 0 <= lam < inf and a finite u0, got {point!r}")
     if problem is ProblemClass.MEMS and not u0 < 1.0:
         raise ValueError("mems center value must satisfy u0 < 1")
     spec = class_spec(params, problem)

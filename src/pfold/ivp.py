@@ -408,7 +408,7 @@ class _Series:
     With ``tau = t^sigma``, ``sigma = (alpha+p)/(p-1)`` and ``m = n+alpha``,
     ``w = w_c + tau U(tau)`` and ``v = t^m V(tau)``, where ``U`` and ``V``
     are power series in ``tau`` with the coefficients ``u`` and ``v``;
-    ``phi_exp = 1/(p-1)``.  :meth:`read` and :meth:`point` decode it as a
+    ``phi_exp = 1/(p-1)``.  :meth:`read` and :meth:`reader` decode it as a
     segment of a :class:`Trajectory`, with the ``g`` of its log phase.
     """
 
@@ -420,37 +420,34 @@ class _Series:
     v: tuple
 
     def read(self, tau: np.ndarray, g: float):
-        """The ``(x, W, Y, t^-g)`` of :meth:`point` at the array ``tau``."""
+        """``(x = ln t, W = w t^-g, Y = t w' t^-g, t^-g)`` at the array ``tau``."""
         x = np.log(tau) / self.sigma
         with np.errstate(over="ignore"):  # t^-g past the floats is inf, as on the nodes
             scale = np.exp(-g * x)
-        w, big_v = self.slope_form(tau)
-        return x, w * scale, tau * _phi_inv_many(big_v, self.phi_exp) * scale, scale
+        w, t_wprime, _ = self.slope_form(tau)
+        return x, w * scale, t_wprime * scale, scale
 
-    def point(self, tau: float, g: float):
-        """``(x = ln t, W = w t^-g, Y = t w' t^-g, t^-g)`` at one ``tau``."""
-        w, big_v = self.slope_form(tau)
-        x = math.log(tau) / self.sigma
-        scale = math.exp(-g * x)
-        return x, w * scale, tau * _phi_inv(big_v, self.phi_exp) * scale, scale
+    def reader(self, g: float):
+        """:meth:`read` at one ``tau``, in floats: a point reads as the samples do."""
+        return lambda tau: tuple(float(a[0]) for a in self.read(np.array([tau]), g))
 
     def state(self, t):
         """``(w, w', V)`` at ``t`` within :meth:`reach`, a float or an array:
         the series in its own variables, whose flux ``t^m V`` need not fit a
         double."""
-        tau = t**self.sigma
-        w, big_v = self.slope_form(tau)
-        phi_inv = _phi_inv_many if isinstance(tau, np.ndarray) else _phi_inv
-        return w, tau * phi_inv(big_v, self.phi_exp) / t, big_v
+        w, t_wprime, big_v = self.slope_form(t**self.sigma)
+        return w, t_wprime / t, big_v
 
     def slope_form(self, tau):
-        """``(w, V)`` at ``tau``, a float or an array (each point summed apart, so
-        that none depends on the rest): ``t w' = tau phiinv(V)``, since
-        ``t^(alpha+p) = tau^(p-1)``."""
+        """``(w, t w', V)`` at ``tau``, a float or an array (each point summed
+        apart, so that none depends on the rest): ``t w' = tau phiinv(V)``,
+        since ``t^(alpha+p) = tau^(p-1)``."""
         if isinstance(tau, np.ndarray):  # one table of powers serves both series
             powers = np.power.outer(tau, np.arange(len(self.u)))
-            return self.w_center + tau * (powers * self.u).sum(1), (powers * self.v).sum(1)
-        return self.w_center + tau * _horner(self.u, tau), _horner(self.v, tau)
+            u, big_v, phi_inv = (powers * self.u).sum(1), (powers * self.v).sum(1), _phi_inv_many
+        else:
+            u, big_v, phi_inv = _horner(self.u, tau), _horner(self.v, tau), _phi_inv
+        return self.w_center + tau * u, tau * phi_inv(big_v, self.phi_exp), big_v
 
     def reach(self) -> float:
         """Largest ``t`` at which the last three nonzero terms of ``U`` and of
@@ -872,7 +869,10 @@ def _dop853(rhs: _Rhs, x: float, w: float, v: float, x_end: float, rtol: float,
     it records its last node (``end``) and its counts only.  A stage of a
     step attempt that leaves the floats rejects the step; a slope at ``x``
     or of the initial-step probe that does raises :class:`IntegrationError`
-    naming ``x``, so no ``OverflowError`` leaves the run."""
+    naming ``x``, so no ``OverflowError`` leaves the run, as does a start
+    that is not finite, from which the step size would be NaN."""
+    if not (math.isfinite(x) and math.isfinite(w) and math.isfinite(v)):
+        raise IntegrationError(f"non-finite start at t-coordinate {x!r}: w = {w!r}, v = {v!r}")
     try:
         return _program(rhs.form).loop(*rhs.values, x, w, v, x_end, rtol, atol, budget, dense,
                                        max_step)
@@ -1004,12 +1004,10 @@ def integrate(params: Params, problem: ProblemClass,
         termination = {"done": "t_max", "zero": "zero", "budget": "truncated"}[run.status]
         if termination == "t_max":
             ts_new[-1] = cfg.t_max
-        # (w, t w') = (W, Y) / scale, Y = phiinv(Z), as eval_many reads the rows
+        # (w, t w') = (W, Y) / scale, as eval_many reads the rows
         with np.errstate(all="ignore"):  # checked below
-            scale = np.exp(-g * x)
-            big_w = rows.big_w(x, first)
-            log_nodes = (big_w / scale, _phi_inv_many(z, series.phi_exp) / scale / ts_new)
-        nodes = np.concatenate((nodes, log_nodes), axis=1)
+            _, big_w, y, scale = rows.decode(x, first, z)
+            nodes = np.concatenate((nodes, (big_w / scale, y / scale / ts_new)), axis=1)
         t_nodes.extend(ts_new)
         finite = np.isfinite(nodes)
         if not finite.all():
@@ -1034,25 +1032,26 @@ class _Rows(NamedTuple):
     each, of ``(W, Z) = (w t^-g, v t^c)``, or of ``(lambda, Z)`` with
     ``lambda = t^k e^W`` where ``lam_k`` is ``k`` (see :func:`integrate`).
     :meth:`read` (arrays) and :meth:`reader` (one row) read them with
-    :func:`_dense` at the fraction ``s`` of a step, alike in ``x`` and ``W``."""
+    :func:`_dense` at the fraction ``s`` of a step, alike in ``x`` and ``W``;
+    :meth:`decode` is the array decode, also of :func:`integrate`'s log nodes."""
 
     table: np.ndarray
     g: float
     phi_exp: float
     lam_k: float | None
 
-    def big_w(self, x, first):
-        """``W`` from a row's first component: itself, or ``ln lambda - k x``."""
-        return first if self.lam_k is None else np.log(first) - self.lam_k * x
+    def decode(self, x: np.ndarray, first: np.ndarray, z: np.ndarray):
+        """``(x, W, Y, t^-g)`` from a row's ``(first, Z)`` at the array ``x``:
+        ``W`` is ``first`` or ``ln lambda - k x``, and ``Y = phiinv(Z)``."""
+        with np.errstate(over="ignore"):  # t^-g past the floats is inf, as on the nodes
+            scale = np.exp(-self.g * x)
+        big_w = first if self.lam_k is None else np.log(first) - self.lam_k * x
+        return x, big_w, _phi_inv_many(z, self.phi_exp), scale
 
     def read(self, row: np.ndarray, s: np.ndarray):
         """The ``(x, W, Y, t^-g)`` of :meth:`reader` at the arrays ``row``, ``s``."""
         step = self.table[row].T
-        x = step[0] + s * step[1]
-        with np.errstate(over="ignore"):  # t^-g past the floats is inf, as on the nodes
-            scale = np.exp(-self.g * x)
-        first, z = _dense(step, s)
-        return x, self.big_w(x, first), _phi_inv_many(z, self.phi_exp), scale
+        return self.decode(step[0] + s * step[1], *_dense(step, s))
 
     def reader(self, row: int):
         """Row ``row``'s reader ``point(s) -> (x, W, Y, t^-g)``, gathered once."""
@@ -1111,12 +1110,13 @@ class Trajectory:
     0 to node 1, and row ``k >= 0`` row ``k`` of the stepper's ``_rows``, at
     the fraction ``theta`` of its step; the stepper's run is kept there
     only, as each row starts at its node.  Both decoders give ``(x, W, Y =
-    t w' t^-g, scale = t^-g)``, and ``(w, t w') = (W, Y) / scale`` is the one
-    rescale back from the rows, also of the log nodes.  The series segment
-    and its nodes are read in the series' own variables, ``(w, w')`` of
-    :meth:`_Series.state`, by :meth:`eval` and :meth:`eval_many`; only event
-    location reads it in ``(W, Y)``.  The flux ``v`` is not kept, as only
-    acceptance row 6 and ``shooting_check`` step ``(w, v)``.
+    t w' t^-g, scale = t^-g)``, by ``read`` (arrays) and ``reader`` (one
+    point), and ``(w, t w') = (W, Y) / scale`` is the one rescale back from
+    the rows, also of the log nodes.  The series segment and its nodes are
+    read in the series' own variables, ``(w, w')`` of :meth:`_Series.state`,
+    by :meth:`eval` and :meth:`eval_many`; only event location reads it in
+    ``(W, Y)``.  The flux ``v`` is not kept, as only acceptance row 6 and
+    ``shooting_check`` step ``(w, v)``.
     ``_folds`` holds the folds that :func:`pfold.curve.turning_points`
     located by :meth:`_roots`, and the sign changes its guard discarded."""
 
@@ -1209,7 +1209,7 @@ class Trajectory:
                         break
                     lo = k
             row = int(rows[lo])  # its reader, and its parameter at its end
-            read, end = ((functools.partial(self._series.point, g=self._rows.g),
+            read, end = ((self._series.reader(self._rows.g),
                           float(self.ts[1]) ** self._series.sigma) if row < 0
                          else (self._rows.reader(row), 1.0))
             t_hi = float(theta[hi]) if rows[hi] == row else end

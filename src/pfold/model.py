@@ -138,7 +138,7 @@ class IntegratorConfig:
                                      f"{self.t_start!r}, t_max = {self.t_max!r}")
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise InvalidParamsError("tolerances must be positive and finite")
-        if self.max_steps < 1:
+        if not self.max_steps >= 1:
             raise InvalidParamsError("max_steps must be >= 1")
         try:  # an int can lie past the largest float
             return replace(self, **{name: float(getattr(self, name))
@@ -357,7 +357,7 @@ def guiding_eval(cf: ClosedForms, t):
     import numpy as np
 
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):
         raise ValueError("guiding solution is defined for t > 0 only")
     g = cf.spec.g
     if cf.spec.E is None:
@@ -376,7 +376,7 @@ def guiding_curvature(cf: ClosedForms, t):
     import numpy as np
 
     t = np.asarray(t, dtype=float)
-    if np.any(t <= 0.0):
+    if not np.all(t > 0.0):
         raise ValueError("guiding solution is defined for t > 0 only")
     g = cf.spec.g
     if cf.spec.E is None:

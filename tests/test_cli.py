@@ -1,10 +1,8 @@
 import json
 import math
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -14,6 +12,8 @@ import pfold
 from pfold import (IntegratorConfig, Params, ProblemClass, characteristic_quadratic, curve,
                    ivp, model)
 from pfold.cli import _COMMANDS, main
+
+from conftest import fresh
 
 CLI = [sys.executable, "-m", "pfold.cli"]
 
@@ -640,16 +640,6 @@ class TestOutOfFloatRange:
         assert all(isinstance(x, float) for row in doc["rows"] for x in row[:3])
 
 
-def _fresh(code: str) -> str:
-    """The last line ``code`` prints in a fresh interpreter that imports this pfold."""
-    src = str(Path(pfold.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()[-1]
-
-
 # a module set to None in sys.modules is one that cannot be imported
 _LOADED = ("import sys\nprint(sorted({name.split('.')[0] for name, module in sys.modules.items()\n"
            "                   if module is not None} & {'numpy', 'scipy'}))")
@@ -693,7 +683,7 @@ class TestColdStart:
 
     @pytest.mark.parametrize("code,loaded", list(_COLD.values()), ids=list(_COLD))
     def test_modules_loaded(self, code, loaded):
-        assert _fresh(f"{code}\n{_LOADED}") == repr(loaded)
+        assert fresh(f"{code}\n{_LOADED}") == repr(loaded)
 
 
 class TestPublicNames:
@@ -710,7 +700,7 @@ class TestPublicNames:
                 "        if getattr(pfold, n) is not getattr(mods[s], n)]\n"
                 "bad += [s for s in mods if getattr(pfold, s) is not mods[s]]\n"
                 "print(bad)")
-        assert _fresh(code) == "[]"
+        assert fresh(code) == "[]"
 
     def test_star_import_binds_the_modules_names(self):
         # dir() lists them before they load
@@ -718,7 +708,7 @@ class TestPublicNames:
                 "ns = {}\nexec('from pfold import *', ns)\nns.pop('__builtins__')\n"
                 "print(sorted(ns), listed >= set(ns), all(ns[n] is getattr(pfold, n) for n in ns))")
         names = sorted({*model.__all__, *ivp.__all__, *curve.__all__, "model", "ivp", "curve"})
-        assert _fresh(code) == f"{names!r} True True"
+        assert fresh(code) == f"{names!r} True True"
 
     def test_names_are_filed_under_their_defining_module(self):
         # model's by its star import, the others lazily; pfold.ivp imports model's two
@@ -737,4 +727,4 @@ class TestPublicNames:
                 "before = 'pfold.ivp' in sys.modules\n"
                 "from pfold import verify\n"
                 "print(missing, before, verify is sys.modules['pfold.verify'])")
-        assert _fresh(code) == "['nosuch', '_private', '__wrapped__', 'verify'] False True"
+        assert fresh(code) == "['nosuch', '_private', '__wrapped__', 'verify'] False True"

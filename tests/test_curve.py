@@ -38,7 +38,7 @@ from pfold.ivp import GUARD_FACTOR, ROOT_RTOL
 from pfold.model import ValidityError, class_spec
 from pfold.verify import RESIDUAL_SETS
 
-from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233
+from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233, fresh
 
 G, M, J = ProblemClass.GELFAND, ProblemClass.MEMS, ProblemClass.JOSEPH_LUNDGREN
 
@@ -878,6 +878,23 @@ class TestShootingCheck:
         assert shooting_check(params, G, points[0]) <= 8.5e-15
         with pytest.raises(IntegrationError, match="leaves the float range"):
             shooting_check(params, G, points[1])
+
+    @pytest.mark.parametrize("params,lam,u0", [
+        (Params(p=3, n=5, alpha=1), "math.nan", "0.5"),
+        (Params(p=3, n=5, alpha=1), "math.inf", "0.5"),
+        (GELFAND3, "0.5", "math.nan"),
+        (Params(p=3, n=5, alpha=1), "-1.0", "0.5"),  # once a TypeError of a complex kappa
+    ], ids=["lam-nan", "lam-inf", "u0-nan", "lam-negative"])
+    def test_point_off_the_domain_raises(self, params, lam, u0):
+        # in a child interpreter: shot from a non-finite start, the stepper
+        # once never returned
+        code = ("import math\nfrom pfold import CurvePoint, Params, ProblemClass, shooting_check\n"
+                "try:\n"
+                f"    shooting_check({params!r}, ProblemClass.GELFAND, "
+                f"CurvePoint(1.0, {lam}, {u0}, 0.0))\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        assert fresh(code, timeout=60).startswith("shooting needs 0 <= lam < inf")
 
     def test_mems_center_value_validation(self):
         with pytest.raises(ValueError):

@@ -30,7 +30,7 @@ from pfold import (
     startup_state,
 )
 
-from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233
+from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233, fresh
 
 G, M, J = ProblemClass.GELFAND, ProblemClass.MEMS, ProblemClass.JOSEPH_LUNDGREN
 
@@ -301,9 +301,11 @@ class TestIntegrate:
 
     @pytest.mark.parametrize("bad,match", [
         (dict(max_steps=0), "max_steps"),
+        # NaN passed a test of max_steps < 1 and switched the step budget off
+        (dict(max_steps=math.nan), "max_steps"),
         # an int horizon past the largest float
         (dict(t_max=10**400), "largest float"),
-    ], ids=["max_steps-0", "t_max-past-the-floats"])
+    ], ids=["max_steps-0", "max_steps-nan", "t_max-past-the-floats"])
     def test_invalid_config_value(self, bad, match):
         with pytest.raises(InvalidParamsError, match=match):
             integrate(GELFAND3, G, IntegratorConfig(**bad))
@@ -656,6 +658,26 @@ class TestAgainstScipyDop853:
         w_ref, wp_ref = dense(grid)
         np.testing.assert_allclose(w, w_ref, rtol=1e-11, atol=0.0)
         np.testing.assert_allclose(wp, wp_ref, rtol=1e-11, atol=0.0)
+
+
+class TestNonFiniteStart:
+    """A start that is not finite raises, before the loop, whose step size
+    would be NaN there and pass every test of it.  Each run is made in a child
+    interpreter, so that one that never returns fails instead of hanging."""
+
+    @pytest.mark.parametrize("start,x", [
+        ("1e-6, math.nan, 0.0", "1e-06"), ("1e-6, 0.0, math.inf", "1e-06"),
+        ("math.nan, 0.0, 0.0", "nan"),
+    ], ids=["w-nan", "v-inf", "x-nan"])
+    def test_raises_naming_x(self, start, x):
+        code = ("import math\nfrom pfold import Params, ProblemClass, IntegrationError\n"
+                "from pfold.ivp import _dop853, _flux_rhs\n"
+                "rhs = _flux_rhs(Params(p=2, n=3, alpha=0), ProblemClass.GELFAND)\n"
+                "try:\n"
+                f"    _dop853(rhs, {start}, 1.0, 1e-10, (1e-12, 1e-12), 1000, dense=False)\n"
+                "except IntegrationError as exc:\n"
+                "    print(exc)\n")
+        assert fresh(code, timeout=60).startswith(f"non-finite start at t-coordinate {x}:")
 
 
 def _linear_step(z):
@@ -1364,7 +1386,8 @@ class TestSamples:
         # W bit for bit, and Y = phiinv(Z) too at p = 2, where numpy's |Z|^1.0
         # is exact (else to 1 ulp); the scales differ as numpy's exp and libm's
         smp = traj._samples
-        points = [traj._series.point(s, traj._rows.g) if k < 0 else traj._rows.reader(k)(s)
+        series = traj._series.reader(traj._rows.g)
+        points = [series(s) if k < 0 else traj._rows.reader(k)(s)
                   for k, s in zip(smp.row.tolist(), smp.theta.tolist())]
         x, big_w, y, scale = map(np.array, zip(*points))
         rows = smp.row >= 0
@@ -1373,10 +1396,9 @@ class TestSamples:
         ulps = np.abs(y[rows] - smp.y[rows]) / np.spacing(np.abs(y[rows]))
         assert np.all(ulps == 0.0) if traj.params.p == 2.0 else np.all(ulps <= 1.0)
         assert scale == pytest.approx(smp.scale, rel=np.finfo(float).eps, abs=0.0)
-        # the series: Horner for a point, a power table for the samples
-        for scalar, array in ((x, smp.x), (big_w, smp.big_w), (y, smp.y)):
-            assert scalar[~rows] == pytest.approx(array[~rows], rel=4 * np.finfo(float).eps,
-                                                  abs=0.0)
+        # the series: a point is read as the samples are, bit for bit
+        for point, sample in ((x, smp.x), (big_w, smp.big_w), (y, smp.y), (scale, smp.scale)):
+            assert np.array_equal(point[~rows], sample[~rows])
 
     def test_eval_matches_eval_many(self, traj):
         # the scalar and the vector reader of the same rows: random times, the

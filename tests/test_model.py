@@ -134,6 +134,12 @@ class TestGuidingSolution:
             guiding_eval(cf, -1.0)
         with pytest.raises(ValueError):
             guiding_curvature(cf, 0.0)
+        # NaN fails a test of t <= 0 as well as one of t > 0
+        for t in (math.nan, [1.0, math.nan]):
+            with pytest.raises(ValueError):
+                guiding_eval(cf, t)
+            with pytest.raises(ValueError):
+                guiding_curvature(cf, t)
 
     def test_vectorized(self):
         cf = closed_forms(Params(p=2, n=3, alpha=0, q=2), M)
