@@ -1,8 +1,8 @@
 """Command-line front end: the subcommands of ``_COMMANDS``, with the flags
 and config-file keys of ``_SETTINGS``.  Data is written as CSV (default) or
 JSON to ``-o`` or stdout; outputs are byte-deterministic for identical inputs.
-
-Exit codes: 0 success, 2 invalid parameters or flags, 3 numerical failure.
+Exit codes: 0 success, 1 a failed ``verify`` criterion, 2 invalid parameters
+or flags, 3 numerical failure.
 
 Only the subcommands that step, read or verify a trajectory import
 :mod:`pfold.ivp`, :mod:`pfold.curve` and :mod:`pfold.verify`, and with them

@@ -202,9 +202,11 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     if not t_hi > t_lo:
         raise ValueError("trajectory covers an empty range")
     decades = math.log10(t_hi / t_lo)
-    count = int(round(samples_per_decade * decades)) + 1
+    count = (int(round(samples_per_decade * decades)) + 1
+             if 0.0 < samples_per_decade < math.inf else 0)
     if count < 2:
-        raise ValueError("requested sampling produces fewer than two points")
+        raise ValueError(f"samples_per_decade must be positive and finite and give two points or "
+                         f"more, got {samples_per_decade!r}")
     grid = np.geomspace(t_lo, t_hi, count)
     w, wp = traj.eval_many(grid)
     spec = class_spec(traj.params, traj.problem)
@@ -387,9 +389,9 @@ def profile(traj: _ivp.Trajectory, t: float, r_grid) -> tuple[np.ndarray, np.nda
     a run that ends at a zero of ``w``.
     """
     r = np.asarray(r_grid, dtype=float)
-    r_lo, r_hi = r.min(), r.max()
+    r_lo, r_hi = (r.min(), r.max()) if r.size else (math.nan, math.nan)
     if not 0.0 < r_lo <= r_hi <= 1.0:
-        raise ValueError("r_grid must lie in (0, 1]")
+        raise ValueError("r_grid must be nonempty and lie in (0, 1]")
     if not traj.t_start * (1.0 - 1e-12) <= t * r_lo <= t * r_hi <= traj.t_end * (1.0 + 1e-12):
         raise ValueError("t * r_grid leaves the trajectory range")
     # w(t r) and w(t) in one read, so that r = 1 gives u = 0 exactly
@@ -475,43 +477,22 @@ def convergence(curve: SolutionCurve, t_eval: float | None = None) -> Convergenc
 def shooting_check(params: Params, problem: ProblemClass, point: CurvePoint) -> float:
     """Independent validation of a curve point by shooting the radial BVP.
 
-    Integrates the radial equation in ``r`` from a series startup near 0
-    with center value ``u(0) = point.u0`` at ``lambda = point.lam``, with
-    the source ``f(w_c - sgn u)``: ``exp(u)``, ``(1-u)^-q`` or ``(1+u)^q``,
-    and returns ``|u(1)|``, which vanishes exactly when the point lies on the
-    solution curve.  Its tolerances, ``rel_tol = 1e-12`` and ``abs_tol =
-    1e-14``, are decoupled from the generating integration so the check is
-    a genuine cross-validation.  Raises :class:`~pfold.ivp.IntegrationError`
-    where the radial solution leaves the float range, as ``p`` nears 1, and
-    ``ValueError`` unless ``0 <= lambda < inf`` and ``u0`` is finite.
+    Steps the radial equation in ``r`` from its two-term start near 0
+    (:func:`pfold.ivp._shoot`) with ``u(0) = point.u0`` at ``lambda =
+    point.lam``, with the source ``f(w_c - sgn u)``: ``exp(u)``, ``(1-u)^-q``
+    or ``(1+u)^q``, and returns ``|u(1)|``, which vanishes exactly when the
+    point lies on the solution curve.  Its tolerances, ``rel_tol = 1e-12``
+    and ``abs_tol = 1e-14``, are decoupled from the generating integration,
+    so the check cross-validates it.  Raises :class:`~pfold.ivp.IntegrationError`
+    where the radial solution leaves the float range, and ``ValueError``
+    unless ``0 <= lambda < inf`` and ``u0`` is finite.
     """
-    p, n, alpha = params.p, params.n, params.alpha
     lam, u0 = point.lam, point.u0
     if not (0.0 <= lam < math.inf and math.isfinite(u0)):
         raise ValueError(f"shooting needs 0 <= lam < inf and a finite u0, got {point!r}")
     if problem is ProblemClass.MEMS and not u0 < 1.0:
         raise ValueError("mems center value must satisfy u0 < 1")
     spec = class_spec(params, problem)
-    f, w_c, sgn = spec.f, spec.w_center, spec.sgn
-    g0 = lam * f(w_c - sgn * u0)
-    sigma = (alpha + p) / (p - 1.0)
-    # (u, v)' = (phiinv(v / r^(n-1)), -lam r^(n+alpha-1) f(w_c - sgn u))
-    rhs = _ivp._radial_rhs(params, spec, -lam, w_c, sgn)
-    try:  # as p nears 1, kappa ~ (g0/(n+alpha))^(1/(p-1)) overflows
-        kappa = (p - 1.0) / (alpha + p) * (g0 / (n + alpha)) ** (1.0 / (p - 1.0))
-        # startup radius: keep the series correction below ~1e-10 of the scale
-        if kappa > 0.0:
-            r_start = min(1e-6, (1e-10 * max(1.0, abs(u0)) / kappa) ** (1.0 / sigma))
-            r_start = max(r_start, 1e-30)
-        else:
-            r_start = 1e-6
-        u_start = u0 - kappa * r_start**sigma
-        v_start = -g0 * r_start ** (n + alpha) / (n + alpha)
-    except OverflowError:
-        raise _ivp.IntegrationError(f"the radial solution at lambda = {lam!r}, u0 = {u0!r} "
-                                    "leaves the float range") from None
-    run = _ivp._dop853(rhs, r_start, u_start, v_start, 1.0, 1e-12, (1e-14, 1e-14), 200_000,
-                       dense=False)
-    if run.status != "done":
-        raise _ivp.IntegrationError("shooting integration exhausted max_steps")
-    return abs(run.end[1])
+    # (u, v)' = (phiinv(v / r^(n-1)), -lam r^(n+alpha-1) f(w_c - sgn u)), u(0) = u0
+    return abs(_ivp._shoot(params, spec, -lam, spec.w_center, spec.sgn, u0, 1.0, 1e-12, 1e-14,
+                           200_000)[0])

@@ -16,13 +16,12 @@ differentiated:
 
     ``w' = phiinv(v / t^(n-1))``,  ``v' = -+ t^(n+alpha-1) f(w)``.
 
-The pair ``(w, v)`` itself is stepped in ``t`` only by acceptance row 6 of
-:mod:`pfold.verify` and by :func:`pfold.curve.shooting_check`, which
-shoots the radial problem in the same form.  A :class:`Trajectory` hands
-out ``(t, w, w')`` only: its nodes are ``(t, w, w')``, and ``v``, which
-grows like a power of ``t``, need not fit a double.  Nor is it formed
-anywhere else: the startup series hands out ``(w, w', V)``, and row 6 is
-the one place that forms its flux ``t^m V``.
+The pair ``(w, v)`` itself is stepped in ``t`` only by :func:`_shoot`, for
+acceptance row 6 of :mod:`pfold.verify` and for :func:`pfold.curve.shooting_check`,
+which shoots the radial problem in the same form.  A :class:`Trajectory`'s
+nodes are ``(t, w, w')`` only: ``v``, which grows like a power of ``t``, need
+not fit a double.  Nor is it formed anywhere else: the startup series hands
+out ``(w, w', V)``, and row 6 is the one place that forms its flux ``t^m V``.
 
 ``t = 0`` is a regular singular point, where the regular solution is a
 convergent power series (Joseph & Lundgren 1973).  With
@@ -349,26 +348,26 @@ def _log_phase(params: Params, problem: ProblemClass):
     return rhs, g, c, cap, lam_rhs
 
 
-def startup_state(params: Params, problem: ProblemClass, t_start: float) -> State:
-    """Two-term series state at ``t_start``: the leading terms of the
-    startup series that :func:`integrate` starts from.
-
-    With ``sigma = (alpha+p)/(p-1)`` and
-    ``kappa = ((p-1)/(alpha+p)) (1/(n+alpha))^(1/(p-1))`` the solution near
-    zero is ``w = w(0) -+ kappa t^sigma`` and the flux is the exactly
-    integrated ``v = -+ t^(n+alpha)/(n+alpha)`` (source frozen at its center
-    value, which is 1 for all three classes).
-    """
-    validate_params(params, problem)
-    if not t_start > 0.0:
-        raise ValueError(f"t_start must be positive, got {t_start!r}")
+def _two_term(params: Params, source: float) -> tuple[float, float, float]:
+    """``(kappa, sigma, m)`` of the two-term start ``w = w(0) + kappa t^sigma``, ``v =
+    source t^m / m``, with the source frozen at its center value: ``sigma = (alpha+p)/(p-1)``,
+    ``m = n + alpha``, ``kappa = ((p-1)/(alpha+p)) (|source|/m)^(1/(p-1))`` signed like it."""
     p, n, alpha = params.p, params.n, params.alpha
-    sigma = (alpha + p) / (p - 1.0)
-    kappa = (p - 1.0) / (alpha + p) * (1.0 / (n + alpha)) ** (1.0 / (p - 1.0))
+    sigma, m = (alpha + p) / (p - 1.0), n + alpha
+    kappa = (p - 1.0) / (alpha + p) * (abs(source) / m) ** (1.0 / (p - 1.0))
+    return math.copysign(kappa, source), sigma, m
+
+
+def startup_state(params: Params, problem: ProblemClass, t_start: float) -> State:
+    """Two-term series state at ``t_start``, the leading terms of the startup
+    series that :func:`integrate` starts from: :func:`_two_term`'s start
+    with the source frozen at its center value ``sgn f(w(0)) = sgn``."""
+    validate_params(params, problem)
+    if not 0.0 < t_start < math.inf:
+        raise ValueError(f"t_start must be positive and finite, got {t_start!r}")
     spec = class_spec(params, problem)
-    w = spec.w_center + spec.sgn * kappa * t_start**sigma
-    v = spec.sgn * t_start ** (n + alpha) / (n + alpha)
-    return State(t=t_start, w=w, v=v)
+    kappa, sigma, m = _two_term(params, spec.sgn)
+    return State(t_start, spec.w_center + kappa * t_start**sigma, spec.sgn * t_start**m / m)
 
 
 # Terms kept of the startup series, and the size, relative to the leading
@@ -884,9 +883,9 @@ def _dop853(rhs: _Rhs, x: float, w: float, v: float, x_end: float, rtol: float,
 
 def _radial_rhs(params: Params, spec: ClassSpec, coeff: float, w_c: float, s: float) -> _Rhs:
     """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), coeff t^(n+alpha-1) f(w_c - s w))``
-    of a radial equation stepped in ``t``.  The flux system and the radial
-    BVP that :func:`pfold.curve.shooting_check` shoots share its form, so
-    a process that steps both compiles one loop for them."""
+    of a radial equation, stepped in ``t`` by :func:`_shoot`: the flux system
+    (``coeff = sgn``, ``w_c = 0``, ``s = -1``, so that ``f`` sees ``w``) and
+    the radial BVP of :func:`pfold.curve.shooting_check` share one loop."""
     p, n, alpha = params.p, params.n, params.alpha
     phi_exp, e1, e2 = 1.0 / (p - 1.0), n - 1.0, n + alpha - 1.0
     # alpha = 0: the source has the flux's power of t, computed once
@@ -896,12 +895,27 @@ def _radial_rhs(params: Params, spec: ClassSpec, coeff: float, w_c: float, s: fl
                  phi_exp=phi_exp, e1=e1, e2=e2, coeff=coeff, w_c=w_c, s=s, e=spec.q_power)
 
 
-def _flux_rhs(params: Params, problem: ProblemClass) -> _Rhs:
-    """Right-hand side ``(w, v)' = (phiinv(v / t^(n-1)), sgn t^(n+alpha-1) f(w))``
-    of the flux system, stepped in ``t``.  ``f``'s argument ``0 - (-1) w`` is
-    ``w`` exactly, up to the sign of a zero, which ``f`` does not see."""
-    spec = class_spec(params, problem)
-    return _radial_rhs(params, spec, spec.sgn, 0.0, -1.0)
+def _shoot(params: Params, spec: ClassSpec, coeff: float, w_c: float, s: float, center: float,
+           r_end: float, rtol: float, atol: float, budget: int) -> tuple[float, float]:
+    """``(y, v)`` at ``r_end`` of the regular solution with ``y(0) = center`` of
+    :func:`_radial_rhs`, stepped from its two-term start at the ``r`` in
+    ``[1e-30, 1e-6]`` where ``|kappa| r^sigma = 1e-10 max(1, |center|)``.
+    Raises :class:`IntegrationError` where the start leaves the float range
+    (as ``p`` nears 1) or the run exhausts ``budget`` steps."""
+    try:
+        source = coeff * spec.f(w_c - s * center)
+        kappa, sigma, m = _two_term(params, source)
+        scale = 1e-10 * max(1.0, abs(center))  # of the series correction |kappa| r^sigma
+        r = max(min(1e-6, (scale / abs(kappa)) ** (1.0 / sigma)), 1e-30) if kappa else 1e-6
+        y, v = center + kappa * r**sigma, source * r**m / m
+    except OverflowError:
+        raise IntegrationError(f"the radial run with coeff = {coeff!r} from y(0) = {center!r} "
+                               "leaves the float range") from None
+    run = _dop853(_radial_rhs(params, spec, coeff, w_c, s), r, y, v, r_end, rtol, (atol, atol),
+                  budget, dense=False)
+    if run.status != "done":
+        raise IntegrationError(f"the radial run exhausted {budget} steps at r = {run.end[0]!r}")
+    return run.end[1], run.end[2]
 
 
 def integrate(params: Params, problem: ProblemClass,

@@ -28,6 +28,7 @@ and :func:`guiding_curvature`, which take arrays and import it where they run.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import cached_property
@@ -138,8 +139,12 @@ class IntegratorConfig:
                                      f"{self.t_start!r}, t_max = {self.t_max!r}")
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
             raise InvalidParamsError("tolerances must be positive and finite")
-        if not self.max_steps >= 1:
-            raise InvalidParamsError("max_steps must be >= 1")
+        try:  # 2.5, inf and NaN have no index; numpy integers have one
+            max_steps = operator.index(self.max_steps)
+        except TypeError:
+            max_steps = 0
+        if max_steps < 1:
+            raise InvalidParamsError(f"max_steps must be an integer >= 1, got {self.max_steps!r}")
         try:  # an int can lie past the largest float
             return replace(self, **{name: float(getattr(self, name))
                                     for name in ("t_start", "t_max", "rel_tol", "abs_tol")})

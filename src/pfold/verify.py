@@ -29,6 +29,7 @@ from .model import (
     ProblemClass,
     characteristic_quadratic,
     check_conditions,
+    class_spec,
     closed_forms,
     guiding_curvature,
     guiding_eval,
@@ -202,18 +203,17 @@ def _row_residuals(trajectory, ts):
 
 
 def _row_startup(trajectory, ts):
-    # the startup series at its node t1 against tight stepping from the
-    # two-term start at t_start, which shares only the series' leading terms
+    # the startup series at its node t1 against tight stepping of the flux system
+    # from the two-term start (t = 1e-6 here), which shares only the leading terms
     tol = 1e-6 * ts
     for problem, params in CLASS_DEFAULTS.items():
         traj = trajectory(params, problem)
         t1 = float(traj.ts[1])
         wa, _, big_v = traj._series.state(t1)
         va = t1**traj._series.m * big_v  # the series' flux, which this row steps
-        start = _ivp.startup_state(params, problem, traj.t_start)
-        run = _ivp._dop853(_ivp._flux_rhs(params, problem), start.t, start.w, start.v, t1,
-                           1e-13, (1e-300, 1e-300), 10**5, dense=False)
-        _, wb, vb = run.end
+        spec = class_spec(params, problem)
+        wb, vb = _ivp._shoot(params, spec, spec.sgn, 0.0, -1.0, spec.w_center, t1, 1e-13, 1e-300,
+                             10**5)
         dw = abs(wa - wb) / max(abs(wa), abs(wb), 1e-300)
         dv = abs(va - vb) / max(abs(va), abs(vb), 1e-300)
         yield (problem.value, dw <= tol and dv <= tol,

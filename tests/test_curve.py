@@ -70,6 +70,8 @@ class TestBuildCurve:
     def test_row_count_contract(self, gelfand3_traj):
         assert len(build_curve(gelfand3_traj, samples_per_decade=50).points) == 501
         assert len(build_curve(gelfand3_traj, samples_per_decade=7).points) == 71
+        # a rate need not be an integer: round(2.5 * 10) + 1 rows
+        assert len(build_curve(gelfand3_traj, samples_per_decade=2.5).points) == 26
 
     def test_jl_limit_value(self, jl_traj):
         curve = build_curve(jl_traj)
@@ -78,6 +80,11 @@ class TestBuildCurve:
     def test_empty_sampling_rejected(self, gelfand3_traj):
         with pytest.raises(ValueError):
             build_curve(gelfand3_traj, samples_per_decade=0)
+        # inf and NaN once failed in int(): an OverflowError and a ValueError
+        # about converting a float
+        for bad in (math.inf, math.nan, -1.0, 0.01):
+            with pytest.raises(ValueError, match="samples_per_decade must be positive and finite"):
+                build_curve(gelfand3_traj, samples_per_decade=bad)
 
     def test_truncated_jl_curve(self, jl_zero_traj):
         curve = build_curve(jl_zero_traj)
@@ -762,6 +769,9 @@ class TestProfile:
             profile(gelfand3_traj, math.nan, np.array([0.5, 1.0]))
         with pytest.raises(ValueError):
             profile(gelfand3_traj, 1e3, np.array([math.nan, 1.0]))
+        # once numpy's "zero-size array to reduction operation minimum"
+        with pytest.raises(ValueError, match="r_grid must be nonempty"):
+            profile(gelfand3_traj, 10.0, [])
 
     def test_singular_profile_matches_guiding_scaling(self):
         r = np.geomspace(0.1, 1.0, 8)
@@ -878,6 +888,16 @@ class TestShootingCheck:
         assert shooting_check(params, G, points[0]) <= 8.5e-15
         with pytest.raises(IntegrationError, match="leaves the float range"):
             shooting_check(params, G, points[1])
+
+    @pytest.mark.parametrize("params,problem,point", [
+        (GELFAND3, G, CurvePoint(1.0, 1.0, 1000.0, 0.0)),  # exp(1000)
+        (Params(p=2, n=4, alpha=0, q=5), J, CurvePoint(1.0, 1.0, 1e300, 0.0)),  # (1 + u0)^5
+    ], ids=["gelfand-exp", "jl-power"])
+    def test_overflowing_center_source_raises(self, params, problem, point):
+        # the source at the center was formed outside the overflow guard and
+        # leaked a bare OverflowError
+        with pytest.raises(IntegrationError, match="leaves the float range$"):
+            shooting_check(params, problem, point)
 
     @pytest.mark.parametrize("params,lam,u0", [
         (Params(p=3, n=5, alpha=1), "math.nan", "0.5"),

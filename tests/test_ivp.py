@@ -69,6 +69,9 @@ class TestStartup:
             startup_state(GELFAND3, G, 0.0)
         with pytest.raises(ValueError):
             startup_state(GELFAND3, G, -1e-3)
+        # once State(t=inf, w=-inf, v=-inf)
+        with pytest.raises(ValueError, match="positive and finite"):
+            startup_state(GELFAND3, G, math.inf)
 
 
 def _source(params, problem):
@@ -303,9 +306,14 @@ class TestIntegrate:
         (dict(max_steps=0), "max_steps"),
         # NaN passed a test of max_steps < 1 and switched the step budget off
         (dict(max_steps=math.nan), "max_steps"),
+        # inf passed a test of max_steps >= 1 and switched the budget off too;
+        # 2.5 ran out as "max_steps = 2.5 exhausted"
+        (dict(max_steps=math.inf), "max_steps must be an integer"),
+        (dict(max_steps=2.5), "max_steps must be an integer"),
         # an int horizon past the largest float
         (dict(t_max=10**400), "largest float"),
-    ], ids=["max_steps-0", "max_steps-nan", "t_max-past-the-floats"])
+    ], ids=["max_steps-0", "max_steps-nan", "max_steps-inf", "max_steps-2.5",
+            "t_max-past-the-floats"])
     def test_invalid_config_value(self, bad, match):
         with pytest.raises(InvalidParamsError, match=match):
             integrate(GELFAND3, G, IntegratorConfig(**bad))
@@ -550,11 +558,19 @@ def _series_node(traj):
     return w1, t1**traj._series.m * big_v1
 
 
+def _flux_rhs(params, problem):
+    """The flux system ``(w, v)' = (phiinv(v / t^(n-1)), sgn t^(n+alpha-1) f(w))``,
+    the radial form with ``f``'s argument ``0 - (-1) w``, as acceptance row 6
+    steps it."""
+    spec = class_spec(params, problem)
+    return ivp._radial_rhs(params, spec, spec.sgn, 0.0, -1.0)
+
+
 def _scipy_flux_reference(traj, t_end):
     """The flux system ``(w, v)`` stepped in ``t`` by scipy's DOP853 at
     ``rtol = 1e-13`` from the series node of ``traj`` to ``t_end``, stopping
     at a zero of ``w``."""
-    rhs = ivp._flux_rhs(traj.params, traj.problem)
+    rhs = _flux_rhs(traj.params, traj.problem)
     w1, v1 = _series_node(traj)
 
     def zero(t, y):
@@ -660,6 +676,26 @@ class TestAgainstScipyDop853:
         np.testing.assert_allclose(wp, wp_ref, rtol=1e-11, atol=0.0)
 
 
+class TestShoot:
+    @pytest.mark.parametrize("params,problem", [(GELFAND3, G), (MEMS233, M), (JL454, J)],
+                             ids=["gelfand", "mems", "jl"])
+    def test_flux_run_starts_at_startup_state(self, params, problem):
+        # acceptance row 6's run: the radius rule gives t = 1e-6 for these
+        # sets, and the start there is startup_state's, bit for bit
+        spec = class_spec(params, problem)
+        st = startup_state(params, problem, 1e-6)
+        ref = _dop853(_flux_rhs(params, problem), st.t, st.w, st.v, 0.5, 1e-13, (1e-300, 1e-300),
+                      10**5, dense=False)
+        shot = ivp._shoot(params, spec, spec.sgn, 0.0, -1.0, spec.w_center, 0.5, 1e-13, 1e-300,
+                          10**5)
+        assert repr(shot) == repr(ref.end[1:])
+
+    def test_exhausted_budget_raises(self):
+        spec = class_spec(GELFAND3, G)
+        with pytest.raises(ivp.IntegrationError, match="exhausted 3 steps"):
+            ivp._shoot(GELFAND3, spec, -1.0, 0.0, -1.0, 0.0, 1.0, 1e-12, 1e-14, 3)
+
+
 class TestNonFiniteStart:
     """A start that is not finite raises, before the loop, whose step size
     would be NaN there and pass every test of it.  Each run is made in a child
@@ -671,8 +707,11 @@ class TestNonFiniteStart:
     ], ids=["w-nan", "v-inf", "x-nan"])
     def test_raises_naming_x(self, start, x):
         code = ("import math\nfrom pfold import Params, ProblemClass, IntegrationError\n"
-                "from pfold.ivp import _dop853, _flux_rhs\n"
-                "rhs = _flux_rhs(Params(p=2, n=3, alpha=0), ProblemClass.GELFAND)\n"
+                "from pfold.ivp import _dop853, _radial_rhs\n"
+                "from pfold.model import class_spec\n"
+                "params = Params(p=2, n=3, alpha=0)\n"
+                "spec = class_spec(params, ProblemClass.GELFAND)\n"
+                "rhs = _radial_rhs(params, spec, spec.sgn, 0.0, -1.0)\n"
                 "try:\n"
                 f"    _dop853(rhs, {start}, 1.0, 1e-10, (1e-12, 1e-12), 1000, dense=False)\n"
                 "except IntegrationError as exc:\n"
@@ -1204,7 +1243,7 @@ class TestStraightLineStages:
         calls = _dop853_calls(monkeypatch,
                               lambda: pfold.curve.shooting_check(params, problem, point))
         rhs, *_, lam_rhs = _log_phase(params, problem)
-        forms = {"log": rhs, "flux": ivp._flux_rhs(params, problem), "shooting": calls[0][0][0]}
+        forms = {"log": rhs, "flux": _flux_rhs(params, problem), "shooting": calls[0][0][0]}
         if problem is G:  # every gelfand set here has n > p
             forms["lambda"] = lam_rhs
         closures = _closures(params, problem, point.lam)
