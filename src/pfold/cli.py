@@ -252,6 +252,8 @@ def _cmd_profile(settings: dict) -> int:
         raise InvalidParamsError(f"--r-min must lie in (0, 1), got {r_min!r}")
     if settings["r_points"] < 2:
         raise InvalidParamsError("--r-points must be at least 2")
+    if settings["r_points"] > sys.float_info.max:  # np.geomspace takes it as a float
+        raise InvalidParamsError(f"--r-points must be at most {sys.float_info.max!r}")
     if not (settings["t_start"] <= t_eval * r_min and t_eval <= settings["t_max"]):
         raise InvalidParamsError(
             f"profile needs t_start <= t*r <= t_max for r in [{r_min!r}, 1], "

@@ -22,11 +22,13 @@ oscillatory.
 
 Folds and crossings are events located on the stepper's own dense output
 (Hairer, Norsett & Wanner, *Solving ODEs I*, Section II.6) by
-:meth:`pfold.ivp.Trajectory._roots`; this module states their functionals
-and guard weights.  In the log-phase variables ``W = w t^-g``, ``Y = t w'
-t^-g`` of :mod:`pfold.ivp`, the monitor is ``M = t^g (k W + E Y)`` (``k +
-Y`` for ``exp``) and the gap to the guiding solution ``t^g (W - W0)``, ``W0
-= coeff`` (``ln coeff - k ln t``), so their signs need no rescaling.
+:meth:`pfold.ivp.Trajectory._roots`.  The trajectory scans the monitor of
+its :class:`~pfold.model.ClassSpec` once, as ``_folds``; this module maps
+those roots to folds and states the gap to the guiding solution.  In the
+log-phase variables ``W = w t^-g``, ``Y = t w' t^-g`` of :mod:`pfold.ivp`,
+the monitor is ``M = t^g (k W + E Y)`` (``k + Y`` for ``exp``) and the gap
+``t^g (W - W0)``, ``W0 = coeff`` (``ln coeff - k ln t``), so their signs
+need no rescaling.
 """
 
 from __future__ import annotations
@@ -80,12 +82,6 @@ def curve_values(problem: ProblemClass, params: Params, t, w):
     return lam, u0
 
 
-def _monitor(spec: ClassSpec, t, w, wprime):
-    if spec.E is None:
-        return spec.k + t * wprime
-    return spec.k * w + spec.E * t * wprime
-
-
 def monitor(problem: ProblemClass, params: Params, t, w, wprime):
     """Monitor function ``M(t)`` whose sign equals the sign of ``lambda'(t)``:
     ``(alpha + p) w + E t w'`` for a power source, ``(alpha + p) + t w'`` for
@@ -95,7 +91,7 @@ def monitor(problem: ProblemClass, params: Params, t, w, wprime):
     * ``mems``:    ``(alpha + p) w - t (p + q - 1) w'``,
     * ``jl``:      ``(p + alpha) w + (q - p + 1) t w'``.
     """
-    return _monitor(class_spec(params, problem), t, w, wprime)
+    return class_spec(params, problem).monitor(t, w, wprime)
 
 
 class CurvePoint(NamedTuple):
@@ -193,17 +189,20 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
     """Sample the solution curve log-uniformly over the trajectory range.
 
     The number of rows is ``round(samples_per_decade * decades) + 1`` where
-    ``decades = log10(t_end / t_start)``.  For ``jl`` runs truncated at a
-    zero of ``w``, samples with ``w`` at or below the integration floor are
-    dropped and the curve is marked ``truncated``.  The curve needs no
+    ``decades = log10(t_end) - log10(t_start)``.  For ``jl`` runs truncated
+    at a zero of ``w``, samples with ``w`` at or below the integration floor
+    are dropped and the curve is marked ``truncated``.  The curve needs no
     guiding solution: ``cf``, if given, is kept on it for :func:`convergence`.
     """
     t_lo, t_hi = traj.t_start, traj.t_end
     if not t_hi > t_lo:
         raise ValueError("trajectory covers an empty range")
-    decades = math.log10(t_hi / t_lo)
-    count = (int(round(samples_per_decade * decades)) + 1
-             if 0.0 < samples_per_decade < math.inf else 0)
+    decades = math.log10(t_hi) - math.log10(t_lo)  # t_hi / t_lo may overflow
+    try:  # a rate or a row count past the floats gives none
+        count = (int(round(float(samples_per_decade) * decades)) + 1
+                 if 0.0 < samples_per_decade < math.inf else 0)
+    except OverflowError:
+        count = 0
     if count < 2:
         raise ValueError(f"samples_per_decade must be positive and finite and give two points or "
                          f"more, got {samples_per_decade!r}")
@@ -216,7 +215,7 @@ def build_curve(traj: _ivp.Trajectory, cf: ClosedForms | None = None,
         raise ValueError("no curve points with positive w in range")
     with np.errstate(over="ignore"):  # a subnormal w gives u0 = inf
         lam, u0 = _curve_values(spec, t, w)
-    mon = _monitor(spec, t, w, wp)
+    mon = spec.monitor(t, w, wp)
     for col in (t, lam, u0, mon):
         col.flags.writeable = False
     return SolutionCurve(
@@ -237,25 +236,14 @@ def turning_points(traj: _ivp.Trajectory) -> list[TurningPoint]:
     refined on the dense output.
 
     Directions alternate along the returned (time-ordered) sequence.  The
-    folds are located on the first call and kept on the trajectory, with the
-    sign changes the guard discarded; each call returns a new list of them.
+    trajectory locates the folds once (``Trajectory._folds``); each call
+    returns a new list of them.
     """
-    if traj._folds is None:
-        spec = class_spec(traj.params, traj.problem)
-        # the magnitudes of the monitor's coefficients on w and t w'
-        coeff_sum = 1.0 if spec.E is None else spec.k + abs(spec.E)
-        # the monitor in the log-phase variables, M t^-g = k W + E Y (k + Y for exp)
-        roots, discarded = traj._roots(lambda x, big_w, y: _monitor(spec, 1.0, big_w, y),
-                                       coeff_sum)
-        folds = []
-        for x, big_w, _, scale, positive in roots:
-            t_star = math.exp(x)
-            lam, u0 = curve_values(traj.problem, traj.params, t_star, big_w / scale)
-            direction = "right-to-left" if positive else "left-to-right"
-            folds.append(TurningPoint(t_star=t_star, lambda_star=lam, u0_star=u0,
-                                      direction=direction))
-        traj._folds = tuple(folds), discarded
-    return list(traj._folds[0])
+    x, big_w, _, scale, positive = np.array(traj._folds[0]).reshape(-1, 5).T
+    t_star = [math.exp(v) for v in x.tolist()]
+    lam, u0 = _curve_values(class_spec(traj.params, traj.problem), np.array(t_star), big_w / scale)
+    return [TurningPoint(*values, "right-to-left" if pos else "left-to-right")
+            for *values, pos in zip(t_star, lam.tolist(), u0.tolist(), positive.tolist())]
 
 
 @dataclass(frozen=True)

@@ -1108,16 +1108,17 @@ class _Samples(NamedTuple):
     scale: np.ndarray
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Dense numerical solution of a generating IVP on ``[t_start, t_end]``.
 
-    Immutable after construction, but for what it computes on first use
-    (``_samples``, ``_folds``).  ``termination`` is ``"t_max"`` when the
-    requested horizon was reached, ``"zero"`` when a ``jl`` run stopped at a
-    zero of ``w`` (then ``t_end`` is the crossing time), and ``"truncated"``
-    for partial data carried by :class:`TruncatedTrajectoryError`.
-    ``stats`` holds the work of each integration phase, in order.
+    Frozen: what it computes on first use, the event samples ``_samples``
+    and the fold scan ``_folds``, is cached on it as a function of its
+    fields.  ``termination`` is ``"t_max"`` when the requested horizon was
+    reached, ``"zero"`` when a ``jl`` run stopped at a zero of ``w`` (then
+    ``t_end`` is the crossing time), and ``"truncated"`` for partial data
+    carried by :class:`TruncatedTrajectoryError`.  ``stats`` holds the work
+    of each integration phase, in order.
 
     Dense output is read on a row at a parameter ``theta``, by its segment's
     decoder: row -1 is the series ``_series`` at ``theta = tau``, from node
@@ -1127,12 +1128,10 @@ class Trajectory:
     t w' t^-g, scale = t^-g)``, by ``read`` (arrays) and ``reader`` (one
     point), and ``(w, t w') = (W, Y) / scale`` is the one rescale back from
     the rows, also of the log nodes.  The series segment and its nodes are
-    read in the series' own variables, ``(w, w')`` of :meth:`_Series.state`,
-    by :meth:`eval` and :meth:`eval_many`; only event location reads it in
-    ``(W, Y)``.  The flux ``v`` is not kept, as only acceptance row 6 and
-    ``shooting_check`` step ``(w, v)``.
-    ``_folds`` holds the folds that :func:`pfold.curve.turning_points`
-    located by :meth:`_roots`, and the sign changes its guard discarded."""
+    read in the series' own variables, ``(w, w')`` of :meth:`_Series.state`
+    at the time asked, by :meth:`eval` and :meth:`eval_many`; only event
+    location reads it in ``(W, Y)``.  The flux ``v`` is not kept, as only
+    acceptance row 6 and ``shooting_check`` step ``(w, v)``."""
 
     problem: ProblemClass
     params: Params
@@ -1144,7 +1143,6 @@ class Trajectory:
     stats: tuple[PhaseStats, ...]
     _series: _Series = field(repr=False)
     _rows: _Rows = field(repr=False)
-    _folds: tuple | None = field(default=None, repr=False)
 
     @property
     def t_start(self) -> float:
@@ -1183,9 +1181,8 @@ class Trajectory:
     def _guard(self, w, t_wprime, coeff_sum: float, scale):
         """Noise floor of a functional linear in ``w`` and ``t w'``, whose
         coefficients' magnitudes sum to ``coeff_sum``: ``GUARD_FACTOR`` times the
-        dense output's error, ``rel_tol (|w| + |t w'| + 1) + abs_tol``.  Pass
-        ``(w, t w')`` and ``scale = 1``, or ``(W, Y) = (w, t w') t^-g`` and
-        ``scale = t^-g``, which divides the floor by ``t^g`` too."""
+        dense output's error, ``rel_tol (|w| + |t w'| + 1) + abs_tol``, divided
+        by ``t^g``: at ``(W, Y) = (w, t w') t^-g`` and ``scale = t^-g``."""
         cfg = self.config
         state_err = cfg.rel_tol * (np.abs(w) + np.abs(t_wprime) + scale) + cfg.abs_tol * scale
         return GUARD_FACTOR * coeff_sum * state_err
@@ -1238,6 +1235,15 @@ class Trajectory:
         nonzero = sign[sign != 0.0]
         return out, int(np.count_nonzero(nonzero[:-1] * nonzero[1:] < 0.0)) - len(out)
 
+    @functools.cached_property
+    def _folds(self) -> tuple[tuple, int]:
+        """The roots of the class's monitor by :meth:`_roots`, with its guard,
+        and the sign changes the guard discarded; computed on first use."""
+        spec = class_spec(self.params, self.problem)  # M t^-g = k W + E Y (k + Y for exp)
+        roots, discarded = self._roots(lambda x, big_w, y: spec.monitor(1.0, big_w, y),
+                                       spec.monitor_weight)
+        return tuple(roots), discarded
+
     def eval(self, t: float) -> tuple[float, float]:
         """Dense ``(w, w')`` at a scalar ``t``; exact at stored nodes.
 
@@ -1255,7 +1261,7 @@ class Trajectory:
             return float(self.ws[k]), float(self.wprimes[k])
         m = len(self._rows.table)
         if k < 2 or not m:  # t < ts[1]: the series in its own variables, as in eval_many
-            return self._series.state(max(t, _TAU_MIN ** (1.0 / self._series.sigma)))[:2]
+            return self._series.state(t)[:2]
         row = min(k - 2, m - 1)
         x0, h = self._rows.table[row, :2].tolist()
         _, big_w, y, scale = self._rows.reader(row)((math.log(t) - x0) / h)
@@ -1276,12 +1282,8 @@ class Trajectory:
         table = self._rows.table
         on_rows = (ts >= self.ts[1]) & (len(table) > 0)  # the series ends at node 1
         w, wp = np.empty((2, len(ts)))
-        if not on_rows.all():  # some t on the series segment
-            # the series in its own variables: where t^sigma falls below the normal
-            # floats it no longer tells t apart, and the series is w_c to double
-            # precision, so it is read at _TAU_MIN there
-            t_min = _TAU_MIN ** (1.0 / self._series.sigma)
-            w[~on_rows], wp[~on_rows], _ = self._series.state(np.maximum(ts[~on_rows], t_min))
+        if not on_rows.all():  # some t on the series segment, in its own variables
+            w[~on_rows], wp[~on_rows], _ = self._series.state(ts[~on_rows])
         t = ts[on_rows]
         row = np.clip(idx[on_rows] - 2, 0, len(table) - 1)
         _, big_w, y, scale = self._rows.read(row, (np.log(t) - table[row, 0]) / table[row, 1])

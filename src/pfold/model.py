@@ -201,6 +201,18 @@ class ClassSpec(NamedTuple):
             return 0.0
         return -self.k / self.E if self.sgn * self.E < 0.0 else None
 
+    def monitor(self, t, w, wprime):
+        """The monitor at floats or arrays, with the sign of ``lambda'(t)``."""
+        if self.E is None:
+            return self.k + t * wprime
+        return self.k * w + self.E * t * wprime
+
+    @property
+    def monitor_weight(self) -> float:
+        """The magnitudes of the monitor's coefficients on ``w`` and ``t w'``,
+        summed: the weight of its guard."""
+        return 1.0 if self.E is None else self.k + abs(self.E)
+
 
 def class_spec(params: Params, problem: ProblemClass) -> ClassSpec:
     """The :class:`ClassSpec` of *problem* at valid *params*."""

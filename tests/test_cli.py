@@ -190,6 +190,30 @@ class TestCurve:
                 "--samples-per-decade", "20", "-o", str(out), check=True)
         assert len(out.read_text().splitlines()) == 1 + 201
 
+    def test_time_span_past_the_float_range(self, run_cli):
+        # t_end / t_start = 1e312 overflows; the decades are 312 all the same
+        proc = run_cli("curve", "--class", "gelfand", "-p", "2", "-n", "3", "--t-start", "1e-12",
+                       "--t-max", "1e300", "--samples-per-decade", "1", check=True)
+        assert len(proc.stdout.splitlines()) == 1 + 313
+        assert json.loads(proc.stderr)["rows"] == 313
+
+    def test_samples_per_decade_past_the_floats_exit_2(self, run_cli):
+        # an int past the floats once raised a bare OverflowError
+        proc = run_cli("curve", "--class", "gelfand", "-p", "2", "-n", "3",
+                       "--samples-per-decade", "1" + "0" * 400)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.startswith("error: samples_per_decade must be positive and finite")
+        assert proc.stderr.count("\n") == 1
+
+    def test_series_rows_read_at_their_own_time(self, run_cli):
+        # t^2 below the normal floats: u0 = -w = t^2/6 at each row's t, not at
+        # t = 1.5e-154, and 0 where t^2/6 underflows
+        proc = run_cli("curve", "--class", "gelfand", "-p", "2", "-n", "3", "--t-start", "1e-300",
+                       "--t-max", "1", "--samples-per-decade", "1", check=True)
+        rows = [list(map(float, line.split(","))) for line in proc.stdout.splitlines()[1:]]
+        for t, _, u0, _ in rows[:155]:
+            assert u0 == pytest.approx(t * t / 6.0, rel=1e-9, abs=1e-320)
+
     def test_jl_zero_event_truncates_with_warning(self, run_cli, tmp_path):
         out = tmp_path / "curve.csv"
         proc = run_cli("curve", "--class", "jl", "-p", "2", "-q", "2", "-a", "0",
@@ -328,7 +352,10 @@ class TestProfile:
     @pytest.mark.parametrize("flag,value,message", [
         ("--r-min", "1", "error: --r-min must lie in (0, 1), got 1.0\n"),
         ("--r-points", "1", "error: --r-points must be at least 2\n"),
-    ], ids=["r-min", "r-points"])
+        # an int past the floats once raised a bare OverflowError in np.geomspace
+        ("--r-points", "1" + "0" * 400,
+         "error: --r-points must be at most 1.7976931348623157e+308\n"),
+    ], ids=["r-min", "r-points", "r-points-past-the-floats"])
     def test_radius_grid_exit_2(self, run_cli, flag, value, message):
         proc = run_cli("profile", "--class", "gelfand", "-p", "2", "-n", "3", flag, value)
         assert proc.returncode == 2 and proc.stdout == "" and proc.stderr == message

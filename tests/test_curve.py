@@ -33,9 +33,9 @@ from pfold import (
     startup_state,
     turning_points,
 )
-from pfold import curve as curve_module, ivp
+from pfold import ivp
 from pfold.ivp import GUARD_FACTOR, ROOT_RTOL
-from pfold.model import ValidityError, class_spec
+from pfold.model import ClassSpec, ValidityError, class_spec
 from pfold.verify import RESIDUAL_SETS
 
 from conftest import GELFAND3, GELFAND10, JL454, JL_ZERO, MEMS233, fresh
@@ -81,8 +81,8 @@ class TestBuildCurve:
         with pytest.raises(ValueError):
             build_curve(gelfand3_traj, samples_per_decade=0)
         # inf and NaN once failed in int(): an OverflowError and a ValueError
-        # about converting a float
-        for bad in (math.inf, math.nan, -1.0, 0.01):
+        # about converting a float; an int past the floats failed in float()
+        for bad in (math.inf, math.nan, -1.0, 0.01, 10**400):
             with pytest.raises(ValueError, match="samples_per_decade must be positive and finite"):
                 build_curve(gelfand3_traj, samples_per_decade=bad)
 
@@ -281,14 +281,14 @@ class TestTurningPoints:
         # on the dense samples; refinement calls it on floats
         traj = integrate(GELFAND3, G)
         sizes = []
-        original = curve_module._monitor
+        original = ClassSpec.monitor
 
         def spy(spec, t, w, wprime):
             if isinstance(w, np.ndarray):
                 sizes.append(len(w))
             return original(spec, t, w, wprime)
 
-        monkeypatch.setattr(curve_module, "_monitor", spy)
+        monkeypatch.setattr(ClassSpec, "monitor", spy)
         fold_answer(traj)
         assert sizes == [len(traj._samples.x)]
 

@@ -1366,6 +1366,21 @@ class TestEval:
         with pytest.raises(ValueError):
             gelfand3_traj.eval_many([1.0, math.nan])
 
+    def test_series_read_at_the_time_asked(self):
+        # tau = t^2 = 1e-310 lies below the normal floats; both readers once
+        # gave the values at t = 1.49e-154 for every earlier time
+        traj = integrate(GELFAND3, G, IntegratorConfig(t_start=1e-300))
+        t = 1e-155
+        w, wp = traj.eval_many([t])
+        for value, wprime in ((w[0], wp[0]), traj.eval(t)):
+            assert wprime == pytest.approx(-t / 3.0, rel=1e-9, abs=0.0)
+            assert value == pytest.approx(-t * t / 6.0, rel=1e-9, abs=0.0)
+
+    def test_fields_are_frozen(self, gelfand3_traj):
+        for f in dataclasses.fields(gelfand3_traj):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(gelfand3_traj, f.name, getattr(gelfand3_traj, f.name))
+
     def test_eval_many_keeps_the_shape_of_the_times(self, gelfand3_traj):
         traj = gelfand3_traj
         ts = np.geomspace(traj.t_start, traj.t_end, 6).reshape(2, 3)  # series and rows

@@ -62,11 +62,17 @@ COMMANDS = (
     ("turns", "--class", "gelfand", "-p", "2", "-n", "3", "--alpha", "100", "--t-max", "1e-4"),
     ("turns", "--class", "mems", "-p", "1.001", "-n", "3", "-q", "2", "--t-max", "0.3"),
     ("turns", "--class", "jl", "-p", "1.01", "-n", "4", "-q", "5", "--t-max", "5e-4"),
+    # series times below t^sigma's float range, and spans and counts past the floats
+    ("curve", *GELFAND, "--t-start", "1e-300", "--t-max", "1", "--samples-per-decade", "1"),
+    ("curve", *GELFAND, "--t-start", "1e-12", "--t-max", "1e300", "--samples-per-decade", "1"),
+    ("curve", *GELFAND, "--samples-per-decade", "1" + "0" * 400),
+    ("profile", *GELFAND, "--r-points", "1" + "0" * 400),
 )
 
 
 def run(argv):
-    """``(stdout, stderr, exit code)`` of ``pfold argv``."""
+    """``(stdout, stderr, exit code)`` of ``pfold argv``, with the exception
+    that escapes :func:`pfold.cli.main`, if any, in place of the code."""
     out, err = io.StringIO(), io.StringIO()
     # catch_warnings lets each command show its warnings once, as its own process would
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
@@ -75,6 +81,8 @@ def run(argv):
             code = cli.main(list(argv))
         except SystemExit as exc:  # argparse's errors and --help
             code = exc.code
+        except Exception as exc:  # noqa: BLE001 - a traceback is an answer too
+            code = exc
     return out.getvalue(), err.getvalue().replace(str(ROOT), "<checkout>"), code
 
 
